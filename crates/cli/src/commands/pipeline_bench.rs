@@ -26,7 +26,7 @@ use socialrec_dp::{Epsilon, PrivacyAccountant};
 use socialrec_experiments::{impl_to_json, json::ToJson, Args};
 use socialrec_graph::{SocialGraph, UserId};
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
-use socialrec_serve::{RecommendationServer, SimMassIndex};
+use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_simd::Isa;
 use socialrec_similarity::{parse_measure, Similarity, SimilarityMatrix};
 use std::time::Instant;
@@ -185,7 +185,8 @@ struct Report {
     end_to_end_parallel_ms: f64,
     end_to_end_speedup: f64,
     equivalence_checked: bool,
-    serve_metrics: socialrec_obs::MetricsSnapshot,
+    /// The recommend stage's daemon registry (per-shard counters).
+    serve_metrics: socialrec_obs::RegistrySnapshot,
     privacy: PrivacyReport,
     /// SIMD dispatch + per-kernel scalar-vs-SIMD attribution.
     simd: SimdReport,
@@ -341,9 +342,9 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     // Stage 4 — recommendation over every user. The sequential
     // reference is the framework's per-user utility walk with the
-    // reference top-N heap; the parallel path is the serving engine's
-    // blocked batch (sim-mass index build + release + tiled kernel),
-    // which must reproduce the reference lists bit for bit.
+    // reference top-N heap; the parallel path is the serving daemon's
+    // blocked batch (sim-mass index build + release + publish + tiled
+    // kernel), which must reproduce the reference lists bit for bit.
     let fw = ClusterFramework::new(&partition, epsilon);
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
     let users: Vec<UserId> = (0..num_users as u32).map(UserId).collect();
@@ -362,15 +363,16 @@ pub fn run(args: &Args) -> Result<(), String> {
     });
     eprintln!("  {recommend_seq_ms:.0} ms");
 
-    // The parallel path is the serving engine end-to-end: sim-mass
-    // index build + cached release + blocked batch (a fresh server per
-    // rep, so every rep pays the full cold cost like the reference).
-    eprintln!("recommend: blocked serving batch for all {num_users} users...");
+    // The parallel path is the serving daemon end-to-end: sim-mass
+    // index build + release + publish into a one-shard daemon + blocked
+    // batch (a fresh daemon per rep, so every rep pays the full cold
+    // cost like the reference).
+    eprintln!("recommend: published daemon batch for all {num_users} users...");
     let ((par_lists, serve_metrics), recommend_par_ms) = timed_min(reps, || {
-        let server = RecommendationServer::new(&partition, &sim, epsilon);
-        let lists = server.recommend_batch(&inputs, &users, n, seed);
-        let snapshot = server.metrics().snapshot();
-        (lists, snapshot)
+        let daemon = ShardedServer::new(&partition, &sim, epsilon, 1);
+        daemon.publish_release(seed, fw.noisy_cluster_averages(&inputs, seed));
+        let lists = daemon.recommend_batch(&inputs, &users, n, seed);
+        (lists, daemon.registry().snapshot())
     });
     eprintln!("  {recommend_par_ms:.0} ms ({} lists)", par_lists.len());
     check_recommend_equivalence(&seq_lists, &par_lists)?;
@@ -392,7 +394,13 @@ pub fn run(args: &Args) -> Result<(), String> {
     // and fold the events into the hotspots block.
     let traced = trace.active();
     let events = if traced {
-        trace.finish_collect(&["sim.build", "louvain.level", "release", "serve.batch"])?
+        trace.finish_collect(&[
+            "sim.build",
+            "louvain.level",
+            "release",
+            "update.publish",
+            "serve.shard_batch",
+        ])?
     } else {
         socialrec_obs::disable();
         socialrec_obs::drain_events()
@@ -750,8 +758,8 @@ mod tests {
             "\"threads\"",
             "\"equivalence_checked\"",
             "\"serve_metrics\"",
-            "\"queries\"",
-            "\"query_p99_ns\"",
+            "\"serve.shard0.queries\"",
+            "\"serve.refused\", 0",
             "\"privacy\"",
             "\"epsilon_per_release\"",
             "\"ledger_releases\"",
@@ -780,7 +788,14 @@ mod tests {
         // plus the ledger-vs-accountant ε match, before returning Ok).
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
         let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
-        for span in ["sim.build", "louvain.level", "release", "serve.batch", "csr.chunk"] {
+        for span in [
+            "sim.build",
+            "louvain.level",
+            "release",
+            "update.publish",
+            "serve.shard_batch",
+            "csr.chunk",
+        ] {
             assert!(check.has_span(span), "trace missing {span}: {:?}", check.names);
         }
         std::fs::remove_file(&out).ok();

@@ -3,17 +3,22 @@
 //!
 //! The generator drives [`ShardedServer`] the way production traffic
 //! would: `--clients` concurrent threads issue single-user queries with
-//! Zipf-skewed user popularity, switching release seed halfway through
-//! so a hot swap happens under live load. Three phases are measured:
+//! Zipf-skewed user popularity on the published seed. Both generations
+//! come from one accountant (`DynamicRecommender`); the first is
+//! published before the run, the second is released and published
+//! halfway through, so a hot swap happens under live load and clients
+//! follow it. Three phases are measured:
 //!
 //! 1. **Closed loop** — every client fires its next query the moment
 //!    the previous answer returns. Concurrent singles coalesce in each
 //!    shard's admission queue and ride the item-tiled kernel together.
-//! 2. **Uncoalesced baseline** — the same workload against
-//!    `RecommendationServer::recommend_one`, which pays the full kernel
-//!    walk per query. `closed_qps / uncoalesced_qps` is the coalescing
-//!    speedup the acceptance gate binds on (only where the hardware can
-//!    express concurrency: ≥ 4 cores and ≥ 4 clients, non-smoke).
+//! 2. **Uncoalesced baseline** — the same workload with no admission
+//!    queue: each query looks up the published release and runs the
+//!    item-tiled kernel and top-N for its user alone, paying the full
+//!    kernel walk per query. `closed_qps / uncoalesced_qps` is the
+//!    coalescing speedup the acceptance gate binds on (only where the
+//!    hardware can express concurrency: ≥ 4 cores and ≥ 4 clients,
+//!    non-smoke).
 //! 3. **Open loop** — Poisson arrivals at a fixed offered rate, with
 //!    latency charged from the *scheduled* arrival instant, so queueing
 //!    delay the closed loop structurally hides shows up in the p99.
@@ -22,7 +27,8 @@
 //! sample), unlike the registry histograms' log₂-bucket bounds. The
 //! run spot-checks all three serving paths bitwise against
 //! `ClusterFramework::recommend` for both generations, asserts exactly
-//! one release build per generation, and writes a `BENCH_serve.json`
+//! one epoch per publish and no refused query, and writes a
+//! `BENCH_serve.json`
 //! artifact (throughput, exact p50/p99, coalescing efficiency,
 //! per-shard generation stamps) whose shape — and SLO verdict — is
 //! enforced by `socialrec validate-bench` in CI.
@@ -33,14 +39,17 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::private::ClusterFramework;
-use socialrec_core::{RecommenderInputs, TopN, TopNRecommender};
+use socialrec_core::{
+    top_n_items, BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN, TopNRecommender,
+};
 use socialrec_datasets::flixster_like;
 use socialrec_dp::{Epsilon, PrivacyAccountant};
 use socialrec_experiments::{impl_to_json, json::ToJson, Args};
 use socialrec_graph::UserId;
 use socialrec_serve::loadgen::{poisson_interarrival, Zipf};
-use socialrec_serve::{RecommendationServer, ShardedServer};
+use socialrec_serve::{kernel, ShardedServer, SimMassIndex};
 use socialrec_similarity::{parse_measure, SimilarityMatrix};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// One load phase's roll-up. `p50_ns`/`p99_ns` are exact nearest-rank
@@ -136,7 +145,7 @@ impl_to_json!(Live {
 /// Privacy accounting: ε per release (dp's parallel composition over
 /// the partition's disjoint clusters) and, on traced runs, the ledger's
 /// spend count per generation (zero in untraced runs, where the ledger
-/// is disarmed; the hot swap must spend exactly once per generation).
+/// is disarmed; each published generation is exactly one spend).
 struct ServePrivacy {
     epsilon_per_release: f64,
     clusters: usize,
@@ -240,34 +249,49 @@ fn client_rng(seed: u64, client: usize) -> SmallRng {
 }
 
 /// Closed-loop drive: each client issues its next query the instant the
-/// previous answer returns, switching from `seeds.0` to `seeds.1`
-/// halfway through (the hot swap under load). Returns every per-query
+/// previous answer returns, on whatever seed `seed` holds at that
+/// moment. Once half the phase's queries are answered, `mid_run` runs
+/// on the driving thread (the hot swap under load: it publishes the
+/// next release and then moves `seed` to it). Returns every per-query
 /// latency in ns, sorted, plus the phase's wall-clock ms.
 fn drive_closed<F: Fn(UserId, u64) + Sync>(
     clients: usize,
     requests: usize,
     zipf: &Zipf,
-    seeds: (u64, u64),
+    rng_seed: u64,
+    seed: &AtomicU64,
+    mid_run: impl FnOnce(),
     serve: &F,
 ) -> (Vec<u64>, f64) {
+    let answered = AtomicUsize::new(0);
     let t0 = Instant::now();
     let mut lat: Vec<u64> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..clients)
             .map(|c| {
+                let answered = &answered;
                 s.spawn(move || {
-                    let mut rng = client_rng(seeds.0, c);
+                    let mut rng = client_rng(rng_seed, c);
                     let mut lats = Vec::with_capacity(requests);
-                    for i in 0..requests {
-                        let qseed = if i < requests / 2 { seeds.0 } else { seeds.1 };
+                    for _ in 0..requests {
+                        // Acquire pairs with `mid_run`'s Release store: a
+                        // client that reads the new seed sees its publish.
+                        let qseed = seed.load(Ordering::Acquire);
                         let u = UserId(zipf.sample(&mut rng) as u32);
                         let t = Instant::now();
                         serve(u, qseed);
                         lats.push(elapsed_ns(t));
+                        answered.fetch_add(1, Ordering::Relaxed);
                     }
                     lats
                 })
             })
             .collect();
+        while answered.load(Ordering::Relaxed) < clients * requests / 2
+            && !handles.iter().all(|h| h.is_finished())
+        {
+            std::thread::sleep(Duration::from_micros(200));
+        }
+        mid_run();
         handles.into_iter().flat_map(|h| h.join().expect("load client panicked")).collect()
     });
     lat.sort_unstable();
@@ -325,13 +349,37 @@ fn same_bits(a: &TopN, b: &TopN) -> bool {
             .all(|((ai, au), (bi, bu))| ai == bi && au.to_bits() == bu.to_bits())
 }
 
+/// The uncoalesced single-query path: look up the published release,
+/// then run the item-tiled kernel and top-N for one user alone.
+fn serve_uncoalesced(
+    daemon: &ShardedServer<'_>,
+    index: &SimMassIndex,
+    user: UserId,
+    n: usize,
+    seed: u64,
+) -> TopN {
+    let release = daemon
+        .exchange()
+        .get(daemon.generation_for(seed))
+        .expect("the uncoalesced loop only asks for published seeds");
+    let mut out = Vec::new();
+    kernel::utilities_block_tiled(
+        &release,
+        index,
+        std::slice::from_ref(&user),
+        kernel::ITEM_TILE,
+        &mut out,
+    );
+    TopN { user, items: top_n_items(&out, n) }
+}
+
 /// Bit-identity spot-check of every serving path — sharded batch,
 /// coalesced single, uncoalesced single — against
-/// `ClusterFramework::recommend`, for both generations.
+/// `ClusterFramework::recommend`, for both published generations.
 fn check_equivalence(
     fw: &ClusterFramework<'_>,
     daemon: &ShardedServer<'_>,
-    server: &RecommendationServer<'_>,
+    index: &SimMassIndex,
     inputs: &RecommenderInputs<'_>,
     sample: &[UserId],
     n: usize,
@@ -352,7 +400,7 @@ fn check_equivalence(
                     "coalesced single diverged from the framework for {u:?} (seed {seed})"
                 ));
             }
-            let direct = server.recommend_one(inputs, u, n, seed);
+            let direct = serve_uncoalesced(daemon, index, u, n, seed);
             if !same_bits(&direct, &want[k]) {
                 return Err(format!(
                     "uncoalesced single diverged from the framework for {u:?} (seed {seed})"
@@ -410,12 +458,25 @@ pub fn run(args: &Args) -> Result<(), String> {
     eprintln!("  {} clusters", partition.num_clusters());
 
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
-    let daemon = ShardedServer::new(&partition, &sim, epsilon, num_shards);
-    let server = RecommendationServer::new(&partition, &sim, epsilon);
+    let index = SimMassIndex::build(&sim, &partition);
+    let daemon = ShardedServer::from_index(&partition, index.clone(), epsilon, num_shards);
     let fw = ClusterFramework::new(&partition, epsilon);
     let zipf = Zipf::new(num_users, zipf_s);
     let (seed_a, seed_b) = (seed, seed.wrapping_add(1));
     let (gen_a, gen_b) = (daemon.generation_for(seed_a), daemon.generation_for(seed_b));
+
+    // One accountant planned for the run's two releases of ε each; the
+    // first generation is published before any client starts.
+    let total = match epsilon {
+        Epsilon::Finite(e) => Epsilon::Finite(2.0 * e),
+        Epsilon::Infinite => Epsilon::Infinite,
+    };
+    let mut accountant = DynamicRecommender::new(total, BudgetSchedule::Uniform { releases: 2 });
+    let (eps_a, release_a) = accountant.release_averages(&partition, &ds.prefs, seed_a)?;
+    if eps_a != epsilon {
+        return Err(format!("accountant released at ε = {eps_a}, the daemon serves ε = {epsilon}"));
+    }
+    daemon.publish_release(seed_a, release_a);
 
     // The introspection endpoint (when requested) serves the daemon's
     // registry plus the process-global live windows, journal, and
@@ -436,11 +497,12 @@ pub fn run(args: &Args) -> Result<(), String> {
         None => None,
     };
 
-    // Phase 1 — closed loop against the coalescing daemon, hot swap
-    // (seed bump) halfway through each client's request stream.
+    // Phase 1 — closed loop against the coalescing daemon; the second
+    // release is drawn and published halfway through (hot swap under
+    // load), and only then do clients move to its seed.
     eprintln!(
         "closed loop: {clients} clients x {requests} coalesced singles \
-         ({} shards, hot swap mid-run)...",
+         ({} shards, publish mid-run)...",
         daemon.num_shards()
     );
     // While the closed loop runs, a probe thread scrapes `/metrics`
@@ -453,9 +515,20 @@ pub fn run(args: &Args) -> Result<(), String> {
             (socialrec_obs::http_get(addr, "/metrics"), socialrec_obs::http_get(addr, "/health"))
         })
     });
-    let (lat, elapsed) = drive_closed(clients, requests, &zipf, (seed_a, seed_b), &|u, s| {
-        daemon.recommend_one(&inputs, u, n, s);
-    });
+    let published = AtomicU64::new(seed_a);
+    let mut publish_result = Ok(());
+    let publish_b = || {
+        publish_result =
+            accountant.release_averages(&partition, &ds.prefs, seed_b).map(|(_, release_b)| {
+                daemon.publish_release(seed_b, release_b);
+                published.store(seed_b, Ordering::Release);
+            });
+    };
+    let (lat, elapsed) =
+        drive_closed(clients, requests, &zipf, seed_a, &published, publish_b, &|u, s| {
+            daemon.recommend_one(&inputs, u, n, s);
+        });
+    publish_result?;
     let closed = LoopStats::new("closed", &lat, elapsed);
 
     let mut probe_metrics_body = String::new();
@@ -498,11 +571,11 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     let epoch = daemon.exchange().epoch();
     if epoch != 2 {
-        return Err(format!("expected exactly one release build per generation, epoch = {epoch}"));
+        return Err(format!("expected exactly two published releases, epoch = {epoch}"));
     }
     // On traced runs the ledger is armed and no other release has run
-    // since init reset it: the hot swap must have spent ε exactly once
-    // per generation, however many clients and shards raced.
+    // since init reset it: each published generation is exactly one
+    // accountant spend, however many clients and shards raced.
     let mut spends = [0usize; 2];
     if trace.active() {
         let ledger = socialrec_obs::PrivacyLedger::global().snapshot();
@@ -510,8 +583,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             spends[k] = ledger.records.iter().filter(|r| r.generation == Some(generation)).count();
             if spends[k] != 1 {
                 return Err(format!(
-                    "generation {generation:#x} spent ε {} times — the hot swap must spend \
-                     exactly once per generation",
+                    "generation {generation:#x} spent ε {} times — each published \
+                     generation must spend exactly once",
                     spends[k]
                 ));
             }
@@ -536,15 +609,17 @@ pub fn run(args: &Args) -> Result<(), String> {
     let sample: Vec<UserId> =
         (0..sample_n).map(|k| UserId((k * num_users / sample_n) as u32)).collect();
     eprintln!("equivalence spot-check ({sample_n} users x 2 generations x 3 paths)...");
-    check_equivalence(&fw, &daemon, &server, &inputs, &sample, n, [seed_a, seed_b])?;
+    check_equivalence(&fw, &daemon, &index, &inputs, &sample, n, [seed_a, seed_b])?;
 
     // Phase 2 — the uncoalesced baseline: same client count, same Zipf
-    // stream, single warm generation (generous to the baseline — it
-    // never pays a rebuild), one full kernel walk per query.
+    // stream, the published second generation throughout (generous to
+    // the baseline — it never sees a swap), one release lookup and one
+    // full kernel walk per query.
     eprintln!("uncoalesced baseline: {clients} clients x {requests} direct singles...");
-    let (lat, elapsed) = drive_closed(clients, requests, &zipf, (seed_b, seed_b), &|u, s| {
-        server.recommend_one(&inputs, u, n, s);
-    });
+    let (lat, elapsed) =
+        drive_closed(clients, requests, &zipf, seed_a, &AtomicU64::new(seed_b), || {}, &|u, s| {
+            serve_uncoalesced(&daemon, &index, u, n, s);
+        });
     let uncoalesced = LoopStats::new("uncoalesced", &lat, elapsed);
 
     // Phase 3 — open loop at a fixed offered rate (default: half the
@@ -571,6 +646,13 @@ pub fn run(args: &Args) -> Result<(), String> {
         .collect::<Result<_, _>>()?;
     if shard_generations.iter().any(|&g| g != gen_b) {
         return Err("a shard is not serving the post-swap generation after the sweep".to_string());
+    }
+
+    // Clients only ever asked for published seeds, so nothing may have
+    // been refused.
+    let refused = daemon.registry().counter("serve.refused").get();
+    if refused != 0 {
+        return Err(format!("{refused} queries were refused although every seed was published"));
     }
 
     // Operational journal: the mid-run hot swap must have left a
@@ -736,7 +818,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         if speedup_gate_bound { "" } else { " (gate not bound on this machine)" }
     );
     println!(
-        "  hot swap   : {} release builds, every shard on generation {gen_b:#x}",
+        "  hot swap   : {} published releases, every shard on generation {gen_b:#x}",
         report.release_epochs
     );
     println!(
@@ -755,10 +837,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         "sim.build",
         "louvain.level",
         "release",
-        "serve.rebuild",
+        "update.publish",
         "serve.coalesced",
         "serve.shard_batch",
-        "serve.one",
     ])?;
 
     if speedup_gate_bound && coalescing_speedup < 3.0 {
@@ -829,7 +910,7 @@ mod tests {
         }
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
         let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
-        for span in ["serve.rebuild", "serve.coalesced", "serve.shard_batch", "serve.one"] {
+        for span in ["serve.coalesced", "serve.shard_batch", "update.publish"] {
             assert!(check.has_span(span), "trace missing {span}: {:?}", check.names);
         }
 

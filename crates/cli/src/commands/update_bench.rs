@@ -16,14 +16,15 @@
 //!    release) is timed alongside, and every refreshed artifact is
 //!    checked **bit-identical** to its from-scratch counterpart under
 //!    the same partition.
-//! 2. **Hot swap under live load** — client threads hammer a
+//! 2. **Hot swap under live load** — the daemon starts serving one
+//!    accountant release; client threads hammer the
 //!    [`ShardedServer`] while the main thread applies a preference
 //!    delta, produces the next scheduled release through the
 //!    recommender's accountant, and publishes it into the daemon's
-//!    `ReleaseExchange` ([`ShardedServer::publish_release`]). Queries
-//!    flip generations without a single on-miss rebuild — the exchange
-//!    epoch counter proves it — and the served p50/p99 during the
-//!    refresh window lands in the artifact.
+//!    `ReleaseExchange` ([`ShardedServer::publish_release`]). Every
+//!    release the daemon serves is one the accountant paid for — the
+//!    exchange epoch counter proves it — and the served p50/p99 during
+//!    the refresh window lands in the artifact.
 //! 3. **Budget enforcement** — after the schedule's plan is consumed,
 //!    the run demonstrates both refusal paths (exhausted schedule,
 //!    over-budget accountant spend) and records the error strings. On
@@ -331,15 +332,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let trace = TraceSink::init(args);
 
-    // One scheduled release per churn round plus the serving re-release.
-    let schedule_releases = num_rounds + 1;
+    // One scheduled release per churn round, plus the daemon's first
+    // serving release and its refresh under load.
+    let schedule_releases = num_rounds + 2;
     let schedule = BudgetSchedule::Uniform { releases: schedule_releases };
     let per_release =
         schedule.epsilon_for(0, epsilon).ok_or("budget schedule yields no releases".to_string())?;
     let mut dynrec = DynamicRecommender::new(epsilon, schedule);
-    // Every release the process makes, in order — the serving warm
-    // build and the full-rebuild comparators too — for the ledger
-    // cross-check at the end.
+    // Every release the process makes, in order — the full-rebuild
+    // comparators too — for the ledger cross-check at the end.
     let mut mirror: Vec<Epsilon> = Vec::new();
 
     eprintln!("generating flixster_like(scale={scale}, seed={seed})...");
@@ -476,20 +477,19 @@ pub fn run(args: &Args) -> Result<(), String> {
     // state; clients hammer it while the main thread produces the next
     // scheduled release and publishes it into the exchange. ε per
     // release is uniform, so the daemon's generation key (fingerprint,
-    // ε, noise, seed) matches the published refresh.
+    // ε, seed) matches every published release.
     let partition = inc.partition();
     let daemon = ShardedServer::from_index(partition, idx, per_release, num_shards);
     let inputs = RecommenderInputs { prefs: &prefs, sim: &sim };
     let (seed_a, seed_b) = (seed.wrapping_add(1000), seed.wrapping_add(1001));
     let (gen_a, gen_b) = (daemon.generation_for(seed_a), daemon.generation_for(seed_b));
 
-    // Warm the serving generation on the main thread so the ledger
-    // order below is deterministic: [warm build, comparator, refresh].
-    daemon.recommend_one(&inputs, UserId(0), n, seed_a);
-    mirror.push(per_release);
-    if daemon.exchange().epoch() != 1 {
-        return Err("warm-up must build exactly one release".to_string());
-    }
+    // The first serving generation is the accountant's next scheduled
+    // release, published before any client starts, so the ledger order
+    // below is deterministic: [serving release, comparator, refresh].
+    let (eps_a, serving) = dynrec.release_averages(partition, &prefs, seed_a)?;
+    mirror.push(eps_a);
+    daemon.publish_release(seed_a, serving);
 
     eprintln!(
         "hot swap under load: {clients} clients x {requests} queries while the refresh \
@@ -553,20 +553,20 @@ pub fn run(args: &Args) -> Result<(), String> {
     lat.sort_unstable();
 
     // Every shard flips to the published generation on a final sweep,
-    // and the epoch count stays at 2: the initial build plus the
-    // publish. A third epoch would mean a query re-released (and the
-    // ledger re-spent) what the recommender already paid for.
+    // and the epoch count stays at 2: the two publishes. Queries never
+    // add one.
     let all: Vec<UserId> = (0..num_users as u32).map(UserId).collect();
     daemon.recommend_batch(&inputs, &all, n, seed_b);
     let release_epochs = daemon.exchange().epoch();
     if release_epochs != 2 {
-        return Err(format!(
-            "expected 2 release epochs (warm build + publish), got {release_epochs} — \
-             a query rebuilt a release the accountant already paid for"
-        ));
+        return Err(format!("expected 2 release epochs (two publishes), got {release_epochs}"));
     }
     if daemon.shard_generations().iter().any(|&gsh| gsh != Some(gen_b)) {
         return Err("a shard is not serving the published generation after the sweep".to_string());
+    }
+    let refused = daemon.registry().counter("serve.refused").get();
+    if refused != 0 {
+        return Err(format!("{refused} queries were refused although every seed was published"));
     }
 
     // Budget enforcement, both refusal paths: the uniform plan is now
@@ -725,7 +725,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         report.serve.queries, report.serve.p50_ns, report.serve.p99_ns
     );
     println!(
-        "  hot swap   : {} epochs (warm build + publish), every shard on {gen_b:#x}",
+        "  hot swap   : {} epochs (two publishes), every shard on {gen_b:#x}",
         report.serve.release_epochs
     );
     println!(

@@ -66,12 +66,9 @@ const REQUIRED_TUNE_KEYS: [&str; 7] = [
 const REQUIRED_HOTSPOT_KEYS: [&str; 5] =
     ["\"span\"", "\"total_ms\"", "\"mean_us\"", "\"p99_us\"", "\"max_us\""];
 
-/// Fields the `serve_metrics` block (a `MetricsSnapshot` via `ToJson`)
-/// must carry — the recommend stage's serving counters and the
-/// log₂-histogram latency roll-up (`*_p99_ns` ≤ `*_max_ns` by the
-/// clamped-quantile contract).
-const REQUIRED_METRICS_KEYS: [&str; 5] =
-    ["\"queries\"", "\"batches\"", "\"query_p99_ns\"", "\"query_max_ns\"", "\"batch_max_ns\""];
+/// Fields the `serve_metrics` block (the recommend stage's daemon
+/// registry, a `RegistrySnapshot` via `ToJson`) must carry.
+const REQUIRED_METRICS_KEYS: [&str; 3] = ["\"counters\"", "\"gauges\"", "\"histograms\""];
 
 /// Fields the pipeline `privacy` block must carry: the per-release ε
 /// from dp's accountant and the observability ledger's view of the run.
@@ -333,11 +330,7 @@ fn validate_pipeline(body: &str) -> Result<(), String> {
             return Err(format!("missing gated stage entry for {stage:?}"));
         }
     }
-    for key in REQUIRED_METRICS_KEYS {
-        if !body.contains(key) {
-            return Err(format!("missing serve_metrics field {key}"));
-        }
-    }
+    validate_serve_metrics(body)?;
     for key in REQUIRED_PRIVACY_KEYS {
         if !body.contains(key) {
             return Err(format!("missing privacy field {key}"));
@@ -371,6 +364,57 @@ fn validate_pipeline(body: &str) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// The pipeline's `serve_metrics` registry: its fields, and per-shard
+/// query counters that sum to the user count (the recommend stage
+/// serves every user exactly once).
+fn validate_serve_metrics(body: &str) -> Result<(), String> {
+    let block = object_after(body, "\"serve_metrics\": ")
+        .ok_or("serve_metrics is not an object".to_string())?;
+    for key in REQUIRED_METRICS_KEYS {
+        if !block.contains(key) {
+            return Err(format!("missing serve_metrics field {key}"));
+        }
+    }
+    let users = number_after(body, "\"users\": ").ok_or("missing \"users\" count".to_string())?;
+    let queries: u64 = block
+        .split("[\"serve.shard")
+        .skip(1)
+        .filter_map(|rest| {
+            let digits = rest.find(|c: char| !c.is_ascii_digit())?;
+            number_after(rest[digits..].strip_prefix(".queries\", ")?, "")
+        })
+        .sum();
+    if queries != users {
+        return Err(format!(
+            "serve_metrics counts {queries} serve.shard*.queries but the run has {users} users"
+        ));
+    }
+    Ok(())
+}
+
+/// The `{...}` object that follows the first `key` in `body`.
+fn object_after<'a>(body: &'a str, key: &str) -> Option<&'a str> {
+    let start = body.find(key)? + key.len();
+    let rest = body[start..].strip_prefix('{')?;
+    let mut depth = 1usize;
+    for (i, c) in rest.char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' if depth == 1 => return Some(&rest[..i]),
+            '}' => depth -= 1,
+            _ => {}
+        }
+    }
+    None
+}
+
+/// The unsigned integer that follows the first `key` in `body`.
+fn number_after(body: &str, key: &str) -> Option<u64> {
+    let rest = &body[body.find(key)? + key.len()..];
+    let end = rest.find(|c: char| !c.is_ascii_digit()).unwrap_or(rest.len());
+    rest[..end].parse().ok()
 }
 
 fn validate_serve(body: &str) -> Result<(), String> {
@@ -451,8 +495,11 @@ mod tests {
             .iter()
             .map(|s| format!("    {{ \"stage\": \"{s}\", \"speedup\": 1.0 }},\n"))
             .collect();
-        let metrics: String =
-            REQUIRED_METRICS_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
+        let metrics = "    \"counters\": [\n      [\"serve.refused\", 0],\n      \
+                       [\"serve.shard0.kernel_blocks\", 1],\n      \
+                       [\"serve.shard0.queries\", 6],\n      \
+                       [\"serve.shard1.queries\", 4]\n    ],\n    \
+                       \"gauges\": [],\n    \"histograms\": []\n";
         let privacy: String =
             REQUIRED_PRIVACY_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
         format!(
@@ -593,6 +640,17 @@ mod tests {
             .replace("\"anon_bytes\"", "\"a\"")
             .replace("\"memory\": null", "\"memory\": 0");
         assert!(validate(&no_memory).unwrap_err().contains("RSS gauge"));
+    }
+
+    #[test]
+    fn pipeline_serve_metrics_must_serve_every_user_once() {
+        let short =
+            valid_body().replace("[\"serve.shard1.queries\", 4]", "[\"serve.shard1.queries\", 3]");
+        assert!(validate(&short).unwrap_err().contains("9 serve.shard*.queries"));
+        let no_hist = valid_body().replace("\"histograms\"", "\"h\"");
+        assert!(validate(&no_hist).unwrap_err().contains("histograms"));
+        let flat = valid_body().replace("\"serve_metrics\": {", "\"serve_metrics\": [");
+        assert!(validate(&flat).unwrap_err().contains("not an object"));
     }
 
     #[test]

@@ -19,12 +19,11 @@ use std::collections::HashMap;
 
 /// Every event name the journal can emit (`EventKind::name`); an
 /// unknown name in a dump means the endpoint and the journal drifted.
-const KNOWN_EVENTS: [&str; 6] = [
+const KNOWN_EVENTS: [&str; 5] = [
     "release_published",
     "hot_swap_completed",
     "budget_refusal",
     "drift_valve_restart",
-    "builder_panic_recovered",
     "coalesce_requeue",
 ];
 

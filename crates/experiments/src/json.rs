@@ -208,36 +208,6 @@ impl ToJson for DatasetStats {
 
 // Observability types (the obs crate is std-only and cannot host these
 // impls itself — the trait lives here).
-impl ToJson for socialrec_obs::MetricsSnapshot {
-    /// Durations flatten to integer nanoseconds (`*_ns`). The `*_p50` /
-    /// `*_p99` values are sub-bucket upper bounds from the log₂
-    /// histograms — over-estimates by at most a factor of 1.25,
-    /// clamped to the true `*_max` — so consumers must treat them as
-    /// `~p50` / `~p99`, never exact quantiles.
-    fn write_json(&self, out: &mut String, indent: usize) {
-        let ns = |d: std::time::Duration| d.as_nanos().min(u64::MAX as u128) as u64;
-        write_object(
-            out,
-            indent,
-            &[
-                ("queries", &self.queries),
-                ("batches", &self.batches),
-                ("singles", &self.singles),
-                ("cache_hits", &self.cache_hits),
-                ("cache_rebuilds", &self.cache_rebuilds),
-                ("query_mean_ns", &ns(self.query_mean)),
-                ("query_p50_ns", &ns(self.query_p50)),
-                ("query_p99_ns", &ns(self.query_p99)),
-                ("query_max_ns", &ns(self.query_max)),
-                ("batch_mean_ns", &ns(self.batch_mean)),
-                ("batch_p50_ns", &ns(self.batch_p50)),
-                ("batch_p99_ns", &ns(self.batch_p99)),
-                ("batch_max_ns", &ns(self.batch_max)),
-            ],
-        );
-    }
-}
-
 impl ToJson for socialrec_obs::MemorySample {
     /// Raw byte counts plus derived MiB floats for human readers; the
     /// `anon_bytes` figure is the "bounded memory" metric — it excludes
@@ -287,9 +257,10 @@ impl ToJson for socialrec_obs::LedgerSnapshot {
 }
 
 impl ToJson for socialrec_obs::HistogramSummary {
-    /// Same ~quantile caveat as [`socialrec_obs::MetricsSnapshot`]:
-    /// `p50_ns` / `p99_ns` are sub-bucket upper bounds (≤ 1.25× the
-    /// exact quantile) clamped to `max_ns`.
+    /// Durations flatten to integer nanoseconds (`*_ns`). `p50_ns` /
+    /// `p99_ns` are sub-bucket upper bounds from the log₂ histograms
+    /// (≤ 1.25× the exact quantile) clamped to `max_ns`, so consumers
+    /// must treat them as `~p50` / `~p99`, never exact quantiles.
     fn write_json(&self, out: &mut String, indent: usize) {
         let ns = |d: std::time::Duration| d.as_nanos().min(u64::MAX as u128) as u64;
         write_object(
@@ -371,17 +342,6 @@ mod tests {
 
     #[test]
     fn obs_snapshots_render_with_ns_fields() {
-        let m = socialrec_obs::ServeMetrics::new();
-        m.record_batch(std::time::Duration::from_millis(3), false);
-        m.record_query(std::time::Duration::from_micros(5));
-        let json = m.snapshot().to_json_pretty();
-        for key in
-            ["\"queries\": 1", "\"batches\": 1", "\"cache_rebuilds\": 1", "\"query_p99_ns\":"]
-        {
-            assert!(json.contains(key), "missing {key} in:\n{json}");
-        }
-        assert!(json.contains("\"batch_max_ns\": 3000000"));
-
         let ledger = socialrec_obs::PrivacyLedger::new();
         ledger.record(socialrec_obs::ReleaseRecord {
             epsilon: 0.5,
@@ -398,10 +358,11 @@ mod tests {
 
         let r = socialrec_obs::MetricsRegistry::new();
         r.counter("hits").add(2);
-        r.histogram("lat").record(std::time::Duration::from_nanos(100));
+        r.histogram("lat").record(std::time::Duration::from_millis(3));
         let json = r.snapshot().to_json_pretty();
-        assert!(json.contains("\"hits\""));
+        assert!(json.contains("[\"hits\", 2]"), "counters render as [name, value]:\n{json}");
         assert!(json.contains("\"p99_ns\":"));
+        assert!(json.contains("\"max_ns\": 3000000"));
     }
 
     #[test]

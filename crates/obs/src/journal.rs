@@ -35,10 +35,9 @@ pub const CAPACITY: usize = 1024;
 /// The operational event types the journal records.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventKind {
-    /// An externally built release was published into the exchange
-    /// (`a` = generation).
+    /// A release was published into the exchange (`a` = generation).
     ReleasePublished,
-    /// A shard flipped its epoch to a newly built release
+    /// A shard flipped its epoch to a newly published release
     /// (`a` = shard index, `b` = generation).
     HotSwapCompleted,
     /// A release was refused before any noisy output was produced
@@ -49,9 +48,6 @@ pub enum EventKind {
     /// (`a` = touched vertices in the delta, `b` = users moved by the
     /// restart).
     DriftValveRestart,
-    /// A release builder panicked and the exchange recovered by
-    /// discarding its claim (`a` = generation).
-    BuilderPanicRecovered,
     /// A coalescing leader exited without answering batch-mates and
     /// they were requeued (`a` = requeued queries).
     CoalesceRequeue,
@@ -65,18 +61,16 @@ impl EventKind {
             EventKind::HotSwapCompleted => "hot_swap_completed",
             EventKind::BudgetRefusal => "budget_refusal",
             EventKind::DriftValveRestart => "drift_valve_restart",
-            EventKind::BuilderPanicRecovered => "builder_panic_recovered",
             EventKind::CoalesceRequeue => "coalesce_requeue",
         }
     }
 
     /// Every kind, for schema validation.
-    pub const ALL: [EventKind; 6] = [
+    pub const ALL: [EventKind; 5] = [
         EventKind::ReleasePublished,
         EventKind::HotSwapCompleted,
         EventKind::BudgetRefusal,
         EventKind::DriftValveRestart,
-        EventKind::BuilderPanicRecovered,
         EventKind::CoalesceRequeue,
     ];
 
@@ -95,7 +89,6 @@ impl EventKind {
             EventKind::HotSwapCompleted => ("shard", "generation"),
             EventKind::BudgetRefusal => ("release", "reason"),
             EventKind::DriftValveRestart => ("touched", "moved"),
-            EventKind::BuilderPanicRecovered => ("generation", "unused"),
             EventKind::CoalesceRequeue => ("requeued", "unused"),
         }
     }
@@ -366,7 +359,7 @@ mod tests {
     #[test]
     fn reset_empties_everything() {
         let j = Journal::new();
-        j.record(EventKind::BuilderPanicRecovered, 1, 0);
+        j.record(EventKind::CoalesceRequeue, 1, 0);
         j.reset();
         let s = j.snapshot(CAPACITY);
         assert_eq!(s.emitted, 0);

@@ -14,8 +14,9 @@
 //!
 //! Records are written by `release_noisy_cluster_averages_with` in
 //! `socialrec-core` (only when tracing is enabled) and stamped with the
-//! serving layer's cache generation when a `ReleaseCache` rebuild
-//! consumes the release.
+//! serving generation when `ShardedServer::publish_release` installs
+//! the release. A daemon never produces a release itself, so a query
+//! cannot add a record.
 
 use std::sync::{Mutex, OnceLock};
 
@@ -34,9 +35,9 @@ pub struct ReleaseRecord {
     /// Per-cluster spends the accountant folded into `epsilon` (equals
     /// `clusters`; recorded so reports can show the composition).
     pub accounted_releases: u64,
-    /// Serving-cache generation that consumed this release, stamped by
-    /// `RecommendationServer` on a cache rebuild; `None` until (or
-    /// unless) a server consumes it.
+    /// Serving generation the release was published under, stamped by
+    /// `ShardedServer::publish_release`; `None` until (or unless) it is
+    /// published.
     pub generation: Option<u64>,
 }
 

@@ -13,16 +13,16 @@
 //!   by instrumentation (see `DESIGN.md` §7).
 //! * [`metrics`] — lock-free [`Counter`]s, [`Gauge`]s, and the
 //!   log₂-bucketed [`LatencyHistogram`], plus a named
-//!   [`MetricsRegistry`] and the serving-layer [`ServeMetrics`]
-//!   (re-exported by `socialrec-serve` for API compatibility).
+//!   [`MetricsRegistry`] (the serving daemon keeps its per-shard
+//!   counters in one).
 //! * [`chrome`] — a Chrome trace-event-format JSON writer (loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>) with a structural
 //!   self-check, and [`summary`], a plain-text per-span timing table.
 //! * [`ledger`] — the [`PrivacyLedger`]: one record per differentially
-//!   private release (ε, cluster count, noise model, cache generation),
+//!   private release (ε, cluster count, noise model, served generation),
 //!   making the paper's parallel-composition argument *observable* —
 //!   each `A_w` release costs a single ε regardless of cluster count,
-//!   and repeated releases (seed changes, rebuilds) compose
+//!   and repeated releases (each published generation) compose
 //!   sequentially into the ledger's cumulative spend.
 //!
 //! Plus the **live-telemetry layer** for a running daemon, armed
@@ -93,8 +93,7 @@ pub use journal::{EventKind, Journal, JournalSnapshot};
 pub use ledger::{render_ledger, LedgerSnapshot, PrivacyLedger, ReleaseRecord};
 pub use memory::{record_memory_gauges, sample_memory, MemorySample};
 pub use metrics::{
-    Counter, Gauge, HistogramSummary, LatencyHistogram, MetricsRegistry, MetricsSnapshot,
-    RegistrySnapshot, ServeMetrics,
+    Counter, Gauge, HistogramSummary, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
 };
 pub use slo::{BurnState, SloKind, SloStatus, SloTarget, SloTracker};
 pub use span::{disable, drain_events, enable, enabled, SpanEvent, SpanGuard};

@@ -3,15 +3,13 @@
 //! [`Counter`], [`Gauge`], and [`LatencyHistogram`] are built on `std`
 //! atomics with relaxed ordering: each individual value is exact
 //! (fetch-add / fetch-max are atomic read-modify-writes, so no
-//! increment is ever lost), while a [snapshot](ServeMetrics::snapshot)
+//! increment is ever lost), while a [snapshot](MetricsRegistry::snapshot)
 //! taken *during* concurrent recording is a consistent-enough
 //! point-in-time copy rather than a linearizable cut. Once recording
 //! threads are quiescent, every snapshot total is exact — guarded by
-//! `tests/concurrency.rs`.
-//!
-//! [`ServeMetrics`] (the serving layer's counter block) lives here and
-//! is re-exported by `socialrec-serve`, so the pre-observability public
-//! API keeps working.
+//! `tests/concurrency.rs`. The serving daemon registers its per-shard
+//! counters and its `serve.refused` counter in its own
+//! [`MetricsRegistry`].
 
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -368,133 +366,6 @@ pub struct RegistrySnapshot {
     pub histograms: Vec<(String, HistogramSummary)>,
 }
 
-/// Counters for one `RecommendationServer` (re-exported by
-/// `socialrec-serve`).
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Individual user queries served (batch rows and singles).
-    queries: Counter,
-    /// `recommend_batch` invocations.
-    batches: Counter,
-    /// `recommend_one` invocations (direct path; not counted as
-    /// batches, so batch counters stay meaningful at serving scale).
-    singles: Counter,
-    /// Release lookups (batch or single) answered from the cache.
-    cache_hits: Counter,
-    /// Release lookups that had to rebuild the noisy release.
-    cache_rebuilds: Counter,
-    /// Per-query utility-estimation + top-N latency.
-    query_latency: LatencyHistogram,
-    /// Whole-batch latency (release lookup + all queries).
-    batch_latency: LatencyHistogram,
-}
-
-/// A point-in-time copy of the counters, for reporting.
-///
-/// The `*_p50` / `*_p99` fields are **sub-bucket upper bounds** from
-/// the log₂ histograms (over-estimates by at most 1.25×, clamped so
-/// they never exceed the matching `*_max`); `*_max` fields are true
-/// observed maxima. Report them as `~p50` / `~p99`, never as exact
-/// quantiles.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MetricsSnapshot {
-    /// Individual user queries served (batch rows and singles).
-    pub queries: u64,
-    /// `recommend_batch` invocations.
-    pub batches: u64,
-    /// `recommend_one` invocations (direct single-query path).
-    pub singles: u64,
-    /// Release lookups answered from the cache.
-    pub cache_hits: u64,
-    /// Release lookups that rebuilt the noisy release.
-    pub cache_rebuilds: u64,
-    /// Mean per-query latency.
-    pub query_mean: Duration,
-    /// ~p50 per-query latency (sub-bucket upper bound, ≤ `query_max`).
-    pub query_p50: Duration,
-    /// ~p99 per-query latency (sub-bucket upper bound, ≤ `query_max`).
-    pub query_p99: Duration,
-    /// Largest observed per-query latency.
-    pub query_max: Duration,
-    /// Mean batch latency.
-    pub batch_mean: Duration,
-    /// ~p50 batch latency (sub-bucket upper bound, ≤ `batch_max`).
-    pub batch_p50: Duration,
-    /// ~p99 batch latency (sub-bucket upper bound, ≤ `batch_max`).
-    pub batch_p99: Duration,
-    /// Largest observed batch latency.
-    pub batch_max: Duration,
-}
-
-impl ServeMetrics {
-    /// Fresh, zeroed metrics.
-    pub fn new() -> ServeMetrics {
-        ServeMetrics::default()
-    }
-
-    /// One served query (a batch row): counted and its latency
-    /// recorded.
-    pub fn record_query(&self, d: Duration) {
-        self.queries.inc();
-        self.query_latency.record(d);
-    }
-
-    /// One `recommend_batch` call: batch counter, cache outcome, and
-    /// whole-batch latency.
-    pub fn record_batch(&self, d: Duration, cache_hit: bool) {
-        self.batches.inc();
-        self.record_cache(cache_hit);
-        self.batch_latency.record(d);
-    }
-
-    /// One `recommend_one` call: counted as a query and a single, never
-    /// as a batch; its end-to-end latency (release lookup + utilities +
-    /// top-N) goes into the query histogram.
-    pub fn record_single(&self, d: Duration, cache_hit: bool) {
-        self.singles.inc();
-        self.queries.inc();
-        self.record_cache(cache_hit);
-        self.query_latency.record(d);
-    }
-
-    fn record_cache(&self, cache_hit: bool) {
-        if cache_hit {
-            self.cache_hits.inc();
-        } else {
-            self.cache_rebuilds.inc();
-        }
-    }
-
-    /// The per-query latency histogram.
-    pub fn query_latency(&self) -> &LatencyHistogram {
-        &self.query_latency
-    }
-
-    /// The per-batch latency histogram.
-    pub fn batch_latency(&self) -> &LatencyHistogram {
-        &self.batch_latency
-    }
-
-    /// Copy the counters out for reporting.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            queries: self.queries.get(),
-            batches: self.batches.get(),
-            singles: self.singles.get(),
-            cache_hits: self.cache_hits.get(),
-            cache_rebuilds: self.cache_rebuilds.get(),
-            query_mean: self.query_latency.mean(),
-            query_p50: self.query_latency.quantile(0.5),
-            query_p99: self.query_latency.quantile(0.99),
-            query_max: self.query_latency.max(),
-            batch_mean: self.batch_latency.mean(),
-            batch_p50: self.batch_latency.quantile(0.5),
-            batch_p99: self.batch_latency.quantile(0.99),
-            batch_max: self.batch_latency.max(),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -621,43 +492,5 @@ mod tests {
         let snap = r.snapshot();
         let names: Vec<&str> = snap.counters.iter().map(|(n, _)| n.as_str()).collect();
         assert_eq!(names, ["alpha", "zeta"]);
-    }
-
-    #[test]
-    fn metrics_snapshot_tracks_counts() {
-        let m = ServeMetrics::new();
-        m.record_batch(Duration::from_millis(2), false);
-        m.record_batch(Duration::from_millis(1), true);
-        for _ in 0..5 {
-            m.record_query(Duration::from_micros(3));
-        }
-        let s = m.snapshot();
-        assert_eq!(s.batches, 2);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_rebuilds, 1);
-        assert_eq!(s.queries, 5);
-        assert_eq!(s.singles, 0);
-        assert!(s.query_mean > Duration::ZERO);
-        assert!(s.query_p99 >= s.query_p50);
-        assert!(s.query_p99 <= s.query_max);
-        assert!(s.batch_p99 >= s.batch_p50);
-        assert!(s.batch_p99 <= s.batch_max);
-        assert_eq!(s.batch_max, Duration::from_millis(2));
-    }
-
-    #[test]
-    fn singles_count_as_queries_not_batches() {
-        let m = ServeMetrics::new();
-        m.record_single(Duration::from_micros(7), false);
-        m.record_single(Duration::from_micros(2), true);
-        let s = m.snapshot();
-        assert_eq!(s.singles, 2);
-        assert_eq!(s.queries, 2);
-        assert_eq!(s.batches, 0, "singles must not pollute batch counters");
-        assert_eq!(s.batch_mean, Duration::ZERO);
-        assert_eq!(s.cache_hits, 1);
-        assert_eq!(s.cache_rebuilds, 1);
-        assert!(s.query_p50 > Duration::ZERO);
-        assert_eq!(s.query_max, Duration::from_micros(7));
     }
 }

@@ -19,7 +19,7 @@
 //!
 //! # Panic containment
 //!
-//! If the executor panics (e.g. the release builder fails), the leader
+//! If the executor panics (e.g. a kernel bug), the leader
 //! requeues every pending query it had drained **except its own** and
 //! lets the panic propagate. Innocent waiters then retry as leaders;
 //! only queries whose own execution keeps failing observe the failure.

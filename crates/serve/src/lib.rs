@@ -1,36 +1,40 @@
-//! Batch recommendation serving on top of the private framework.
+//! Recommendation serving on top of the private framework.
 //!
 //! [`ClusterFramework::recommend`] is built for evaluation sweeps: each
-//! call re-releases the noisy averages and walks every user's full
-//! similarity row. A server answering many requests against one fixed
-//! release can do much better without touching the privacy analysis,
-//! because everything after the release is post-processing:
+//! call draws a fresh noisy release and walks every user's full
+//! similarity row. A server answering many requests does neither.
+//! Everything after the release is post-processing, so the daemon
+//! serves releases it is given and never draws noise itself:
 //!
-//! * [`ReleaseCache`] — the noisy release is stamped with a
-//!   *generation* (a hash of partition / ε / noise model / seed) and
-//!   rebuilt only when that generation changes;
+//! * **Publish, then serve** — a release reaches the daemon only
+//!   through [`ShardedServer::publish_release`], typically from
+//!   `DynamicRecommender::release_averages`, whose accountant debits
+//!   the ε spend. A query whose `seed` names no retained published
+//!   generation, or whose user is outside the partition, is refused
+//!   with an empty list and counted in `serve.refused`; no query can
+//!   mint a release.
 //! * [`SimMassIndex`] — the per-user cluster similarity masses are
 //!   precomputed once, in parallel, collapsing per-query work from
-//!   `O(|sim(u)|)` to one sparse axpy per touched cluster;
-//! * [`ServeMetrics`] — atomic counters and log-bucketed latency
-//!   histograms, recorded lock-free from inside the parallel batch.
+//!   `O(|sim(u)|)` to one sparse axpy per touched cluster.
+//! * [`ShardedServer`] — the concurrent serving daemon:
+//!   user-partitioned shards (each owning a rebased slice of the
+//!   index), flat-combining admission that coalesces concurrent single
+//!   queries into kernel batches ([`coalesce`]), and epoch-based
+//!   hot-swap of published releases under live traffic ([`hotswap`]),
+//!   with per-shard counters in its own metrics registry. [`loadgen`]
+//!   holds the Zipf/Poisson samplers `serve-bench` drives it with.
 //!
-//! On top of the single-server building blocks sits the concurrent
-//! serving daemon, [`ShardedServer`]: user-partitioned shards (each
-//! owning a rebased slice of the index), flat-combining admission that
-//! coalesces concurrent single queries into kernel batches
-//! ([`coalesce`]), and epoch-based hot-swap of rebuilt releases under
-//! live traffic ([`hotswap`]). [`loadgen`] holds the Zipf/Poisson
-//! samplers `serve-bench` drives it with.
+//! Served bits equal the framework's `A_R` on the published release:
+//! for a release `ClusterFramework::recommend` would draw with the same
+//! seed, every serving path is **bit-identical** to it. The index
+//! replays the framework's exact floating-point accumulation order (see
+//! [`SimMassIndex`]'s floating-point contract).
 //!
-//! [`RecommendationServer::recommend_batch`] is **bit-identical** to
-//! [`ClusterFramework::recommend`] for the same inputs: the index
-//! replays the framework's exact floating-point accumulation order
-//! (see [`SimMassIndex`]'s floating-point contract).
+//! [`ClusterFramework::recommend`]:
+//!     socialrec_core::private::ClusterFramework::recommend
 
 #![warn(missing_docs)]
 
-mod cache;
 pub mod coalesce;
 pub mod hotswap;
 mod index;
@@ -38,345 +42,7 @@ pub mod kernel;
 pub mod loadgen;
 mod shard;
 
-pub use cache::{partition_fingerprint, release_generation, ReleaseCache};
 pub use coalesce::AdmissionQueue;
 pub use hotswap::{EpochCell, ReleaseExchange};
 pub use index::{dirty_index_rows, SimMassIndex};
 pub use shard::ShardedServer;
-// The metrics types moved to `socialrec-obs` (the workspace-wide
-// observability layer); re-exported here so the pre-obs public API
-// keeps working.
-pub use socialrec_obs::{LatencyHistogram, MetricsSnapshot, ServeMetrics};
-
-use rayon::prelude::*;
-use socialrec_community::Partition;
-use socialrec_core::private::framework::{ClusterFramework, NoiseModel, NoisyClusterAverages};
-use socialrec_core::{top_n_items, RecommenderInputs, TopN, TopNRecommender};
-use socialrec_dp::Epsilon;
-use socialrec_graph::UserId;
-use socialrec_obs::span;
-use socialrec_similarity::SimilarityMatrix;
-use std::sync::Arc;
-use std::time::Instant;
-
-/// A serving front-end over one partition + similarity matrix + ε.
-///
-/// Construction precomputes the [`SimMassIndex`]; the noisy release is
-/// built lazily on first use and cached per [`release_generation`].
-pub struct RecommendationServer<'p> {
-    framework: ClusterFramework<'p>,
-    fingerprint: u64,
-    index: SimMassIndex,
-    cache: ReleaseCache,
-    metrics: ServeMetrics,
-}
-
-impl<'p> RecommendationServer<'p> {
-    /// Build a server for the given clustering, similarity matrix, and
-    /// privacy level. `sim` must be the same matrix later passed inside
-    /// [`RecommenderInputs`] to the query methods — the index is
-    /// precomputed from it here.
-    pub fn new(
-        partition: &'p Partition,
-        sim: &SimilarityMatrix,
-        epsilon: Epsilon,
-    ) -> RecommendationServer<'p> {
-        Self::from_index(partition, SimMassIndex::build(sim, partition), epsilon)
-    }
-
-    /// Build a server around a prebuilt [`SimMassIndex`] — typically
-    /// one opened zero-copy from an artifact file
-    /// ([`SimMassIndex::open_artifact`]). The index must cover exactly
-    /// `partition`'s users and have been built against that partition.
-    pub fn from_index(
-        partition: &'p Partition,
-        index: SimMassIndex,
-        epsilon: Epsilon,
-    ) -> RecommendationServer<'p> {
-        assert_eq!(index.num_users(), partition.num_users(), "index must cover the partition");
-        assert_eq!(
-            index.num_clusters(),
-            partition.num_clusters(),
-            "index was built against a different partition"
-        );
-        let framework = ClusterFramework::new(partition, epsilon);
-        RecommendationServer {
-            framework,
-            fingerprint: partition_fingerprint(partition),
-            index,
-            cache: ReleaseCache::new(),
-            metrics: ServeMetrics::new(),
-        }
-    }
-
-    /// Select the noise distribution (default: Laplace). Changing it
-    /// changes the release generation, so the next batch rebuilds.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.framework = self.framework.with_noise(noise);
-        self
-    }
-
-    /// The underlying framework (partition, ε, noise model).
-    pub fn framework(&self) -> &ClusterFramework<'p> {
-        &self.framework
-    }
-
-    /// The precomputed similarity-mass index.
-    pub fn index(&self) -> &SimMassIndex {
-        &self.index
-    }
-
-    /// The release cache (exposed for inspection/invalidation).
-    pub fn cache(&self) -> &ReleaseCache {
-        &self.cache
-    }
-
-    /// Serving metrics recorded so far.
-    pub fn metrics(&self) -> &ServeMetrics {
-        &self.metrics
-    }
-
-    /// The release generation queries with `seed` resolve to.
-    pub fn generation_for(&self, seed: u64) -> u64 {
-        release_generation(
-            self.fingerprint,
-            self.framework.epsilon(),
-            self.framework.noise_model(),
-            seed,
-        )
-    }
-
-    /// The cached-or-rebuilt noisy release for `seed`, and whether the
-    /// cache served it.
-    fn release(
-        &self,
-        inputs: &RecommenderInputs<'_>,
-        seed: u64,
-    ) -> (Arc<NoisyClusterAverages>, bool) {
-        let generation = self.generation_for(seed);
-        let (averages, hit) = self.cache.get_or_build(generation, || {
-            let _span = span!("serve.rebuild");
-            self.framework.noisy_cluster_averages(inputs, seed)
-        });
-        if !hit && socialrec_obs::enabled() {
-            // The rebuild just recorded a release in the privacy ledger
-            // (via the core release kernel); stamp it with the cache
-            // generation that consumed it.
-            socialrec_obs::PrivacyLedger::global().stamp_generation(generation);
-        }
-        (averages, hit)
-    }
-
-    /// Top-N recommendations for a batch of users.
-    ///
-    /// Output is deterministic and bit-identical to
-    /// `ClusterFramework::recommend(inputs, users, n, seed)` — same
-    /// items, same order, same utility values — while amortizing the
-    /// release across batches and the similarity walk across all
-    /// queries. Utilities are computed with the item-tiled, user-blocked
-    /// kernel ([`kernel::utilities_block_tiled`]); blocks of
-    /// [`kernel::USER_BLOCK`] consecutive users are distributed across
-    /// workers, each pooling one utility buffer.
-    ///
-    /// Per-query latency is recorded as each user's top-N selection
-    /// time plus an equal share of its block's utility-kernel time (the
-    /// kernel interleaves the block's users by design).
-    pub fn recommend_batch(
-        &self,
-        inputs: &RecommenderInputs<'_>,
-        users: &[UserId],
-        n: usize,
-        seed: u64,
-    ) -> Vec<TopN> {
-        let _span = span!("serve.batch", users = users.len());
-        let batch_start = Instant::now();
-        let (averages, cache_hit) = self.release(inputs, seed);
-        let ni = averages.num_items();
-        let num_blocks = users.len().div_ceil(kernel::USER_BLOCK);
-        let blocks: Vec<Vec<TopN>> = (0..num_blocks)
-            .into_par_iter()
-            .map_init(Vec::new, |buf, b| {
-                let lo = b * kernel::USER_BLOCK;
-                let hi = ((b + 1) * kernel::USER_BLOCK).min(users.len());
-                let block = &users[lo..hi];
-                let t = Instant::now();
-                kernel::utilities_block_tiled(
-                    &averages,
-                    &self.index,
-                    block,
-                    kernel::ITEM_TILE,
-                    buf,
-                );
-                let util_share = t.elapsed() / block.len() as u32;
-                block
-                    .iter()
-                    .enumerate()
-                    .map(|(k, &u)| {
-                        let t = Instant::now();
-                        let items = top_n_items(&buf[k * ni..(k + 1) * ni], n);
-                        self.metrics.record_query(util_share + t.elapsed());
-                        TopN { user: u, items }
-                    })
-                    .collect()
-            })
-            .collect();
-        self.metrics.record_batch(batch_start.elapsed(), cache_hit);
-        blocks.into_iter().flatten().collect()
-    }
-
-    /// A single-user query with a direct path: same cached release and
-    /// the same blocked kernel (a one-user block), but none of the
-    /// batch fan-out machinery. Recorded under the `singles` metric, so
-    /// batch counters and batch latency stay unpolluted by singleton
-    /// queries. Bit-identical to the corresponding
-    /// [`recommend_batch`](RecommendationServer::recommend_batch) row.
-    pub fn recommend_one(
-        &self,
-        inputs: &RecommenderInputs<'_>,
-        user: UserId,
-        n: usize,
-        seed: u64,
-    ) -> TopN {
-        let _span = span!("serve.one");
-        let start = Instant::now();
-        let (averages, cache_hit) = self.release(inputs, seed);
-        let mut out = Vec::new();
-        kernel::utilities_block_tiled(
-            &averages,
-            &self.index,
-            std::slice::from_ref(&user),
-            kernel::ITEM_TILE,
-            &mut out,
-        );
-        let top = TopN { user, items: top_n_items(&out, n) };
-        self.metrics.record_single(start.elapsed(), cache_hit);
-        top
-    }
-}
-
-impl TopNRecommender for RecommendationServer<'_> {
-    fn name(&self) -> String {
-        format!("serve({})", self.framework.name())
-    }
-
-    fn recommend(
-        &self,
-        inputs: &RecommenderInputs<'_>,
-        users: &[UserId],
-        n: usize,
-        seed: u64,
-    ) -> Vec<TopN> {
-        self.recommend_batch(inputs, users, n, seed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use socialrec_graph::preference::preference_graph_from_edges;
-    use socialrec_graph::social::social_graph_from_edges;
-    use socialrec_similarity::Measure;
-
-    fn fixture() -> (socialrec_graph::SocialGraph, socialrec_graph::PreferenceGraph) {
-        let s =
-            social_graph_from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-                .unwrap();
-        let p = preference_graph_from_edges(
-            6,
-            4,
-            &[(0, 0), (1, 0), (2, 0), (3, 1), (4, 1), (5, 1), (1, 2), (4, 3)],
-        )
-        .unwrap();
-        (s, p)
-    }
-
-    #[test]
-    fn batch_matches_framework_bitwise() {
-        let (s, p) = fixture();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
-        let partition = Partition::from_assignment(&[0, 0, 0, 1, 1, 1]);
-        let users: Vec<UserId> = (0..6).map(UserId).collect();
-        let server = RecommendationServer::new(&partition, &sim, Epsilon::Finite(0.5));
-        let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.5));
-        let got = server.recommend_batch(&inputs, &users, 3, 42);
-        let want = fw.recommend(&inputs, &users, 3, 42);
-        assert_eq!(got, want);
-        for (g, w) in got.iter().zip(&want) {
-            for ((gi, gu), (wi, wu)) in g.items.iter().zip(&w.items) {
-                assert_eq!(gi, wi);
-                assert_eq!(gu.to_bits(), wu.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn cache_hits_across_batches_and_invalidates_on_seed_change() {
-        let (s, p) = fixture();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
-        let partition = Partition::from_assignment(&[0, 0, 0, 1, 1, 1]);
-        let users: Vec<UserId> = (0..6).map(UserId).collect();
-        let server = RecommendationServer::new(&partition, &sim, Epsilon::Finite(1.0));
-
-        server.recommend_batch(&inputs, &users, 2, 1);
-        server.recommend_batch(&inputs, &users, 2, 1);
-        server.recommend_batch(&inputs, &users, 2, 2);
-        let snap = server.metrics().snapshot();
-        assert_eq!(snap.batches, 3);
-        assert_eq!(snap.cache_hits, 1);
-        assert_eq!(snap.cache_rebuilds, 2);
-        assert_eq!(snap.queries, 18);
-        assert_eq!(server.cache().generation(), Some(server.generation_for(2)));
-    }
-
-    #[test]
-    fn recommend_one_equals_batch_row() {
-        let (s, p) = fixture();
-        let sim = SimilarityMatrix::build(&s, &Measure::AdamicAdar);
-        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
-        let partition = Partition::one_cluster(6);
-        let server = RecommendationServer::new(&partition, &sim, Epsilon::Infinite);
-        let batch = server.recommend_batch(&inputs, &[UserId(2), UserId(4)], 2, 0);
-        for &u in &[UserId(2), UserId(4)] {
-            let single = server.recommend_one(&inputs, u, 2, 0);
-            let row = batch.iter().find(|t| t.user == u).unwrap();
-            assert_eq!(&single, row);
-            for ((si, su), (bi, bu)) in single.items.iter().zip(&row.items) {
-                assert_eq!(si, bi);
-                assert_eq!(su.to_bits(), bu.to_bits(), "utility bits differ on single path");
-            }
-        }
-        // The direct path records singles + queries, never batches.
-        let snap = server.metrics().snapshot();
-        assert_eq!(snap.batches, 1, "only the explicit recommend_batch call");
-        assert_eq!(snap.singles, 2);
-        assert_eq!(snap.queries, 2 + 2);
-        assert_eq!(snap.cache_rebuilds, 1, "singles share the release cache");
-        assert_eq!(snap.cache_hits, 2);
-    }
-
-    #[test]
-    fn batch_with_ragged_and_oversized_blocks_matches_framework() {
-        // 6 users with USER_BLOCK = 8: a single ragged block; also ask
-        // for more items than exist (n > num_items) through the blocked
-        // kernel path.
-        let (s, p) = fixture();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
-        let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
-        let users: Vec<UserId> = (0..6).map(UserId).collect();
-        let server = RecommendationServer::new(&partition, &sim, Epsilon::Finite(0.3));
-        let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.3));
-        let got = server.recommend_batch(&inputs, &users, 100, 7);
-        let want = fw.recommend(&inputs, &users, 100, 7);
-        assert_eq!(got, want);
-        for (g, w) in got.iter().zip(&want) {
-            assert_eq!(g.items.len(), 4, "n > num_items clamps to the item count");
-            for ((gi, gu), (wi, wu)) in g.items.iter().zip(&w.items) {
-                assert_eq!(gi, wi);
-                assert_eq!(gu.to_bits(), wu.to_bits());
-            }
-        }
-    }
-}

@@ -1,27 +1,32 @@
 //! The sharded, coalescing serving daemon.
 //!
-//! [`ShardedServer`] is the front door ROADMAP item 1 asks for: the
-//! user space is split into contiguous ranges — **shards** — and each
-//! shard owns a rebased slice of the [`SimMassIndex`], its own
-//! [`EpochCell`] onto the current release, and its own
-//! [`AdmissionQueue`]. Queries touch only their shard's state, so
-//! shards scale without sharing anything but the release itself:
+//! [`ShardedServer`] splits the user space into contiguous ranges —
+//! **shards** — and each shard owns a rebased slice of the
+//! [`SimMassIndex`], its own [`EpochCell`] onto the current release,
+//! and its own [`AdmissionQueue`]. Queries touch only their shard's
+//! state, so shards scale without sharing anything but the release
+//! itself:
 //!
 //! * **Admission** — [`recommend_one`](ShardedServer::recommend_one)
 //!   enqueues on the user's shard; concurrent singles coalesce into one
 //!   batch that rides the item-tiled kernel (`kernel.rs`), amortizing
 //!   release lookup and tile traversal that the uncoalesced path pays
 //!   per query.
-//! * **Hot swap** — the noisy release is owned by one daemon-wide
-//!   [`ReleaseExchange`]; a generation change (seed / ε / partition
-//!   bump) is built exactly once while every shard keeps serving its
-//!   current epoch, then each shard flips its [`EpochCell`] on its next
-//!   query. The exchange retains the predecessor generation, so
-//!   in-flight traffic admitted before the swap completes without a
-//!   re-release. Each response is computed wholly from the release of
-//!   the generation its seed hashes to — responses never mix
-//!   generations — and the privacy ledger is stamped exactly once per
-//!   new generation, no matter how many shards or threads race.
+//! * **Publish, then serve** — the daemon never draws noise. A release
+//!   reaches it only through [`publish_release`](ShardedServer::publish_release),
+//!   typically from `DynamicRecommender::release_averages`, whose
+//!   accountant has already debited the spend. The daemon-wide
+//!   [`ReleaseExchange`] keys it by generation (partition, ε, seed) and
+//!   retains the predecessor, so in-flight traffic admitted before a
+//!   swap completes on the release it asked for; each shard flips its
+//!   [`EpochCell`] on its next query. Each response is computed wholly
+//!   from one generation's release — responses never mix generations.
+//! * **Refusal** — a query whose seed names no retained generation
+//!   (never published, or evicted) or whose user is outside the
+//!   partition gets an empty list, never a fresh release or a panic.
+//!   Each refused query counts once in the daemon-wide `serve.refused`
+//!   counter and, when live telemetry is armed, in
+//!   `LiveTelemetry::errors`.
 //! * **Metrics** — every shard registers named counters
 //!   (`serve.shard<i>.queries`, `.admissions`, `.coalesced`,
 //!   `.kernel_blocks`, `.release_swaps`), a `.generation` gauge, and a
@@ -35,26 +40,57 @@
 //! per-shard index slices are copied bytes of the full index
 //! ([`SimMassIndex::slice_rows`]), each user's utilities are accumulated
 //! independently by the kernel regardless of batch composition, and
-//! top-N selection is the shared [`top_n_items`]. Every path through
-//! this module is bit-identical to `ClusterFramework::recommend` — the
-//! serving layer adds zero accuracy loss on top of DP noise.
+//! top-N selection is the shared [`top_n_items`]. Every answer equals
+//! the framework's `A_R` on the *published* release — what
+//! `ClusterFramework::recommend` returns when it draws that same
+//! release — so the serving layer adds zero accuracy loss on top of DP
+//! noise.
 
-use crate::cache::{partition_fingerprint, release_generation};
 use crate::coalesce::{AdmissionQueue, PendingQuery};
 use crate::hotswap::{EpochCell, ReleaseExchange};
 use crate::kernel;
 use crate::SimMassIndex;
 use rayon::prelude::*;
+use rustc_hash::FxHasher;
 use socialrec_community::Partition;
-use socialrec_core::private::framework::{ClusterFramework, NoiseModel, NoisyClusterAverages};
-use socialrec_core::{top_n_items, RecommenderInputs, TopN, TopNRecommender};
+use socialrec_core::private::framework::NoisyClusterAverages;
+use socialrec_core::{top_n_items, RecommenderInputs, TopN};
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_obs::journal::{self, EventKind};
 use socialrec_obs::{span, Counter, Gauge, LatencyHistogram, LiveTelemetry, MetricsRegistry};
 use socialrec_similarity::SimilarityMatrix;
+use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
+
+/// Fingerprint of a partition: hash of its full cluster assignment.
+fn partition_fingerprint(partition: &Partition) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_usize(partition.num_users());
+    for &c in partition.assignment() {
+        h.write_u32(c);
+    }
+    h.finish()
+}
+
+/// The release generation: a single `u64` naming one published release.
+/// Two keys agree iff they agree on the partition, ε, and seed. The noise
+/// model is not part of the key: it is a property of the published
+/// release, not of the daemon.
+fn release_generation(partition_fingerprint: u64, epsilon: Epsilon, seed: u64) -> u64 {
+    let mut h = FxHasher::default();
+    h.write_u64(partition_fingerprint);
+    match epsilon {
+        Epsilon::Finite(e) => {
+            h.write_u8(0);
+            h.write_u64(e.to_bits());
+        }
+        Epsilon::Infinite => h.write_u8(1),
+    }
+    h.write_u64(seed);
+    h.finish()
+}
 
 /// One user-range shard: a rebased index slice plus all serving state
 /// for its users.
@@ -68,7 +104,7 @@ struct Shard {
     epoch: EpochCell,
     /// Flat-combining admission for single queries.
     queue: AdmissionQueue,
-    /// Individual queries served (coalesced singles and batch rows).
+    /// Individual queries admitted (coalesced singles and batch rows).
     queries: Arc<Counter>,
     /// Leader executions — drained admission batches.
     admissions: Arc<Counter>,
@@ -89,22 +125,29 @@ struct Shard {
     latency: Arc<LatencyHistogram>,
 }
 
+/// One user block of a batch: its shard, the shard's release, and the
+/// `(position in the batch, user)` pairs it answers.
+type BlockTask<'a> = (&'a Shard, Arc<NoisyClusterAverages>, &'a [(usize, UserId)]);
+
 /// The sharded, coalescing serving daemon. See the module docs.
 pub struct ShardedServer<'p> {
-    framework: ClusterFramework<'p>,
+    partition: &'p Partition,
+    epsilon: Epsilon,
     fingerprint: u64,
     exchange: ReleaseExchange,
     shards: Vec<Shard>,
     /// Users per shard (last shard may be ragged).
     chunk: usize,
     registry: Arc<MetricsRegistry>,
+    /// Queries answered with an empty list (see the module docs).
+    refused: Arc<Counter>,
 }
 
 impl<'p> ShardedServer<'p> {
-    /// Build a daemon over `num_shards` contiguous user ranges. `sim`
-    /// must be the same matrix later passed inside
-    /// [`RecommenderInputs`] to the query methods. `num_shards` is
-    /// clamped to `[1, num_users]` (a 0-user partition gets 0 shards).
+    /// Build a daemon over `num_shards` contiguous user ranges, serving
+    /// releases of `partition` at `epsilon`. `num_shards` is clamped to
+    /// `[1, num_users]` (a 0-user partition gets 0 shards). The daemon
+    /// answers nothing until a release is published.
     pub fn new(
         partition: &'p Partition,
         sim: &SimilarityMatrix,
@@ -155,25 +198,15 @@ impl<'p> ShardedServer<'p> {
             })
             .collect();
         ShardedServer {
-            framework: ClusterFramework::new(partition, epsilon),
+            partition,
+            epsilon,
             fingerprint: partition_fingerprint(partition),
             exchange: ReleaseExchange::new(),
             shards,
             chunk,
+            refused: registry.counter("serve.refused"),
             registry,
         }
-    }
-
-    /// Select the noise distribution (default: Laplace). Changing it
-    /// changes the release generation, so the next query hot-swaps.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.framework = self.framework.with_noise(noise);
-        self
-    }
-
-    /// The underlying framework (partition, ε, noise model).
-    pub fn framework(&self) -> &ClusterFramework<'p> {
-        &self.framework
     }
 
     /// Number of shards.
@@ -181,7 +214,8 @@ impl<'p> ShardedServer<'p> {
         self.shards.len()
     }
 
-    /// The shard owning `user`.
+    /// The shard owning `user` (a user outside the partition maps past
+    /// the owning range and is refused by the query methods).
     pub fn shard_of(&self, user: UserId) -> usize {
         user.index() / self.chunk
     }
@@ -205,77 +239,61 @@ impl<'p> ShardedServer<'p> {
     }
 
     /// The generation each shard's epoch cell currently serves
-    /// (`None` until a shard's first query).
+    /// (`None` until a shard's first answered query).
     pub fn shard_generations(&self) -> Vec<Option<u64>> {
         self.shards.iter().map(|s| s.epoch.generation()).collect()
     }
 
     /// The release generation queries with `seed` resolve to.
     pub fn generation_for(&self, seed: u64) -> u64 {
-        release_generation(
-            self.fingerprint,
-            self.framework.epsilon(),
-            self.framework.noise_model(),
-            seed,
-        )
+        release_generation(self.fingerprint, self.epsilon, seed)
     }
 
-    /// Hot-swap an externally produced release into the daemon under
-    /// live load: the release for `seed` — typically from
-    /// `DynamicRecommender::release_averages`, whose accountant already
-    /// debited the spend — becomes the ready generation in the
-    /// exchange, so queries carrying `seed` flip to it on their next
-    /// admission *without* triggering an on-miss `serve.rebuild` (which
-    /// would spend the privacy budget a second time). Queries for older
-    /// retained generations keep being answered throughout.
+    /// Hot-swap a release into the daemon under live load: the release
+    /// for `seed` — typically from `DynamicRecommender::release_averages`,
+    /// whose accountant already debited the spend — becomes the ready
+    /// generation in the exchange, and queries carrying `seed` flip to it
+    /// on their next admission. Queries for the older retained
+    /// generation keep being answered throughout. This is the only way a
+    /// release reaches the daemon.
     ///
     /// Returns the generation id queries with `seed` resolve to. The
-    /// averages must come from this daemon's partition, ε, and noise
-    /// model with `seed` — the generation key encodes exactly those —
-    /// otherwise served bits would not match the generation contract.
-    /// Publishing an already-present generation is a no-op.
+    /// averages must come from this daemon's partition and ε with
+    /// `seed`, otherwise served bits would not match the generation
+    /// contract. Publishing an already-present generation is a no-op.
     pub fn publish_release(&self, seed: u64, averages: NoisyClusterAverages) -> u64 {
         let _span = span!("update.publish");
         assert_eq!(
             averages.num_clusters(),
-            self.framework.partition().num_clusters(),
+            self.partition.num_clusters(),
             "published release was built against a different partition"
         );
         let generation = self.generation_for(seed);
         if self.exchange.publish(generation, Arc::new(averages)) && socialrec_obs::enabled() {
             // The producing release recorded its spend in the privacy
             // ledger; stamp that record with the generation now serving
-            // it, mirroring the on-miss build path.
+            // it.
             socialrec_obs::PrivacyLedger::global().stamp_generation(generation);
         }
         generation
     }
 
-    /// The release for `seed`, from the shard's epoch cell when
-    /// current, otherwise from the exchange (building at most once
-    /// daemon-wide and stamping the ledger on that one build) followed
-    /// by an epoch flip of this shard.
-    fn release_for(
-        &self,
-        shard: &Shard,
-        inputs: &RecommenderInputs<'_>,
-        seed: u64,
-    ) -> Arc<NoisyClusterAverages> {
+    /// The shard owning `user`, or `None` for a user outside the
+    /// partition.
+    fn owning_shard(&self, user: UserId) -> Option<usize> {
+        (user.index() < self.partition.num_users()).then(|| self.shard_of(user))
+    }
+
+    /// The published release for `seed`, from the shard's epoch cell
+    /// when current, otherwise from the exchange followed by an epoch
+    /// flip of this shard. `None` when the exchange retains no release
+    /// for the seed's generation.
+    fn release_for(&self, shard: &Shard, seed: u64) -> Option<Arc<NoisyClusterAverages>> {
         let generation = self.generation_for(seed);
         if let Some(averages) = shard.epoch.load(generation) {
-            return averages;
+            return Some(averages);
         }
-        let (averages, built) = self.exchange.get_or_build(generation, || {
-            let _span = span!("serve.rebuild");
-            self.framework.noisy_cluster_averages(inputs, seed)
-        });
-        if built && socialrec_obs::enabled() {
-            // The build just recorded a release in the privacy ledger
-            // (via the core release kernel); stamp it with the
-            // generation that consumed it. `built` is true exactly once
-            // per generation, so the ledger shows one spend per swap.
-            socialrec_obs::PrivacyLedger::global().stamp_generation(generation);
-        }
+        let averages = self.exchange.get(generation)?;
         shard.epoch.store(generation, Arc::clone(&averages));
         shard.release_swaps.inc();
         shard.generation.set(generation as i64);
@@ -284,7 +302,16 @@ impl<'p> ShardedServer<'p> {
             (shard.first_user as usize / self.chunk) as u64,
             generation,
         );
-        averages
+        Some(averages)
+    }
+
+    /// The answer to a refused query: an empty list, counted.
+    fn refuse(&self, user: UserId) -> TopN {
+        self.refused.inc();
+        if socialrec_obs::live_armed() {
+            LiveTelemetry::global().errors.inc();
+        }
+        TopN { user, items: Vec::new() }
     }
 
     /// Execute one drained admission batch on `shard`, fulfilling every
@@ -292,7 +319,7 @@ impl<'p> ShardedServer<'p> {
     /// generation) in first-seen order — a kernel call never spans
     /// generations — and each group rides the item-tiled kernel in
     /// [`kernel::USER_BLOCK`] blocks.
-    fn run_coalesced(&self, shard: &Shard, inputs: &RecommenderInputs<'_>, batch: &[PendingQuery]) {
+    fn run_coalesced(&self, shard: &Shard, batch: &[PendingQuery]) {
         let _span = span!("serve.coalesced", queries = batch.len());
         shard.admissions.inc();
         shard.queries.add(batch.len() as u64);
@@ -309,7 +336,12 @@ impl<'p> ShardedServer<'p> {
         let mut buf = Vec::new();
         let mut locals = Vec::with_capacity(kernel::USER_BLOCK);
         for (seed, group) in groups {
-            let averages = self.release_for(shard, inputs, seed);
+            let Some(averages) = self.release_for(shard, seed) else {
+                for q in group {
+                    q.fulfill(self.refuse(q.user()));
+                }
+                continue;
+            };
             let ni = averages.num_items();
             for block in group.chunks(kernel::USER_BLOCK) {
                 locals.clear();
@@ -335,19 +367,23 @@ impl<'p> ShardedServer<'p> {
     /// The query is enqueued on its user's shard; whichever admitted
     /// thread wins the shard's combiner lock executes every pending
     /// query as one kernel batch. Bit-identical to the same query
-    /// served alone (and to `ClusterFramework::recommend`).
+    /// served alone. An unpublished `seed` or a user outside the
+    /// partition is refused with an empty list. `_inputs` is unused:
+    /// the release arrives published.
     pub fn recommend_one(
         &self,
-        inputs: &RecommenderInputs<'_>,
+        _inputs: &RecommenderInputs<'_>,
         user: UserId,
         n: usize,
         seed: u64,
     ) -> TopN {
-        let shard = &self.shards[self.shard_of(user)];
+        let Some(si) = self.owning_shard(user) else {
+            return self.refuse(user);
+        };
+        let shard = &self.shards[si];
         shard.queue_depth.set(shard.queue.depth() as i64);
         let start = Instant::now();
-        let top =
-            shard.queue.submit(user, n, seed, |batch| self.run_coalesced(shard, inputs, batch));
+        let top = shard.queue.submit(user, n, seed, |batch| self.run_coalesced(shard, batch));
         let elapsed = start.elapsed();
         shard.latency.record(elapsed);
         if socialrec_obs::live_armed() {
@@ -358,44 +394,54 @@ impl<'p> ShardedServer<'p> {
 
     /// Top-N recommendations for a batch of users, fanned out across
     /// shards and user blocks in parallel. Output order matches
-    /// `users`; bits match `ClusterFramework::recommend`.
+    /// `users`. Rows of users outside the partition, and every row when
+    /// `seed` names no retained generation, are refused with an empty
+    /// list; the other rows are unaffected. `_inputs` is unused: the
+    /// release arrives published.
     pub fn recommend_batch(
         &self,
-        inputs: &RecommenderInputs<'_>,
+        _inputs: &RecommenderInputs<'_>,
         users: &[UserId],
         n: usize,
         seed: u64,
     ) -> Vec<TopN> {
         let _span = span!("serve.shard_batch", users = users.len());
+        let mut out: Vec<Option<TopN>> = users.iter().map(|_| None).collect();
         let mut routed: Vec<Vec<(usize, UserId)>> = vec![Vec::new(); self.shards.len()];
         for (pos, &u) in users.iter().enumerate() {
-            routed[self.shard_of(u)].push((pos, u));
-        }
-        // Resolve the release up front (one build, however many shards
-        // are touched) so the parallel region below never stalls on it.
-        for (si, r) in routed.iter().enumerate() {
-            if !r.is_empty() {
-                self.release_for(&self.shards[si], inputs, seed);
-                self.shards[si].queries.add(r.len() as u64);
+            match self.owning_shard(u) {
+                Some(si) => routed[si].push((pos, u)),
+                None => out[pos] = Some(self.refuse(u)),
             }
         }
-        let mut tasks: Vec<(usize, &[(usize, UserId)])> = Vec::new();
-        for (si, r) in routed.iter().enumerate() {
-            for block in r.chunks(kernel::USER_BLOCK) {
-                tasks.push((si, block));
+        // Resolve each touched shard's release up front so the parallel
+        // region below never looks it up.
+        let mut tasks: Vec<BlockTask<'_>> = Vec::new();
+        for (shard, r) in self.shards.iter().zip(&routed) {
+            if r.is_empty() {
+                continue;
+            }
+            shard.queries.add(r.len() as u64);
+            match self.release_for(shard, seed) {
+                Some(averages) => tasks.extend(
+                    r.chunks(kernel::USER_BLOCK).map(|block| (shard, Arc::clone(&averages), block)),
+                ),
+                None => {
+                    for &(pos, u) in r {
+                        out[pos] = Some(self.refuse(u));
+                    }
+                }
             }
         }
         let computed: Vec<Vec<(usize, TopN)>> = (0..tasks.len())
             .into_par_iter()
             .map_init(Vec::new, |buf, t| {
-                let (si, block) = tasks[t];
-                let shard = &self.shards[si];
-                let averages = self.release_for(shard, inputs, seed);
+                let (shard, averages, block) = &tasks[t];
                 let ni = averages.num_items();
                 let locals: Vec<UserId> =
                     block.iter().map(|&(_, u)| UserId(u.0 - shard.first_user)).collect();
                 kernel::utilities_block_tiled(
-                    &averages,
+                    averages,
                     &shard.index,
                     &locals,
                     kernel::ITEM_TILE,
@@ -411,33 +457,18 @@ impl<'p> ShardedServer<'p> {
                     .collect()
             })
             .collect();
-        let mut out: Vec<Option<TopN>> = users.iter().map(|_| None).collect();
         for (pos, top) in computed.into_iter().flatten() {
             out[pos] = Some(top);
         }
-        out.into_iter().map(|t| t.expect("every routed query is answered")).collect()
-    }
-}
-
-impl TopNRecommender for ShardedServer<'_> {
-    fn name(&self) -> String {
-        format!("shards({}, {})", self.shards.len(), self.framework.name())
-    }
-
-    fn recommend(
-        &self,
-        inputs: &RecommenderInputs<'_>,
-        users: &[UserId],
-        n: usize,
-        seed: u64,
-    ) -> Vec<TopN> {
-        self.recommend_batch(inputs, users, n, seed)
+        out.into_iter().map(|t| t.expect("every query is answered or refused")).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialrec_core::private::framework::ClusterFramework;
+    use socialrec_core::TopNRecommender;
     use socialrec_graph::preference::preference_graph_from_edges;
     use socialrec_graph::social::social_graph_from_edges;
     use socialrec_similarity::Measure;
@@ -455,6 +486,12 @@ mod tests {
         (s, p)
     }
 
+    /// Publish the release `ClusterFramework::recommend` draws for `seed`.
+    fn publish(daemon: &ShardedServer<'_>, inputs: &RecommenderInputs<'_>, seed: u64) -> u64 {
+        let fw = ClusterFramework::new(daemon.partition, daemon.epsilon);
+        daemon.publish_release(seed, fw.noisy_cluster_averages(inputs, seed))
+    }
+
     fn assert_bits(got: &[TopN], want: &[TopN]) {
         assert_eq!(got, want);
         for (g, w) in got.iter().zip(want) {
@@ -462,6 +499,27 @@ mod tests {
                 assert_eq!(gi, wi);
                 assert_eq!(gu.to_bits(), wu.to_bits(), "utility bits differ");
             }
+        }
+    }
+
+    fn counter(daemon: &ShardedServer<'_>, name: &str) -> u64 {
+        daemon.registry().counter(name).get()
+    }
+
+    #[test]
+    fn generation_separates_every_input() {
+        let p1 = partition_fingerprint(&Partition::singletons(4));
+        let p2 = partition_fingerprint(&Partition::one_cluster(4));
+        assert_ne!(p1, p2);
+        let base = release_generation(p1, Epsilon::Finite(0.5), 7);
+        assert_eq!(base, release_generation(p1, Epsilon::Finite(0.5), 7));
+        for other in [
+            release_generation(p2, Epsilon::Finite(0.5), 7),
+            release_generation(p1, Epsilon::Finite(0.6), 7),
+            release_generation(p1, Epsilon::Infinite, 7),
+            release_generation(p1, Epsilon::Finite(0.5), 8),
+        ] {
+            assert_ne!(base, other);
         }
     }
 
@@ -477,14 +535,33 @@ mod tests {
         for num_shards in [1, 2, 3, 6, 100] {
             let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), num_shards);
             assert!(daemon.num_shards() <= 6);
+            publish(&daemon, &inputs, 42);
             let got = daemon.recommend_batch(&inputs, &users, 3, 42);
             assert_bits(&got, &want);
         }
     }
 
-    /// Tentpole: a daemon sharding an mmap-backed index (O(1) window
-    /// slices over one shared mapping) answers bit-identically to the
-    /// heap-built daemon, for single queries and batches alike.
+    /// 6 users with `USER_BLOCK = 8` make one ragged block, and
+    /// `n > num_items` must clamp to the item count.
+    #[test]
+    fn ragged_block_and_oversized_n_match_framework() {
+        let (s, p) = fixture();
+        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
+        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
+        let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
+        let users: Vec<UserId> = (0..6).map(UserId).collect();
+        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.3), 1);
+        publish(&daemon, &inputs, 7);
+        let got = daemon.recommend_batch(&inputs, &users, 100, 7);
+        let want = ClusterFramework::new(&partition, Epsilon::Finite(0.3))
+            .recommend(&inputs, &users, 100, 7);
+        assert_bits(&got, &want);
+        assert!(got.iter().all(|t| t.items.len() == 4), "n > num_items clamps to the item count");
+    }
+
+    /// A daemon sharding an mmap-backed index (O(1) window slices over
+    /// one shared mapping) answers bit-identically to the heap-built
+    /// daemon, for single queries and batches alike.
     #[test]
     fn mmap_backed_daemon_matches_heap_daemon_bitwise() {
         use socialrec_similarity::ValueKind;
@@ -509,6 +586,8 @@ mod tests {
                 Epsilon::Finite(0.5),
                 num_shards,
             );
+            publish(&heap, &inputs, 42);
+            publish(&mapped, &inputs, 42);
             let want = heap.recommend_batch(&inputs, &users, 3, 42);
             let got = mapped.recommend_batch(&inputs, &users, 3, 42);
             assert_bits(&got, &want);
@@ -528,6 +607,7 @@ mod tests {
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::one_cluster(6);
         let daemon = ShardedServer::new(&partition, &sim, Epsilon::Infinite, 3);
+        publish(&daemon, &inputs, 0);
         let users: Vec<UserId> = (0..6).map(UserId).collect();
         let batch = daemon.recommend_batch(&inputs, &users, 2, 0);
         for &u in &users {
@@ -552,92 +632,85 @@ mod tests {
         assert_eq!(per_shard, vec![2, 2, 2]);
     }
 
+    /// Publishing is the epoch flip: every shard moves to the new
+    /// generation on its next query, served bits match the framework,
+    /// the predecessor keeps answering stragglers, republishing is a
+    /// no-op, and a generation evicted from the exchange is refused.
     #[test]
-    fn hot_swap_builds_once_and_flips_every_shard() {
-        let (s, p) = fixture();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
-        let partition = Partition::from_assignment(&[0, 0, 0, 1, 1, 1]);
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(1.0), 3);
-        let users: Vec<UserId> = (0..6).map(UserId).collect();
-
-        daemon.recommend_batch(&inputs, &users, 2, 1);
-        assert_eq!(daemon.exchange().epoch(), 1, "one build for however many shards");
-        let gen1 = daemon.generation_for(1);
-        assert_eq!(daemon.shard_generations(), vec![Some(gen1); 3]);
-
-        // Seed bump = hot swap: one more build, every touched shard
-        // flips, and the old generation stays retained for stragglers.
-        daemon.recommend_batch(&inputs, &users, 2, 2);
-        let gen2 = daemon.generation_for(2);
-        assert_eq!(daemon.exchange().epoch(), 2);
-        assert_eq!(daemon.shard_generations(), vec![Some(gen2); 3]);
-        assert_eq!(daemon.exchange().retained(), vec![gen1, gen2]);
-
-        // A straggler for the old seed is answered without a rebuild.
-        let straggler = daemon.recommend_one(&inputs, UserId(0), 2, 1);
-        assert_eq!(straggler.user, UserId(0));
-        assert_eq!(daemon.exchange().epoch(), 2, "straggler must not re-release");
-
-        let snap = daemon.registry().snapshot();
-        let swaps: u64 = snap
-            .counters
-            .iter()
-            .filter(|(n, _)| n.ends_with(".release_swaps"))
-            .map(|(_, v)| *v)
-            .sum();
-        // 3 shards × 2 generations + shard 0's flip back for the
-        // straggler.
-        assert_eq!(swaps, 7);
-    }
-
-    /// Tentpole: a refreshed release produced outside the daemon (the
-    /// `DynamicRecommender` path, with the accountant already debited)
-    /// hot-swaps in via `publish_release` and is served bit-identically
-    /// with no on-miss rebuild, while stragglers on the previous
-    /// generation keep being answered.
-    #[test]
-    fn published_release_hot_swaps_without_rebuild() {
-        use socialrec_core::private::framework::release_noisy_cluster_averages_with;
+    fn publish_hot_swaps_every_shard_and_retains_the_predecessor() {
         let (s, p) = fixture();
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::from_assignment(&[0, 0, 1, 1, 0, 1]);
         let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), 3);
+        let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.5));
         let users: Vec<UserId> = (0..6).map(UserId).collect();
 
+        let gen1 = publish(&daemon, &inputs, 1);
+        assert_eq!(gen1, daemon.generation_for(1));
+        assert_eq!(daemon.shard_generations(), vec![None; 3], "shards flip on their next query");
         daemon.recommend_batch(&inputs, &users, 3, 1);
-        assert_eq!(daemon.exchange().epoch(), 1);
+        assert_eq!(daemon.shard_generations(), vec![Some(gen1); 3]);
 
-        // An incremental refresh produced this release out-of-band.
-        let refreshed = release_noisy_cluster_averages_with(
-            &partition,
-            &p,
-            Epsilon::Finite(0.5),
-            daemon.framework().noise_model(),
-            2,
-        );
-        let gen2 = daemon.publish_release(2, refreshed);
-        assert_eq!(gen2, daemon.generation_for(2));
+        let gen2 = publish(&daemon, &inputs, 2);
         assert_eq!(daemon.exchange().epoch(), 2, "the publish is the epoch flip");
-
-        // Queries for the new seed flip to the published generation —
-        // no serve.rebuild — and their bits match the framework.
-        let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.5));
-        let want = fw.recommend(&inputs, &users, 3, 2);
         let got = daemon.recommend_batch(&inputs, &users, 3, 2);
-        assert_bits(&got, &want);
-        assert_eq!(daemon.exchange().epoch(), 2, "served from the published release");
+        assert_bits(&got, &fw.recommend(&inputs, &users, 3, 2));
         assert_eq!(daemon.shard_generations(), vec![Some(gen2); 3]);
+        assert_eq!(daemon.exchange().retained(), vec![gen1, gen2]);
 
-        // Stragglers on the prior generation are still answered.
+        // A straggler on the prior generation is still answered.
         let straggler = daemon.recommend_one(&inputs, UserId(0), 3, 1);
-        assert_eq!(straggler.user, UserId(0));
-        assert_eq!(daemon.exchange().epoch(), 2, "straggler must not re-release");
+        assert_bits(std::slice::from_ref(&straggler), &fw.recommend(&inputs, &[UserId(0)], 3, 1));
+        // 3 shards × 2 generations + shard 0's flip back for the
+        // straggler.
+        let swaps: u64 =
+            (0..3).map(|i| counter(&daemon, &format!("serve.shard{i}.release_swaps"))).sum();
+        assert_eq!(swaps, 7);
 
         // Republishing the same seed is a no-op.
-        assert_eq!(daemon.publish_release(2, fw.noisy_cluster_averages(&inputs, 2)), gen2);
+        assert_eq!(publish(&daemon, &inputs, 2), gen2);
         assert_eq!(daemon.exchange().epoch(), 2);
+
+        // A third generation evicts the first, whose queries are then
+        // refused rather than re-released.
+        publish(&daemon, &inputs, 3);
+        assert_eq!(daemon.exchange().epoch(), 3);
+        assert!(daemon.recommend_one(&inputs, UserId(3), 3, 1).items.is_empty());
+        assert_eq!(counter(&daemon, "serve.refused"), 1);
+        assert_eq!(daemon.exchange().epoch(), 3, "a refused query releases nothing");
+    }
+
+    /// An id at or past the partition's user count used to index past
+    /// the shard table, or past the ragged last shard's index slice, and
+    /// panic the serving thread. It is refused like an unpublished seed.
+    #[test]
+    fn out_of_range_users_are_refused_not_a_panic() {
+        let s = social_graph_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]).unwrap();
+        let p =
+            preference_graph_from_edges(5, 3, &[(0, 0), (1, 1), (2, 2), (3, 0), (4, 1)]).unwrap();
+        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
+        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
+        let partition = Partition::from_assignment(&[0, 0, 1, 1, 1]);
+        // 2 shards: chunk 3, so UserId(5) falls in the ragged last
+        // shard's range. 5 shards: it falls past the shard table.
+        for num_shards in [2, 5] {
+            let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), num_shards);
+            publish(&daemon, &inputs, 9);
+            let bad = [UserId(5), UserId(u32::MAX)];
+            for &u in &bad {
+                assert_eq!(daemon.recommend_one(&inputs, u, 3, 9), TopN { user: u, items: vec![] });
+            }
+            let mixed = [UserId(4), bad[0], UserId(0), bad[1], UserId(3)];
+            let got = daemon.recommend_batch(&inputs, &mixed, 3, 9);
+            let valid = [UserId(4), UserId(0), UserId(3)];
+            let want = ClusterFramework::new(&partition, Epsilon::Finite(0.5))
+                .recommend(&inputs, &valid, 3, 9);
+            assert_bits(&[got[0].clone(), got[2].clone(), got[4].clone()], &want);
+            assert_eq!(got[1], TopN { user: bad[0], items: vec![] });
+            assert_eq!(got[3], TopN { user: bad[1], items: vec![] });
+            assert_eq!(counter(&daemon, "serve.refused"), 4);
+        }
     }
 
     #[test]
@@ -647,18 +720,17 @@ mod tests {
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
         let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.7), 2);
+        publish(&daemon, &inputs, 5);
         let users: Vec<UserId> = (0..6).map(UserId).collect();
         daemon.recommend_batch(&inputs, &users, 2, 5);
         daemon.recommend_one(&inputs, UserId(0), 2, 5);
         daemon.recommend_one(&inputs, UserId(5), 2, 5);
+        assert_eq!(counter(&daemon, "serve.shard0.queries"), 3 + 1);
+        assert_eq!(counter(&daemon, "serve.shard1.queries"), 3 + 1);
+        assert_eq!(counter(&daemon, "serve.shard0.admissions"), 1);
+        assert_eq!(counter(&daemon, "serve.shard1.admissions"), 1);
+        assert_eq!(counter(&daemon, "serve.refused"), 0);
         let snap = daemon.registry().snapshot();
-        let get = |name: &str| {
-            snap.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or_default()
-        };
-        assert_eq!(get("serve.shard0.queries"), 3 + 1);
-        assert_eq!(get("serve.shard1.queries"), 3 + 1);
-        assert_eq!(get("serve.shard0.admissions"), 1);
-        assert_eq!(get("serve.shard1.admissions"), 1);
         let hist = snap.histograms.iter().find(|(n, _)| n == "serve.shard0.query_ns").unwrap();
         assert_eq!(hist.1.count, 1, "single-query latency recorded per shard");
     }

@@ -1,18 +1,22 @@
-//! The serving contract: every serving path — `RecommendationServer`'s
-//! batches, and the sharded daemon's fan-out and coalescing admission —
-//! must be **bit-identical** to `ClusterFramework::recommend`: same
-//! items, same order, same utility bits, across seeds, noise models,
-//! and degenerate partitions. The index, release cache, shard slices,
-//! and admission batching are pure post-processing rearrangements, so
-//! any divergence is a bug.
+//! The serving contract: every path through the sharded daemon — its
+//! batch fan-out and its coalescing admission — answers with the
+//! framework's `A_R` on the *published* release. For a release that
+//! `ClusterFramework::recommend` would draw with the same seed, the
+//! answer is **bit-identical** to it: same items, same order, same
+//! utility bits, across seeds, noise models, ε values, and degenerate
+//! partitions. The index, shard slices, epoch cells, and admission
+//! batching are pure post-processing rearrangements, so any divergence
+//! is a bug.
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy, Partition};
-use socialrec_core::private::framework::{ClusterFramework, NoiseModel};
+use socialrec_core::private::framework::{
+    release_noisy_cluster_averages_with, ClusterFramework, NoiseModel,
+};
 use socialrec_core::{RecommenderInputs, TopN, TopNRecommender};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
-use socialrec_serve::{RecommendationServer, ShardedServer};
+use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_similarity::{Measure, SimilarityMatrix};
 
 fn assert_bit_identical(got: &[TopN], want: &[TopN]) {
@@ -33,60 +37,6 @@ fn assert_bit_identical(got: &[TopN], want: &[TopN]) {
 }
 
 #[test]
-fn batch_serving_is_bit_identical_to_framework() {
-    let ds = lastfm_like_scaled(0.08, 13);
-    let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
-    let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
-    let n_users = ds.social.num_users();
-    let users: Vec<UserId> = (0..n_users as u32).map(UserId).collect();
-
-    let louvain = LouvainStrategy::default().cluster(&ds.social);
-    let partitions: Vec<(&str, Partition)> = vec![
-        ("louvain", louvain),
-        ("singletons", Partition::singletons(n_users)),
-        ("one_cluster", Partition::one_cluster(n_users)),
-    ];
-
-    for (name, partition) in &partitions {
-        for noise in [NoiseModel::Laplace, NoiseModel::Geometric] {
-            for epsilon in [Epsilon::Finite(0.5), Epsilon::Finite(0.05), Epsilon::Infinite] {
-                let server = RecommendationServer::new(partition, &sim, epsilon).with_noise(noise);
-                let fw = ClusterFramework::new(partition, epsilon).with_noise(noise);
-                for seed in [0u64, 1, 0xDEAD_BEEF] {
-                    let got = server.recommend_batch(&inputs, &users, 10, seed);
-                    let want = fw.recommend(&inputs, &users, 10, seed);
-                    assert_bit_identical(&got, &want);
-                    // Same generation again: served from cache, still
-                    // identical.
-                    let again = server.recommend_batch(&inputs, &users, 10, seed);
-                    assert_bit_identical(&again, &want);
-                }
-                let snap = server.metrics().snapshot();
-                assert_eq!(snap.cache_rebuilds, 3, "{name}: one rebuild per distinct seed");
-                assert_eq!(snap.cache_hits, 3, "{name}: repeat batches must hit");
-            }
-        }
-    }
-}
-
-#[test]
-fn partial_and_reordered_batches_still_match() {
-    let ds = lastfm_like_scaled(0.05, 99);
-    let sim = SimilarityMatrix::build(&ds.social, &Measure::AdamicAdar);
-    let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
-    let partition = LouvainStrategy::default().cluster(&ds.social);
-    let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.2));
-    let server = RecommendationServer::new(&partition, &sim, Epsilon::Finite(0.2));
-
-    // A scattered, unsorted, repeating subset of users.
-    let n = ds.social.num_users() as u32;
-    let users: Vec<UserId> = [n - 1, 3, 17 % n, 3, 0, n / 2].into_iter().map(UserId).collect();
-    let got = server.recommend_batch(&inputs, &users, 25, 5);
-    let want = fw.recommend(&inputs, &users, 25, 5);
-    assert_bit_identical(&got, &want);
-}
-
-#[test]
 fn sharded_daemon_is_bit_identical_to_framework() {
     let ds = lastfm_like_scaled(0.06, 21);
     let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
@@ -101,25 +51,59 @@ fn sharded_daemon_is_bit_identical_to_framework() {
         ("one_cluster", Partition::one_cluster(n_users)),
     ];
     for (name, partition) in &partitions {
+        let index = SimMassIndex::build(&sim, partition);
         for noise in [NoiseModel::Laplace, NoiseModel::Geometric] {
-            let epsilon = Epsilon::Finite(0.3);
-            let fw = ClusterFramework::new(partition, epsilon).with_noise(noise);
-            for num_shards in [1, 4, 7] {
-                let daemon =
-                    ShardedServer::new(partition, &sim, epsilon, num_shards).with_noise(noise);
-                for seed in [0u64, 0xDEAD_BEEF] {
+            for epsilon in [Epsilon::Finite(0.5), Epsilon::Finite(0.05), Epsilon::Infinite] {
+                let fw = ClusterFramework::new(partition, epsilon).with_noise(noise);
+                let daemons: Vec<ShardedServer<'_>> = [1, 4, 7]
+                    .map(|shards| {
+                        ShardedServer::from_index(partition, index.clone(), epsilon, shards)
+                    })
+                    .into();
+                for seed in [0u64, 1, 0xDEAD_BEEF] {
                     let want = fw.recommend(&inputs, &users, 10, seed);
-                    let got = daemon.recommend_batch(&inputs, &users, 10, seed);
-                    assert_bit_identical(&got, &want);
+                    for daemon in &daemons {
+                        let release = release_noisy_cluster_averages_with(
+                            partition, &ds.prefs, epsilon, noise, seed,
+                        );
+                        daemon.publish_release(seed, release);
+                        let got = daemon.recommend_batch(&inputs, &users, 10, seed);
+                        assert_bit_identical(&got, &want);
+                        // Same generation again: served from the shards'
+                        // epoch cells, still identical.
+                        let again = daemon.recommend_batch(&inputs, &users, 10, seed);
+                        assert_bit_identical(&again, &want);
+                    }
                 }
-                assert_eq!(
-                    daemon.exchange().epoch(),
-                    2,
-                    "{name}/{num_shards} shards: one build per seed, shared across shards"
-                );
+                for daemon in &daemons {
+                    assert_eq!(
+                        daemon.exchange().epoch(),
+                        3,
+                        "{name}/{} shards: one epoch per published seed",
+                        daemon.num_shards()
+                    );
+                }
             }
         }
     }
+}
+
+#[test]
+fn partial_and_reordered_batches_still_match() {
+    let ds = lastfm_like_scaled(0.05, 99);
+    let sim = SimilarityMatrix::build(&ds.social, &Measure::AdamicAdar);
+    let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
+    let partition = LouvainStrategy::default().cluster(&ds.social);
+    let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.2));
+    let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.2), 4);
+    daemon.publish_release(5, fw.noisy_cluster_averages(&inputs, 5));
+
+    // A scattered, unsorted, repeating subset of users.
+    let n = ds.social.num_users() as u32;
+    let users: Vec<UserId> = [n - 1, 3, 17 % n, 3, 0, n / 2].into_iter().map(UserId).collect();
+    let got = daemon.recommend_batch(&inputs, &users, 25, 5);
+    let want = fw.recommend(&inputs, &users, 25, 5);
+    assert_bit_identical(&got, &want);
 }
 
 #[test]
@@ -136,6 +120,7 @@ fn coalescing_admission_is_bit_identical_to_framework() {
     let daemon = ShardedServer::new(&partition, &sim, epsilon, 4);
     let n_users = ds.social.num_users() as u32;
     let seed = 11u64;
+    daemon.publish_release(seed, fw.noisy_cluster_averages(&inputs, seed));
 
     let all: Vec<UserId> = (0..n_users).map(UserId).collect();
     let want = fw.recommend(&inputs, &all, 10, seed);
@@ -148,7 +133,6 @@ fn coalescing_admission_is_bit_identical_to_framework() {
                     let u = UserId((i * 7 + t * 13) % n_users);
                     let top = daemon.recommend_one(inputs, u, 10, seed);
                     let reference = want.iter().find(|w| w.user == u).unwrap();
-                    // Clamp the reference to this query's n (10 = same).
                     assert_bit_identical(
                         std::slice::from_ref(&top),
                         std::slice::from_ref(reference),
@@ -157,7 +141,7 @@ fn coalescing_admission_is_bit_identical_to_framework() {
             });
         }
     });
-    assert_eq!(daemon.exchange().epoch(), 1, "coalesced singles share one release build");
+    assert_eq!(daemon.exchange().epoch(), 1, "coalesced singles share the one published release");
 
     // The per-shard counters must conserve: every submitted query
     // served exactly once.

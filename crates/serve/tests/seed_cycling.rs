@@ -1,0 +1,65 @@
+//! A client cannot mint releases by cycling query seeds.
+//!
+//! Every query carries a `seed`, and a release drawn under a new seed
+//! is an independent Laplace draw: a client that collects k of them can
+//! average the noise away, an unaccounted k·ε spend. The daemon
+//! therefore serves only releases that were published to it. A seed
+//! that names no published generation gets an empty list, counted in
+//! `serve.refused`, and the exchange epoch and the privacy ledger do not
+//! move.
+//!
+//! This binary holds one test on purpose: the privacy ledger is
+//! process-global, so a concurrent test drawing releases would add
+//! records to the delta checked here.
+
+use socialrec_community::{ClusteringStrategy, LouvainStrategy};
+use socialrec_core::{BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN};
+use socialrec_datasets::lastfm_like_scaled;
+use socialrec_dp::Epsilon;
+use socialrec_graph::UserId;
+use socialrec_serve::ShardedServer;
+use socialrec_similarity::{Measure, SimilarityMatrix};
+
+#[test]
+fn cycling_unpublished_seeds_mints_no_release() {
+    socialrec_obs::enable();
+    let ds = lastfm_like_scaled(0.05, 3);
+    let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
+    let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
+    let partition = LouvainStrategy::default().cluster(&ds.social);
+
+    // The accountant makes the one release and the daemon serves it.
+    let mut accountant =
+        DynamicRecommender::new(Epsilon::Finite(0.5), BudgetSchedule::Uniform { releases: 1 });
+    let (epsilon, release) = accountant.release_averages(&partition, &ds.prefs, 1).unwrap();
+    let daemon = ShardedServer::new(&partition, &sim, epsilon, 4);
+    daemon.publish_release(1, release);
+    assert_eq!(daemon.exchange().epoch(), 1);
+    assert!(!daemon.recommend_one(&inputs, UserId(0), 10, 1).items.is_empty());
+
+    let ledger_before = socialrec_obs::PrivacyLedger::global().snapshot().records.len();
+    let refused = daemon.registry().counter("serve.refused");
+
+    // Eight single queries, each on a seed nobody published.
+    for k in 0..8u32 {
+        let u = UserId(k);
+        let top = daemon.recommend_one(&inputs, u, 10, 100 + k as u64);
+        assert_eq!(top, TopN { user: u, items: vec![] }, "seed {} was never published", 100 + k);
+    }
+    assert_eq!(refused.get(), 8);
+    assert_eq!(daemon.exchange().epoch(), 1, "refused singles must not release");
+
+    // One eight-user batch on another unpublished seed.
+    let users: Vec<UserId> = (10..18).map(UserId).collect();
+    let batch = daemon.recommend_batch(&inputs, &users, 10, 999);
+    assert_eq!(batch.len(), users.len());
+    for (top, &u) in batch.iter().zip(&users) {
+        assert_eq!(top, &TopN { user: u, items: vec![] });
+    }
+    assert_eq!(refused.get(), 16);
+    assert_eq!(daemon.exchange().epoch(), 1, "a refused batch must not release");
+
+    let ledger_after = socialrec_obs::PrivacyLedger::global().snapshot().records.len();
+    assert_eq!(ledger_after, ledger_before, "refused queries must leave no ledger record");
+    socialrec_obs::disable();
+}

@@ -19,7 +19,7 @@ use socialrec_core::{top_n_items, top_n_items_reference, RecommenderInputs, TopN
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
-use socialrec_serve::{kernel, RecommendationServer, SimMassIndex};
+use socialrec_serve::{kernel, ShardedServer, SimMassIndex};
 use socialrec_simd::Isa;
 use socialrec_similarity::{
     AdamicAdar, CommonNeighbors, Measure, SimScratch, Similarity, SimilarityMatrix,
@@ -102,13 +102,15 @@ fn run_equivalence_checks() {
         }
     }
 
-    // End-to-end: the serving engine vs the framework's per-user walk.
+    // End-to-end: the daemon serving the published release vs the
+    // framework's per-user walk drawing the same release.
     let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.5));
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
     let sample: Vec<UserId> = (0..n as u32).step_by(17).map(UserId).collect();
     let want = fw.recommend(&inputs, &sample, 10, 7);
-    let server = RecommendationServer::new(&partition, &sim, Epsilon::Finite(0.5));
-    let got = server.recommend_batch(&inputs, &sample, 10, 7);
+    let daemon = ShardedServer::from_index(&partition, index, Epsilon::Finite(0.5), 4);
+    daemon.publish_release(7, averages);
+    let got = daemon.recommend_batch(&inputs, &sample, 10, 7);
     assert_eq!(got.len(), want.len());
     for (g, w) in got.iter().zip(&want) {
         assert_eq!(g.user, w.user);

@@ -1,13 +1,15 @@
 //! Concurrent-serving stress: N threads issue mixed `recommend_one` /
-//! `recommend_batch` traffic across a live generation change (a seed
-//! bump mid-run) and every answer is checked bitwise against the
-//! per-seed `ClusterFramework` reference. A bit-match proves the
-//! response was computed wholly from its own seed's release — a
-//! mixed-generation response cannot reproduce either reference — and a
-//! returned answer per issued query proves nothing was dropped. After
-//! the run, per-shard counters must conserve (every issued query
-//! counted exactly once) and the privacy ledger must show exactly one ε
-//! spend per generation, however many threads and shards raced.
+//! `recommend_batch` traffic across a live publish (a new generation
+//! swapped in mid-run) and every answer is checked bitwise against the
+//! per-seed `ClusterFramework` reference. Clients follow the published
+//! seed: they switch to generation B only after it is published. A
+//! bit-match proves the response was computed wholly from its own
+//! seed's release — a mixed-generation response cannot reproduce either
+//! reference — and a returned answer per issued query proves nothing
+//! was dropped. After the run, per-shard counters must conserve (every
+//! issued query counted exactly once), nothing is refused, and the
+//! privacy ledger shows exactly one ε spend per generation: the
+//! accountant's, stamped by its publish.
 //!
 //! Like `thread_matrix.rs`, the scheduler width is latched per process,
 //! so the matrix test re-runs this binary as a child per
@@ -15,12 +17,15 @@
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::private::framework::ClusterFramework;
-use socialrec_core::{RecommenderInputs, TopN, TopNRecommender};
+use socialrec_core::{
+    BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN, TopNRecommender,
+};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_serve::ShardedServer;
 use socialrec_similarity::{Measure, SimilarityMatrix};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 const THREADS: u32 = 8;
 const ITERS: u32 = 30;
@@ -51,9 +56,13 @@ fn run_stress() {
     let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
     let partition = LouvainStrategy::default().cluster(&ds.social);
-    let epsilon = Epsilon::Finite(0.4);
     let n_users = ds.social.num_users() as u32;
     let all: Vec<UserId> = (0..n_users).map(UserId).collect();
+
+    // Two scheduled releases of ε = 0.4 each.
+    let mut accountant =
+        DynamicRecommender::new(Epsilon::Finite(0.8), BudgetSchedule::Uniform { releases: 2 });
+    let epsilon = Epsilon::Finite(0.4);
 
     // Per-seed references (these also write ledger records; they stay
     // unstamped, so the per-generation stamp counts below are exact).
@@ -65,23 +74,39 @@ fn run_stress() {
     let gen_a = daemon.generation_for(SEED_A);
     let gen_b = daemon.generation_for(SEED_B);
 
-    // Prime generation A so the mid-run swap is the only in-flight
-    // build while traffic runs.
+    // Each publish directly follows its release, so it stamps that
+    // release's ledger record.
+    let (eps_a, release_a) = accountant.release_averages(&partition, &ds.prefs, SEED_A).unwrap();
+    assert_eq!(eps_a, epsilon);
+    daemon.publish_release(SEED_A, release_a);
     let primed = daemon.recommend_one(&inputs, UserId(0), TOP_N, SEED_A);
     assert_bits_match(&primed, &want_a[0], SEED_A);
+    let (_, release_b) = accountant.release_averages(&partition, &ds.prefs, SEED_B).unwrap();
+    let mut release_b = Some(release_b);
 
-    // Mixed single/batch traffic; the seed bump halfway through each
-    // thread's loop is the hot swap under load.
+    // Mixed single/batch traffic. Every query reads the published seed;
+    // client 0 publishes generation B halfway through its loop, under
+    // the other clients' load, and only then moves the seed.
+    let current = AtomicU64::new(SEED_A);
     let issued: u64 = std::thread::scope(|s| {
         let handles: Vec<_> = (0..THREADS)
             .map(|t| {
-                let (daemon, inputs, all, want_a, want_b) =
-                    (&daemon, &inputs, &all, &want_a, &want_b);
+                let (daemon, inputs, all, want_a, want_b, current) =
+                    (&daemon, &inputs, &all, &want_a, &want_b, &current);
+                let mut publish_b = if t == 0 { release_b.take() } else { None };
                 s.spawn(move || {
                     let mut issued = 0u64;
                     for i in 0..ITERS {
-                        let (seed, want) =
-                            if i < ITERS / 2 { (SEED_A, want_a) } else { (SEED_B, want_b) };
+                        if i == ITERS / 2 {
+                            if let Some(release) = publish_b.take() {
+                                daemon.publish_release(SEED_B, release);
+                                current.store(SEED_B, Ordering::Release);
+                            }
+                        }
+                        // Acquire pairs with the publisher's Release store:
+                        // a client that reads SEED_B sees its publish.
+                        let seed = current.load(Ordering::Acquire);
+                        let want = if seed == SEED_A { want_a } else { want_b };
                         if (i + t) % 3 == 0 {
                             // A small scattered batch.
                             let lo = ((t * 17 + i * 5) % n_users) as usize;
@@ -107,21 +132,22 @@ fn run_stress() {
         handles.into_iter().map(|h| h.join().expect("stress worker panicked")).sum()
     });
 
-    // Exactly one release build per generation, daemon-wide.
-    assert_eq!(daemon.exchange().epoch(), 2, "one build per generation");
+    // Exactly two releases reached the daemon, both by publish.
+    assert_eq!(daemon.exchange().epoch(), 2, "one epoch per published generation");
     assert_eq!(daemon.exchange().retained(), vec![gen_a, gen_b]);
 
     // A final quiescent full sweep on the new generation: still
     // bit-identical, and it deterministically leaves every shard's
-    // epoch cell on the post-swap generation (mid-run, a straggling
-    // seed-A query may legitimately be the last traffic a shard sees).
+    // epoch cell on the post-swap generation (mid-run, a seed-A query
+    // admitted before the switch may be the last traffic a shard sees).
     let sweep = daemon.recommend_batch(&inputs, &all, TOP_N, SEED_B);
     for g in &sweep {
         assert_bits_match(g, &want_b[g.user.index()], SEED_B);
     }
 
     // Counter conservation: every issued query (plus the priming single
-    // and the final sweep) is counted exactly once across the shards.
+    // and the final sweep) is counted exactly once across the shards,
+    // and none was refused.
     let snap = daemon.registry().snapshot();
     let counted: u64 =
         snap.counters.iter().filter(|(n, _)| n.ends_with(".queries")).map(|(_, v)| *v).sum();
@@ -129,6 +155,8 @@ fn run_stress() {
     let admissions: u64 =
         snap.counters.iter().filter(|(n, _)| n.ends_with(".admissions")).map(|(_, v)| *v).sum();
     assert!(admissions >= 1, "coalescing admission must have run");
+    let refused = daemon.registry().counter("serve.refused").get();
+    assert_eq!(refused, 0, "clients only ever ask for published seeds");
 
     // Ledger: exactly one ε spend stamped per generation.
     let ledger = socialrec_obs::PrivacyLedger::global().snapshot();
