@@ -24,11 +24,11 @@ use socialrec_core::{top_n_items_reference, RecommenderInputs, TopN};
 use socialrec_datasets::flixster_like;
 use socialrec_dp::{Epsilon, PrivacyAccountant};
 use socialrec_experiments::{impl_to_json, json::ToJson, Args};
-use socialrec_graph::{SocialGraph, UserId};
+use socialrec_graph::UserId;
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
 use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_simd::Isa;
-use socialrec_similarity::{parse_measure, Similarity, SimilarityMatrix};
+use socialrec_similarity::{parse_measure, SimilarityMatrix};
 use std::time::Instant;
 
 /// Minimum per-kernel speedup the SIMD acceptance gate demands on an
@@ -377,13 +377,12 @@ pub fn run(args: &Args) -> Result<(), String> {
     eprintln!("  {recommend_par_ms:.0} ms ({} lists)", par_lists.len());
     check_recommend_equivalence(&seq_lists, &par_lists)?;
 
-    // SIMD attribution: re-run the two dominant kernels scalar-forced
-    // and on the dispatched tier, in this same process, asserting
-    // bit-identity between the two (the §6d contract at bench scale).
+    // SIMD attribution: re-run the serving kernel scalar-forced and on
+    // the dispatched tier, in this same process, asserting bit-identity
+    // between the two (the §6d contract at bench scale).
     let index = socialrec_serve::SimMassIndex::build(&sim, &partition);
     let averages = fw.noisy_cluster_averages(&inputs, seed);
-    let simd =
-        simd_attribution(&ds.social, measure.as_ref(), &averages, &index, &users, reps, smoke)?;
+    let simd = simd_attribution(&averages, &index, &users, reps, smoke)?;
 
     // `--tune`: sweep the blocked kernel's ITEM_TILE × USER_BLOCK grid
     // over the full user population and record the winner.
@@ -591,14 +590,12 @@ fn check_recommend_equivalence(seq: &[TopN], par: &[TopN]) -> Result<(), String>
     Ok(())
 }
 
-/// Kernel-level SIMD attribution: re-run the two dominant vectorized
-/// kernels scalar-forced and on the run's dispatched tier, in this same
+/// Kernel-level SIMD attribution: re-run the dominant vectorized
+/// kernel scalar-forced and on the run's dispatched tier, in this same
 /// process via `socialrec_simd::force`, timing both and asserting
 /// bit-identity between them (the DESIGN.md §6d contract exercised at
 /// bench scale). The active tier is restored before returning.
 fn simd_attribution(
-    social: &SocialGraph,
-    measure: &dyn Similarity,
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
     users: &[UserId],
@@ -608,20 +605,8 @@ fn simd_attribution(
     let prior = socialrec_simd::active();
     let detected = socialrec_simd::detected();
 
-    // Kernel 1 — sim-build: the sorted-adjacency intersection kernels
-    // (CN counting / AA weight sums, block-compare + galloping).
-    eprintln!("simd: sim-build scalar-forced vs {} x{reps}...", prior.name());
-    socialrec_simd::force(Isa::Scalar);
-    let (sim_scalar, sim_scalar_ms) = timed_min(reps, || SimilarityMatrix::build(social, measure));
-    socialrec_simd::force(prior);
-    let (sim_simd, sim_simd_ms) = timed_min(reps, || SimilarityMatrix::build(social, measure));
-    check_sim_equivalence(&sim_scalar, &sim_simd)
-        .map_err(|e| format!("scalar-forced vs {} sim-build: {e}", prior.name()))?;
-    drop((sim_scalar, sim_simd));
-    eprintln!("  {sim_scalar_ms:.0} ms scalar, {sim_simd_ms:.0} ms {}", prior.name());
-
-    // Kernel 2 — recommend-axpy: the blocked serving kernel over every
-    // user at the compiled-in tile/block geometry.
+    // recommend-axpy: the blocked serving kernel over every user at the
+    // compiled-in tile/block geometry.
     eprintln!("simd: recommend-axpy scalar-forced vs {} x{reps}...", prior.name());
     let mut out = Vec::new();
     socialrec_simd::force(Isa::Scalar);
@@ -660,20 +645,12 @@ fn simd_attribution(
     }
     socialrec_simd::force(prior);
 
-    let kernels = vec![
-        SimdKernel {
-            kernel: "sim-build".to_string(),
-            scalar_ms: sim_scalar_ms,
-            simd_ms: sim_simd_ms,
-            speedup: sim_scalar_ms / sim_simd_ms.max(1e-9),
-        },
-        SimdKernel {
-            kernel: "recommend-axpy".to_string(),
-            scalar_ms: axpy_scalar_ms,
-            simd_ms: axpy_simd_ms,
-            speedup: axpy_scalar_ms / axpy_simd_ms.max(1e-9),
-        },
-    ];
+    let kernels = vec![SimdKernel {
+        kernel: "recommend-axpy".to_string(),
+        scalar_ms: axpy_scalar_ms,
+        simd_ms: axpy_simd_ms,
+        speedup: axpy_scalar_ms / axpy_simd_ms.max(1e-9),
+    }];
     // The gate binds only where vector hardware is both present and in
     // use: a smoke run is too small to time, and a `SOCIALREC_SIMD`
     // downgrade is an explicit request to not run vectorized.
@@ -769,7 +746,6 @@ mod tests {
             "\"active\"",
             "\"requested\"",
             "\"kernels\"",
-            "\"sim-build\"",
             "\"recommend-axpy\"",
             "\"gate_bound\"",
             "\"gate_met\"",

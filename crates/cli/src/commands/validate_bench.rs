@@ -509,7 +509,7 @@ mod tests {
              \"serve_metrics\": {{\n{metrics}  }},\n  \
              \"privacy\": {{\n{privacy}  }},\n  \
              \"simd\": {{\n    \"detected\": \"avx2\",\n    \"active\": \"avx2\",\n    \
-             \"requested\": null,\n    \"kernels\": [\n      {{ \"kernel\": \"sim-build\", \
+             \"requested\": null,\n    \"kernels\": [\n      {{ \"kernel\": \"recommend-axpy\", \
              \"scalar_ms\": 2.0, \"simd_ms\": 1.0, \"speedup\": 2.0 }}\n    ],\n    \
              \"gate_bound\": true,\n    \"gate_met\": true\n  }},\n  \
              \"tune\": {{\n    \"grid\": [\n      {{ \"item_tile\": 512, \

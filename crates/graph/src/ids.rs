@@ -38,18 +38,6 @@ impl ItemId {
     }
 }
 
-/// Reinterpret a `&[UserId]` as its underlying `&[u32]`, zero-copy.
-///
-/// Sound by the `repr(transparent)` guarantee above; this is the
-/// inverse direction of the artifact readers' cast, used to feed
-/// adjacency lists to the `socialrec-simd` integer kernels.
-#[inline(always)]
-pub fn user_ids_as_u32(ids: &[UserId]) -> &[u32] {
-    // SAFETY: UserId is repr(transparent) over u32 — identical layout
-    // and alignment, same length.
-    unsafe { std::slice::from_raw_parts(ids.as_ptr() as *const u32, ids.len()) }
-}
-
 impl From<u32> for UserId {
     #[inline]
     fn from(v: u32) -> Self {

@@ -39,7 +39,7 @@ pub mod weighted;
 
 pub use delta::{GraphDelta, PreferenceDeltaReport, SocialDeltaReport};
 pub use error::GraphError;
-pub use ids::{user_ids_as_u32, ItemId, UserId};
+pub use ids::{ItemId, UserId};
 pub use preference::{PreferenceGraph, PreferenceGraphBuilder};
 pub use social::{SocialGraph, SocialGraphBuilder};
 pub use stats::{average_clustering_coefficient, DatasetStats};

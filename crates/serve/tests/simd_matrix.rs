@@ -8,9 +8,8 @@
 //! per `SOCIALREC_SIMD` value in {scalar, sse2, avx2}, skipping (and
 //! logging) tiers the CPU cannot run. Each child runs the full
 //! equivalence suite: the blocked utility kernel vs its scalar
-//! reference, CN/AA similarity sets vs their scatter references, top-N
-//! selection vs the reference heap, and end-to-end serving vs the
-//! framework walk.
+//! reference, top-N selection vs the reference heap, and end-to-end
+//! serving vs the framework walk.
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::private::framework::release_noisy_cluster_averages;
@@ -21,9 +20,7 @@ use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_serve::{kernel, ShardedServer, SimMassIndex};
 use socialrec_simd::Isa;
-use socialrec_similarity::{
-    AdamicAdar, CommonNeighbors, Measure, SimScratch, Similarity, SimilarityMatrix,
-};
+use socialrec_similarity::{Measure, SimilarityMatrix};
 
 fn run_equivalence_checks() {
     // When the parent set an override, the resolved tier must be
@@ -38,27 +35,6 @@ fn run_equivalence_checks() {
     }
     let ds = lastfm_like_scaled(0.04, 21);
     let n = ds.social.num_users();
-
-    // CN and AA similarity sets: vectorized intersection formulation vs
-    // the retained scatter references, bit for bit, every user.
-    let mut scratch = SimScratch::new(n);
-    let (mut fast, mut slow) = (Vec::new(), Vec::new());
-    for u in (0..n as u32).map(UserId) {
-        CommonNeighbors.similarity_set(&ds.social, u, &mut scratch, &mut fast);
-        CommonNeighbors.similarity_set_scatter(&ds.social, u, &mut scratch, &mut slow);
-        assert_eq!(fast.len(), slow.len(), "CN row {u:?} length diverged");
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.0, b.0, "CN row {u:?} neighbor diverged");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "CN row {u:?} score bits diverged");
-        }
-        AdamicAdar.similarity_set(&ds.social, u, &mut scratch, &mut fast);
-        AdamicAdar.similarity_set_scatter(&ds.social, u, &mut scratch, &mut slow);
-        assert_eq!(fast.len(), slow.len(), "AA row {u:?} length diverged");
-        for (a, b) in fast.iter().zip(&slow) {
-            assert_eq!(a.0, b.0, "AA row {u:?} neighbor diverged");
-            assert_eq!(a.1.to_bits(), b.1.to_bits(), "AA row {u:?} score bits diverged");
-        }
-    }
 
     // Blocked utility kernel (SIMD axpy) vs the fully scalar per-user
     // reference, across ragged tiles and user blocks.

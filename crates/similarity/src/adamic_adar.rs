@@ -4,27 +4,26 @@
 //! logarithm; any `x` that is a common neighbor of distinct `u, v` has
 //! `|Γ(x)| ≥ 2`, so the weight `1/ln|Γ(x)|` is always finite.
 //!
-//! Like Common Neighbors, two equivalent formulations: the original
-//! scatter walk (retained as the reference) and the shipping
-//! intersection path, which precomputes the weight row
-//! `w[i] = 1/ln|Γ(Γ(u)[i])|` once per call and scores each two-hop
-//! candidate `v` with the vectorized weighted intersection
-//! `Σ w[i] · [Γ(u)[i] ∈ Γ(v)]`. Both accumulate the same weights in
-//! the same ascending-`x` order into a fresh `0.0`, so they are
-//! **bit-identical** — pinned below on every ISA tier (DESIGN.md §6d).
+//! Like Common Neighbors, computed as a scatter walk: each neighbor
+//! `x ∈ Γ(u)` adds its weight into a dense accumulator slot for every
+//! `v ∈ Γ(x)`. Neighbors are visited in ascending `x`, so each score is
+//! a fold from `0.0` of `1/ln|Γ(x)|` over the common neighbors `x` in
+//! ascending order.
 
 use crate::scratch::SimScratch;
 use crate::Similarity;
-use socialrec_graph::{user_ids_as_u32, SocialGraph, UserId};
+use socialrec_graph::{SocialGraph, UserId};
 
 /// The Adamic/Adar (AA) measure.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct AdamicAdar;
 
-impl AdamicAdar {
-    /// The original scatter formulation, retained as the equivalence
-    /// reference for the intersection path.
-    pub fn similarity_set_scatter(
+impl Similarity for AdamicAdar {
+    fn name(&self) -> &'static str {
+        "AA"
+    }
+
+    fn similarity_set(
         &self,
         g: &SocialGraph,
         u: UserId,
@@ -44,57 +43,6 @@ impl AdamicAdar {
             }
         }
         scratch.acc.drain_sorted_into(u, out);
-    }
-}
-
-impl Similarity for AdamicAdar {
-    fn name(&self) -> &'static str {
-        "AA"
-    }
-
-    fn similarity_set(
-        &self,
-        g: &SocialGraph,
-        u: UserId,
-        scratch: &mut SimScratch,
-        out: &mut Vec<(UserId, f64)>,
-    ) {
-        out.clear();
-        let a = user_ids_as_u32(g.neighbors(u));
-        // Weight row parallel to Γ(u), computed once per call. A
-        // degree-1 neighbor's only edge goes back to u, so it can only
-        // witness the excluded pair (u, u); its weight slot is never
-        // read, and 0.0 keeps it harmless (1/ln 1 would be +∞).
-        let mut wa = std::mem::take(&mut scratch.row_weights);
-        wa.clear();
-        wa.extend(g.neighbors(u).iter().map(|&x| {
-            let deg = g.degree(x);
-            if deg < 2 {
-                0.0
-            } else {
-                1.0 / (deg as f64).ln()
-            }
-        }));
-        for &x in g.neighbors(u) {
-            if g.degree(x) < 2 {
-                continue;
-            }
-            for &v in g.neighbors(x) {
-                scratch.cand.insert(v.0);
-            }
-        }
-        scratch.cand.sort();
-        for &v in scratch.cand.list() {
-            if v == u.0 {
-                continue;
-            }
-            let b = user_ids_as_u32(g.neighbors(UserId(v)));
-            let s = socialrec_simd::intersect_sum(a, &wa, b);
-            debug_assert!(s > 0.0);
-            out.push((UserId(v), s));
-        }
-        scratch.cand.clear();
-        scratch.row_weights = wa;
     }
 }
 
@@ -165,47 +113,5 @@ mod tests {
                 .collect();
             assert_eq!(aa, cn, "support mismatch for user {u}");
         }
-    }
-
-    /// The weighted intersection path is bit-identical to the retained
-    /// scatter reference on every available ISA tier: same weights,
-    /// same ascending-x accumulation order, same `0.0` start.
-    #[test]
-    fn intersection_matches_scatter_bits_on_all_tiers() {
-        use crate::scratch::SimScratch;
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(7);
-        let n = 60usize;
-        let mut edges = vec![(0u32, 1u32)]; // keep a degree-1 pendant
-        for u in 2..n as u32 {
-            for _ in 0..4 {
-                let v = rng.gen_range(2..n as u32);
-                if v != u {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let g = social_graph_from_edges(n, &edges).unwrap();
-        let aa = AdamicAdar;
-        let mut scratch = SimScratch::new(n);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        let prev = socialrec_simd::active();
-        for isa in socialrec_simd::Isa::ALL {
-            if !isa.is_available() {
-                continue;
-            }
-            socialrec_simd::force(isa);
-            for u in 0..n as u32 {
-                aa.similarity_set_scatter(&g, UserId(u), &mut scratch, &mut want);
-                aa.similarity_set(&g, UserId(u), &mut scratch, &mut got);
-                assert_eq!(want.len(), got.len(), "isa={} u={u}", isa.name());
-                for ((wv, ws), (gv, gs)) in want.iter().zip(&got) {
-                    assert_eq!(wv, gv, "isa={} u={u}", isa.name());
-                    assert_eq!(ws.to_bits(), gs.to_bits(), "isa={} u={u}", isa.name());
-                }
-            }
-        }
-        socialrec_simd::force(prev);
     }
 }

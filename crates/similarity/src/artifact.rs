@@ -52,8 +52,16 @@
 //! and `finish()` splices everything together and back-patches the
 //! header. Peak writer memory is the offsets array (O(rows)) plus two
 //! small I/O buffers, never O(entries).
+//!
+//! The writer never touches the target file until the new artifact is
+//! complete: it builds the file under a sibling temp name, fsyncs it,
+//! and `rename(2)`s it over the target. A reader that has the old
+//! artifact mapped keeps its own inode and reads the old rows until it
+//! reopens the path; rewriting in place would change, or truncate, the
+//! pages under its mapping.
 
 use crate::mmap::MappedBytes;
+use std::ffi::OsString;
 use std::fs::File;
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
@@ -454,11 +462,14 @@ pub fn write_csr_artifact(
 /// Bounded-memory artifact writer: see the module docs for the
 /// protocol. Rows must be pushed in ascending order, exactly
 /// `num_rows` of them, then [`finish`](StreamingCsrWriter::finish)
-/// called; dropping without `finish` leaves an invalid file (no valid
-/// header is ever written until `finish` back-patches it, so a crashed
-/// build can never be mistaken for a complete artifact).
+/// called. Until `finish` renames the new file over the target, the
+/// target keeps its previous contents, so dropping the writer (or
+/// crashing) leaves the old artifact in place next to stray `.tmp`
+/// siblings.
 pub struct StreamingCsrWriter {
+    path: PathBuf,
     file: File,
+    file_tmp_path: PathBuf,
     cols_tmp: File,
     cols_tmp_path: PathBuf,
     kind: ArtifactKind,
@@ -480,17 +491,20 @@ impl StreamingCsrWriter {
         meta: u64,
         num_rows: usize,
     ) -> io::Result<StreamingCsrWriter> {
-        let mut file = File::create(path)?;
+        let file_tmp_path = sibling(path, ".tmp");
+        let mut file = File::create(&file_tmp_path)?;
         // Values stream straight to their final position — everything
         // before them (header + offsets) has a size known up front.
         let vals_off = HEADER_LEN as u64 + (num_rows as u64 + 1) * 8;
         file.seek(SeekFrom::Start(vals_off))?;
-        let cols_tmp_path = path.with_extension("cols.tmp");
+        let cols_tmp_path = sibling(path, ".cols.tmp");
         let cols_tmp = File::create(&cols_tmp_path)?;
         let mut offsets = Vec::with_capacity(num_rows + 1);
         offsets.push(0u64);
         Ok(StreamingCsrWriter {
+            path: path.to_path_buf(),
             file,
+            file_tmp_path,
             cols_tmp,
             cols_tmp_path,
             kind,
@@ -538,7 +552,8 @@ impl StreamingCsrWriter {
     }
 
     /// Splice the sections together, back-patch the header and offsets,
-    /// and remove the scratch file.
+    /// fsync, and rename the finished file over the target (then fsync
+    /// its directory); the column scratch file is removed.
     pub fn finish(mut self) -> io::Result<()> {
         assert_eq!(
             self.offsets.len(),
@@ -584,10 +599,34 @@ impl StreamingCsrWriter {
         front.flush()?;
         drop(front);
         self.file.sync_all()?;
+        drop(self.file);
         drop(self.cols_tmp);
         std::fs::remove_file(&self.cols_tmp_path)?;
-        Ok(())
+        std::fs::rename(&self.file_tmp_path, &self.path)?;
+        sync_parent_dir(&self.path)
     }
+}
+
+/// fsync the directory holding `path`, so that a rename into it
+/// survives a crash.
+#[cfg(unix)]
+fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    let dir = path.parent().filter(|d| !d.as_os_str().is_empty()).unwrap_or(Path::new("."));
+    File::open(dir)?.sync_all()
+}
+
+#[cfg(not(unix))]
+fn sync_parent_dir(_path: &Path) -> io::Result<()> {
+    Ok(())
+}
+
+/// `path` with `suffix` appended to its file name. The writer's scratch
+/// files sit in the target's directory, so the final rename never
+/// crosses a file system.
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut name = path.file_name().map(OsString::from).unwrap_or_default();
+    name.push(suffix);
+    path.with_file_name(name)
 }
 
 #[cfg(test)]
@@ -766,6 +805,38 @@ mod tests {
             "non-monotone offsets",
         );
 
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A rewrite replaces the file by rename: a reader holding the old
+    /// mapping keeps reading the old values, a fresh open reads the new
+    /// ones, and no scratch file is left behind.
+    #[test]
+    fn rewrite_leaves_live_mapping_on_the_old_file() {
+        let (offsets, cols, vals) = demo_csr(40);
+        let path = temp_path("rewrite");
+        let write = |vals: &[f64]| {
+            write_csr_artifact(
+                &path,
+                ArtifactKind::Similarity,
+                ValueKind::F64,
+                0,
+                &offsets,
+                &cols,
+                vals,
+            )
+            .unwrap()
+        };
+        write(&vals);
+        let old = CsrArtifact::open(&path).unwrap();
+        let new_vals: Vec<f64> = vals.iter().map(|x| x + 1.0).collect();
+        write(&new_vals);
+        assert_eq!(old.vals_f64().unwrap(), vals.as_slice(), "old mapping changed");
+        let fresh = CsrArtifact::open(&path).unwrap();
+        assert_eq!(fresh.offsets(), offsets.as_slice());
+        assert_eq!(fresh.vals_f64().unwrap(), new_vals.as_slice());
+        assert!(!sibling(&path, ".tmp").exists());
+        assert!(!sibling(&path, ".cols.tmp").exists());
         std::fs::remove_file(&path).ok();
     }
 

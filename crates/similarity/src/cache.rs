@@ -10,7 +10,6 @@ use crate::scratch::SimScratch;
 use crate::Similarity;
 use rayon::prelude::*;
 use socialrec_graph::{SocialGraph, UserId};
-use std::io::{self, Read, Write};
 
 /// All similarity sets, row per user, CSR layout.
 ///
@@ -235,157 +234,6 @@ impl SimilarityMatrix {
             self.num_entries() as f64 / self.num_users() as f64
         }
     }
-
-    /// Serialize to a compact little-endian binary stream (building a
-    /// large matrix can dominate a pipeline; caching it on disk lets
-    /// repeated experiments skip the computation).
-    ///
-    /// Elements are converted and written in [`IO_CHUNK_BYTES`]-sized
-    /// batches — one `write_all` per batch rather than one syscall per
-    /// element, which made large-matrix caching I/O-bound.
-    ///
-    /// The stream is versioned: the magic is `"SRSIM"` + an ASCII
-    /// version tag, currently `v2`, which adds a flags word (zero for
-    /// now) after the counts. [`read_from`](SimilarityMatrix::read_from)
-    /// still accepts `v1` streams and rejects unknown versions with an
-    /// explicit error instead of decoding garbage.
-    pub fn write_to<W: Write>(&self, mut w: W) -> io::Result<()> {
-        w.write_all(SIM_MAGIC_V2)?;
-        w.write_all(&(self.num_users() as u64).to_le_bytes())?;
-        w.write_all(&(self.num_entries() as u64).to_le_bytes())?;
-        // v2 flags word, reserved for future use (compression, value
-        // width, ...); readers reject non-zero flags they don't know.
-        w.write_all(&0u32.to_le_bytes())?;
-        let name_bytes = self.name.as_bytes();
-        w.write_all(&(name_bytes.len() as u32).to_le_bytes())?;
-        w.write_all(name_bytes)?;
-        write_chunked(&mut w, &self.offsets, |o| o.to_le_bytes())?;
-        write_chunked(&mut w, &self.neighbors, |v| v.0.to_le_bytes())?;
-        write_chunked(&mut w, &self.scores, |x| x.to_le_bytes())?;
-        Ok(())
-    }
-
-    /// Deserialize a matrix previously written by
-    /// [`write_to`](SimilarityMatrix::write_to).
-    pub fn read_from<R: Read>(mut r: R) -> io::Result<SimilarityMatrix> {
-        let bad = |m: String| io::Error::new(io::ErrorKind::InvalidData, m);
-        let bad_s = |m: &str| io::Error::new(io::ErrorKind::InvalidData, m.to_string());
-        let mut magic = [0u8; 8];
-        r.read_exact(&mut magic)?;
-        if &magic[..5] != b"SRSIM" {
-            return Err(bad_s("not a socialrec similarity-matrix file"));
-        }
-        let version = match &magic {
-            SIM_MAGIC_V1 => 1u32,
-            SIM_MAGIC_V2 => 2u32,
-            _ => {
-                let tag = String::from_utf8_lossy(&magic[5..]).trim_end_matches('\0').to_string();
-                return Err(bad(format!(
-                    "similarity-matrix stream version \"{tag}\" is newer than this reader \
-                     (understands v1 and v2); rebuild the cache or upgrade"
-                )));
-            }
-        };
-        let mut b8 = [0u8; 8];
-        r.read_exact(&mut b8)?;
-        let n = u64::from_le_bytes(b8) as usize;
-        r.read_exact(&mut b8)?;
-        let entries = u64::from_le_bytes(b8) as usize;
-        let mut b4 = [0u8; 4];
-        if version >= 2 {
-            r.read_exact(&mut b4)?;
-            let flags = u32::from_le_bytes(b4);
-            if flags != 0 {
-                return Err(bad(format!("unknown stream flags {flags:#x}")));
-            }
-        }
-        r.read_exact(&mut b4)?;
-        let name_len = u32::from_le_bytes(b4) as usize;
-        if name_len > 64 {
-            return Err(bad_s("implausible measure-name length"));
-        }
-        let mut name_bytes = vec![0u8; name_len];
-        r.read_exact(&mut name_bytes)?;
-        let name_string = String::from_utf8(name_bytes).map_err(|_| bad_s("bad measure name"))?;
-        // Names are interned to the known measure set; unknown names
-        // round-trip as "??" rather than leaking allocations into the
-        // 'static field.
-        let name: &'static str = match name_string.as_str() {
-            "CN" => "CN",
-            "GD" => "GD",
-            "AA" => "AA",
-            "KZ" => "KZ",
-            "JC" => "JC",
-            "SA" => "SA",
-            "RA" => "RA",
-            "HP" => "HP",
-            "PA" => "PA",
-            _ => "??",
-        };
-        let offsets: Vec<u64> = read_chunked(&mut r, n + 1, u64::from_le_bytes)?;
-        if offsets.first() != Some(&0) || offsets.last() != Some(&(entries as u64)) {
-            return Err(bad_s("corrupt offsets"));
-        }
-        if offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err(bad_s("offsets not monotone"));
-        }
-        let neighbors: Vec<UserId> =
-            read_chunked(&mut r, entries, |b| UserId(u32::from_le_bytes(b)))?;
-        let scores: Vec<f64> = read_chunked(&mut r, entries, f64::from_le_bytes)?;
-        Ok(SimilarityMatrix { offsets, neighbors, scores, name })
-    }
-}
-
-/// Magic header of version-1 streams (no flags word); still readable.
-const SIM_MAGIC_V1: &[u8; 8] = b"SRSIMv1\0";
-
-/// Magic header of version-2 streams, the current write format: v1
-/// plus a reserved u32 flags word after the entry count.
-const SIM_MAGIC_V2: &[u8; 8] = b"SRSIMv2\0";
-
-/// Batch size for element-array I/O: elements are converted through a
-/// buffer of this many bytes per `write_all`/`read_exact`, so syscall
-/// count scales with matrix size / 16 KiB instead of per element.
-const IO_CHUNK_BYTES: usize = 16 * 1024;
-
-/// Write `xs` as little-endian bytes in [`IO_CHUNK_BYTES`] batches.
-fn write_chunked<W: Write, T, const N: usize>(
-    w: &mut W,
-    xs: &[T],
-    to_bytes: impl Fn(&T) -> [u8; N],
-) -> io::Result<()> {
-    let per_batch = (IO_CHUNK_BYTES / N).max(1);
-    let mut buf = Vec::with_capacity(per_batch * N);
-    for batch in xs.chunks(per_batch) {
-        buf.clear();
-        for x in batch {
-            buf.extend_from_slice(&to_bytes(x));
-        }
-        w.write_all(&buf)?;
-    }
-    Ok(())
-}
-
-/// Read `count` little-endian elements in [`IO_CHUNK_BYTES`] batches.
-fn read_chunked<R: Read, T, const N: usize>(
-    r: &mut R,
-    count: usize,
-    from_bytes: impl Fn([u8; N]) -> T,
-) -> io::Result<Vec<T>> {
-    let per_batch = (IO_CHUNK_BYTES / N).max(1);
-    let mut buf = vec![0u8; per_batch * N];
-    let mut out = Vec::with_capacity(count);
-    let mut remaining = count;
-    while remaining > 0 {
-        let take = remaining.min(per_batch);
-        let bytes = &mut buf[..take * N];
-        r.read_exact(bytes)?;
-        for chunk in bytes.chunks_exact(N) {
-            out.push(from_bytes(chunk.try_into().expect("chunks_exact yields N bytes")));
-        }
-        remaining -= take;
-    }
-    Ok(out)
 }
 
 #[cfg(test)]
@@ -473,69 +321,6 @@ mod tests {
     }
 
     #[test]
-    fn binary_roundtrip() {
-        let g = planted_communities(&CommunityGraphConfig {
-            num_users: 80,
-            seed: 5,
-            ..Default::default()
-        })
-        .graph;
-        let m = SimilarityMatrix::build(&g, &Measure::AdamicAdar);
-        let mut buf = Vec::new();
-        m.write_to(&mut buf).unwrap();
-        let m2 = SimilarityMatrix::read_from(&buf[..]).unwrap();
-        assert_eq!(m2.num_users(), m.num_users());
-        assert_eq!(m2.num_entries(), m.num_entries());
-        assert_eq!(m2.measure_name(), "AA");
-        for u in 0..80u32 {
-            let (ua, sa) = m.row(UserId(u));
-            let (ub, sb) = m2.row(UserId(u));
-            assert_eq!(ua, ub);
-            assert_eq!(sa, sb);
-        }
-    }
-
-    #[test]
-    fn binary_roundtrip_crosses_io_chunk_boundaries() {
-        // Large enough that the offsets array (n+1 u64s) and the
-        // neighbors/scores arrays all span several IO_CHUNK_BYTES
-        // batches, exercising the batched converters across boundaries.
-        let g = planted_communities(&CommunityGraphConfig {
-            num_users: 2600,
-            num_communities: 8,
-            seed: 11,
-            ..Default::default()
-        })
-        .graph;
-        let m = SimilarityMatrix::build(&g, &Measure::CommonNeighbors);
-        let offsets_per_batch = IO_CHUNK_BYTES / 8;
-        assert!(
-            m.num_users() + 1 > offsets_per_batch,
-            "offsets ({}) must cross the {offsets_per_batch}-element batch boundary",
-            m.num_users() + 1
-        );
-        assert!(
-            m.num_entries() > 2 * offsets_per_batch,
-            "entries ({}) must cross several batch boundaries",
-            m.num_entries()
-        );
-        let mut buf = Vec::new();
-        m.write_to(&mut buf).unwrap();
-        let m2 = SimilarityMatrix::read_from(&buf[..]).unwrap();
-        assert_eq!(m2.num_users(), m.num_users());
-        assert_eq!(m2.num_entries(), m.num_entries());
-        assert_eq!(m2.measure_name(), m.measure_name());
-        for u in (0..m.num_users() as u32).step_by(131) {
-            let (ua, sa) = m.row(UserId(u));
-            let (ub, sb) = m2.row(UserId(u));
-            assert_eq!(ua, ub);
-            assert_eq!(sa, sb);
-        }
-        // Row sums and the sensitivity survive the round trip bit-for-bit.
-        assert_eq!(m.max_total_similarity().to_bits(), m2.max_total_similarity().to_bits());
-    }
-
-    #[test]
     fn max_total_similarity_matches_sequential_fold() {
         let g = planted_communities(&CommunityGraphConfig {
             num_users: 700,
@@ -550,93 +335,6 @@ mod tests {
                 .fold(0.0, f64::max);
             assert_eq!(matrix.max_total_similarity().to_bits(), seq.to_bits(), "{}", m.name());
         }
-    }
-
-    /// Serialize in the legacy v1 layout (no flags word) by hand, so
-    /// the reader's backward-compatibility path stays covered even
-    /// though the writer now emits v2.
-    fn write_v1(m: &SimilarityMatrix, buf: &mut Vec<u8>) {
-        buf.extend_from_slice(SIM_MAGIC_V1);
-        buf.extend_from_slice(&(m.num_users() as u64).to_le_bytes());
-        buf.extend_from_slice(&(m.num_entries() as u64).to_le_bytes());
-        let name = m.measure_name().as_bytes();
-        buf.extend_from_slice(&(name.len() as u32).to_le_bytes());
-        buf.extend_from_slice(name);
-        for &o in &m.offsets {
-            buf.extend_from_slice(&o.to_le_bytes());
-        }
-        for &v in &m.neighbors {
-            buf.extend_from_slice(&v.0.to_le_bytes());
-        }
-        for &s in &m.scores {
-            buf.extend_from_slice(&s.to_le_bytes());
-        }
-    }
-
-    #[test]
-    fn writes_v2_and_still_reads_v1() {
-        let g = planted_communities(&CommunityGraphConfig {
-            num_users: 60,
-            seed: 13,
-            ..Default::default()
-        })
-        .graph;
-        let m = SimilarityMatrix::build(&g, &Measure::CommonNeighbors);
-
-        // The current writer emits v2.
-        let mut v2 = Vec::new();
-        m.write_to(&mut v2).unwrap();
-        assert_eq!(&v2[..8], SIM_MAGIC_V2);
-
-        // A legacy v1 stream decodes to the same matrix.
-        let mut v1 = Vec::new();
-        write_v1(&m, &mut v1);
-        let from_v1 = SimilarityMatrix::read_from(&v1[..]).unwrap();
-        let from_v2 = SimilarityMatrix::read_from(&v2[..]).unwrap();
-        assert_eq!(from_v1.offsets, from_v2.offsets);
-        assert_eq!(from_v1.neighbors, from_v2.neighbors);
-        assert_eq!(from_v1.scores, from_v2.scores);
-        assert_eq!(from_v1.measure_name(), from_v2.measure_name());
-    }
-
-    #[test]
-    fn rejects_future_versions_and_unknown_flags_with_clear_errors() {
-        let g = social_graph_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let m = SimilarityMatrix::build(&g, &CommonNeighbors);
-        let mut buf = Vec::new();
-        m.write_to(&mut buf).unwrap();
-
-        // A version tag from the future is refused by name, not
-        // misparsed as data.
-        let mut future = buf.clone();
-        future[..8].copy_from_slice(b"SRSIMv9\0");
-        let err = SimilarityMatrix::read_from(&future[..]).unwrap_err();
-        assert!(err.to_string().contains("v9"), "error should name the version: {err}");
-        assert!(err.to_string().contains("newer"), "error should say it is newer: {err}");
-
-        // Non-zero reserved flags are refused too.
-        let mut flagged = buf.clone();
-        flagged[24..28].copy_from_slice(&0x10u32.to_le_bytes());
-        let err = SimilarityMatrix::read_from(&flagged[..]).unwrap_err();
-        assert!(err.to_string().contains("flags"), "error should mention flags: {err}");
-
-        // And a non-SRSIM prefix still gets the generic message.
-        let mut other = buf;
-        other[..8].copy_from_slice(b"ZZZZZZZZ");
-        let err = SimilarityMatrix::read_from(&other[..]).unwrap_err();
-        assert!(err.to_string().contains("not a socialrec"), "{err}");
-    }
-
-    #[test]
-    fn binary_rejects_garbage() {
-        assert!(SimilarityMatrix::read_from(&b"not a matrix"[..]).is_err());
-        // Truncated stream.
-        let g = social_graph_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let m = SimilarityMatrix::build(&g, &CommonNeighbors);
-        let mut buf = Vec::new();
-        m.write_to(&mut buf).unwrap();
-        buf.truncate(buf.len() - 4);
-        assert!(SimilarityMatrix::read_from(&buf[..]).is_err());
     }
 
     /// The delta contract, end to end: across random delta sequences,

@@ -4,21 +4,10 @@
 //! The paper caps `d` at 2 ("the number of reachable users explodes
 //! after 2 hops due to the small-world property").
 //!
-//! Two formulations:
-//!
-//! * the retained **scalar BFS loop**
-//!   ([`similarity_set_scalar`](GraphDistance::similarity_set_scalar)):
-//!   scores `1/d` scatter into the dense accumulator in BFS discovery
-//!   order and are sorted at drain time;
-//! * the shipping **gather path**: the BFS labels a per-user depth
-//!   table and appends reached ids to a list; the list is sorted once
-//!   and the depths fetched back through the vectorized
-//!   [`socialrec_simd::gather_u32`], emitting `1/d` directly in sorted
-//!   order.
-//!
-//! Each reached user gets exactly one score — a single rounding of
-//! `1/d` — so the two formulations (and every ISA tier of the gather)
-//! are **bit-identical**, pinned below (DESIGN.md §6d).
+//! Computed by a BFS bounded at `max_distance`: each reached user's
+//! score `1/d` goes into the dense accumulator in discovery order, and
+//! the accumulator drains sorted. BFS reports each user once, at its
+//! shortest depth, so every score is a single rounding of `1/d`.
 
 use crate::scratch::SimScratch;
 use crate::Similarity;
@@ -35,26 +24,6 @@ pub struct GraphDistance {
 impl Default for GraphDistance {
     fn default() -> Self {
         GraphDistance { max_distance: 2 }
-    }
-}
-
-impl GraphDistance {
-    /// The retained scalar BFS formulation — the equivalence reference
-    /// for the gather path (bit-identical; module docs).
-    pub fn similarity_set_scalar(
-        &self,
-        g: &SocialGraph,
-        u: UserId,
-        scratch: &mut SimScratch,
-        out: &mut Vec<(UserId, f64)>,
-    ) {
-        out.clear();
-        assert!(self.max_distance >= 1, "max_distance must be at least 1");
-        let acc = &mut scratch.acc;
-        bfs_within(g, u, self.max_distance, &mut scratch.bfs, |v, d| {
-            acc.add(v.0, 1.0 / d as f64);
-        });
-        acc.drain_sorted_into(u, out);
     }
 }
 
@@ -78,25 +47,11 @@ impl Similarity for GraphDistance {
     ) {
         out.clear();
         assert!(self.max_distance >= 1, "max_distance must be at least 1");
-        let SimScratch { bfs, front_ids, next_ids, depth, .. } = scratch;
-        front_ids.clear();
-        // BFS reports each user once at its shortest depth; label the
-        // depth table and remember who was reached.
-        bfs_within(g, u, self.max_distance, bfs, |v, d| {
-            front_ids.push(v.0);
-            depth[v.index()] = d;
+        let acc = &mut scratch.acc;
+        bfs_within(g, u, self.max_distance, &mut scratch.bfs, |v, d| {
+            acc.add(v.0, 1.0 / d as f64);
         });
-        front_ids.sort_unstable();
-        next_ids.resize(front_ids.len(), 0);
-        socialrec_simd::gather_u32(depth, front_ids, next_ids);
-        for (&v, &d) in front_ids.iter().zip(next_ids.iter()) {
-            out.push((UserId(v), 1.0 / d as f64));
-        }
-        // Leave the depth table zeroed for the next call.
-        for &v in front_ids.iter() {
-            depth[v as usize] = 0;
-        }
-        front_ids.clear();
+        acc.drain_sorted_into(u, out);
     }
 }
 
@@ -154,46 +109,5 @@ mod tests {
         let g = social_graph_from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         let gd = GraphDistance { max_distance: 5 };
         assert_eq!(gd.pair(&g, UserId(0), UserId(2)), 0.0);
-    }
-
-    /// The gather path is bit-identical to the retained scalar BFS loop
-    /// on every available ISA tier: one rounding of `1/d` per reached
-    /// user, same sorted emission order.
-    #[test]
-    fn gather_matches_scalar_bits_on_all_tiers() {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(31);
-        let n = 70usize;
-        let mut edges = Vec::new();
-        for u in 0..n as u32 {
-            for _ in 0..3 {
-                let v = rng.gen_range(0..n as u32);
-                if v != u {
-                    edges.push((u, v));
-                }
-            }
-        }
-        let g = social_graph_from_edges(n, &edges).unwrap();
-        let gd = GraphDistance { max_distance: 3 };
-        let mut scratch = SimScratch::new(n);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        let prev = socialrec_simd::active();
-        for isa in socialrec_simd::Isa::ALL {
-            if !isa.is_available() {
-                continue;
-            }
-            socialrec_simd::force(isa);
-            for u in 0..n as u32 {
-                gd.similarity_set_scalar(&g, UserId(u), &mut scratch, &mut want);
-                gd.similarity_set(&g, UserId(u), &mut scratch, &mut got);
-                assert_eq!(want.len(), got.len(), "isa={} u={u}", isa.name());
-                for ((wv, ws), (gv, gs)) in want.iter().zip(&got) {
-                    assert_eq!(wv, gv, "isa={} u={u}", isa.name());
-                    assert_eq!(ws.to_bits(), gs.to_bits(), "isa={} u={u}", isa.name());
-                }
-            }
-        }
-        socialrec_simd::force(prev);
     }
 }

@@ -4,30 +4,16 @@
 //! geometric damping `α` per hop, truncated at `k` — paper defaults:
 //! `k = 3`, `α = 0.05`.
 //!
-//! Two formulations:
-//!
-//! * the original **scatter walk** (retained as
-//!   [`similarity_set_scatter`](Katz::similarity_set_scatter)): each
-//!   front node `y` scatters `α^l · c(y)` into every neighbor — one
-//!   rounded multiply-add per contributing `y`;
-//! * the shipping **intersection path**: the walk front is kept as a
-//!   sorted `(ids, counts)` pair, the level-`l` walk count
-//!   `c_l(v) = Σ_{y ∈ front ∩ Γ(v)} c_{l-1}(y)` is computed by the
-//!   vectorized [`socialrec_simd::intersect_sum`], and the score
-//!   accumulates the single term `α^l · c_l(v)` per level.
-//!
-//! Walk counts are whole numbers, so the intersection sums are **exact**
-//! (integer-valued f64 sums below 2^53 round to nothing), and the
-//! shipping path is bit-identical across every ISA tier — pinned below.
-//! It is *not* bit-identical to the scatter walk: scatter rounds
-//! `Σ fl(α^l·c_y)` term by term, the intersection path rounds
-//! `fl(α^l·Σc_y)` once. The two differ only in those roundings (same
-//! support, same walk counts), which the equivalence test bounds at
-//! 1e-12 relative.
+//! Computed as a scatter walk: the walk front maps each node `y` to
+//! the number of length-`l` walks `c(y)` from `u` to `y`, and every
+//! front node scatters `c(y)` into the next front and `α^l · c(y)` into
+//! the score of each of its neighbors. Walk counts are whole numbers,
+//! so the fronts are exact; a score adds one rounded term
+//! `α^l · c(y)` per contributing step `y → v`.
 
 use crate::scratch::SimScratch;
 use crate::Similarity;
-use socialrec_graph::{user_ids_as_u32, SocialGraph, UserId};
+use socialrec_graph::{SocialGraph, UserId};
 
 /// The Katz (KZ) measure.
 #[derive(Clone, Copy, Debug)]
@@ -44,12 +30,18 @@ impl Default for Katz {
     }
 }
 
-impl Katz {
-    /// The original scatter-walk formulation, retained as the
-    /// correctness reference for the intersection path (equal support
-    /// and walk counts; scores agree to ≤ 1e-12 relative — see the
-    /// module docs for why not bitwise).
-    pub fn similarity_set_scatter(
+impl Similarity for Katz {
+    fn name(&self) -> &'static str {
+        "KZ"
+    }
+
+    /// A length-`k` walk from `u` that uses a flipped edge must reach
+    /// one of its endpoints within `k-1` hops.
+    fn dirty_radius(&self) -> u32 {
+        self.max_length.saturating_sub(1)
+    }
+
+    fn similarity_set(
         &self,
         g: &SocialGraph,
         u: UserId,
@@ -89,73 +81,6 @@ impl Katz {
             next.clear();
         }
         front.clear();
-        acc.drain_sorted_into(u, out);
-    }
-}
-
-impl Similarity for Katz {
-    fn name(&self) -> &'static str {
-        "KZ"
-    }
-
-    /// A length-`k` walk from `u` that uses a flipped edge must reach
-    /// one of its endpoints within `k-1` hops.
-    fn dirty_radius(&self) -> u32 {
-        self.max_length.saturating_sub(1)
-    }
-
-    fn similarity_set(
-        &self,
-        g: &SocialGraph,
-        u: UserId,
-        scratch: &mut SimScratch,
-        out: &mut Vec<(UserId, f64)>,
-    ) {
-        out.clear();
-        assert!(self.max_length >= 1, "max_length must be at least 1");
-        assert!(self.alpha > 0.0, "alpha must be positive");
-
-        let SimScratch { acc, cand, front_ids, front_counts, next_ids, next_counts, .. } = scratch;
-        front_ids.clear();
-        front_counts.clear();
-
-        // Length-1 walks: the front is Γ(u), already sorted, count 1.
-        let mut alpha_l = self.alpha;
-        for &v in g.neighbors(u) {
-            front_ids.push(v.0);
-            front_counts.push(1.0);
-            acc.add(v.0, alpha_l);
-        }
-
-        for _l in 2..=self.max_length {
-            if front_ids.is_empty() {
-                break;
-            }
-            alpha_l *= self.alpha;
-            // Next front support: distinct neighbors of the front.
-            for &y in front_ids.iter() {
-                for &v in g.neighbors(UserId(y)) {
-                    cand.insert(v.0);
-                }
-            }
-            cand.sort();
-            next_ids.clear();
-            next_counts.clear();
-            for &v in cand.list() {
-                let nb = user_ids_as_u32(g.neighbors(UserId(v)));
-                // Exact: walk counts are whole numbers below 2^53.
-                let count = socialrec_simd::intersect_sum(front_ids, front_counts, nb);
-                debug_assert!(count >= 1.0);
-                next_ids.push(v);
-                next_counts.push(count);
-                acc.add(v, alpha_l * count);
-            }
-            cand.clear();
-            std::mem::swap(front_ids, next_ids);
-            std::mem::swap(front_counts, next_counts);
-        }
-        front_ids.clear();
-        front_counts.clear();
         acc.drain_sorted_into(u, out);
     }
 }
@@ -229,80 +154,5 @@ mod tests {
             let set = Katz::default().similarity_set_vec(&g, UserId(u));
             assert!(set.iter().all(|&(v, _)| v != UserId(u)));
         }
-    }
-
-    fn random_graph(seed: u64, n: usize) -> SocialGraph {
-        use rand::rngs::SmallRng;
-        use rand::{Rng, SeedableRng};
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let mut edges = vec![(0u32, 1u32)]; // keep a pendant
-        for u in 2..n as u32 {
-            for _ in 0..4 {
-                let v = rng.gen_range(2..n as u32);
-                if v != u {
-                    edges.push((u, v));
-                }
-            }
-        }
-        social_graph_from_edges(n, &edges).unwrap()
-    }
-
-    /// The intersection path matches the retained scatter walk: same
-    /// support, same (exact) walk counts, scores within 1e-12 relative
-    /// (the two round the per-level terms differently; module docs).
-    #[test]
-    fn intersection_matches_scatter_within_tolerance() {
-        let n = 60usize;
-        let g = random_graph(11, n);
-        let kz = Katz { max_length: 4, alpha: 0.05 };
-        let mut scratch = SimScratch::new(n);
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        for u in 0..n as u32 {
-            kz.similarity_set_scatter(&g, UserId(u), &mut scratch, &mut want);
-            kz.similarity_set(&g, UserId(u), &mut scratch, &mut got);
-            assert_eq!(want.len(), got.len(), "support mismatch at u={u}");
-            for ((wv, ws), (gv, gs)) in want.iter().zip(&got) {
-                assert_eq!(wv, gv, "support mismatch at u={u}");
-                let rel = (ws - gs).abs() / ws.abs().max(1e-300);
-                assert!(rel <= 1e-12, "u={u} v={wv:?}: {ws} vs {gs} (rel {rel:e})");
-            }
-        }
-    }
-
-    /// The shipping intersection path is bit-identical across every
-    /// available ISA tier (DESIGN.md §6d): the walk-count sums are exact
-    /// and the per-level accumulation order is fixed, so Scalar is the
-    /// reference the wide tiers must reproduce bitwise.
-    #[test]
-    fn intersection_bits_identical_on_all_tiers() {
-        let n = 60usize;
-        let g = random_graph(23, n);
-        let kz = Katz { max_length: 3, alpha: 0.05 };
-        let mut scratch = SimScratch::new(n);
-        let prev = socialrec_simd::active();
-        socialrec_simd::force(socialrec_simd::Isa::Scalar);
-        let mut reference: Vec<Vec<(UserId, f64)>> = Vec::new();
-        for u in 0..n as u32 {
-            let mut row = Vec::new();
-            kz.similarity_set(&g, UserId(u), &mut scratch, &mut row);
-            reference.push(row);
-        }
-        let mut got = Vec::new();
-        for isa in socialrec_simd::Isa::ALL {
-            if !isa.is_available() {
-                continue;
-            }
-            socialrec_simd::force(isa);
-            for u in 0..n as u32 {
-                kz.similarity_set(&g, UserId(u), &mut scratch, &mut got);
-                let want = &reference[u as usize];
-                assert_eq!(want.len(), got.len(), "isa={} u={u}", isa.name());
-                for ((wv, ws), (gv, gs)) in want.iter().zip(&got) {
-                    assert_eq!(wv, gv, "isa={} u={u}", isa.name());
-                    assert_eq!(ws.to_bits(), gs.to_bits(), "isa={} u={u}", isa.name());
-                }
-            }
-        }
-        socialrec_simd::force(prev);
     }
 }

@@ -1,9 +1,11 @@
 //! Reusable per-thread scratch buffers for similarity computation.
 //!
-//! The measures accumulate into dense `f64` arrays indexed by user id,
-//! tracking which slots were touched so that clearing costs O(touched)
-//! instead of O(|U|). One scratch per worker thread; no allocation in
-//! the per-user hot loop.
+//! Every paper measure scatters its scores into a dense `f64`
+//! accumulator indexed by user id: CN and AA from two-step walks, Katz
+//! from walk fronts held in two more accumulators, and Graph Distance
+//! from a bounded BFS. Each accumulator tracks which slots were touched,
+//! so that clearing costs O(touched) instead of O(|U|). One scratch per
+//! worker thread; no allocation in the per-user hot loop.
 
 use socialrec_graph::traversal::BfsScratch;
 use socialrec_graph::UserId;
@@ -67,53 +69,6 @@ impl DenseAccumulator {
     }
 }
 
-/// Deduplicating candidate collector: byte marks plus a touched list,
-/// so gathering the distinct two-hop neighborhood costs O(walk) and
-/// clearing costs O(candidates). Feeds the intersection-formulated
-/// CN/AA paths.
-#[derive(Clone, Debug)]
-pub struct CandidateSet {
-    marks: Vec<bool>,
-    list: Vec<u32>,
-}
-
-impl CandidateSet {
-    /// Candidate set over `n` slots, all unmarked.
-    pub fn new(n: usize) -> Self {
-        CandidateSet { marks: vec![false; n], list: Vec::new() }
-    }
-
-    /// Mark `idx` as a candidate (idempotent).
-    #[inline]
-    pub fn insert(&mut self, idx: u32) {
-        let m = &mut self.marks[idx as usize];
-        if !*m {
-            *m = true;
-            self.list.push(idx);
-        }
-    }
-
-    /// Sort the candidate list ascending.
-    pub fn sort(&mut self) {
-        self.list.sort_unstable();
-    }
-
-    /// The distinct candidates inserted since the last clear, in
-    /// insertion order unless [`sort`](Self::sort) was called.
-    #[inline]
-    pub fn list(&self) -> &[u32] {
-        &self.list
-    }
-
-    /// Unmark everything and empty the list.
-    pub fn clear(&mut self) {
-        for &idx in &self.list {
-            self.marks[idx as usize] = false;
-        }
-        self.list.clear();
-    }
-}
-
 /// All scratch state a similarity measure may need.
 #[derive(Clone, Debug)]
 pub struct SimScratch {
@@ -125,24 +80,6 @@ pub struct SimScratch {
     pub next: DenseAccumulator,
     /// BFS state for distance-bounded measures.
     pub bfs: BfsScratch,
-    /// Two-hop candidate collector for intersection-based measures.
-    pub cand: CandidateSet,
-    /// Per-call weight row parallel to Γ(u) (Adamic/Adar).
-    pub row_weights: Vec<f64>,
-    /// Sorted walk-front ids (intersection-formulated Katz); doubles as
-    /// the sorted reached list for the gather-formulated Graph Distance.
-    pub front_ids: Vec<u32>,
-    /// Walk counts parallel to `front_ids` (Katz).
-    pub front_counts: Vec<f64>,
-    /// Next-front staging ids (Katz); doubles as the gathered depth
-    /// buffer for Graph Distance.
-    pub next_ids: Vec<u32>,
-    /// Next-front staging counts (Katz).
-    pub next_counts: Vec<f64>,
-    /// Per-user depth labels for the gather-formulated Graph Distance
-    /// path. Entries are only valid for users in the reached list and
-    /// are zeroed again before the call returns.
-    pub depth: Vec<u32>,
 }
 
 impl SimScratch {
@@ -153,13 +90,6 @@ impl SimScratch {
             front: DenseAccumulator::new(num_users),
             next: DenseAccumulator::new(num_users),
             bfs: BfsScratch::new(num_users),
-            cand: CandidateSet::new(num_users),
-            row_weights: Vec::new(),
-            front_ids: Vec::new(),
-            front_counts: Vec::new(),
-            next_ids: Vec::new(),
-            next_counts: Vec::new(),
-            depth: vec![0; num_users],
         }
     }
 }
