@@ -60,8 +60,8 @@ COMMANDS
                [--out BENCH_serve.json]
                [--smoke (tiny scale, no speedup gate)]
                [--introspect PORT (0 = ephemeral; serve /metrics,
-               /metrics.json, /health, /ledger, /events on 127.0.0.1
-               and probe them under load)]
+               /health, /ledger, /events on 127.0.0.1 and probe them
+               under load)]
                [--introspect-out PREFIX (dump the mid-run + final
                /metrics scrapes and the /events journal tail to
                PREFIX.metrics.prev.txt / PREFIX.metrics.txt /
@@ -111,9 +111,11 @@ COMMANDS
                [--path BENCH_pipeline.json]
   validate-metrics  Check introspection scrape dumps: Prometheus
                exposition shape (socialrec_-prefixed names, declared
-               types, finite values), counter monotonicity against an
-               earlier scrape of the same process, and the journal
-               tail's JSONL event schema
+               types, finite values), histogram families (cumulative
+               buckets, +Inf = _count, a shard query_ns histogram),
+               counter and histogram monotonicity against an earlier
+               scrape of the same process, and the journal tail's
+               JSONL event schema
                --metrics FILE  [--previous FILE]  [--events FILE]
   validate-trace  Check a --trace Chrome trace artifact with the
                exporter self-check; optionally require span names

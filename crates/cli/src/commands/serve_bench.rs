@@ -103,22 +103,10 @@ struct Slo {
 
 impl_to_json!(Slo { coalescing_speedup, speedup_gate_bound, met });
 
-/// Mid-run live-telemetry roll-up. `windowed_p99_ns` is the trailing
-/// 5m windowed ~p99 snapshotted right after the closed loop (the whole
-/// phase fits the window, so it covers exactly those queries);
-/// `exact_p99_ns` is the nearest-rank (`ceil(0.99 n)`, the histogram's
-/// own rank convention) quantile over the same queries' per-sample
-/// latencies; `within_bound` asserts the sub-bucket contract
-/// `0.75 × exact ≤ windowed ≤ 1.25 × exact` (the lower slack absorbs
-/// the bench's outer-vs-inner timer skew). Journal counts and the
-/// bit-exact ledger check cover the whole run.
+/// Operational roll-up of the whole run: the journal's counts, whether
+/// the introspection endpoint was probed under load, and the bit-exact
+/// `/ledger` verdict.
 struct Live {
-    windowed_p99_ns: u64,
-    exact_p99_ns: u64,
-    within_bound: bool,
-    windowed_queries: u64,
-    windowed_qps: f64,
-    slo_worst: String,
     journal_emitted: u64,
     journal_dropped: u64,
     hot_swap_events: u64,
@@ -128,12 +116,6 @@ struct Live {
 }
 
 impl_to_json!(Live {
-    windowed_p99_ns,
-    exact_p99_ns,
-    within_bound,
-    windowed_queries,
-    windowed_qps,
-    slo_worst,
     journal_emitted,
     journal_dropped,
     hot_swap_events,
@@ -276,7 +258,7 @@ fn drive_closed<F: Fn(UserId, u64) + Sync>(
                         // Acquire pairs with `mid_run`'s Release store: a
                         // client that reads the new seed sees its publish.
                         let qseed = seed.load(Ordering::Acquire);
-                        let u = UserId(zipf.sample(&mut rng) as u32);
+                        let u = zipf.sample_user(&mut rng);
                         let t = Instant::now();
                         serve(u, qseed);
                         lats.push(elapsed_ns(t));
@@ -326,7 +308,7 @@ fn drive_open<F: Fn(UserId, u64) + Sync>(
                         if target > now {
                             std::thread::sleep(target - now);
                         }
-                        let u = UserId(zipf.sample(&mut rng) as u32);
+                        let u = zipf.sample_user(&mut rng);
                         serve(u, seed);
                         lats.push(elapsed_ns(target));
                     }
@@ -411,6 +393,10 @@ fn check_equivalence(
     Ok(())
 }
 
+/// The `/metrics` family of shard 0's latency histogram: present from
+/// the daemon's construction, so a mid-run scrape always carries it.
+const SHARD_LATENCY_FAMILY: &str = "# TYPE socialrec_serve_shard0_query_ns histogram";
+
 fn counter_sum(snap: &socialrec_obs::RegistrySnapshot, suffix: &str) -> u64 {
     snap.counters.iter().filter(|(n, _)| n.ends_with(suffix)).map(|(_, v)| *v).sum()
 }
@@ -440,11 +426,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     let threads = rayon::current_num_threads();
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);
     let trace = TraceSink::init(args);
-    // Live telemetry is always armed for the bench: the windowed-p99
-    // and journal assertions below are part of the run's self-checks.
+    // The journal is always armed for the bench: its hot-swap
+    // assertions below are part of the run's self-checks.
     socialrec_obs::arm_live();
     socialrec_obs::Journal::global().reset();
-    socialrec_obs::LiveTelemetry::global().reset();
 
     eprintln!("generating flixster_like(scale={scale}, seed={seed})...");
     let ds = flixster_like(scale, seed);
@@ -479,12 +464,11 @@ pub fn run(args: &Args) -> Result<(), String> {
     daemon.publish_release(seed_a, release_a);
 
     // The introspection endpoint (when requested) serves the daemon's
-    // registry plus the process-global live windows, journal, and
-    // ledger; the same config renders the ledger locally on
-    // introspection-less runs so the bit-exactness check always runs.
+    // registry plus the process-global journal and ledger; the same
+    // config renders the ledger locally on introspection-less runs so
+    // the bit-exactness check always runs.
     let introspect_cfg = socialrec_obs::IntrospectConfig {
         registry: daemon.registry_handle(),
-        slos: socialrec_obs::SloTracker::serving_defaults(Duration::from_millis(250), 0.01),
         epsilon_budget: None,
     };
     let introspect = match introspect_port {
@@ -535,37 +519,29 @@ pub fn run(args: &Args) -> Result<(), String> {
     if let Some(handle) = probe {
         let (metrics, health) = handle.join().expect("introspection probe panicked");
         match metrics {
-            Ok((200, body)) if body.contains("socialrec_live_") => probe_metrics_body = body,
+            Ok((200, body)) if body.contains(SHARD_LATENCY_FAMILY) => probe_metrics_body = body,
             other => return Err(format!("mid-run /metrics probe failed: {other:?}")),
         }
         match health {
-            Ok((200, body)) if body.contains("\"status\":\"") => {}
+            Ok((200, body)) if body.contains("\"status\":\"ok\"") => {}
             other => return Err(format!("mid-run /health probe failed: {other:?}")),
         }
     }
 
-    // Windowed live stats, snapshotted before any later phase records
-    // more queries: the trailing 5m window covers the whole closed
-    // loop, so its merged histogram holds exactly these samples and
-    // the sub-bucket contract binds its ~p99 to the exact one.
-    let live_telemetry = socialrec_obs::LiveTelemetry::global();
-    let windowed = live_telemetry.query_latency.snapshot(socialrec_obs::window::LIVE_SLOW_K);
+    // The daemon's registry, before any later phase adds traffic. Each
+    // single query is timed once, into its shard's `query_ns`, so the
+    // shard histograms must hold exactly the closed loop's queries.
+    let snap = daemon.registry().snapshot();
+    let recorded: u64 = snap
+        .histograms
+        .iter()
+        .filter(|(name, _)| name.ends_with(".query_ns"))
+        .map(|(_, h)| h.count)
+        .sum();
     let served = (clients * requests) as u64;
-    if windowed.count != served {
+    if recorded != served {
         return Err(format!(
-            "live window lost queries: {} recorded, {served} served",
-            windowed.count
-        ));
-    }
-    let rank = ((0.99 * lat.len() as f64).ceil() as usize).clamp(1, lat.len());
-    let exact_p99_ns = lat[rank - 1];
-    let windowed_p99_ns = windowed.p99.as_nanos().min(u64::MAX as u128) as u64;
-    let within_bound =
-        windowed_p99_ns * 4 <= exact_p99_ns.max(1) * 5 && windowed_p99_ns * 4 >= exact_p99_ns * 3;
-    if !within_bound {
-        return Err(format!(
-            "windowed ~p99 {windowed_p99_ns} ns is outside the sub-bucket error band of the \
-             exact p99 {exact_p99_ns} ns"
+            "shard latency histograms lost queries: {recorded} recorded, {served} served"
         ));
     }
 
@@ -591,9 +567,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    // Coalescing efficiency of the closed-loop phase (the snapshot is
-    // taken before any other phase adds traffic).
-    let snap = daemon.registry().snapshot();
+    // Coalescing efficiency of the closed-loop phase, from the same
+    // snapshot.
     let (queries, admissions) = (counter_sum(&snap, ".queries"), counter_sum(&snap, ".admissions"));
     let coalesced_queries = counter_sum(&snap, ".coalesced");
     let coalescing = Coalescing {
@@ -719,21 +694,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    let slo_worst = introspect_cfg
-        .slos
-        .evaluate(live_telemetry)
-        .into_iter()
-        .map(|s| s.state)
-        .max_by_key(|s| *s as u8)
-        .map(|s| s.as_str().to_string())
-        .unwrap_or_else(|| "ok".to_string());
     let live = Live {
-        windowed_p99_ns,
-        exact_p99_ns,
-        within_bound,
-        windowed_queries: windowed.count,
-        windowed_qps: windowed.qps,
-        slo_worst,
         journal_emitted: journal.emitted(),
         journal_dropped: journal.dropped(),
         hot_swap_events,
@@ -822,11 +783,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         report.release_epochs
     );
     println!(
-        "  live       : windowed ~p99 {} ns (exact {} ns), slo {}, journal {} events \
-         ({} hot swaps, {} releases){}",
-        report.live.windowed_p99_ns,
-        report.live.exact_p99_ns,
-        report.live.slo_worst,
+        "  live       : journal {} events ({} hot swaps, {} releases){}",
         report.live.journal_emitted,
         report.live.hot_swap_events,
         report.live.release_published_events,
@@ -899,11 +856,8 @@ mod tests {
             "\"requested\"",
             "\"memory\"",
             "\"live\"",
-            "\"within_bound\": true",
             "\"introspect_probed\": true",
             "\"ledger_bits_match\": true",
-            "\"slo_worst\"",
-            "\"windowed_p99_ns\"",
             "\"journal_emitted\"",
         ] {
             assert!(body.contains(key), "artifact missing {key}: {body}");
@@ -924,8 +878,8 @@ mod tests {
         let metrics_final =
             std::fs::read_to_string(format!("{}.metrics.txt", scrape_prefix.display())).unwrap();
         for scrape in [&metrics_prev, &metrics_final] {
-            assert!(scrape.contains("socialrec_live_qps"), "scrape missing live gauges");
-            assert!(scrape.contains("# TYPE"), "scrape missing TYPE lines");
+            assert!(scrape.contains(SHARD_LATENCY_FAMILY), "scrape missing the shard histogram");
+            assert!(scrape.contains("socialrec_serve_shard0_query_ns_bucket{le=\"+Inf\"}"));
         }
         let events =
             std::fs::read_to_string(format!("{}.events.jsonl", scrape_prefix.display())).unwrap();

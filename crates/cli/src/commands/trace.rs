@@ -29,9 +29,8 @@ pub struct TraceSink {
 impl TraceSink {
     /// Parse `--trace` and, when present, arm the observability layer:
     /// reset the privacy ledger, discard stale span buffers and journal
-    /// events, enable span recording, and arm live telemetry (so traced
-    /// runs capture operational events — hot swaps, refusals, restarts —
-    /// in the journal).
+    /// events, enable span recording, and arm the journal (so traced
+    /// runs capture operational events — hot swaps, refusals, restarts).
     pub fn init(args: &Args) -> TraceSink {
         let path = args.get_str("trace").map(String::from);
         if path.is_some() {

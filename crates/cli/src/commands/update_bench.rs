@@ -245,28 +245,22 @@ fn ms(t: Instant) -> f64 {
 /// departures) between popularity-sampled users, plus `pref` preference
 /// toggles of popular users onto uniform items.
 ///
-/// The Zipf rank is spread over the ID space with a multiplicative
-/// hash: churn popularity is skewed (the same few users keep changing),
-/// but *which* users churn is independent of the generator's ID order —
-/// low IDs are the synthetic graph's planted hubs, and tying churn rate
-/// to graph degree would make every delta a worst-case hub delta.
-fn churn_user(rng: &mut SmallRng, zipf: &Zipf, num_users: usize) -> UserId {
-    let rank = zipf.sample(rng) as u64;
-    UserId((rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % num_users as u64) as u32)
-}
-
+/// Users come from [`Zipf::sample_user`]: churn popularity is skewed
+/// (the same few users keep changing), but *which* users churn is
+/// independent of the generator's ID order — low IDs are the synthetic
+/// graph's planted hubs, and tying churn rate to graph degree would make
+/// every delta a worst-case hub delta.
 fn churn_delta(
     rng: &mut SmallRng,
     zipf: &Zipf,
-    num_users: usize,
     num_items: usize,
     social: usize,
     pref: usize,
 ) -> GraphDelta {
     let mut d = GraphDelta::new();
     while d.num_social() < social {
-        let u = churn_user(rng, zipf, num_users);
-        let v = churn_user(rng, zipf, num_users);
+        let u = zipf.sample_user(rng);
+        let v = zipf.sample_user(rng);
         if u == v {
             continue;
         }
@@ -277,7 +271,7 @@ fn churn_delta(
         }
     }
     for _ in 0..pref {
-        let u = churn_user(rng, zipf, num_users);
+        let u = zipf.sample_user(rng);
         let i = ItemId(rng.gen_range(0..num_items as u32));
         if rng.gen_bool(0.8) {
             d.add_preference(u, i);
@@ -369,8 +363,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     // dirty-row update and one discarded from-scratch build. Nothing
     // here mutates the carried state or spends budget.
     {
-        let warm =
-            churn_delta(&mut rng, &zipf, num_users, num_items, social_per_round, pref_per_round);
+        let warm = churn_delta(&mut rng, &zipf, num_items, social_per_round, pref_per_round);
         let (gw, srw) = warm.apply_social(&g).map_err(|e| e.to_string())?;
         let dirty = dirty_rows(measure.as_ref(), &g, &gw, &srw.touched);
         let _ = sim.update_rows(&gw, measure.as_ref(), &dirty);
@@ -382,8 +375,7 @@ pub fn run(args: &Args) -> Result<(), String> {
          Zipf toggles, incremental vs full rebuild..."
     );
     for round in 0..num_rounds {
-        let delta =
-            churn_delta(&mut rng, &zipf, num_users, num_items, social_per_round, pref_per_round);
+        let delta = churn_delta(&mut rng, &zipf, num_items, social_per_round, pref_per_round);
         let seed_t = seed.wrapping_add(100 + round as u64);
 
         // Incremental path: row-patched graphs, dirty-row similarity
@@ -496,7 +488,7 @@ pub fn run(args: &Args) -> Result<(), String> {
          publishes generation {gen_b:#x}..."
     );
     let current_seed = AtomicU64::new(seed_a);
-    let delta2 = churn_delta(&mut rng, &zipf, num_users, num_items, 0, (pref_per_round * 2).max(2));
+    let delta2 = churn_delta(&mut rng, &zipf, num_items, 0, (pref_per_round * 2).max(2));
     let t_phase = Instant::now();
     let mut refresh_under_load_ms = 0.0f64;
     let mut refresh_result: Result<(), String> = Ok(());
@@ -509,7 +501,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                     let mut lats = Vec::with_capacity(requests);
                     for _ in 0..requests {
                         let qseed = current_seed.load(Ordering::Relaxed);
-                        let u = UserId(zipf.sample(&mut rng) as u32);
+                        let u = zipf.sample_user(&mut rng);
                         let t = Instant::now();
                         daemon.recommend_one(inputs, u, n, qseed);
                         lats.push(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
@@ -593,9 +585,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         )
     };
 
-    // On traced runs (live telemetry armed) the two refusals above must
-    // also have landed in the operational journal, one per reason code —
-    // a refusal an operator can't see on `/events` is a silent outage.
+    // On traced runs (journal armed) the two refusals above must also
+    // have landed in the operational journal, one per reason code — a
+    // refusal an operator can't see on `/events` is a silent outage.
     if trace.active() {
         if let Epsilon::Finite(_) = epsilon {
             use socialrec_obs::journal::{REFUSAL_BUDGET_EXCEEDED, REFUSAL_SCHEDULE_EXHAUSTED};

@@ -7,12 +7,17 @@
 //! scraper would reject: exposition lines must be `# HELP` / `# TYPE`
 //! comments or `name[{labels}] value` samples, names must stay in the
 //! `socialrec_`-prefixed `[a-zA-Z0-9_:]` charset, every sample needs a
-//! preceding `# TYPE`, and every value must parse as a finite number
-//! (counters additionally non-negative). With `--previous` (an earlier
-//! scrape of the same process), counter series must be monotone
-//! non-decreasing — the one invariant that distinguishes a counter from
-//! a gauge on the wire. With `--events`, the journal tail must be one
-//! JSON object per line carrying `seq`/`t_ns` and a known `event` name.
+//! preceding `# TYPE` — its own or, for a `_bucket`, `_sum` or `_count`
+//! series, its histogram family's — and every value must parse as a
+//! finite number (counters additionally non-negative). In each histogram
+//! family the cumulative buckets must not decrease as `le` grows and the
+//! `+Inf` bucket must equal `_count`; every dump must carry at least one
+//! `socialrec_serve_shard<i>_query_ns` histogram. With `--previous` (an
+//! earlier scrape of the same process), counter and histogram series
+//! must be monotone non-decreasing — the invariant that distinguishes
+//! them from a gauge on the wire. With `--events`, the journal tail must
+//! be one JSON object per line carrying `seq`/`t_ns` and a known `event`
+//! name.
 
 use socialrec_experiments::Args;
 use std::collections::HashMap;
@@ -27,26 +32,24 @@ const KNOWN_EVENTS: [&str; 5] = [
     "coalesce_requeue",
 ];
 
-/// One parsed exposition: `name -> declared type` and
-/// `series key (name + label set) -> value`.
+/// One parsed exposition: `name -> declared type`,
+/// `series key (name + label set) -> value`, and each histogram
+/// family's `(le, cumulative count)` buckets.
 #[derive(Debug)]
 struct Exposition {
     types: HashMap<String, String>,
     samples: HashMap<String, f64>,
+    buckets: HashMap<String, Vec<(f64, f64)>>,
 }
 
 /// Run the command.
 pub fn run(args: &Args) -> Result<(), String> {
     let metrics_path =
         args.get_str("metrics").ok_or("validate-metrics requires --metrics FILE")?.to_string();
-    let body = std::fs::read_to_string(&metrics_path)
-        .map_err(|e| format!("reading {metrics_path}: {e}"))?;
-    let current = parse_exposition(&body).map_err(|e| format!("{metrics_path}: {e}"))?;
+    let current = read_scrape(&metrics_path)?;
 
     if let Some(prev_path) = args.get_str("previous") {
-        let prev_body =
-            std::fs::read_to_string(prev_path).map_err(|e| format!("reading {prev_path}: {e}"))?;
-        let previous = parse_exposition(&prev_body).map_err(|e| format!("{prev_path}: {e}"))?;
+        let previous = read_scrape(prev_path)?;
         check_monotone(&current, &previous)
             .map_err(|e| format!("{metrics_path} vs {prev_path}: {e}"))?;
     }
@@ -65,13 +68,47 @@ pub fn run(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// Read and parse one `/metrics` dump, which must carry at least one
+/// shard latency histogram.
+fn read_scrape(path: &str) -> Result<Exposition, String> {
+    let body = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
+    let exp = parse_exposition(&body).map_err(|e| format!("{path}: {e}"))?;
+    let shard_latency = |(name, kind): (&String, &String)| {
+        kind == "histogram"
+            && name.starts_with("socialrec_serve_shard")
+            && name.ends_with("_query_ns")
+    };
+    if !exp.types.iter().any(shard_latency) {
+        return Err(format!("{path}: no socialrec_serve_shard<i>_query_ns histogram"));
+    }
+    Ok(exp)
+}
+
+/// The histogram family a `_bucket`, `_sum` or `_count` series name
+/// belongs to.
+fn histogram_family(name: &str) -> Option<&str> {
+    ["_bucket", "_sum", "_count"].iter().find_map(|suffix| name.strip_suffix(suffix))
+}
+
+/// The declared type governing samples named `name`: its own `# TYPE`,
+/// or `histogram` for a series of a declared histogram family.
+fn declared_type<'a>(types: &'a HashMap<String, String>, name: &str) -> Option<&'a str> {
+    types.get(name).map(String::as_str).or_else(|| {
+        histogram_family(name)
+            .and_then(|family| types.get(family))
+            .map(String::as_str)
+            .filter(|&kind| kind == "histogram")
+    })
+}
+
 fn is_valid_name(name: &str) -> bool {
     name.starts_with("socialrec_")
         && name.chars().all(|c| c.is_ascii_alphanumeric() || c == '_' || c == ':')
 }
 
 fn parse_exposition(body: &str) -> Result<Exposition, String> {
-    let mut exp = Exposition { types: HashMap::new(), samples: HashMap::new() };
+    let mut exp =
+        Exposition { types: HashMap::new(), samples: HashMap::new(), buckets: HashMap::new() };
     for (k, line) in body.lines().enumerate() {
         let lineno = k + 1;
         let line = line.trim_end();
@@ -101,9 +138,7 @@ fn parse_exposition(body: &str) -> Result<Exposition, String> {
         if !is_valid_name(name) {
             return Err(format!("line {lineno}: bad metric name {name:?}"));
         }
-        let kind = exp
-            .types
-            .get(name)
+        let kind = declared_type(&exp.types, name)
             .ok_or_else(|| format!("line {lineno}: sample {name:?} has no preceding # TYPE"))?;
         let v: f64 = value
             .parse()
@@ -114,6 +149,19 @@ fn parse_exposition(body: &str) -> Result<Exposition, String> {
         if kind == "counter" && v < 0.0 {
             return Err(format!("line {lineno}: negative counter {name:?} = {value}"));
         }
+        if kind == "histogram" {
+            let family = histogram_family(name).ok_or_else(|| {
+                format!("line {lineno}: histogram sample {name:?} is not _bucket, _sum or _count")
+            })?;
+            if name.ends_with("_bucket") {
+                let le = series
+                    .split_once("{le=\"")
+                    .and_then(|(_, l)| l.strip_suffix("\"}"))
+                    .and_then(|l| l.parse::<f64>().ok())
+                    .ok_or_else(|| format!("line {lineno}: bucket {series:?} has no le label"))?;
+                exp.buckets.entry(family.to_string()).or_default().push((le, v));
+            }
+        }
         if exp.samples.insert(series.to_string(), v).is_some() {
             return Err(format!("line {lineno}: duplicate series {series:?}"));
         }
@@ -121,21 +169,47 @@ fn parse_exposition(body: &str) -> Result<Exposition, String> {
     if exp.samples.is_empty() {
         return Err("no samples in exposition".to_string());
     }
+    check_histograms(&exp)?;
     Ok(exp)
 }
 
-/// Counter series present in both scrapes must not have gone backwards
-/// (the scrapes come from one process; a decrease means the endpoint is
-/// mislabeling a gauge as a counter or losing state between scrapes).
+/// Every histogram family's cumulative buckets must not decrease as
+/// `le` grows, and its `+Inf` bucket must equal its `_count`.
+fn check_histograms(exp: &Exposition) -> Result<(), String> {
+    for (family, _) in exp.types.iter().filter(|(_, kind)| *kind == "histogram") {
+        let mut buckets = exp.buckets.get(family).cloned().unwrap_or_default();
+        buckets.sort_by(|a, b| a.0.total_cmp(&b.0));
+        if let Some(w) = buckets.windows(2).find(|w| w[1].1 < w[0].1) {
+            return Err(format!(
+                "histogram {family}: bucket decreases from {} at le={} to {} at le={}",
+                w[0].1, w[0].0, w[1].1, w[1].0
+            ));
+        }
+        let inf = buckets
+            .last()
+            .filter(|b| b.0 == f64::INFINITY)
+            .ok_or_else(|| format!("histogram {family} has no +Inf bucket"))?
+            .1;
+        let count = exp.samples.get(&format!("{family}_count")).copied();
+        if count != Some(inf) {
+            return Err(format!("histogram {family}: +Inf bucket {inf} != _count {count:?}"));
+        }
+    }
+    Ok(())
+}
+
+/// Counter and histogram series present in both scrapes must not have
+/// gone backwards (the scrapes come from one process; a decrease means
+/// the endpoint is mislabeling a gauge or losing state between scrapes).
 fn check_monotone(current: &Exposition, previous: &Exposition) -> Result<(), String> {
     for (series, &prev_v) in &previous.samples {
         let name = series.split('{').next().unwrap_or(series);
-        if previous.types.get(name).map(String::as_str) != Some("counter") {
+        let Some(kind @ ("counter" | "histogram")) = declared_type(&previous.types, name) else {
             continue;
-        }
+        };
         if let Some(&cur_v) = current.samples.get(series) {
             if cur_v < prev_v {
-                return Err(format!("counter {series:?} went backwards: {prev_v} -> {cur_v}"));
+                return Err(format!("{kind} {series:?} went backwards: {prev_v} -> {cur_v}"));
             }
         }
     }
@@ -178,9 +252,15 @@ mod tests {
     fn valid_exposition() -> &'static str {
         "# TYPE socialrec_serve_shard0_queries counter\n\
          socialrec_serve_shard0_queries 5\n\
-         # TYPE socialrec_live_qps gauge\n\
-         socialrec_live_qps{window=\"10s\"} 120.5\n\
-         socialrec_live_qps{window=\"1m\"} 118.2\n\
+         # TYPE socialrec_serve_shard_generation gauge\n\
+         socialrec_serve_shard_generation{shard=\"0\"} 7\n\
+         socialrec_serve_shard_generation{shard=\"1\"} 6\n\
+         # TYPE socialrec_serve_shard0_query_ns histogram\n\
+         socialrec_serve_shard0_query_ns_bucket{le=\"1023\"} 2\n\
+         socialrec_serve_shard0_query_ns_bucket{le=\"2047\"} 4\n\
+         socialrec_serve_shard0_query_ns_bucket{le=\"+Inf\"} 5\n\
+         socialrec_serve_shard0_query_ns_sum 9000\n\
+         socialrec_serve_shard0_query_ns_count 5\n\
          # TYPE socialrec_journal_emitted counter\n\
          socialrec_journal_emitted 9\n"
     }
@@ -193,8 +273,9 @@ mod tests {
     #[test]
     fn accepts_a_well_formed_exposition() {
         let exp = parse_exposition(valid_exposition()).unwrap();
-        assert_eq!(exp.samples.len(), 4);
-        assert_eq!(exp.types.get("socialrec_live_qps").unwrap(), "gauge");
+        assert_eq!(exp.samples.len(), 9);
+        assert_eq!(exp.types.get("socialrec_serve_shard_generation").unwrap(), "gauge");
+        assert_eq!(exp.buckets["socialrec_serve_shard0_query_ns"].len(), 3);
     }
 
     #[test]
@@ -221,14 +302,37 @@ mod tests {
     }
 
     #[test]
+    fn rejects_malformed_histograms() {
+        // A bucket that decreases as `le` grows.
+        let dipping = valid_exposition().replace("{le=\"2047\"} 4", "{le=\"2047\"} 1");
+        assert!(parse_exposition(&dipping).unwrap_err().contains("bucket decreases"));
+        // A +Inf bucket that disagrees with _count.
+        let miscounted = valid_exposition().replace("query_ns_count 5", "query_ns_count 6");
+        assert!(parse_exposition(&miscounted).unwrap_err().contains("+Inf bucket 5 != _count"));
+        // A _bucket series whose family declared no # TYPE.
+        let orphan =
+            valid_exposition().replace("# TYPE socialrec_serve_shard0_query_ns histogram\n", "");
+        assert!(parse_exposition(&orphan).unwrap_err().contains("no preceding # TYPE"));
+        // A family without +Inf, a bucket without `le`, a bare family sample.
+        let no_inf = valid_exposition().replace("{le=\"+Inf\"} 5", "{le=\"4095\"} 5");
+        assert!(parse_exposition(&no_inf).unwrap_err().contains("no +Inf bucket"));
+        let no_le = valid_exposition().replace("{le=\"1023\"}", "{shard=\"0\"}");
+        assert!(parse_exposition(&no_le).unwrap_err().contains("has no le label"));
+        let bare = valid_exposition().replace("query_ns_sum 9000", "query_ns 9000");
+        assert!(parse_exposition(&bare).unwrap_err().contains("is not _bucket"));
+    }
+
+    #[test]
     fn enforces_counter_monotonicity_only() {
         let prev = parse_exposition(valid_exposition()).unwrap();
-        // Counters grew, gauge fell: fine.
+        // Counters and buckets grew, gauge fell: fine.
         let later = valid_exposition()
             .replace("socialrec_journal_emitted 9", "socialrec_journal_emitted 12")
+            .replace("{le=\"+Inf\"} 5", "{le=\"+Inf\"} 7")
+            .replace("query_ns_count 5", "query_ns_count 7")
             .replace(
-                "socialrec_live_qps{window=\"10s\"} 120.5",
-                "socialrec_live_qps{window=\"10s\"} 3.0",
+                "socialrec_serve_shard_generation{shard=\"0\"} 7",
+                "socialrec_serve_shard_generation{shard=\"0\"} 3",
             );
         let cur = parse_exposition(&later).unwrap();
         check_monotone(&cur, &prev).unwrap();
@@ -236,10 +340,16 @@ mod tests {
         let regressed = valid_exposition()
             .replace("socialrec_journal_emitted 9", "socialrec_journal_emitted 4");
         let cur = parse_exposition(&regressed).unwrap();
-        assert!(check_monotone(&cur, &prev).unwrap_err().contains("went backwards"));
+        assert!(check_monotone(&cur, &prev).unwrap_err().contains("counter"));
+        // So is a histogram bucket going backwards.
+        let bucket_back = valid_exposition().replace("{le=\"1023\"} 2", "{le=\"1023\"} 1");
+        let cur = parse_exposition(&bucket_back).unwrap();
+        let err = check_monotone(&cur, &prev).unwrap_err();
+        assert!(err.contains("histogram") && err.contains("went backwards"), "{err}");
         // A series that disappeared is not an error (scrape sets may
         // differ when a shard is added), only a regression is.
-        let fewer = "# TYPE socialrec_live_qps gauge\nsocialrec_live_qps{window=\"10s\"} 1.0\n";
+        let fewer = "# TYPE socialrec_serve_shard_generation gauge\n\
+                     socialrec_serve_shard_generation{shard=\"0\"} 1.0\n";
         let cur = parse_exposition(fewer).unwrap();
         check_monotone(&cur, &prev).unwrap();
     }
@@ -273,6 +383,14 @@ mod tests {
             events.display()
         );
         run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap();
+        // A dump without a shard latency histogram is refused.
+        std::fs::write(
+            &metrics,
+            "# TYPE socialrec_journal_emitted counter\nsocialrec_journal_emitted 9\n",
+        )
+        .unwrap();
+        let err = run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap_err();
+        assert!(err.contains("_query_ns histogram"), "{err}");
         for f in [&metrics, &previous, &events] {
             std::fs::remove_file(f).ok();
         }

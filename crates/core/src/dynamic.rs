@@ -204,13 +204,9 @@ impl DynamicRecommender {
         Ok(eps)
     }
 
-    /// Journal (and count in the live refusal-rate window) a refused
-    /// release. A no-op when live telemetry is disarmed.
+    /// Journal a refused release. A no-op when the journal is disarmed.
     fn journal_refusal(release_index: usize, reason: u64) {
         journal::emit(EventKind::BudgetRefusal, release_index as u64, reason);
-        if socialrec_obs::live_armed() {
-            socialrec_obs::LiveTelemetry::global().refusals.inc();
-        }
     }
 
     /// Release recommendations for the current snapshot.

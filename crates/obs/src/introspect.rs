@@ -6,14 +6,15 @@
 //! spirit of the workspace's other hand-rolled formats (Chrome traces,
 //! the JSON serializer). Endpoints:
 //!
-//! * `/metrics` — Prometheus-style text exposition: every registry
-//!   counter/gauge/histogram, the trailing-window qps/p50/p99 gauges,
-//!   SLO burn gauges, and journal/ledger totals.
-//! * `/metrics.json` — the same registry snapshot plus the live
-//!   windows, as JSON.
-//! * `/health` — worst SLO state, per-target burn rates, the live
-//!   windows, every gauge (per-shard generation / queue depth /
-//!   inflight), and journal totals.
+//! * `/metrics` — Prometheus text exposition: every registry counter
+//!   and gauge; every registry histogram as a Prometheus histogram
+//!   (cumulative `_bucket{le="…"}` series in nanoseconds, then `+Inf`,
+//!   `_sum` and `_count`) plus its true `_max_ns` gauge; and
+//!   journal/ledger totals. The registry keeps lifetime totals only:
+//!   trailing-window quantiles, rates and burn-rate alerts are the
+//!   scraper's job, e.g.
+//!   `histogram_quantile(0.99, rate(socialrec_serve_shard0_query_ns_bucket[1m]))`.
+//! * `/health` — `{"status":"ok"}` while the endpoint answers.
 //! * `/ledger` — the privacy ledger: per-release records, cumulative
 //!   ε (with a bit-exact `_bits` field), and the remaining budget when
 //!   one was declared.
@@ -25,23 +26,19 @@
 
 use crate::journal::{Journal, CAPACITY};
 use crate::ledger::PrivacyLedger;
-use crate::metrics::{HistogramSummary, MetricsRegistry, RegistrySnapshot};
-use crate::slo::{BurnState, SloStatus, SloTracker};
-use crate::window::{LiveTelemetry, WindowSummary, LIVE_FAST_K, LIVE_MID_K, LIVE_SLOW_K};
+use crate::metrics::MetricsRegistry;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// What the endpoint exposes (globals — the journal, the live windows,
-/// the privacy ledger — are picked up automatically).
+/// What the endpoint exposes (globals — the journal and the privacy
+/// ledger — are picked up automatically).
 #[derive(Clone)]
 pub struct IntrospectConfig {
     /// The daemon's metrics registry.
     pub registry: Arc<MetricsRegistry>,
-    /// SLO targets evaluated on every `/metrics` and `/health` scrape.
-    pub slos: SloTracker,
     /// Total ε budget, if the daemon has one; enables the
     /// `epsilon_remaining` field of `/ledger`.
     pub epsilon_budget: Option<f64>,
@@ -143,8 +140,7 @@ fn handle_connection(mut stream: TcpStream, cfg: &IntrospectConfig) -> io::Resul
         "/metrics" => {
             respond(&mut stream, 200, "text/plain; version=0.0.4", &render_prometheus(cfg))
         }
-        "/metrics.json" => respond(&mut stream, 200, "application/json", &render_metrics_json(cfg)),
-        "/health" => respond(&mut stream, 200, "application/json", &render_health(cfg)),
+        "/health" => respond(&mut stream, 200, "application/json", "{\"status\":\"ok\"}\n"),
         "/ledger" => respond(&mut stream, 200, "application/json", &render_ledger_json(cfg)),
         "/events" => respond(
             &mut stream,
@@ -209,23 +205,18 @@ fn prom_name(name: &str) -> String {
     out
 }
 
+/// One metric family: its `# TYPE` line, then one sample per
+/// `(suffix, value)`, where `suffix` (label set, or `_bucket{…}`,
+/// `_sum` and `_count` in a histogram) follows `name` verbatim.
 fn push_metric(out: &mut String, name: &str, mtype: &str, samples: &[(String, String)]) {
     out.push_str(&format!("# TYPE {name} {mtype}\n"));
-    for (labels, value) in samples {
+    for (suffix, value) in samples {
         out.push_str(name);
-        out.push_str(labels);
+        out.push_str(suffix);
         out.push(' ');
         out.push_str(value);
         out.push('\n');
     }
-}
-
-fn window_rows(live: &LiveTelemetry) -> [(&'static str, WindowSummary); 3] {
-    [
-        ("10s", live.query_latency.snapshot(LIVE_FAST_K)),
-        ("1m", live.query_latency.snapshot(LIVE_MID_K)),
-        ("5m", live.query_latency.snapshot(LIVE_SLOW_K)),
-    ]
 }
 
 /// Render the full Prometheus text exposition for one scrape.
@@ -238,78 +229,23 @@ pub fn render_prometheus(cfg: &IntrospectConfig) -> String {
     for (name, v) in &snap.gauges {
         push_metric(&mut out, &prom_name(name), "gauge", &[(String::new(), v.to_string())]);
     }
-    for (name, h) in &snap.histograms {
-        let base = prom_name(name);
+    for (name, h) in cfg.registry.histogram_handles() {
+        let base = prom_name(&name);
+        let (buckets, count) = h.cumulative_buckets();
+        let mut samples: Vec<(String, String)> = buckets
+            .into_iter()
+            .map(|(le, c)| (format!("_bucket{{le=\"{le}\"}}"), c.to_string()))
+            .collect();
+        samples.push(("_bucket{le=\"+Inf\"}".to_string(), count.to_string()));
+        samples.push(("_sum".to_string(), h.total_nanos().to_string()));
+        samples.push(("_count".to_string(), count.to_string()));
+        push_metric(&mut out, &base, "histogram", &samples);
         push_metric(
             &mut out,
-            &format!("{base}_count"),
-            "counter",
-            &[(String::new(), h.count.to_string())],
+            &format!("{base}_max_ns"),
+            "gauge",
+            &[(String::new(), h.max().as_nanos().to_string())],
         );
-        for (suffix, v) in [
-            ("mean_ns", h.mean.as_nanos()),
-            ("p50_ns", h.p50.as_nanos()),
-            ("p99_ns", h.p99.as_nanos()),
-            ("max_ns", h.max.as_nanos()),
-        ] {
-            push_metric(
-                &mut out,
-                &format!("{base}_{suffix}"),
-                "gauge",
-                &[(String::new(), v.to_string())],
-            );
-        }
-    }
-
-    let live = LiveTelemetry::global();
-    let rows = window_rows(live);
-    let labeled = |f: &dyn Fn(&WindowSummary) -> String| -> Vec<(String, String)> {
-        rows.iter().map(|(w, s)| (format!("{{window=\"{w}\"}}"), f(s))).collect()
-    };
-    push_metric(&mut out, "socialrec_live_qps", "gauge", &labeled(&|s| format!("{:?}", s.qps)));
-    push_metric(&mut out, "socialrec_live_count", "gauge", &labeled(&|s| s.count.to_string()));
-    push_metric(
-        &mut out,
-        "socialrec_live_p50_ns",
-        "gauge",
-        &labeled(&|s| s.p50.as_nanos().to_string()),
-    );
-    push_metric(
-        &mut out,
-        "socialrec_live_p99_ns",
-        "gauge",
-        &labeled(&|s| s.p99.as_nanos().to_string()),
-    );
-    push_metric(
-        &mut out,
-        "socialrec_live_max_ns",
-        "gauge",
-        &labeled(&|s| s.max.as_nanos().to_string()),
-    );
-
-    let statuses = cfg.slos.evaluate(live);
-    if !statuses.is_empty() {
-        let burns: Vec<(String, String)> = statuses
-            .iter()
-            .flat_map(|s| {
-                [
-                    (
-                        format!("{{target=\"{}\",window=\"fast\"}}", s.name),
-                        format!("{:?}", s.fast_burn),
-                    ),
-                    (
-                        format!("{{target=\"{}\",window=\"slow\"}}", s.name),
-                        format!("{:?}", s.slow_burn),
-                    ),
-                ]
-            })
-            .collect();
-        push_metric(&mut out, "socialrec_slo_burn", "gauge", &burns);
-        let states: Vec<(String, String)> = statuses
-            .iter()
-            .map(|s| (format!("{{target=\"{}\"}}", s.name), (s.state as u8).to_string()))
-            .collect();
-        push_metric(&mut out, "socialrec_slo_state", "gauge", &states);
     }
 
     let journal = Journal::global();
@@ -354,100 +290,6 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-fn window_json(s: &WindowSummary) -> String {
-    format!(
-        "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{},\"qps\":{:?}}}",
-        s.count,
-        s.mean.as_nanos(),
-        s.p50.as_nanos(),
-        s.p99.as_nanos(),
-        s.max.as_nanos(),
-        s.qps
-    )
-}
-
-fn windows_json(live: &LiveTelemetry) -> String {
-    let rows = window_rows(live);
-    let body: Vec<String> =
-        rows.iter().map(|(w, s)| format!("\"{w}\":{}", window_json(s))).collect();
-    format!("{{{}}}", body.join(","))
-}
-
-fn registry_json(snap: &RegistrySnapshot) -> String {
-    let hist = |h: &HistogramSummary| {
-        format!(
-            "{{\"count\":{},\"mean_ns\":{},\"p50_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-            h.count,
-            h.mean.as_nanos(),
-            h.p50.as_nanos(),
-            h.p99.as_nanos(),
-            h.max.as_nanos()
-        )
-    };
-    let counters: Vec<String> =
-        snap.counters.iter().map(|(n, v)| format!("\"{}\":{v}", json_escape(n))).collect();
-    let gauges: Vec<String> =
-        snap.gauges.iter().map(|(n, v)| format!("\"{}\":{v}", json_escape(n))).collect();
-    let hists: Vec<String> = snap
-        .histograms
-        .iter()
-        .map(|(n, h)| format!("\"{}\":{}", json_escape(n), hist(h)))
-        .collect();
-    format!(
-        "{{\"counters\":{{{}}},\"gauges\":{{{}}},\"histograms\":{{{}}}}}",
-        counters.join(","),
-        gauges.join(","),
-        hists.join(",")
-    )
-}
-
-/// Render the `/metrics.json` body.
-pub fn render_metrics_json(cfg: &IntrospectConfig) -> String {
-    format!(
-        "{{\"registry\":{},\"live\":{}}}\n",
-        registry_json(&cfg.registry.snapshot()),
-        windows_json(LiveTelemetry::global())
-    )
-}
-
-fn slo_json(statuses: &[SloStatus]) -> String {
-    let rows: Vec<String> = statuses
-        .iter()
-        .map(|s| {
-            format!(
-                "{{\"name\":\"{}\",\"state\":\"{}\",\"fast_burn\":{:?},\"slow_burn\":{:?}}}",
-                json_escape(&s.name),
-                s.state.as_str(),
-                s.fast_burn,
-                s.slow_burn
-            )
-        })
-        .collect();
-    format!("[{}]", rows.join(","))
-}
-
-/// Render the `/health` body.
-pub fn render_health(cfg: &IntrospectConfig) -> String {
-    let live = LiveTelemetry::global();
-    let statuses = cfg.slos.evaluate(live);
-    let worst = statuses.iter().map(|s| s.state).max_by_key(|s| *s as u8).unwrap_or(BurnState::Ok);
-    let snap = cfg.registry.snapshot();
-    let gauges: Vec<String> =
-        snap.gauges.iter().map(|(n, v)| format!("\"{}\":{v}", json_escape(n))).collect();
-    let journal = Journal::global();
-    let retained = journal.snapshot(CAPACITY).events.len();
-    format!(
-        "{{\"status\":\"{}\",\"slo\":{},\"windows\":{},\"gauges\":{{{}}},\"journal\":{{\"emitted\":{},\"retained\":{},\"dropped\":{}}}}}\n",
-        worst.as_str(),
-        slo_json(&statuses),
-        windows_json(live),
-        gauges.join(","),
-        journal.emitted(),
-        retained,
-        journal.dropped()
-    )
 }
 
 /// Render the `/ledger` body. `cumulative_epsilon_bits` (and the
@@ -496,11 +338,7 @@ mod tests {
         registry.counter("serve.shard0.queries").add(5);
         registry.gauge("serve.shard0.generation").set(2);
         registry.histogram("serve.shard0.query_ns").record(Duration::from_micros(10));
-        IntrospectConfig {
-            registry,
-            slos: SloTracker::serving_defaults(Duration::from_millis(5), 0.01),
-            epsilon_budget: Some(2.0),
-        }
+        IntrospectConfig { registry, epsilon_budget: Some(2.0) }
     }
 
     #[test]
@@ -510,24 +348,24 @@ mod tests {
         assert!(text.contains("# TYPE socialrec_serve_shard0_queries counter"));
         assert!(text.contains("socialrec_serve_shard0_queries 5"));
         assert!(text.contains("# TYPE socialrec_serve_shard0_generation gauge"));
+        // The histogram is one family: cumulative buckets, +Inf, sum, count.
+        assert!(text.contains("# TYPE socialrec_serve_shard0_query_ns histogram"));
+        assert!(text.contains("socialrec_serve_shard0_query_ns_bucket{le=\"8191\"} 0"));
+        assert!(text.contains("socialrec_serve_shard0_query_ns_bucket{le=\"10239\"} 1"));
+        assert!(text.contains("socialrec_serve_shard0_query_ns_bucket{le=\"+Inf\"} 1"));
+        assert!(text.contains("socialrec_serve_shard0_query_ns_sum 10000"));
         assert!(text.contains("socialrec_serve_shard0_query_ns_count 1"));
-        assert!(text.contains("socialrec_live_qps{window=\"10s\"}"));
-        assert!(text.contains("socialrec_slo_state{target=\"serve_p99\"}"));
+        assert!(text.contains("socialrec_serve_shard0_query_ns_max_ns 10000"));
+        assert!(!text.contains("_p99_ns"), "quantile gauges gave way to buckets");
         assert!(text.contains("socialrec_ledger_cumulative_epsilon"));
         // The '.'-separated registry names were sanitized.
         assert!(!text.contains("serve.shard0"));
     }
 
     #[test]
-    fn health_and_ledger_render_json() {
+    fn ledger_renders_json() {
         let _g = crate::span::test_lock();
-        let cfg = test_cfg();
-        let health = render_health(&cfg);
-        assert!(health.starts_with("{\"status\":\""));
-        assert!(health.contains("\"slo\":["));
-        assert!(health.contains("\"serve.shard0.generation\":2"));
-        assert!(health.contains("\"journal\":{\"emitted\":"));
-        let ledger = render_ledger_json(&cfg);
+        let ledger = render_ledger_json(&test_cfg());
         assert!(ledger.contains("\"cumulative_epsilon_bits\":"));
         assert!(ledger.contains("\"epsilon_budget\":2.0"));
     }
@@ -540,8 +378,7 @@ mod tests {
         assert!(addr.ip().is_loopback(), "must bind 127.0.0.1 only");
         for (path, expect) in [
             ("/metrics", "# TYPE socialrec_"),
-            ("/metrics.json", "\"registry\":{"),
-            ("/health", "\"status\":\""),
+            ("/health", "{\"status\":\"ok\"}"),
             ("/ledger", "\"cumulative_epsilon\""),
         ] {
             let (status, body) = http_get(addr, path).expect("scrape");
@@ -550,8 +387,10 @@ mod tests {
         }
         let (status, _) = http_get(addr, "/events").expect("events");
         assert_eq!(status, 200);
-        let (status, _) = http_get(addr, "/nope").expect("404 path");
-        assert_eq!(status, 404);
+        for gone in ["/nope", "/metrics.json"] {
+            let (status, _) = http_get(addr, gone).expect("404 path");
+            assert_eq!(status, 404, "{gone}");
+        }
         let t = Instant::now();
         server.shutdown();
         assert!(t.elapsed() < Duration::from_secs(2), "shutdown joins promptly");

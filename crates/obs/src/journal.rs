@@ -21,12 +21,12 @@
 //! write — events are operator-rate (swaps, refusals, restarts), so
 //! this is unreachable in practice and at worst garbles one row.
 //!
-//! Emission sites gate on [`crate::live_armed`] (one relaxed load)
-//! via [`emit`], so a daemon with telemetry disabled pays the same
-//! single-load cost as every other instrumented site.
+//! Emission sites go through [`emit`], which gates on [`live_armed`]
+//! (one relaxed load), so a daemon with the journal disarmed pays the
+//! same single-load cost as every other instrumented site.
 
 use crate::span::epoch;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// Ring capacity: events retained before overwrite-oldest kicks in.
@@ -280,11 +280,32 @@ impl Default for Journal {
     }
 }
 
-/// Emit one event into the global journal iff live telemetry is
-/// armed. Disabled cost: one relaxed atomic load.
+/// Switch for the global journal. `false` by default; [`emit`] checks
+/// it with one relaxed load and touches nothing else when it is off.
+static LIVE_ARMED: AtomicBool = AtomicBool::new(false);
+
+/// Is the journal armed? One relaxed atomic load — the entire disabled
+/// cost of every emission site.
+#[inline]
+pub fn live_armed() -> bool {
+    LIVE_ARMED.load(Ordering::Relaxed)
+}
+
+/// Arm the journal: [`emit`] records from now on.
+pub fn arm_live() {
+    LIVE_ARMED.store(true, Ordering::Relaxed);
+}
+
+/// Disarm the journal.
+pub fn disarm_live() {
+    LIVE_ARMED.store(false, Ordering::Relaxed);
+}
+
+/// Emit one event into the global journal iff it is armed. Disabled
+/// cost: one relaxed atomic load.
 #[inline]
 pub fn emit(kind: EventKind, a: u64, b: u64) {
-    if !crate::live_armed() {
+    if !live_armed() {
         return;
     }
     Journal::global().record(kind, a, b);
@@ -370,14 +391,16 @@ mod tests {
     fn emit_is_inert_when_disarmed() {
         // Uses the global journal: serialize via the obs test lock.
         let _g = crate::span::test_lock();
-        crate::disarm_live();
+        disarm_live();
+        assert!(!live_armed());
         Journal::global().reset();
         emit(EventKind::HotSwapCompleted, 0, 1);
         assert_eq!(Journal::global().emitted(), 0);
-        crate::arm_live();
+        arm_live();
+        assert!(live_armed());
         emit(EventKind::HotSwapCompleted, 0, 1);
         assert_eq!(Journal::global().emitted(), 1);
-        crate::disarm_live();
+        disarm_live();
         Journal::global().reset();
     }
 }

@@ -14,7 +14,8 @@
 //! * [`metrics`] — lock-free [`Counter`]s, [`Gauge`]s, and the
 //!   log₂-bucketed [`LatencyHistogram`], plus a named
 //!   [`MetricsRegistry`] (the serving daemon keeps its per-shard
-//!   counters in one).
+//!   counters and latency histograms in one; it is the daemon's only
+//!   latency and error record).
 //! * [`chrome`] — a Chrome trace-event-format JSON writer (loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>) with a structural
 //!   self-check, and [`summary`], a plain-text per-span timing table.
@@ -25,35 +26,31 @@
 //!   and repeated releases (each published generation) compose
 //!   sequentially into the ledger's cumulative spend.
 //!
-//! Plus the **live-telemetry layer** for a running daemon, armed
-//! separately via [`arm_live`] (one relaxed-load disabled cost, same
-//! contract as [`span!`]):
+//! Plus two pieces for a running daemon:
 //!
-//! * [`window`] — interval-rotating [`WindowedHistogram`] /
-//!   [`WindowedCounter`] and the global [`LiveTelemetry`] block:
-//!   trailing ~10s/1m/5m p50/p99/qps instead of lifetime aggregates.
 //! * [`journal`] — a bounded, non-blocking ring of typed operational
 //!   events (hot swaps, budget refusals, drift-valve restarts, …) with
-//!   overwrite-oldest semantics and a drop counter.
-//! * [`slo`] — declarative SLO targets with fast/slow-window
-//!   burn-rate states (`ok`/`warn`/`page`).
+//!   overwrite-oldest semantics and a drop counter, armed separately
+//!   via [`arm_live`] (one relaxed-load disabled cost, same contract as
+//!   [`span!`]).
 //! * [`introspect`] — a std-only HTTP/1.0 [`IntrospectionServer`]
-//!   bound to `127.0.0.1` serving `/metrics`, `/metrics.json`,
-//!   `/health`, `/ledger`, and `/events`.
+//!   bound to `127.0.0.1` serving `/metrics` (the registry, with every
+//!   histogram as cumulative Prometheus buckets, so a scraper computes
+//!   trailing-window quantiles and rates itself), `/health`, `/ledger`,
+//!   and `/events`.
 //!
 //! # Testing against global state
 //!
-//! The enable flag, the live-armed flag, the span collector, the
-//! [`PrivacyLedger`], the [`Journal`], and [`LiveTelemetry`] are all
-//! **process-global**. Tests that enable/disable tracing, arm live
-//! telemetry, or reset/inspect the ledger or journal run concurrently
-//! under `cargo test` and will steal each other's state unless they
-//! serialize. Inside this crate use `span::test_lock()`; tests in the
-//! CLI crate (and anything driving `TraceSink`) must hold
+//! The enable flag, the journal's armed flag, the span collector, the
+//! [`PrivacyLedger`], and the [`Journal`] are all **process-global**.
+//! Tests that enable/disable tracing, arm the journal, or reset/inspect
+//! the ledger or journal run concurrently under `cargo test` and will
+//! steal each other's state unless they serialize. Inside this crate
+//! use `span::test_lock()`; tests in the CLI crate (and anything
+//! driving `TraceSink`) must hold
 //! `socialrec_cli::commands::trace::obs_test_lock()` for the whole
 //! test body. Tests that only touch instance-local state (their own
-//! `MetricsRegistry`, `Journal::new()`, `WindowedHistogram::new()`)
-//! need no lock.
+//! `MetricsRegistry`, `Journal::new()`) need no lock.
 //!
 //! # Quickstart
 //!
@@ -82,23 +79,16 @@ pub mod journal;
 mod ledger;
 mod memory;
 mod metrics;
-pub mod slo;
 mod span;
 mod summary;
-pub mod window;
 
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceCheck};
 pub use introspect::{http_get, IntrospectConfig, IntrospectionServer};
-pub use journal::{EventKind, Journal, JournalSnapshot};
+pub use journal::{arm_live, disarm_live, live_armed, EventKind, Journal, JournalSnapshot};
 pub use ledger::{render_ledger, LedgerSnapshot, PrivacyLedger, ReleaseRecord};
 pub use memory::{record_memory_gauges, sample_memory, MemorySample};
 pub use metrics::{
     Counter, Gauge, HistogramSummary, LatencyHistogram, MetricsRegistry, RegistrySnapshot,
 };
-pub use slo::{BurnState, SloKind, SloStatus, SloTarget, SloTracker};
 pub use span::{disable, drain_events, enable, enabled, SpanEvent, SpanGuard};
 pub use summary::{render_summary, summarize, SpanStats};
-pub use window::{
-    arm_live, disarm_live, live_armed, LiveTelemetry, WindowSummary, WindowedCounter,
-    WindowedHistogram,
-};

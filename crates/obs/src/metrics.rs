@@ -81,13 +81,13 @@ const BUCKETS: usize = 48;
 const SUBS: usize = 4;
 
 /// Total histogram slots: `BUCKETS × SUBS`.
-pub(crate) const SLOTS: usize = BUCKETS * SUBS;
+const SLOTS: usize = BUCKETS * SUBS;
 
 /// Flat slot index for one observation: log₂ bucket × 4 linear
 /// sub-buckets. For `nanos < 4` the sub-bucket holds exactly one
 /// integer value, so small observations are stored exactly.
 #[inline]
-pub(crate) fn slot_of(nanos: u64) -> usize {
+fn slot_of(nanos: u64) -> usize {
     if nanos < 4 {
         // exp 0 holds {0, 1}, exp 1 holds {2, 3}; one value per slot.
         let exp = (nanos >= 2) as usize;
@@ -106,7 +106,7 @@ pub(crate) fn slot_of(nanos: u64) -> usize {
 /// `nanos < 4` slots, whose bound is the exact (single) value they
 /// hold, and the top slot, which clamps at 2⁴⁸.
 #[inline]
-pub(crate) fn slot_bound(slot: usize) -> u64 {
+fn slot_bound(slot: usize) -> u64 {
     let exp = slot / SUBS;
     let sub = (slot % SUBS) as u64;
     if exp >= 2 {
@@ -119,22 +119,17 @@ pub(crate) fn slot_bound(slot: usize) -> u64 {
     }
 }
 
-/// Quantile lookup over a flat slot-count array: upper bound of the
-/// slot holding the rank-`q` observation, clamped to the true observed
-/// `max`. Shared by [`LatencyHistogram`] and the windowed merge path.
-pub(crate) fn quantile_of(counts: &[u64; SLOTS], n: u64, max: u64, q: f64) -> Duration {
-    if n == 0 {
-        return Duration::ZERO;
+/// The Prometheus `le` of slot `slot`: the largest observation it can
+/// hold, in nanoseconds. `None` for the slots no observation reaches
+/// (below 4 ns each log₂ bucket holds two values, so sub-buckets 2 and 3
+/// of buckets 0 and 1 stay empty) and for the top slot, which also holds
+/// everything above 2⁴⁸ and so is the `+Inf` bucket.
+fn slot_le(slot: usize) -> Option<u64> {
+    match slot {
+        s if s < 2 * SUBS => (s % SUBS < 2).then(|| slot_bound(s)),
+        s if s + 1 < SLOTS => Some(slot_bound(s) - 1),
+        _ => None,
     }
-    let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
-    let mut seen = 0u64;
-    for (i, &c) in counts.iter().enumerate() {
-        seen += c;
-        if seen >= rank {
-            return Duration::from_nanos(slot_bound(i).min(max));
-        }
-    }
-    Duration::from_nanos(max)
 }
 
 /// A log₂-bucketed latency histogram with 4 linear sub-buckets per
@@ -186,8 +181,8 @@ impl LatencyHistogram {
         self.max_nanos.fetch_max(nanos, Ordering::Relaxed);
     }
 
-    /// Relaxed-load copy of the flat slot counts (for merging windows).
-    pub(crate) fn slot_counts(&self) -> [u64; SLOTS] {
+    /// Relaxed-load copy of the flat slot counts.
+    fn slot_counts(&self) -> [u64; SLOTS] {
         std::array::from_fn(|i| self.buckets[i].load(Ordering::Relaxed))
     }
 
@@ -196,20 +191,23 @@ impl LatencyHistogram {
         self.total_nanos.load(Ordering::Relaxed)
     }
 
-    /// Raw observed maximum in nanoseconds.
-    pub(crate) fn max_nanos(&self) -> u64 {
-        self.max_nanos.load(Ordering::Relaxed)
-    }
-
-    /// Zero every slot (used when a window slot is recycled). Not
-    /// atomic as a whole: concurrent records may land before or after
-    /// individual slot clears; window rotation tolerates this.
-    pub(crate) fn clear(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
+    /// The histogram as cumulative Prometheus buckets: `(le, count)` for
+    /// every slot an observation can reach, in ascending `le` (the slot's
+    /// inclusive upper bound in nanoseconds), where `count` is the number
+    /// of observations ≤ `le`; then the `+Inf` count, which is the total.
+    /// Both come from one copy of the slot counts, so `+Inf` equals the
+    /// sum of the slots even while recorders run. The `le` set is the same
+    /// for every histogram and every call.
+    pub(crate) fn cumulative_buckets(&self) -> (Vec<(u64, u64)>, u64) {
+        let mut seen = 0u64;
+        let mut buckets = Vec::with_capacity(SLOTS);
+        for (slot, c) in self.slot_counts().into_iter().enumerate() {
+            seen += c;
+            if let Some(le) = slot_le(slot) {
+                buckets.push((le, seen));
+            }
         }
-        self.total_nanos.store(0, Ordering::Relaxed);
-        self.max_nanos.store(0, Ordering::Relaxed);
+        (buckets, seen)
     }
 
     /// Total number of recorded observations.
@@ -241,7 +239,19 @@ impl LatencyHistogram {
     pub fn quantile(&self, q: f64) -> Duration {
         let counts = self.slot_counts();
         let n: u64 = counts.iter().sum();
-        quantile_of(&counts, n, self.max_nanos.load(Ordering::Relaxed), q)
+        let max = self.max_nanos.load(Ordering::Relaxed);
+        if n == 0 {
+            return Duration::ZERO;
+        }
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).max(1);
+        let mut seen = 0u64;
+        for (i, &c) in counts.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return Duration::from_nanos(slot_bound(i).min(max));
+            }
+        }
+        Duration::from_nanos(max)
     }
 }
 
@@ -311,6 +321,14 @@ impl MetricsRegistry {
     /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: impl Into<String>) -> Arc<LatencyHistogram> {
         get_or_create(&self.histograms, name.into())
+    }
+
+    /// Every registered histogram, name-sorted (the `/metrics` bucket
+    /// export reads them directly).
+    pub(crate) fn histogram_handles(&self) -> Vec<(String, Arc<LatencyHistogram>)> {
+        let mut v = self.histograms.lock().expect("metrics registry poisoned").clone();
+        v.sort_by(|a, b| a.0.cmp(&b.0));
+        v
     }
 
     /// A point-in-time copy of every registered metric, name-sorted so
@@ -387,6 +405,30 @@ mod tests {
         assert_eq!(slot_of(100), 6 * SUBS + 2);
         assert_eq!(slot_bound(slot_of(100)), 112);
         assert_eq!(slot_of(u64::MAX), SLOTS - 1);
+    }
+
+    #[test]
+    fn bucket_bounds_skip_unreachable_slots_and_ascend() {
+        let les: Vec<u64> = (0..SLOTS).filter_map(slot_le).collect();
+        // Slots 2, 3, 6, 7 hold nothing; the top slot is `+Inf`.
+        assert_eq!(les.len(), SLOTS - 5);
+        assert_eq!(&les[..6], &[0, 1, 2, 3, 4, 5]);
+        assert!(les.windows(2).all(|w| w[0] < w[1]));
+        // Each `le` is the largest value its slot holds.
+        for slot in (0..SLOTS - 1).filter(|&s| slot_le(s).is_some()) {
+            let le = slot_le(slot).unwrap();
+            assert_eq!(slot_of(le), slot);
+            assert_ne!(slot_of(le + 1), slot);
+        }
+        let h = LatencyHistogram::new();
+        for v in [0u64, 3, 100, 111, 112, 1 << 50] {
+            h.record(Duration::from_nanos(v));
+        }
+        let (buckets, total) = h.cumulative_buckets();
+        assert_eq!(total, 6);
+        let at = |le: u64| buckets.iter().find(|b| b.0 == le).unwrap().1;
+        assert_eq!((at(0), at(3), at(111), at(127)), (1, 2, 4, 5));
+        assert_eq!(buckets.last().unwrap().1, 5, "2⁵⁰ ns lands only in +Inf");
     }
 
     #[test]

@@ -1,13 +1,17 @@
-//! Property tests pinning the histogram quantile error bound.
+//! Property tests pinning the histogram's two read-outs.
 //!
 //! The sub-bucketed `LatencyHistogram` promises: for any sample set
 //! and any `q`, `quantile(q)` is at least the exact nearest-rank
 //! quantile and at most 1.25× it (exact below 4ns, and never above the
-//! true max). These properties are what every consumer of `~p50` /
-//! `~p99` (serve-bench, the live windows, `/metrics`) relies on.
+//! true max) — what every consumer of `~p50` / `~p99` relies on. And
+//! `/metrics` exports it as a Prometheus histogram whose every bucket
+//! counts exactly the samples at or below its `le`, which is what a
+//! scraper's `histogram_quantile` and `rate` rely on.
 
 use proptest::prelude::*;
-use socialrec_obs::{LatencyHistogram, WindowedHistogram};
+use socialrec_obs::introspect::render_prometheus;
+use socialrec_obs::{IntrospectConfig, LatencyHistogram, MetricsRegistry};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Exact nearest-rank quantile (the same definition `serve-bench`
@@ -49,27 +53,48 @@ proptest! {
     }
 
     #[test]
-    fn windowed_merge_keeps_the_same_bound(
+    fn prometheus_buckets_count_the_samples_at_or_below_le(
         values in samples(),
-        q in 0.0f64..1.0,
+        small in proptest::collection::vec(0u64..4, 0..4),
     ) {
-        // Spread the same samples across several window intervals; the
-        // merged snapshot must satisfy the identical error bound.
-        let w = WindowedHistogram::new(Duration::from_secs(10), 8);
-        for (i, &v) in values.iter().enumerate() {
-            w.record_interval((i % 5) as u64, Duration::from_nanos(v));
+        let values: Vec<u64> = values.into_iter().chain(small).collect();
+        let registry = Arc::new(MetricsRegistry::new());
+        let h = registry.histogram("t.latency");
+        for &v in &values {
+            h.record(Duration::from_nanos(v));
         }
-        let mut sorted = values.clone();
-        sorted.sort_unstable();
-        let s = w.snapshot_interval(4, 8);
-        prop_assert_eq!(s.count, values.len() as u64);
-        // Compare at whichever published quantile `q` selects.
-        let (approx, exact) = if q <= 0.5 {
-            (s.p50.as_nanos() as u64, nearest_rank(&sorted, 0.5))
-        } else {
-            (s.p99.as_nanos() as u64, nearest_rank(&sorted, 0.99))
-        };
-        prop_assert!(approx >= exact);
-        prop_assert!(approx * 4 <= exact * 5 || approx == exact);
+        let text = render_prometheus(&IntrospectConfig { registry, epsilon_budget: None });
+        prop_assert!(text.contains("# TYPE socialrec_t_latency histogram\n"));
+        let (mut buckets, mut inf, mut sum, mut count) = (Vec::new(), None, None, None);
+        for line in text.lines() {
+            let Some(rest) = line.strip_prefix("socialrec_t_latency") else { continue };
+            let (series, value) = rest.rsplit_once(' ').expect("sample has a value");
+            let value: u64 = value.parse().expect("integer sample");
+            match series {
+                "_bucket{le=\"+Inf\"}" => inf = Some(value),
+                "_sum" => sum = Some(value),
+                "_count" => count = Some(value),
+                _ => {
+                    if let Some(le) =
+                        series.strip_prefix("_bucket{le=\"").and_then(|l| l.strip_suffix("\"}"))
+                    {
+                        buckets.push((le.parse::<u64>().expect("integer le"), value));
+                    }
+                }
+            }
+        }
+        let n = values.len() as u64;
+        prop_assert_eq!(inf, Some(n));
+        prop_assert_eq!(count, Some(n));
+        prop_assert_eq!(sum, Some(values.iter().sum::<u64>()));
+        // One bucket per slot an observation can reach: 48 log₂ buckets
+        // × 4 sub-buckets, less slots 2, 3, 6 and 7 (below 4 ns each log₂
+        // bucket holds two values) and the top slot, which is `+Inf`.
+        prop_assert_eq!(buckets.len(), 48 * 4 - 5);
+        prop_assert!(buckets.windows(2).all(|w| w[0].0 < w[1].0), "le ascends strictly");
+        for &(le, c) in &buckets {
+            let at_or_below = values.iter().filter(|&&v| v <= le).count() as u64;
+            prop_assert_eq!(c, at_or_below, "bucket le={}", le);
+        }
     }
 }

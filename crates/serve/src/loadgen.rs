@@ -8,7 +8,8 @@
 //!   skewed (a small head of users issues most queries), which is
 //!   exactly the regime where per-shard coalescing pays: hot shards see
 //!   deep admission queues. Sampling is inverse-CDF over precomputed
-//!   cumulative weights `(k+1)^-s`, one binary search per draw.
+//!   cumulative weights `(k+1)^-s`, one binary search per draw;
+//!   [`Zipf::sample_user`] spreads the drawn rank over the user ids.
 //! * [`poisson_interarrival`] — open-loop arrivals. Closed-loop driving
 //!   (every client fires as fast as the server answers) hides queueing
 //!   delay; an open loop with exponential inter-arrival times at a
@@ -19,6 +20,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
+use socialrec_graph::UserId;
 
 /// A Zipf-like popularity distribution over `0..n` with exponent `s`:
 /// `P(k) ∝ (k + 1)^-s`. `s = 0` is uniform; `s ≈ 1` is classic web-load
@@ -52,6 +54,17 @@ impl Zipf {
         let u: f64 = rng.gen();
         // First index whose cumulative probability covers `u`.
         self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+    }
+
+    /// Draw one user id in `0..n`: a rank spread over the id space with
+    /// a multiplicative hash. Popularity stays skewed (the same few users
+    /// keep coming back), but *which* users are popular is independent
+    /// of id order — the synthetic generators plant their hubs at low
+    /// ids, and contiguous shards would otherwise send the whole head of
+    /// the distribution to shard 0.
+    pub fn sample_user(&self, rng: &mut SmallRng) -> UserId {
+        let rank = self.sample(rng) as u64;
+        UserId((rank.wrapping_mul(0x9E37_79B9_7F4A_7C15) % self.len() as u64) as u32)
     }
 
     /// Support size.
@@ -110,6 +123,22 @@ mod tests {
         // uniform it would carry 1%. Loose bounds keep this robust.
         assert!(head > DRAWS / 5, "head too light: {head}/{DRAWS}");
         assert!(head < DRAWS * 3 / 5, "head too heavy: {head}/{DRAWS}");
+    }
+
+    #[test]
+    fn sample_user_spreads_the_head_across_id_ranges() {
+        let z = Zipf::new(1000, 1.0);
+        let (mut a, mut b) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        let mut quarters = [0usize; 4];
+        const DRAWS: usize = 20_000;
+        for _ in 0..DRAWS {
+            let u = z.sample_user(&mut a);
+            assert_eq!(u, z.sample_user(&mut b), "same seed, same stream");
+            quarters[u.index() / 250] += 1;
+        }
+        // By rank alone the lowest quarter of ids would take ~80% of the
+        // draws under s=1; spread, no contiguous quarter takes 40%.
+        assert!(quarters.iter().all(|&q| q < DRAWS * 2 / 5), "head not spread: {quarters:?}");
     }
 
     #[test]

@@ -24,15 +24,16 @@
 //! * **Refusal** — a query whose seed names no retained generation
 //!   (never published, or evicted) or whose user is outside the
 //!   partition gets an empty list, never a fresh release or a panic.
-//!   Each refused query counts once in the daemon-wide `serve.refused`
-//!   counter and, when live telemetry is armed, in
-//!   `LiveTelemetry::errors`.
+//!   Each refused query counts once, in the daemon-wide
+//!   `serve.refused` counter.
 //! * **Metrics** — every shard registers named counters
 //!   (`serve.shard<i>.queries`, `.admissions`, `.coalesced`,
 //!   `.kernel_blocks`, `.release_swaps`), a `.generation` gauge, and a
 //!   `.query_ns` latency histogram in the daemon's own
 //!   [`MetricsRegistry`], so load skew and coalescing efficiency are
-//!   visible per shard.
+//!   visible per shard. The registry is the daemon's only latency and
+//!   error record: each single query is timed once, into its shard's
+//!   `.query_ns`.
 //!
 //! # Floating-point contract
 //!
@@ -58,7 +59,7 @@ use socialrec_core::{top_n_items, RecommenderInputs, TopN};
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_obs::journal::{self, EventKind};
-use socialrec_obs::{span, Counter, Gauge, LatencyHistogram, LiveTelemetry, MetricsRegistry};
+use socialrec_obs::{span, Counter, Gauge, LatencyHistogram, MetricsRegistry};
 use socialrec_similarity::SimilarityMatrix;
 use std::hash::Hasher;
 use std::sync::Arc;
@@ -308,9 +309,6 @@ impl<'p> ShardedServer<'p> {
     /// The answer to a refused query: an empty list, counted.
     fn refuse(&self, user: UserId) -> TopN {
         self.refused.inc();
-        if socialrec_obs::live_armed() {
-            LiveTelemetry::global().errors.inc();
-        }
         TopN { user, items: Vec::new() }
     }
 
@@ -384,11 +382,7 @@ impl<'p> ShardedServer<'p> {
         shard.queue_depth.set(shard.queue.depth() as i64);
         let start = Instant::now();
         let top = shard.queue.submit(user, n, seed, |batch| self.run_coalesced(shard, batch));
-        let elapsed = start.elapsed();
-        shard.latency.record(elapsed);
-        if socialrec_obs::live_armed() {
-            LiveTelemetry::global().record_query(elapsed);
-        }
+        shard.latency.record(start.elapsed());
         top
     }
 
