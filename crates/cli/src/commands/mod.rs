@@ -60,8 +60,8 @@ COMMANDS
                [--out BENCH_serve.json]
                [--smoke (tiny scale, no speedup gate)]
                [--introspect PORT (0 = ephemeral; serve /metrics,
-               /health, /ledger, /events on 127.0.0.1 and probe them
-               under load)]
+               /health, /ledger (the run's accountant), /events on
+               127.0.0.1 and probe them under load)]
                [--introspect-out PREFIX (dump the mid-run + final
                /metrics scrapes and the /events journal tail to
                PREFIX.metrics.prev.txt / PREFIX.metrics.txt /
@@ -88,12 +88,11 @@ COMMANDS
                [--smoke (20k users)]
   update-bench  Streaming-update churn benchmark: Zipf edge deltas
                against a warm graph, incremental refresh (dirty-row
-               similarity + worklist Louvain + index splice + ledger-
-               enforced re-release) timed against the equivalent full
-               rebuild with bit-identity checks, a release hot-swapped
-               into the sharded daemon under live load, and the
-               cumulative-epsilon ledger cross-checked against a
-               locally composed accountant
+               similarity + worklist Louvain + index splice +
+               accountant-approved re-release) timed against the
+               equivalent full rebuild with bit-identity checks, a
+               release hot-swapped into the sharded daemon under live
+               load, and both budget-refusal paths
                [--scale 0.1] [--seed 7] [--epsilon 1.0] [--rounds 3]
                [--social-edges 8] [--pref-edges 8] [--restarts 3]
                [--drift 0.02] [--clients 4] [--requests 160]
@@ -124,8 +123,8 @@ COMMANDS
 
 TRACING: every command above with [--trace OUT.json] records
 hierarchical spans (sim-build, Louvain levels/restarts, A_w release,
-serving batches) plus the privacy-budget ledger, and writes a Chrome
-trace-event file loadable at ui.perfetto.dev or chrome://tracing.
+serving batches) and writes a Chrome trace-event file loadable at
+ui.perfetto.dev or chrome://tracing.
 
 MEASURES: CN, GD, AA, KZ (paper) and JC, SA, RA, HP, PA (extended).
 EPSILON:  positive number or `inf`.

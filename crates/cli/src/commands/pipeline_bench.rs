@@ -22,7 +22,7 @@ use socialrec_core::private::{
 };
 use socialrec_core::{top_n_items_reference, RecommenderInputs, TopN};
 use socialrec_datasets::flixster_like;
-use socialrec_dp::{Epsilon, PrivacyAccountant};
+use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, json::ToJson, Args};
 use socialrec_graph::UserId;
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
@@ -144,26 +144,6 @@ fn hotspots_from(events: &[socialrec_obs::SpanEvent]) -> Vec<Hotspot> {
         .collect()
 }
 
-/// Privacy accounting for the bench run: ε per `A_w` release as `dp`'s
-/// accountant computes it (parallel composition over the partition's
-/// disjoint clusters), plus what the observability ledger actually
-/// recorded. Since the bench arms the span layer even untraced (to
-/// publish the `hotspots` block), the `ledger_*` fields are live in
-/// every run.
-struct PrivacyReport {
-    epsilon_per_release: f64,
-    clusters: usize,
-    ledger_releases: usize,
-    ledger_cumulative_epsilon: f64,
-}
-
-impl_to_json!(PrivacyReport {
-    epsilon_per_release,
-    clusters,
-    ledger_releases,
-    ledger_cumulative_epsilon,
-});
-
 /// The `BENCH_pipeline.json` document.
 struct Report {
     bench: String,
@@ -187,7 +167,6 @@ struct Report {
     equivalence_checked: bool,
     /// The recommend stage's daemon registry (per-shard counters).
     serve_metrics: socialrec_obs::RegistrySnapshot,
-    privacy: PrivacyReport,
     /// SIMD dispatch + per-kernel scalar-vs-SIMD attribution.
     simd: SimdReport,
     /// `--tune` sweep (`null` when the flag was not given).
@@ -220,7 +199,6 @@ impl_to_json!(Report {
     end_to_end_speedup,
     equivalence_checked,
     serve_metrics,
-    privacy,
     simd,
     tune,
     hotspots,
@@ -264,8 +242,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     if !trace.active() {
         // Arm the span layer even untraced so every run publishes the
         // `hotspots` attribution block (same reset discipline as a
-        // traced run: stale events and ledger records are discarded).
-        socialrec_obs::PrivacyLedger::global().reset();
+        // traced run: stale events are discarded).
         let _ = socialrec_obs::drain_events();
         socialrec_obs::enable();
     }
@@ -391,8 +368,7 @@ pub fn run(args: &Args) -> Result<(), String> {
 
     // Close the span stream (writing the trace artifact if requested)
     // and fold the events into the hotspots block.
-    let traced = trace.active();
-    let events = if traced {
+    let events = if trace.active() {
         trace.finish_collect(&[
             "sim.build",
             "louvain.level",
@@ -416,48 +392,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let end_par: f64 = stages.iter().map(|s| s.parallel_ms).sum();
     let end_speedup = end_seq / end_par.max(1e-9);
 
-    // Privacy accounting: what one A_w release over this partition
-    // costs, straight from dp's accountant (parallel composition over
-    // the disjoint clusters — ε regardless of cluster count).
-    let mut accountant = PrivacyAccountant::new();
-    for _ in 0..partition.num_clusters() {
-        accountant.spend_parallel(epsilon);
-    }
-    let epsilon_per_release = accountant.total_epsilon();
-    let ledger = socialrec_obs::PrivacyLedger::global().snapshot();
-    if traced {
-        // Acceptance check: every ledger record written for this
-        // partition must carry exactly the accountant's ε. (Records are
-        // matched by cluster count so concurrent test processes cannot
-        // interfere; a traced CLI run owns the whole process.)
-        let ours: Vec<_> =
-            ledger.records.iter().filter(|r| r.clusters == partition.num_clusters()).collect();
-        if ours.is_empty() {
-            return Err("traced run recorded no releases in the privacy ledger".to_string());
-        }
-        for r in &ours {
-            if r.epsilon.to_bits() != epsilon_per_release.to_bits() {
-                return Err(format!(
-                    "privacy ledger ε {} does not match dp accountant ε {}",
-                    r.epsilon, epsilon_per_release
-                ));
-            }
-        }
-        eprintln!(
-            "privacy ledger: {} releases, ε = {epsilon_per_release} each \
-             (parallel composition over {} clusters), cumulative {}",
-            ledger.records.len(),
-            partition.num_clusters(),
-            ledger.cumulative_epsilon
-        );
-    }
-    let privacy = PrivacyReport {
-        epsilon_per_release,
-        clusters: partition.num_clusters(),
-        ledger_releases: ledger.records.len(),
-        ledger_cumulative_epsilon: ledger.cumulative_epsilon,
-    };
-
     let report = Report {
         bench: "pipeline".to_string(),
         dataset: ds.name.clone(),
@@ -479,7 +413,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         end_to_end_speedup: end_speedup,
         equivalence_checked: true,
         serve_metrics,
-        privacy,
         simd,
         tune,
         hotspots,
@@ -737,10 +670,6 @@ mod tests {
             "\"serve_metrics\"",
             "\"serve.shard0.queries\"",
             "\"serve.refused\", 0",
-            "\"privacy\"",
-            "\"epsilon_per_release\"",
-            "\"ledger_releases\"",
-            "\"ledger_cumulative_epsilon\"",
             "\"simd\"",
             "\"detected\"",
             "\"active\"",
@@ -760,8 +689,8 @@ mod tests {
             assert!(body.contains(key), "artifact missing {key}: {body}");
         }
         // The trace artifact must pass the exporter self-check and
-        // cover the whole pipeline (run() itself also enforces this,
-        // plus the ledger-vs-accountant ε match, before returning Ok).
+        // cover the whole pipeline (run() itself also enforces this
+        // before returning Ok).
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
         let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
         for span in [

@@ -27,7 +27,8 @@
 //! sample), unlike the registry histograms' log₂-bucket bounds. The
 //! run spot-checks all three serving paths bitwise against
 //! `ClusterFramework::recommend` for both generations, asserts exactly
-//! one epoch per publish and no refused query, and writes a
+//! one epoch per publish, one accountant release per epoch (which
+//! `/ledger` must report bit for bit) and no refused query, and writes a
 //! `BENCH_serve.json`
 //! artifact (throughput, exact p50/p99, coalescing efficiency,
 //! per-shard generation stamps) whose shape — and SLO verdict — is
@@ -43,7 +44,7 @@ use socialrec_core::{
     top_n_items, BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN, TopNRecommender,
 };
 use socialrec_datasets::flixster_like;
-use socialrec_dp::{Epsilon, PrivacyAccountant};
+use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, json::ToJson, Args};
 use socialrec_graph::UserId;
 use socialrec_serve::loadgen::{poisson_interarrival, Zipf};
@@ -124,23 +125,15 @@ impl_to_json!(Live {
     ledger_bits_match,
 });
 
-/// Privacy accounting: ε per release (dp's parallel composition over
-/// the partition's disjoint clusters) and, on traced runs, the ledger's
-/// spend count per generation (zero in untraced runs, where the ledger
-/// is disarmed; each published generation is exactly one spend).
+/// Privacy accounting, read from the run's accountant — the one record
+/// of ε: its spent ε and its release count, which must equal the
+/// exchange epoch (one approved release per published generation).
 struct ServePrivacy {
-    epsilon_per_release: f64,
-    clusters: usize,
-    ledger_spends_generation_a: usize,
-    ledger_spends_generation_b: usize,
+    accountant_epsilon: f64,
+    accountant_releases: usize,
 }
 
-impl_to_json!(ServePrivacy {
-    epsilon_per_release,
-    clusters,
-    ledger_spends_generation_a,
-    ledger_spends_generation_b,
-});
+impl_to_json!(ServePrivacy { accountant_epsilon, accountant_releases });
 
 /// The `BENCH_serve.json` document.
 struct Report {
@@ -448,7 +441,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let fw = ClusterFramework::new(&partition, epsilon);
     let zipf = Zipf::new(num_users, zipf_s);
     let (seed_a, seed_b) = (seed, seed.wrapping_add(1));
-    let (gen_a, gen_b) = (daemon.generation_for(seed_a), daemon.generation_for(seed_b));
+    let gen_b = daemon.generation_for(seed_b);
 
     // One accountant planned for the run's two releases of ε each; the
     // first generation is published before any client starts.
@@ -464,16 +457,15 @@ pub fn run(args: &Args) -> Result<(), String> {
     daemon.publish_release(seed_a, release_a);
 
     // The introspection endpoint (when requested) serves the daemon's
-    // registry plus the process-global journal and ledger; the same
-    // config renders the ledger locally on introspection-less runs so
-    // the bit-exactness check always runs.
+    // registry, the process-global journal, and the accountant as
+    // `/ledger`.
     let introspect_cfg = socialrec_obs::IntrospectConfig {
         registry: daemon.registry_handle(),
-        epsilon_budget: None,
+        accountant: accountant.accountant_handle(),
     };
     let introspect = match introspect_port {
         Some(port) => {
-            let srv = socialrec_obs::IntrospectionServer::start(port, introspect_cfg.clone())
+            let srv = socialrec_obs::IntrospectionServer::start(port, introspect_cfg)
                 .map_err(|e| format!("--introspect {port}: {e}"))?;
             eprintln!("introspection endpoint at http://{}/metrics", srv.addr());
             Some(srv)
@@ -549,22 +541,14 @@ pub fn run(args: &Args) -> Result<(), String> {
     if epoch != 2 {
         return Err(format!("expected exactly two published releases, epoch = {epoch}"));
     }
-    // On traced runs the ledger is armed and no other release has run
-    // since init reset it: each published generation is exactly one
-    // accountant spend, however many clients and shards raced.
-    let mut spends = [0usize; 2];
-    if trace.active() {
-        let ledger = socialrec_obs::PrivacyLedger::global().snapshot();
-        for (k, generation) in [gen_a, gen_b].into_iter().enumerate() {
-            spends[k] = ledger.records.iter().filter(|r| r.generation == Some(generation)).count();
-            if spends[k] != 1 {
-                return Err(format!(
-                    "generation {generation:#x} spent ε {} times — each published \
-                     generation must spend exactly once",
-                    spends[k]
-                ));
-            }
-        }
+    // Each published generation is exactly one accountant release,
+    // however many clients and shards raced.
+    let spent = accountant.accountant();
+    if spent.releases() as u64 != epoch {
+        return Err(format!(
+            "the accountant approved {} releases but the daemon published {epoch}",
+            spent.releases()
+        ));
     }
 
     // Coalescing efficiency of the closed-loop phase, from the same
@@ -644,9 +628,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         ));
     }
 
-    // Bit-exact ledger check: the `/ledger` rendering must carry the
-    // in-process PrivacyLedger's cumulative ε bit-for-bit. Runs over
-    // HTTP when the endpoint is up, locally otherwise.
+    // Bit-exact ledger check: `/ledger` must carry the accountant's
+    // spent ε bit for bit, and its release count. Runs over HTTP when
+    // the endpoint is up, through the same renderer otherwise.
     let ledger_body = match &introspect {
         Some(srv) => {
             let (status, body) = socialrec_obs::http_get(srv.addr(), "/ledger")
@@ -656,14 +640,16 @@ pub fn run(args: &Args) -> Result<(), String> {
             }
             body
         }
-        None => socialrec_obs::introspect::render_ledger_json(&introspect_cfg),
+        None => socialrec_obs::introspect::accountant_json(&spent),
     };
-    let expected_bits =
-        socialrec_obs::PrivacyLedger::global().snapshot().cumulative_epsilon.to_bits();
-    if !ledger_body.contains(&format!("\"cumulative_epsilon_bits\":{expected_bits}")) {
+    let want_bits = spent.total_epsilon().to_bits();
+    if !ledger_body.contains(&format!("\"cumulative_epsilon_bits\":{want_bits},"))
+        || !ledger_body.contains(&format!("\"releases\":{}}}", spent.releases()))
+    {
         return Err(format!(
-            "/ledger cumulative ε does not bit-match the in-process ledger \
-             (want bits {expected_bits}): {ledger_body}"
+            "/ledger does not match the accountant ({} releases, ε bits {want_bits}): \
+             {ledger_body}",
+            spent.releases()
         ));
     }
 
@@ -703,15 +689,9 @@ pub fn run(args: &Args) -> Result<(), String> {
         ledger_bits_match: true,
     };
 
-    let mut accountant = PrivacyAccountant::new();
-    for _ in 0..partition.num_clusters() {
-        accountant.spend_parallel(epsilon);
-    }
     let privacy = ServePrivacy {
-        epsilon_per_release: accountant.total_epsilon(),
-        clusters: partition.num_clusters(),
-        ledger_spends_generation_a: spends[0],
-        ledger_spends_generation_b: spends[1],
+        accountant_epsilon: spent.total_epsilon(),
+        accountant_releases: spent.releases(),
     };
 
     let coalescing_speedup = closed.qps / uncoalesced.qps.max(1e-9);
@@ -783,6 +763,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         report.release_epochs
     );
     println!(
+        "  privacy    : accountant ε = {} over {} releases, /ledger bit-exact",
+        report.privacy.accountant_epsilon, report.privacy.accountant_releases
+    );
+    println!(
         "  live       : journal {} events ({} hot swaps, {} releases){}",
         report.live.journal_emitted,
         report.live.hot_swap_events,
@@ -849,7 +833,7 @@ mod tests {
             "\"coalesced_fraction\"",
             "\"shard_generations\"",
             "\"serve.shard0.generation\"",
-            "\"ledger_spends_generation_b\": 1",
+            "\"accountant_releases\": 2",
             "\"simd\"",
             "\"detected\"",
             "\"active\"",
@@ -902,5 +886,28 @@ mod tests {
         for suffix in ["metrics.prev.txt", "metrics.txt", "events.jsonl"] {
             std::fs::remove_file(format!("{}.{suffix}", scrape_prefix.display())).ok();
         }
+    }
+
+    #[test]
+    fn untraced_smoke_reads_the_accountant() {
+        // Arms the journal — serialize with the traced tests.
+        let _guard = crate::commands::trace::obs_test_lock();
+        assert!(!socialrec_obs::enabled());
+        let dir = std::env::temp_dir().join("socialrec-serve-bench-untraced-test");
+        std::fs::create_dir_all(&dir).unwrap();
+        let out = dir.join("BENCH_serve.json");
+        let spec = format!("--smoke --out {} --introspect 0", out.display());
+        run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap();
+        crate::commands::validate_bench::run(&Args::parse_from(
+            format!("--path {}", out.display()).split_whitespace().map(String::from),
+        ))
+        .unwrap();
+        let body = std::fs::read_to_string(&out).unwrap();
+        for key in
+            ["\"release_epochs\": 2", "\"accountant_releases\": 2", "\"ledger_bits_match\": true"]
+        {
+            assert!(body.contains(key), "artifact missing {key}: {body}");
+        }
+        std::fs::remove_file(&out).ok();
     }
 }

@@ -6,15 +6,15 @@
 //! as Chrome trace-event JSON (loadable in `chrome://tracing` or
 //! Perfetto), after passing the exporter's structural self-check and a
 //! per-command list of required span names. A plain-text hierarchical
-//! timing summary and the privacy-budget ledger go to stderr so traced
-//! runs are inspectable without a browser.
+//! timing summary goes to stderr so traced runs are inspectable without
+//! a browser.
 
 use socialrec_experiments::Args;
 
 /// Serializes tests that arm the global observability layer (`--trace`
-/// resets the process-wide privacy ledger and span buffers) — two such
-/// tests overlapping in one test binary would corrupt each other's
-/// ledgers and traces.
+/// resets the process-wide span buffers and journal) — two such tests
+/// overlapping in one test binary would corrupt each other's traces and
+/// journals.
 #[cfg(test)]
 pub fn obs_test_lock() -> std::sync::MutexGuard<'static, ()> {
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
@@ -28,13 +28,12 @@ pub struct TraceSink {
 
 impl TraceSink {
     /// Parse `--trace` and, when present, arm the observability layer:
-    /// reset the privacy ledger, discard stale span buffers and journal
-    /// events, enable span recording, and arm the journal (so traced
-    /// runs capture operational events — hot swaps, refusals, restarts).
+    /// discard stale span buffers and journal events, enable span
+    /// recording, and arm the journal (so traced runs capture
+    /// operational events — hot swaps, refusals, restarts).
     pub fn init(args: &Args) -> TraceSink {
         let path = args.get_str("trace").map(String::from);
         if path.is_some() {
-            socialrec_obs::PrivacyLedger::global().reset();
             let _ = socialrec_obs::drain_events();
             socialrec_obs::Journal::global().reset();
             socialrec_obs::enable();
@@ -78,10 +77,6 @@ impl TraceSink {
         std::fs::write(&path, &json).map_err(|e| format!("writing {path}: {e}"))?;
 
         eprint!("{}", socialrec_obs::render_summary(&socialrec_obs::summarize(&events)));
-        let ledger = socialrec_obs::PrivacyLedger::global().snapshot();
-        if !ledger.records.is_empty() {
-            eprint!("{}", socialrec_obs::render_ledger(&ledger));
-        }
         println!(
             "wrote trace {path} ({} events on {} thread lanes) — load it at ui.perfetto.dev",
             check.events,

@@ -10,7 +10,7 @@
 //!    recompute ([`dirty_rows`] + `SimilarityMatrix::update_rows`),
 //!    worklist Louvain with a modularity-drift restart threshold
 //!    ([`IncrementalLouvain`]), dirty-row [`SimMassIndex`] splice, and
-//!    a ledger-enforced noisy re-release through
+//!    an accountant-approved noisy re-release through
 //!    [`DynamicRecommender::release_averages`]. The equivalent full
 //!    rebuild (similarity build, multi-restart Louvain, index build,
 //!    release) is timed alongside, and every refreshed artifact is
@@ -27,9 +27,9 @@
 //!    the refresh window lands in the artifact.
 //! 3. **Budget enforcement** — after the schedule's plan is consumed,
 //!    the run demonstrates both refusal paths (exhausted schedule,
-//!    over-budget accountant spend) and records the error strings. On
-//!    traced runs the observability ledger's cumulative ε must equal a
-//!    locally composed [`PrivacyAccountant`] bit for bit.
+//!    over-budget accountant spend) and records the error strings. The
+//!    accountant, the one record of ε, must hold exactly one release
+//!    per churn round and one per published generation.
 //!
 //! The `BENCH_update.json` artifact is validated by
 //! `socialrec validate-bench`; the non-smoke SLO gate requires the
@@ -44,7 +44,7 @@ use socialrec_core::private::framework::release_noisy_cluster_averages_with;
 use socialrec_core::private::{NoiseModel, NoisyClusterAverages};
 use socialrec_core::{BudgetSchedule, DynamicRecommender, RecommenderInputs};
 use socialrec_datasets::flixster_like;
-use socialrec_dp::{Epsilon, PrivacyAccountant};
+use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, json::ToJson, Args};
 use socialrec_graph::{GraphDelta, ItemId, UserId};
 use socialrec_obs::span;
@@ -126,19 +126,15 @@ impl_to_json!(ServeDuringRefresh {
     post_swap_generation,
 });
 
-/// Privacy accounting: the enforced budget (the recommender's
-/// accountant), the locally composed mirror of *every* release the run
-/// made (incremental, comparator, and serving builds), the ledger's
-/// cumulative ε on traced runs, and the captured refusal errors.
+/// Privacy accounting: the enforced budget and what the recommender's
+/// accountant — the one record of ε — spent, plus the captured refusal
+/// errors.
 struct UpdatePrivacy {
     epsilon_total: String,
     schedule_releases: usize,
     epsilon_per_release: f64,
     accountant_epsilon: f64,
     accountant_releases: usize,
-    composed_epsilon: f64,
-    ledger_cumulative_epsilon: Option<f64>,
-    ledger_matches_composed: bool,
     refusal_schedule: String,
     refusal_accountant: String,
 }
@@ -149,9 +145,6 @@ impl_to_json!(UpdatePrivacy {
     epsilon_per_release,
     accountant_epsilon,
     accountant_releases,
-    composed_epsilon,
-    ledger_cumulative_epsilon,
-    ledger_matches_composed,
     refusal_schedule,
     refusal_accountant,
 });
@@ -333,9 +326,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let per_release =
         schedule.epsilon_for(0, epsilon).ok_or("budget schedule yields no releases".to_string())?;
     let mut dynrec = DynamicRecommender::new(epsilon, schedule);
-    // Every release the process makes, in order — the full-rebuild
-    // comparators too — for the ledger cross-check at the end.
-    let mut mirror: Vec<Epsilon> = Vec::new();
 
     eprintln!("generating flixster_like(scale={scale}, seed={seed})...");
     let ds = flixster_like(scale, seed);
@@ -405,7 +395,6 @@ pub fn run(args: &Args) -> Result<(), String> {
             (g2, sr, p2, s2, out, i2, e, avg, sim_dirty.len(), idx_dirty.len())
         };
         let incremental_ms = ms(t);
-        mirror.push(eps_t);
 
         // Full-rebuild comparator: from-scratch similarity, a full
         // multi-restart Louvain (its partition is timing-only — the
@@ -423,7 +412,6 @@ pub fn run(args: &Args) -> Result<(), String> {
             seed_t,
         );
         let full_rebuild_ms = ms(t);
-        mirror.push(eps_t);
 
         check_sim_bits(&sim_new, &sim_full).map_err(|e| format!("round {round}: {e}"))?;
         if idx_new != idx_full {
@@ -477,10 +465,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     let (gen_a, gen_b) = (daemon.generation_for(seed_a), daemon.generation_for(seed_b));
 
     // The first serving generation is the accountant's next scheduled
-    // release, published before any client starts, so the ledger order
-    // below is deterministic: [serving release, comparator, refresh].
-    let (eps_a, serving) = dynrec.release_averages(partition, &prefs, seed_a)?;
-    mirror.push(eps_a);
+    // release, published before any client starts.
+    let (_, serving) = dynrec.release_averages(partition, &prefs, seed_a)?;
     daemon.publish_release(seed_a, serving);
 
     eprintln!(
@@ -522,9 +508,7 @@ pub fn run(args: &Args) -> Result<(), String> {
                 NoiseModel::Laplace,
                 seed_b,
             );
-            mirror.push(per_release);
             let (_e, avg) = dynrec.release_averages(partition, &p2, seed_b)?;
-            mirror.push(per_release);
             if !same_release_bits(&avg, &want) {
                 return Err(
                     "published refresh is not bit-identical to a direct release".to_string()
@@ -609,33 +593,17 @@ pub fn run(args: &Args) -> Result<(), String> {
         }
     }
 
-    // Ledger cross-check: compose every release the process made, in
-    // order, through dp's accountant; on traced runs the observability
-    // ledger's cumulative ε must match bit for bit.
-    let mut composed = PrivacyAccountant::new();
-    for &e in &mirror {
-        composed.spend_sequential(e);
+    // Every release the run served went through the accountant, and
+    // nothing else did: one per churn round, one per published
+    // generation. The refusals above recorded nothing.
+    let spent = dynrec.accountant();
+    if spent.releases() != num_rounds + release_epochs as usize {
+        return Err(format!(
+            "the accountant holds {} releases; the run made {num_rounds} refreshes and \
+             published {release_epochs} generations",
+            spent.releases()
+        ));
     }
-    let composed_epsilon = composed.total_epsilon();
-    let (ledger_cumulative_epsilon, ledger_matches_composed) = if trace.active() {
-        let snap = socialrec_obs::PrivacyLedger::global().snapshot();
-        let lc = snap.cumulative_epsilon;
-        if snap.records.len() != mirror.len() {
-            return Err(format!(
-                "ledger recorded {} releases but the run made {}",
-                snap.records.len(),
-                mirror.len()
-            ));
-        }
-        if lc.to_bits() != composed_epsilon.to_bits() {
-            return Err(format!(
-                "ledger cumulative ε {lc} != locally composed accountant {composed_epsilon}"
-            ));
-        }
-        (Some(lc), true)
-    } else {
-        (None, false)
-    };
 
     let refresh_speedup = full_total_ms / inc_total_ms.max(1e-9);
     let speedup_gate_bound = !smoke;
@@ -684,11 +652,8 @@ pub fn run(args: &Args) -> Result<(), String> {
             epsilon_total: epsilon.to_string(),
             schedule_releases,
             epsilon_per_release: per_release.value(),
-            accountant_epsilon: dynrec.accountant().total_epsilon(),
-            accountant_releases: dynrec.accountant().releases(),
-            composed_epsilon,
-            ledger_cumulative_epsilon,
-            ledger_matches_composed,
+            accountant_epsilon: spent.total_epsilon(),
+            accountant_releases: spent.releases(),
             refusal_schedule,
             refusal_accountant,
         },
@@ -721,14 +686,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         report.serve.release_epochs
     );
     println!(
-        "  privacy    : accountant ε = {:.6} over {} releases; composed ε = {:.6}{}",
-        report.privacy.accountant_epsilon,
-        report.privacy.accountant_releases,
-        composed_epsilon,
-        match ledger_cumulative_epsilon {
-            Some(lc) => format!("; ledger ε = {lc:.6} (exact match)"),
-            None => String::new(),
-        }
+        "  privacy    : accountant ε = {:.6} over {} releases",
+        report.privacy.accountant_epsilon, report.privacy.accountant_releases
     );
     println!("  wrote {out_path}");
     trace.finish(&[
@@ -782,7 +741,7 @@ mod tests {
             "\"index_dirty_rows\"",
             "\"release_epochs\": 2",
             "\"releases_bit_identical\": true",
-            "\"ledger_matches_composed\": true",
+            "\"accountant_releases\": 4",
             "\"refusal_schedule\"",
             "privacy budget exceeded",
             "\"p99_ns\"",

@@ -21,14 +21,13 @@ const REQUIRED_STAGES: [&str; 4] = ["sim-build", "cluster", "release", "recommen
 /// Top-level keys every pipeline artifact must carry. `memory` is the
 /// process-memory sample (`null` off Linux, but the key must exist so
 /// thinning the report is loud).
-const REQUIRED_KEYS: [&str; 11] = [
+const REQUIRED_KEYS: [&str; 10] = [
     "\"stages\"",
     "\"threads\"",
     "\"end_to_end_speedup\"",
     "\"users\"",
     "\"items\"",
     "\"serve_metrics\"",
-    "\"privacy\"",
     "\"simd\"",
     "\"tune\"",
     "\"hotspots\"",
@@ -69,15 +68,6 @@ const REQUIRED_HOTSPOT_KEYS: [&str; 5] =
 /// Fields the `serve_metrics` block (the recommend stage's daemon
 /// registry, a `RegistrySnapshot` via `ToJson`) must carry.
 const REQUIRED_METRICS_KEYS: [&str; 3] = ["\"counters\"", "\"gauges\"", "\"histograms\""];
-
-/// Fields the pipeline `privacy` block must carry: the per-release ε
-/// from dp's accountant and the observability ledger's view of the run.
-const REQUIRED_PRIVACY_KEYS: [&str; 4] = [
-    "\"epsilon_per_release\"",
-    "\"clusters\"",
-    "\"ledger_releases\"",
-    "\"ledger_cumulative_epsilon\"",
-];
 
 /// Load phases every serving artifact must report.
 const REQUIRED_SERVE_MODES: [&str; 3] = ["closed", "uncoalesced", "open"];
@@ -122,15 +112,10 @@ const REQUIRED_SERVE_LATENCY_KEYS: [&str; 4] =
 const REQUIRED_SERVE_COALESCING_KEYS: [&str; 4] =
     ["\"admissions\"", "\"coalesced_queries\"", "\"mean_ride\"", "\"coalesced_fraction\""];
 
-/// Fields the serving `privacy` block must carry (the ledger spend
-/// counts are the one-ε-per-generation hot-swap evidence on traced
-/// runs).
-const REQUIRED_SERVE_PRIVACY_KEYS: [&str; 4] = [
-    "\"epsilon_per_release\"",
-    "\"clusters\"",
-    "\"ledger_spends_generation_a\"",
-    "\"ledger_spends_generation_b\"",
-];
+/// Fields the serving `privacy` block must carry: the accountant's
+/// spent ε and its release count (checked against `release_epochs`).
+const REQUIRED_SERVE_PRIVACY_KEYS: [&str; 2] =
+    ["\"accountant_epsilon\"", "\"accountant_releases\""];
 
 /// Top-level keys every scale artifact must carry.
 const REQUIRED_SCALE_KEYS: [&str; 8] = [
@@ -198,13 +183,13 @@ const REQUIRED_UPDATE_SERVE_KEYS: [&str; 5] = [
     "\"post_swap_generation\"",
 ];
 
-/// Privacy fields: the enforced budget, the locally composed mirror,
-/// the ledger cross-check, and both captured refusal errors.
-const REQUIRED_UPDATE_PRIVACY_KEYS: [&str; 6] = [
+/// Privacy fields: the enforced budget, the accountant's spend (its
+/// release count is checked against the rounds and epochs), and both
+/// captured refusal errors.
+const REQUIRED_UPDATE_PRIVACY_KEYS: [&str; 5] = [
     "\"epsilon_per_release\"",
-    "\"composed_epsilon\"",
-    "\"ledger_cumulative_epsilon\"",
-    "\"ledger_matches_composed\"",
+    "\"accountant_epsilon\"",
+    "\"accountant_releases\"",
     "\"refusal_schedule\"",
     "\"refusal_accountant\"",
 ];
@@ -268,6 +253,20 @@ fn validate_update(body: &str) -> Result<(), String> {
             return Err(format!("missing simd field {key}"));
         }
     }
+    // One accountant release per churn round and per published
+    // generation, and no other.
+    let count = |key: &str| number_after(body, key).ok_or_else(|| format!("{key} is not a count"));
+    let (releases, rounds, epochs) = (
+        count("\"accountant_releases\": ")?,
+        count("\"num_rounds\": ")?,
+        count("\"release_epochs\": ")?,
+    );
+    if releases != rounds + epochs {
+        return Err(format!(
+            "privacy.accountant_releases is {releases}, but the run made {rounds} refreshes \
+             and published {epochs} generations"
+        ));
+    }
     // The refreshed artifacts (similarity rows, index rows, noisy
     // release) must have been asserted bit-identical to the full
     // rebuild at run time, on top of the global equivalence flag.
@@ -326,11 +325,6 @@ fn validate_pipeline(body: &str) -> Result<(), String> {
         }
     }
     validate_serve_metrics(body)?;
-    for key in REQUIRED_PRIVACY_KEYS {
-        if !body.contains(key) {
-            return Err(format!("missing privacy field {key}"));
-        }
-    }
     for key in REQUIRED_SIMD_INFO_KEYS.iter().chain(&REQUIRED_SIMD_KERNEL_KEYS) {
         if !body.contains(key) {
             return Err(format!("missing simd field {key}"));
@@ -438,17 +432,25 @@ fn validate_serve(body: &str) -> Result<(), String> {
             return Err(format!("missing privacy field {key}"));
         }
     }
+    // Each published generation is exactly one accountant release.
+    let releases = number_after(body, "\"accountant_releases\": ");
+    let epochs = number_after(body, "\"release_epochs\": ");
+    if releases.is_none() || releases != epochs {
+        return Err(format!(
+            "privacy.accountant_releases ({releases:?}) must equal release_epochs ({epochs:?})"
+        ));
+    }
     for key in REQUIRED_SERVE_LIVE_KEYS {
         if !body.contains(key) {
             return Err(format!("missing live field {key}"));
         }
     }
-    // The run-time check behind this flag (bit-exact `/ledger` ε) must
-    // have passed — a bench that stops asserting it fails here, not
-    // silently.
+    // The run-time check behind this flag (`/ledger` carries the
+    // accountant's ε bit for bit) must have passed — a bench that stops
+    // asserting it fails here, not silently.
     if !body.contains("\"ledger_bits_match\": true") {
         return Err("live.ledger_bits_match is not true — the /ledger rendering must be \
-             asserted bit-identical to the in-process ledger at run time"
+             asserted bit-identical to the accountant at run time"
             .to_string());
     }
     for key in REQUIRED_SIMD_INFO_KEYS {
@@ -490,14 +492,11 @@ mod tests {
                        [\"serve.shard0.queries\", 6],\n      \
                        [\"serve.shard1.queries\", 4]\n    ],\n    \
                        \"gauges\": [],\n    \"histograms\": []\n";
-        let privacy: String =
-            REQUIRED_PRIVACY_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
         format!(
             "{{\n  \"bench\": \"pipeline\",\n  \"threads\": 1,\n  \"users\": 10,\n  \
              \"items\": 20,\n  \"stages\": [\n{stages}  ],\n  \
              \"end_to_end_speedup\": 1.0,\n  \"equivalence_checked\": true,\n  \
              \"serve_metrics\": {{\n{metrics}  }},\n  \
-             \"privacy\": {{\n{privacy}  }},\n  \
              \"simd\": {{\n    \"detected\": \"avx2\",\n    \"active\": \"avx2\",\n    \
              \"requested\": null,\n    \"kernels\": [\n      {{ \"kernel\": \"recommend-axpy\", \
              \"scalar_ms\": 2.0, \"simd_ms\": 1.0, \"speedup\": 2.0 }}\n    ],\n    \
@@ -532,8 +531,7 @@ mod tests {
              \"introspect_probed\": true, \"ledger_bits_match\": true }},\n  \
              \"release_epochs\": 2,\n  \"shard_generations\": [7, 7, 7, 7],\n  \
              \"equivalence_checked\": true,\n  \
-             \"privacy\": {{ \"epsilon_per_release\": 0.5, \"clusters\": 3, \
-             \"ledger_spends_generation_a\": 1, \"ledger_spends_generation_b\": 1 }},\n  \
+             \"privacy\": {{ \"accountant_epsilon\": 1.0, \"accountant_releases\": 2 }},\n  \
              {},\n  \
              \"registry\": {{ \"gauges\": [[\"serve.shard0.generation\", 7]] }},\n  \
              \"memory\": null\n}}\n",
@@ -560,12 +558,14 @@ mod tests {
     fn valid_update_body() -> String {
         let round: String =
             REQUIRED_UPDATE_ROUND_KEYS.iter().map(|k| format!("      {k}: 1,\n")).collect();
-        let privacy: String =
-            REQUIRED_UPDATE_PRIVACY_KEYS.iter().map(|k| format!("    {k}: 1,\n")).collect();
+        let privacy: String = REQUIRED_UPDATE_PRIVACY_KEYS
+            .iter()
+            .map(|k| format!("    {k}: {},\n", if *k == "\"accountant_releases\"" { 3 } else { 1 }))
+            .collect();
         format!(
             "{{\n  \"bench\": \"update\",\n  \"threads\": 1,\n  \"clients\": 2,\n  \
              \"shards\": 4,\n  \"users\": 10,\n  \"items\": 20,\n  \
-             \"drift_threshold\": 0.02,\n  \
+             \"drift_threshold\": 0.02,\n  \"num_rounds\": 1,\n  \
              \"rounds\": [\n    {{\n{round}      \"speedup\": 8.0\n    }}\n  ],\n  \
              \"incremental_total_ms\": 1.0,\n  \"full_rebuild_total_ms\": 8.0,\n  \
              \"slo\": {{ \"refresh_speedup\": 8.0, \"speedup_gate_bound\": true, \
@@ -601,8 +601,13 @@ mod tests {
         assert!(validate(&no_epochs).unwrap_err().contains("release_epochs"));
         let no_refusal = valid_update_body().replace("\"refusal_schedule\"", "\"r\"");
         assert!(validate(&no_refusal).unwrap_err().contains("refusal_schedule"));
-        let no_ledger = valid_update_body().replace("\"ledger_matches_composed\"", "\"lm\"");
-        assert!(validate(&no_ledger).unwrap_err().contains("ledger_matches_composed"));
+        let no_spend = valid_update_body().replace("\"accountant_epsilon\"", "\"ae\"");
+        assert!(validate(&no_spend).unwrap_err().contains("accountant_epsilon"));
+        // A release the accountant never approved (or one it approved
+        // and the run never served) contradicts the artifact.
+        let unaccounted =
+            valid_update_body().replace("\"accountant_releases\": 3", "\"accountant_releases\": 4");
+        assert!(validate(&unaccounted).unwrap_err().contains("accountant_releases is 4"));
         let no_bits = valid_update_body()
             .replace("\"releases_bit_identical\": true", "\"releases_bit_identical\": false");
         assert!(validate(&no_bits).unwrap_err().contains("releases_bit_identical"));
@@ -666,9 +671,15 @@ mod tests {
         assert!(validate(&no_ride).unwrap_err().contains("mean_ride"));
         let no_stamp = valid_serve_body().replace("serve.shard0.generation", "serve.shard0.gen");
         assert!(validate(&no_stamp).unwrap_err().contains("generation stamps"));
-        let no_spends =
-            valid_serve_body().replace("\"ledger_spends_generation_a\"", "\"spends_a\"");
-        assert!(validate(&no_spends).unwrap_err().contains("ledger_spends_generation_a"));
+        let no_spend = valid_serve_body().replace("\"accountant_epsilon\"", "\"ae\"");
+        assert!(validate(&no_spend).unwrap_err().contains("accountant_epsilon"));
+        // Every published generation is one accountant release.
+        let unaccounted =
+            valid_serve_body().replace("\"accountant_releases\": 2", "\"accountant_releases\": 1");
+        assert!(validate(&unaccounted).unwrap_err().contains("must equal release_epochs"));
+        let no_count = valid_serve_body()
+            .replace("\"accountant_releases\": 2", "\"accountant_releases\": null");
+        assert!(validate(&no_count).unwrap_err().contains("must equal release_epochs"));
     }
 
     #[test]
@@ -679,7 +690,7 @@ mod tests {
         assert!(validate(&no_swaps).unwrap_err().contains("hot_swap_events"));
         let no_probe = valid_serve_body().replace("\"introspect_probed\"", "\"ip\"");
         assert!(validate(&no_probe).unwrap_err().contains("introspect_probed"));
-        // A run whose /ledger drifted from the in-process ledger is a
+        // A run whose /ledger drifted from the accountant is a
         // self-contradiction the artifact may not carry.
         let drifted = valid_serve_body()
             .replace("\"ledger_bits_match\": true", "\"ledger_bits_match\": false");

@@ -24,12 +24,13 @@ use std::collections::HashMap;
 
 /// Every event name the journal can emit (`EventKind::name`); an
 /// unknown name in a dump means the endpoint and the journal drifted.
-const KNOWN_EVENTS: [&str; 5] = [
+const KNOWN_EVENTS: [&str; 6] = [
     "release_published",
     "hot_swap_completed",
     "budget_refusal",
     "drift_valve_restart",
     "coalesce_requeue",
+    "query_refused",
 ];
 
 /// One parsed exposition: `name -> declared type`,
@@ -364,6 +365,13 @@ mod tests {
         let not_json = "hot_swap_completed at t=4\n";
         assert!(validate_events(not_json).unwrap_err().contains("not a JSON object"));
         assert!(validate_events("\n\n").unwrap_err().contains("no events"));
+        // The list tracks the journal's kinds exactly.
+        let kinds: Vec<&str> = socialrec_obs::EventKind::ALL.iter().map(|k| k.name()).collect();
+        assert_eq!(KNOWN_EVENTS.to_vec(), kinds);
+        validate_events(
+            "{\"seq\":2,\"t_ns\":9,\"event\":\"query_refused\",\"user\":4,\"reason\":0}\n",
+        )
+        .unwrap();
     }
 
     #[test]

@@ -20,7 +20,9 @@
 //!   indefinitely with ever-coarser answers.
 //!
 //! Every release is recorded in a [`PrivacyAccountant`]; the recommender
-//! refuses to exceed the total budget.
+//! refuses to exceed the total budget. That accountant is the only
+//! record of ε: a serving daemon's introspection endpoint reads it
+//! through [`DynamicRecommender::accountant_handle`].
 
 use crate::private::framework::release_noisy_cluster_averages_with;
 use crate::private::{ClusterFramework, NoiseModel, NoisyClusterAverages};
@@ -32,6 +34,7 @@ use socialrec_obs::journal::{
     self, EventKind, REFUSAL_BUDGET_EXCEEDED, REFUSAL_SCHEDULE_EXHAUSTED,
 };
 use socialrec_obs::span;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A decay ratio validated to lie in the open interval `(0, 1)`.
 ///
@@ -130,7 +133,7 @@ pub struct DynamicRecommender {
     total: Epsilon,
     schedule: BudgetSchedule,
     noise: NoiseModel,
-    accountant: PrivacyAccountant,
+    accountant: Arc<Mutex<PrivacyAccountant>>,
     releases_done: usize,
 }
 
@@ -152,7 +155,7 @@ impl DynamicRecommender {
             total,
             schedule,
             noise: NoiseModel::Laplace,
-            accountant: PrivacyAccountant::new(),
+            accountant: Arc::default(),
             releases_done: 0,
         }
     }
@@ -173,7 +176,7 @@ impl DynamicRecommender {
     pub fn remaining_budget(&self) -> f64 {
         match self.total {
             Epsilon::Infinite => f64::INFINITY,
-            Epsilon::Finite(e) => (e - self.accountant.total_epsilon()).max(0.0),
+            Epsilon::Finite(e) => (e - self.lock_accountant().total_epsilon()).max(0.0),
         }
     }
 
@@ -182,10 +185,25 @@ impl DynamicRecommender {
         self.schedule.epsilon_for(self.releases_done, self.total)
     }
 
-    /// The accountant recording every spend — the single source of
-    /// truth for the cumulative ε consumed by this recommender.
-    pub fn accountant(&self) -> &PrivacyAccountant {
-        &self.accountant
+    /// A copy of the accountant recording every spend — the single
+    /// source of truth for the cumulative ε consumed by this
+    /// recommender.
+    pub fn accountant(&self) -> PrivacyAccountant {
+        self.lock_accountant().clone()
+    }
+
+    /// The live accountant itself, for readers that outlive a borrow of
+    /// the recommender (the introspection endpoint's `/ledger`). Only
+    /// this recommender spends from it.
+    pub fn accountant_handle(&self) -> Arc<Mutex<PrivacyAccountant>> {
+        Arc::clone(&self.accountant)
+    }
+
+    /// Lock the accountant. Its state is three numbers updated after
+    /// every check passes, so a poisoned lock still holds a consistent
+    /// record.
+    fn lock_accountant(&self) -> MutexGuard<'_, PrivacyAccountant> {
+        self.accountant.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Debit the schedule's next ε, refusing (without recording or
@@ -196,7 +214,7 @@ impl DynamicRecommender {
             Self::journal_refusal(self.releases_done, REFUSAL_SCHEDULE_EXHAUSTED);
             format!("budget schedule exhausted after {} releases", self.releases_done)
         })?;
-        self.accountant.try_spend_sequential(eps, self.total).map_err(|e| {
+        self.lock_accountant().try_spend_sequential(eps, self.total).map_err(|e| {
             Self::journal_refusal(self.releases_done, REFUSAL_BUDGET_EXCEEDED);
             format!("release refused: {e}")
         })?;
@@ -230,7 +248,7 @@ impl DynamicRecommender {
         Ok(Release {
             lists,
             epsilon_spent: eps,
-            epsilon_total_spent: self.accountant.total_epsilon(),
+            epsilon_total_spent: self.lock_accountant().total_epsilon(),
         })
     }
 
@@ -267,7 +285,7 @@ impl DynamicRecommender {
         eps: Epsilon,
         seed: u64,
     ) -> Result<(Epsilon, NoisyClusterAverages), String> {
-        self.accountant.try_spend_sequential(eps, self.total).map_err(|e| {
+        self.lock_accountant().try_spend_sequential(eps, self.total).map_err(|e| {
             Self::journal_refusal(self.releases_done, REFUSAL_BUDGET_EXCEEDED);
             format!("release refused: {e}")
         })?;

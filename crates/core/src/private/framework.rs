@@ -22,9 +22,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use rayon::prelude::*;
 use socialrec_community::Partition;
-use socialrec_dp::{
-    sample_laplace, sample_two_sided_geometric, Epsilon, GeometricMechanism, PrivacyAccountant,
-};
+use socialrec_dp::{sample_laplace, sample_two_sided_geometric, Epsilon, GeometricMechanism};
 use socialrec_graph::UserId;
 use socialrec_obs::span;
 
@@ -240,6 +238,10 @@ pub fn release_noisy_cluster_averages(
 /// noise streams are untouched — the output is byte-identical to
 /// [`release_noisy_cluster_averages_reference`] for every noise model,
 /// seed, and thread count.
+///
+/// A pure function: it records no spend. Debiting ε is the caller's
+/// job, before the call — `DynamicRecommender`'s accountant is the one
+/// record of what was released.
 pub fn release_noisy_cluster_averages_with(
     partition: &Partition,
     prefs: &socialrec_graph::preference::PreferenceGraph,
@@ -256,7 +258,6 @@ pub fn release_noisy_cluster_averages_with(
     );
     let _span = span!("release", clusters = c);
     if ni == 0 {
-        record_release_in_ledger(epsilon, noise, c, 0);
         return NoisyClusterAverages { values: Vec::new(), num_clusters: c, num_items: 0 };
     }
     let sizes = partition.cluster_sizes();
@@ -290,35 +291,7 @@ pub fn release_noisy_cluster_averages_with(
         });
     }
 
-    record_release_in_ledger(epsilon, noise, c, ni);
     NoisyClusterAverages { values, num_clusters: c, num_items: ni }
-}
-
-/// Feed the observability ledger (only while tracing is enabled): run
-/// the release through `dp`'s accountant — one `spend_parallel(ε)` per
-/// cluster, since the per-cluster averages touch disjoint preference
-/// edges — and record the resulting total. The accountant, not this
-/// function, owns the composition arithmetic, so the ledger's ε per
-/// release provably matches the accountant's.
-fn record_release_in_ledger(epsilon: Epsilon, noise: NoiseModel, clusters: usize, items: usize) {
-    if !socialrec_obs::enabled() {
-        return;
-    }
-    let mut accountant = PrivacyAccountant::new();
-    for _ in 0..clusters {
-        accountant.spend_parallel(epsilon);
-    }
-    socialrec_obs::PrivacyLedger::global().record(socialrec_obs::ReleaseRecord {
-        epsilon: accountant.total_epsilon(),
-        clusters,
-        items,
-        noise: match noise {
-            NoiseModel::Laplace => "laplace",
-            NoiseModel::Geometric => "geometric",
-        },
-        accounted_releases: accountant.releases() as u64,
-        generation: None,
-    });
 }
 
 /// The historical sequential-scan release: one pass over every
@@ -611,54 +584,6 @@ mod tests {
         assert_eq!(
             geo_inf.noisy_cluster_averages(&inputs, 0).values,
             lap_inf.noisy_cluster_averages(&inputs, 0).values
-        );
-    }
-
-    #[test]
-    fn ledger_epsilon_matches_accountant() {
-        // Tracing on: each release must land in the global privacy
-        // ledger with ε exactly equal to dp's parallel composition over
-        // its clusters. Use a distinctive ε so records written by other
-        // tests sharing the process-global ledger can't be confused
-        // with ours, and assert on deltas rather than absolute counts.
-        let (s, p) = fixture();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let inputs = RecommenderInputs { prefs: &p, sim: &sim };
-        let partition = LouvainStrategy::default().cluster(&s);
-        let eps = 0.734_501;
-        let fw = ClusterFramework::new(&partition, Epsilon::Finite(eps))
-            .with_noise(NoiseModel::Geometric);
-
-        let ledger = socialrec_obs::PrivacyLedger::global();
-        let before = ledger.snapshot();
-        let _ = fw.noisy_cluster_averages(&inputs, 11); // tracing off: no record
-        socialrec_obs::enable();
-        let _ = fw.noisy_cluster_averages(&inputs, 11);
-        let _ = fw.noisy_cluster_averages(&inputs, 12);
-        socialrec_obs::disable();
-        let after = ledger.snapshot();
-
-        let ours: Vec<_> = after
-            .records
-            .iter()
-            .skip(before.records.len())
-            .filter(|r| (r.epsilon - eps).abs() < 1e-12)
-            .collect();
-        assert_eq!(ours.len(), 2, "one record per traced release, none untraced");
-        let mut accountant = PrivacyAccountant::new();
-        for _ in 0..partition.num_clusters() {
-            accountant.spend_parallel(Epsilon::Finite(eps));
-        }
-        for r in &ours {
-            assert_eq!(r.epsilon, accountant.total_epsilon(), "ledger ε must match accountant");
-            assert_eq!(r.clusters, partition.num_clusters());
-            assert_eq!(r.items, p.num_items());
-            assert_eq!(r.noise, "geometric");
-            assert_eq!(r.accounted_releases, accountant.releases() as u64);
-        }
-        assert!(
-            after.cumulative_epsilon >= before.cumulative_epsilon + 2.0 * eps - 1e-9,
-            "sequential composition across rebuilds accumulates"
         );
     }
 

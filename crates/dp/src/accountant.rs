@@ -35,7 +35,9 @@ impl fmt::Display for BudgetExceeded {
 
 impl std::error::Error for BudgetExceeded {}
 
-/// A ledger of differentially private releases.
+/// A ledger of differentially private releases. A serving daemon's
+/// `/ledger` endpoint reads the one its `DynamicRecommender` spends
+/// from; there is no other record of ε.
 #[derive(Clone, Debug, Default)]
 pub struct PrivacyAccountant {
     sequential_total: f64,
@@ -101,8 +103,8 @@ impl PrivacyAccountant {
     }
 
     /// The parallel-composed part of the spend (max over disjoint
-    /// releases). This is the term the observability ledger reports per
-    /// noisy-averages release: ε regardless of cluster count.
+    /// releases): for one noisy-averages release, ε regardless of
+    /// cluster count.
     pub fn parallel_max(&self) -> f64 {
         self.parallel_max
     }

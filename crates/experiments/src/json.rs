@@ -229,33 +229,6 @@ impl ToJson for socialrec_obs::MemorySample {
     }
 }
 
-impl ToJson for socialrec_obs::ReleaseRecord {
-    fn write_json(&self, out: &mut String, indent: usize) {
-        write_object(
-            out,
-            indent,
-            &[
-                ("epsilon", &self.epsilon),
-                ("clusters", &self.clusters),
-                ("items", &self.items),
-                ("noise", &self.noise),
-                ("accounted_releases", &self.accounted_releases),
-                ("generation", &self.generation),
-            ],
-        );
-    }
-}
-
-impl ToJson for socialrec_obs::LedgerSnapshot {
-    fn write_json(&self, out: &mut String, indent: usize) {
-        write_object(
-            out,
-            indent,
-            &[("records", &self.records), ("cumulative_epsilon", &self.cumulative_epsilon)],
-        );
-    }
-}
-
 impl ToJson for socialrec_obs::HistogramSummary {
     /// Durations flatten to integer nanoseconds (`*_ns`). `p50_ns` /
     /// `p99_ns` are sub-bucket upper bounds from the log₂ histograms
@@ -342,20 +315,6 @@ mod tests {
 
     #[test]
     fn obs_snapshots_render_with_ns_fields() {
-        let ledger = socialrec_obs::PrivacyLedger::new();
-        ledger.record(socialrec_obs::ReleaseRecord {
-            epsilon: 0.5,
-            clusters: 4,
-            items: 10,
-            noise: "laplace",
-            accounted_releases: 4,
-            generation: Some(9),
-        });
-        let json = ledger.snapshot().to_json_pretty();
-        assert!(json.contains("\"cumulative_epsilon\": 0.5"));
-        assert!(json.contains("\"noise\": \"laplace\""));
-        assert!(json.contains("\"generation\": 9"));
-
         let r = socialrec_obs::MetricsRegistry::new();
         r.counter("hits").add(2);
         r.histogram("lat").record(std::time::Duration::from_millis(3));

@@ -9,15 +9,16 @@
 //! * `/metrics` — Prometheus text exposition: every registry counter
 //!   and gauge; every registry histogram as a Prometheus histogram
 //!   (cumulative `_bucket{le="…"}` series in nanoseconds, then `+Inf`,
-//!   `_sum` and `_count`) plus its true `_max_ns` gauge; and
-//!   journal/ledger totals. The registry keeps lifetime totals only:
+//!   `_sum` and `_count`) plus its true `_max_ns` gauge; the journal
+//!   totals; and the accountant's release count and spent ε. The
+//!   registry keeps lifetime totals only:
 //!   trailing-window quantiles, rates and burn-rate alerts are the
 //!   scraper's job, e.g.
 //!   `histogram_quantile(0.99, rate(socialrec_serve_shard0_query_ns_bucket[1m]))`.
 //! * `/health` — `{"status":"ok"}` while the endpoint answers.
-//! * `/ledger` — the privacy ledger: per-release records, cumulative
-//!   ε (with a bit-exact `_bits` field), and the remaining budget when
-//!   one was declared.
+//! * `/ledger` — the live accountant that approved the daemon's
+//!   releases: its spent ε (with a bit-exact `_bits` field) and its
+//!   release count. There is no other record of ε.
 //! * `/events` — the journal tail as JSON lines.
 //!
 //! Requests are served one at a time from a single thread — this is an
@@ -25,23 +26,31 @@
 //! metrics never block recorders.
 
 use crate::journal::{Journal, CAPACITY};
-use crate::ledger::PrivacyLedger;
 use crate::metrics::MetricsRegistry;
+use socialrec_dp::PrivacyAccountant;
 use std::io::{self, Read, Write};
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
-/// What the endpoint exposes (globals — the journal and the privacy
-/// ledger — are picked up automatically).
+/// What the endpoint exposes (the process-global journal is picked up
+/// automatically).
 #[derive(Clone)]
 pub struct IntrospectConfig {
     /// The daemon's metrics registry.
     pub registry: Arc<MetricsRegistry>,
-    /// Total ε budget, if the daemon has one; enables the
-    /// `epsilon_remaining` field of `/ledger`.
-    pub epsilon_budget: Option<f64>,
+    /// The accountant that approves the daemon's releases
+    /// (`DynamicRecommender::accountant_handle`), read live on every
+    /// scrape by `/ledger` and the `/metrics` ε series.
+    pub accountant: Arc<Mutex<PrivacyAccountant>>,
+}
+
+impl IntrospectConfig {
+    /// A copy of the accountant's current state.
+    fn read_accountant(&self) -> PrivacyAccountant {
+        self.accountant.lock().unwrap_or_else(PoisonError::into_inner).clone()
+    }
 }
 
 /// A running introspection endpoint; dropping it stops the thread.
@@ -141,7 +150,9 @@ fn handle_connection(mut stream: TcpStream, cfg: &IntrospectConfig) -> io::Resul
             respond(&mut stream, 200, "text/plain; version=0.0.4", &render_prometheus(cfg))
         }
         "/health" => respond(&mut stream, 200, "application/json", "{\"status\":\"ok\"}\n"),
-        "/ledger" => respond(&mut stream, 200, "application/json", &render_ledger_json(cfg)),
+        "/ledger" => {
+            respond(&mut stream, 200, "application/json", &accountant_json(&cfg.read_accountant()))
+        }
         "/events" => respond(
             &mut stream,
             200,
@@ -262,75 +273,38 @@ pub fn render_prometheus(cfg: &IntrospectConfig) -> String {
         &[(String::new(), journal.dropped().to_string())],
     );
 
-    let ledger = PrivacyLedger::global().snapshot();
+    let accountant = cfg.read_accountant();
     push_metric(
         &mut out,
         "socialrec_ledger_releases",
         "counter",
-        &[(String::new(), ledger.records.len().to_string())],
+        &[(String::new(), accountant.releases().to_string())],
     );
     push_metric(
         &mut out,
         "socialrec_ledger_cumulative_epsilon",
         "gauge",
-        &[(String::new(), format!("{:?}", ledger.cumulative_epsilon))],
+        &[(String::new(), format!("{:?}", accountant.total_epsilon()))],
     );
     out
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Render the `/ledger` body. `cumulative_epsilon_bits` (and the
-/// per-release `epsilon_bits`) are IEEE-754 bit patterns so a client
-/// can compare ε values bit-for-bit without parsing floats. (Named
-/// `_json` to avoid clashing with the text [`crate::render_ledger`].)
-pub fn render_ledger_json(cfg: &IntrospectConfig) -> String {
-    let snap = PrivacyLedger::global().snapshot();
-    let releases: Vec<String> = snap
-        .records
-        .iter()
-        .map(|r| {
-            format!(
-                "{{\"epsilon\":{:?},\"epsilon_bits\":{},\"clusters\":{},\"items\":{},\"noise\":\"{}\",\"accounted_releases\":{},\"generation\":{}}}",
-                r.epsilon,
-                r.epsilon.to_bits(),
-                r.clusters,
-                r.items,
-                json_escape(r.noise),
-                r.accounted_releases,
-                r.generation.map(|g| g.to_string()).unwrap_or_else(|| "null".into())
-            )
-        })
-        .collect();
-    let (budget, remaining) = match cfg.epsilon_budget {
-        Some(b) => (format!("{b:?}"), format!("{:?}", (b - snap.cumulative_epsilon).max(0.0))),
-        None => ("null".into(), "null".into()),
-    };
+/// Render the `/ledger` body from an accountant's state.
+/// `cumulative_epsilon_bits` is the IEEE-754 bit pattern of the spent
+/// ε, so a client can compare it bit for bit without parsing floats.
+pub fn accountant_json(a: &PrivacyAccountant) -> String {
+    let spent = a.total_epsilon();
     format!(
-        "{{\"cumulative_epsilon\":{:?},\"cumulative_epsilon_bits\":{},\"epsilon_budget\":{},\"epsilon_remaining\":{},\"releases\":[{}]}}\n",
-        snap.cumulative_epsilon,
-        snap.cumulative_epsilon.to_bits(),
-        budget,
-        remaining,
-        releases.join(",")
+        "{{\"cumulative_epsilon\":{spent:?},\"cumulative_epsilon_bits\":{},\"releases\":{}}}\n",
+        spent.to_bits(),
+        a.releases()
     )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialrec_dp::Epsilon;
     use std::time::Instant;
 
     fn test_cfg() -> IntrospectConfig {
@@ -338,12 +312,14 @@ mod tests {
         registry.counter("serve.shard0.queries").add(5);
         registry.gauge("serve.shard0.generation").set(2);
         registry.histogram("serve.shard0.query_ns").record(Duration::from_micros(10));
-        IntrospectConfig { registry, epsilon_budget: Some(2.0) }
+        let mut accountant = PrivacyAccountant::new();
+        accountant.spend_sequential(Epsilon::Finite(0.25));
+        accountant.spend_sequential(Epsilon::Finite(0.5));
+        IntrospectConfig { registry, accountant: Arc::new(Mutex::new(accountant)) }
     }
 
     #[test]
     fn prometheus_rendering_has_types_and_sane_names() {
-        let _g = crate::span::test_lock();
         let text = render_prometheus(&test_cfg());
         assert!(text.contains("# TYPE socialrec_serve_shard0_queries counter"));
         assert!(text.contains("socialrec_serve_shard0_queries 5"));
@@ -357,34 +333,46 @@ mod tests {
         assert!(text.contains("socialrec_serve_shard0_query_ns_count 1"));
         assert!(text.contains("socialrec_serve_shard0_query_ns_max_ns 10000"));
         assert!(!text.contains("_p99_ns"), "quantile gauges gave way to buckets");
-        assert!(text.contains("socialrec_ledger_cumulative_epsilon"));
+        // The ε series read the accountant.
+        assert!(text.contains("socialrec_ledger_releases 2\n"));
+        assert!(text.contains("socialrec_ledger_cumulative_epsilon 0.75\n"));
         // The '.'-separated registry names were sanitized.
         assert!(!text.contains("serve.shard0"));
     }
 
     #[test]
-    fn ledger_renders_json() {
-        let _g = crate::span::test_lock();
-        let ledger = render_ledger_json(&test_cfg());
-        assert!(ledger.contains("\"cumulative_epsilon_bits\":"));
-        assert!(ledger.contains("\"epsilon_budget\":2.0"));
+    fn ledger_renders_the_accountant() {
+        let body = accountant_json(&test_cfg().read_accountant());
+        let bits = 0.75f64.to_bits();
+        assert_eq!(
+            body,
+            format!(
+                "{{\"cumulative_epsilon\":0.75,\"cumulative_epsilon_bits\":{bits},\"releases\":2}}\n"
+            )
+        );
     }
 
     #[test]
     fn server_answers_all_endpoints() {
-        let _g = crate::span::test_lock();
-        let server = IntrospectionServer::start(0, test_cfg()).expect("bind localhost");
+        let cfg = test_cfg();
+        let accountant = Arc::clone(&cfg.accountant);
+        let server = IntrospectionServer::start(0, cfg).expect("bind localhost");
         let addr = server.addr();
         assert!(addr.ip().is_loopback(), "must bind 127.0.0.1 only");
         for (path, expect) in [
             ("/metrics", "# TYPE socialrec_"),
             ("/health", "{\"status\":\"ok\"}"),
-            ("/ledger", "\"cumulative_epsilon\""),
+            ("/ledger", "\"releases\":2}"),
         ] {
             let (status, body) = http_get(addr, path).expect("scrape");
             assert_eq!(status, 200, "{path}");
             assert!(body.contains(expect), "{path} body: {body}");
         }
+        // `/ledger` reads the accountant live, not a copy taken at start.
+        accountant.lock().unwrap().spend_sequential(Epsilon::Finite(0.25));
+        let (_, body) = http_get(addr, "/ledger").expect("scrape");
+        assert!(body.contains("\"cumulative_epsilon\":1.0,"), "{body}");
+        assert!(body.contains("\"releases\":3}"), "{body}");
         let (status, _) = http_get(addr, "/events").expect("events");
         assert_eq!(status, 200);
         for gone in ["/nope", "/metrics.json"] {

@@ -51,6 +51,10 @@ pub enum EventKind {
     /// A coalescing leader exited without answering batch-mates and
     /// they were requeued (`a` = requeued queries).
     CoalesceRequeue,
+    /// The daemon refused a query with an empty answer (`a` = user,
+    /// `b` = reason: 0 = unpublished generation, 1 = user outside the
+    /// partition).
+    QueryRefused,
 }
 
 impl EventKind {
@@ -62,16 +66,18 @@ impl EventKind {
             EventKind::BudgetRefusal => "budget_refusal",
             EventKind::DriftValveRestart => "drift_valve_restart",
             EventKind::CoalesceRequeue => "coalesce_requeue",
+            EventKind::QueryRefused => "query_refused",
         }
     }
 
     /// Every kind, for schema validation.
-    pub const ALL: [EventKind; 5] = [
+    pub const ALL: [EventKind; 6] = [
         EventKind::ReleasePublished,
         EventKind::HotSwapCompleted,
         EventKind::BudgetRefusal,
         EventKind::DriftValveRestart,
         EventKind::CoalesceRequeue,
+        EventKind::QueryRefused,
     ];
 
     fn code(self) -> u64 {
@@ -90,6 +96,7 @@ impl EventKind {
             EventKind::BudgetRefusal => ("release", "reason"),
             EventKind::DriftValveRestart => ("touched", "moved"),
             EventKind::CoalesceRequeue => ("requeued", "unused"),
+            EventKind::QueryRefused => ("user", "reason"),
         }
     }
 }
@@ -98,6 +105,12 @@ impl EventKind {
 pub const REFUSAL_SCHEDULE_EXHAUSTED: u64 = 0;
 /// `b`-payload code for an accountant-refused [`EventKind::BudgetRefusal`].
 pub const REFUSAL_BUDGET_EXCEEDED: u64 = 1;
+/// `b`-payload code for a [`EventKind::QueryRefused`] whose seed names
+/// no published generation.
+pub const REFUSED_UNPUBLISHED_GENERATION: u64 = 0;
+/// `b`-payload code for a [`EventKind::QueryRefused`] whose user lies
+/// outside the partition.
+pub const REFUSED_USER_OUTSIDE_PARTITION: u64 = 1;
 
 /// One journal event, as read back out of the ring.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

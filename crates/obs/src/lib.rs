@@ -3,7 +3,7 @@
 //! is a vendored-stand-in-style layer rather than `tracing` +
 //! `metrics` + an OTLP exporter).
 //!
-//! Four pieces, one per module:
+//! Three pieces, one per module:
 //!
 //! * [`span!`] / [`SpanGuard`] — hierarchical wall-clock spans recorded
 //!   into per-thread buffers and drained through a global collector.
@@ -19,35 +19,34 @@
 //! * [`chrome`] — a Chrome trace-event-format JSON writer (loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>) with a structural
 //!   self-check, and [`summary`], a plain-text per-span timing table.
-//! * [`ledger`] — the [`PrivacyLedger`]: one record per differentially
-//!   private release (ε, cluster count, noise model, served generation),
-//!   making the paper's parallel-composition argument *observable* —
-//!   each `A_w` release costs a single ε regardless of cluster count,
-//!   and repeated releases (each published generation) compose
-//!   sequentially into the ledger's cumulative spend.
 //!
 //! Plus two pieces for a running daemon:
 //!
 //! * [`journal`] — a bounded, non-blocking ring of typed operational
-//!   events (hot swaps, budget refusals, drift-valve restarts, …) with
-//!   overwrite-oldest semantics and a drop counter, armed separately
-//!   via [`arm_live`] (one relaxed-load disabled cost, same contract as
-//!   [`span!`]).
+//!   events (hot swaps, budget refusals, refused queries, drift-valve
+//!   restarts, …) with overwrite-oldest semantics and a drop counter,
+//!   armed separately via [`arm_live`] (one relaxed-load disabled cost,
+//!   same contract as [`span!`]).
 //! * [`introspect`] — a std-only HTTP/1.0 [`IntrospectionServer`]
 //!   bound to `127.0.0.1` serving `/metrics` (the registry, with every
 //!   histogram as cumulative Prometheus buckets, so a scraper computes
 //!   trailing-window quantiles and rates itself), `/health`, `/ledger`,
 //!   and `/events`.
 //!
+//! This crate keeps no record of ε. `/ledger` reads the
+//! `socialrec-dp` `PrivacyAccountant` that approves the daemon's
+//! releases, handed in through [`IntrospectConfig`]; it is the one
+//! record, and it is live whether or not tracing is on.
+//!
 //! # Testing against global state
 //!
-//! The enable flag, the journal's armed flag, the span collector, the
-//! [`PrivacyLedger`], and the [`Journal`] are all **process-global**.
-//! Tests that enable/disable tracing, arm the journal, or reset/inspect
-//! the ledger or journal run concurrently under `cargo test` and will
-//! steal each other's state unless they serialize. Inside this crate
-//! use `span::test_lock()`; tests in the CLI crate (and anything
-//! driving `TraceSink`) must hold
+//! The enable flag, the journal's armed flag, the span collector, and
+//! the [`Journal`] are all **process-global**. Tests that
+//! enable/disable tracing, arm the journal, or reset/inspect the
+//! journal run concurrently under `cargo test` and will steal each
+//! other's state unless they serialize. Inside this crate use
+//! `span::test_lock()`; tests in the CLI crate (and anything driving
+//! `TraceSink`) must hold
 //! `socialrec_cli::commands::trace::obs_test_lock()` for the whole
 //! test body. Tests that only touch instance-local state (their own
 //! `MetricsRegistry`, `Journal::new()`) need no lock.
@@ -76,7 +75,6 @@
 mod chrome;
 pub mod introspect;
 pub mod journal;
-mod ledger;
 mod memory;
 mod metrics;
 mod span;
@@ -85,7 +83,6 @@ mod summary;
 pub use chrome::{chrome_trace_json, validate_chrome_trace, TraceCheck};
 pub use introspect::{http_get, IntrospectConfig, IntrospectionServer};
 pub use journal::{arm_live, disarm_live, live_armed, EventKind, Journal, JournalSnapshot};
-pub use ledger::{render_ledger, LedgerSnapshot, PrivacyLedger, ReleaseRecord};
 pub use memory::{record_memory_gauges, sample_memory, MemorySample};
 pub use metrics::{
     Counter, Gauge, HistogramSummary, LatencyHistogram, MetricsRegistry, RegistrySnapshot,

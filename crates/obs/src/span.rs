@@ -211,7 +211,7 @@ macro_rules! span {
 
 #[cfg(test)]
 pub(crate) fn test_lock() -> std::sync::MutexGuard<'static, ()> {
-    // The toggle, collector, and ledger are process-global; tests that
+    // The toggle and the collector are process-global; tests that
     // enable/drain serialize on this lock so parallel test threads do
     // not steal each other's events.
     static LOCK: Mutex<()> = Mutex::new(());

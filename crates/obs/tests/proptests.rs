@@ -63,7 +63,7 @@ proptest! {
         for &v in &values {
             h.record(Duration::from_nanos(v));
         }
-        let text = render_prometheus(&IntrospectConfig { registry, epsilon_budget: None });
+        let text = render_prometheus(&IntrospectConfig { registry, accountant: Default::default() });
         prop_assert!(text.contains("# TYPE socialrec_t_latency histogram\n"));
         let (mut buckets, mut inf, mut sum, mut count) = (Vec::new(), None, None, None);
         for line in text.lines() {

@@ -473,15 +473,26 @@ impl SimMassIndex {
         Self::from_artifact(CsrArtifact::open_owned(path)?)
     }
 
-    /// Wrap a validated artifact, checking it holds a sim-mass index.
+    /// Wrap a validated artifact, checking it holds a sim-mass index
+    /// whose every cluster id is below its cluster count. A stored id at
+    /// or past the count would index outside a release row on the first
+    /// query that reads it, so it fails the open instead.
     pub fn from_artifact(art: CsrArtifact) -> io::Result<SimMassIndex> {
-        if art.header().kind != ArtifactKind::SimMass {
+        let header = art.header();
+        if header.kind != ArtifactKind::SimMass {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
-                format!("artifact holds {:?}, not a sim-mass index", art.header().kind),
+                format!("artifact holds {:?}, not a sim-mass index", header.kind),
             ));
         }
-        let num_clusters = art.header().meta as usize;
+        if let Some(max) = art.cols().iter().copied().max().filter(|&c| u64::from(c) >= header.meta)
+        {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!("corrupt sim-mass index: cluster id {max} >= {} clusters", header.meta),
+            ));
+        }
+        let num_clusters = header.meta as usize;
         let rows = art.num_rows();
         Ok(SimMassIndex { repr: Repr::Mapped { art: Arc::new(art), base: 0, rows }, num_clusters })
     }

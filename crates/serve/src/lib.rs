@@ -11,8 +11,8 @@
 //!   `DynamicRecommender::release_averages`, whose accountant debits
 //!   the ε spend. A query whose `seed` names no retained published
 //!   generation, or whose user is outside the partition, is refused
-//!   with an empty list and counted in `serve.refused`; no query can
-//!   mint a release.
+//!   with an empty list, counted in `serve.refused` and journalled as
+//!   `query_refused`; no query can mint a release.
 //! * [`SimMassIndex`] — the per-user cluster similarity masses are
 //!   precomputed once, in parallel, collapsing per-query work from
 //!   `O(|sim(u)|)` to one sparse axpy per touched cluster.

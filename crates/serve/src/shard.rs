@@ -25,7 +25,8 @@
 //!   (never published, or evicted) or whose user is outside the
 //!   partition gets an empty list, never a fresh release or a panic.
 //!   Each refused query counts once, in the daemon-wide
-//!   `serve.refused` counter.
+//!   `serve.refused` counter, and, when the journal is armed, emits one
+//!   `query_refused` event carrying the user and the reason.
 //! * **Metrics** — every shard registers named counters
 //!   (`serve.shard<i>.queries`, `.admissions`, `.coalesced`,
 //!   `.kernel_blocks`, `.release_swaps`), a `.generation` gauge, and a
@@ -58,7 +59,9 @@ use socialrec_core::private::framework::NoisyClusterAverages;
 use socialrec_core::{top_n_items, RecommenderInputs, TopN};
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
-use socialrec_obs::journal::{self, EventKind};
+use socialrec_obs::journal::{
+    self, EventKind, REFUSED_UNPUBLISHED_GENERATION, REFUSED_USER_OUTSIDE_PARTITION,
+};
 use socialrec_obs::{span, Counter, Gauge, LatencyHistogram, MetricsRegistry};
 use socialrec_similarity::SimilarityMatrix;
 use std::hash::Hasher;
@@ -270,12 +273,7 @@ impl<'p> ShardedServer<'p> {
             "published release was built against a different partition"
         );
         let generation = self.generation_for(seed);
-        if self.exchange.publish(generation, Arc::new(averages)) && socialrec_obs::enabled() {
-            // The producing release recorded its spend in the privacy
-            // ledger; stamp that record with the generation now serving
-            // it.
-            socialrec_obs::PrivacyLedger::global().stamp_generation(generation);
-        }
+        self.exchange.publish(generation, Arc::new(averages));
         generation
     }
 
@@ -306,9 +304,11 @@ impl<'p> ShardedServer<'p> {
         Some(averages)
     }
 
-    /// The answer to a refused query: an empty list, counted.
-    fn refuse(&self, user: UserId) -> TopN {
+    /// The answer to a refused query: an empty list, counted and
+    /// journalled with its `reason` (`journal::REFUSED_*`).
+    fn refuse(&self, user: UserId, reason: u64) -> TopN {
         self.refused.inc();
+        journal::emit(EventKind::QueryRefused, u64::from(user.0), reason);
         TopN { user, items: Vec::new() }
     }
 
@@ -336,7 +336,7 @@ impl<'p> ShardedServer<'p> {
         for (seed, group) in groups {
             let Some(averages) = self.release_for(shard, seed) else {
                 for q in group {
-                    q.fulfill(self.refuse(q.user()));
+                    q.fulfill(self.refuse(q.user(), REFUSED_UNPUBLISHED_GENERATION));
                 }
                 continue;
             };
@@ -376,7 +376,7 @@ impl<'p> ShardedServer<'p> {
         seed: u64,
     ) -> TopN {
         let Some(si) = self.owning_shard(user) else {
-            return self.refuse(user);
+            return self.refuse(user, REFUSED_USER_OUTSIDE_PARTITION);
         };
         let shard = &self.shards[si];
         shard.queue_depth.set(shard.queue.depth() as i64);
@@ -405,7 +405,7 @@ impl<'p> ShardedServer<'p> {
         for (pos, &u) in users.iter().enumerate() {
             match self.owning_shard(u) {
                 Some(si) => routed[si].push((pos, u)),
-                None => out[pos] = Some(self.refuse(u)),
+                None => out[pos] = Some(self.refuse(u, REFUSED_USER_OUTSIDE_PARTITION)),
             }
         }
         // Resolve each touched shard's release up front so the parallel
@@ -422,7 +422,7 @@ impl<'p> ShardedServer<'p> {
                 ),
                 None => {
                     for &(pos, u) in r {
-                        out[pos] = Some(self.refuse(u));
+                        out[pos] = Some(self.refuse(u, REFUSED_UNPUBLISHED_GENERATION));
                     }
                 }
             }

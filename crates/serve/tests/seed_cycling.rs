@@ -5,24 +5,21 @@
 //! average the noise away, an unaccounted k·ε spend. The daemon
 //! therefore serves only releases that were published to it. A seed
 //! that names no published generation gets an empty list, counted in
-//! `serve.refused`, and the exchange epoch and the privacy ledger do not
-//! move.
-//!
-//! This binary holds one test on purpose: the privacy ledger is
-//! process-global, so a concurrent test drawing releases would add
-//! records to the delta checked here.
+//! `serve.refused` and journalled as a `query_refused` event, and
+//! neither the exchange epoch nor the accountant moves.
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::{BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
+use socialrec_obs::journal::{REFUSED_UNPUBLISHED_GENERATION, REFUSED_USER_OUTSIDE_PARTITION};
+use socialrec_obs::{EventKind, Journal};
 use socialrec_serve::ShardedServer;
 use socialrec_similarity::{Measure, SimilarityMatrix};
 
 #[test]
 fn cycling_unpublished_seeds_mints_no_release() {
-    socialrec_obs::enable();
     let ds = lastfm_like_scaled(0.05, 3);
     let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
@@ -36,8 +33,13 @@ fn cycling_unpublished_seeds_mints_no_release() {
     daemon.publish_release(1, release);
     assert_eq!(daemon.exchange().epoch(), 1);
     assert!(!daemon.recommend_one(&inputs, UserId(0), 10, 1).items.is_empty());
+    let spent = accountant.accountant();
+    assert_eq!(spent.releases(), 1);
 
-    let ledger_before = socialrec_obs::PrivacyLedger::global().snapshot().records.len();
+    // Arm the journal: every refusal below must reach it.
+    socialrec_obs::arm_live();
+    let journal = Journal::global();
+    let first_seq = journal.emitted();
     let refused = daemon.registry().counter("serve.refused");
 
     // Eight single queries, each on a seed nobody published.
@@ -59,7 +61,31 @@ fn cycling_unpublished_seeds_mints_no_release() {
     assert_eq!(refused.get(), 16);
     assert_eq!(daemon.exchange().epoch(), 1, "a refused batch must not release");
 
-    let ledger_after = socialrec_obs::PrivacyLedger::global().snapshot().records.len();
-    assert_eq!(ledger_after, ledger_before, "refused queries must leave no ledger record");
-    socialrec_obs::disable();
+    // A user outside the partition, on the published seed.
+    let outside = UserId(partition.num_users() as u32);
+    assert!(daemon.recommend_one(&inputs, outside, 10, 1).items.is_empty());
+    assert_eq!(refused.get(), 17);
+    socialrec_obs::disarm_live();
+
+    // One journal event per refused query, naming its user and reason.
+    let mut events: Vec<(u64, u64)> = journal
+        .snapshot(usize::MAX)
+        .events
+        .iter()
+        .filter(|e| e.seq >= first_seq && e.kind == EventKind::QueryRefused)
+        .map(|e| (e.a, e.b))
+        .collect();
+    events.sort_unstable();
+    let mut want: Vec<(u64, u64)> = (0..8)
+        .chain(10..18)
+        .map(|u| (u, REFUSED_UNPUBLISHED_GENERATION))
+        .chain([(u64::from(outside.0), REFUSED_USER_OUTSIDE_PARTITION)])
+        .collect();
+    want.sort_unstable();
+    assert_eq!(events, want);
+
+    // The accountant, the one record of ε, did not move.
+    let after = accountant.accountant();
+    assert_eq!(after.releases(), 1, "refused queries must spend nothing");
+    assert_eq!(after.total_epsilon().to_bits(), spent.total_epsilon().to_bits());
 }

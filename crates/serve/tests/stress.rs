@@ -8,8 +8,8 @@
 //! reference — and a returned answer per issued query proves nothing
 //! was dropped. After the run, per-shard counters must conserve (every
 //! issued query counted exactly once), nothing is refused, and the
-//! privacy ledger shows exactly one ε spend per generation: the
-//! accountant's, stamped by its publish.
+//! accountant, the one record of ε, holds exactly one spend per
+//! published generation.
 //!
 //! Like `thread_matrix.rs`, the scheduler width is latched per process,
 //! so the matrix test re-runs this binary as a child per
@@ -48,10 +48,6 @@ fn assert_bits_match(got: &TopN, want: &TopN, seed: u64) {
 }
 
 fn run_stress() {
-    // Enable observability so the release kernel writes ledger records
-    // (the ε-spend assertions need them).
-    socialrec_obs::enable();
-
     let ds = lastfm_like_scaled(0.05, 33);
     let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
@@ -64,8 +60,7 @@ fn run_stress() {
         DynamicRecommender::new(Epsilon::Finite(0.8), BudgetSchedule::Uniform { releases: 2 });
     let epsilon = Epsilon::Finite(0.4);
 
-    // Per-seed references (these also write ledger records; they stay
-    // unstamped, so the per-generation stamp counts below are exact).
+    // Per-seed references, drawn outside the accountant.
     let fw = ClusterFramework::new(&partition, epsilon);
     let want_a = fw.recommend(&inputs, &all, TOP_N, SEED_A);
     let want_b = fw.recommend(&inputs, &all, TOP_N, SEED_B);
@@ -74,8 +69,6 @@ fn run_stress() {
     let gen_a = daemon.generation_for(SEED_A);
     let gen_b = daemon.generation_for(SEED_B);
 
-    // Each publish directly follows its release, so it stamps that
-    // release's ledger record.
     let (eps_a, release_a) = accountant.release_averages(&partition, &ds.prefs, SEED_A).unwrap();
     assert_eq!(eps_a, epsilon);
     daemon.publish_release(SEED_A, release_a);
@@ -158,12 +151,10 @@ fn run_stress() {
     let refused = daemon.registry().counter("serve.refused").get();
     assert_eq!(refused, 0, "clients only ever ask for published seeds");
 
-    // Ledger: exactly one ε spend stamped per generation.
-    let ledger = socialrec_obs::PrivacyLedger::global().snapshot();
-    for (gen, label) in [(gen_a, "A"), (gen_b, "B")] {
-        let spends = ledger.records.iter().filter(|r| r.generation == Some(gen)).count();
-        assert_eq!(spends, 1, "generation {label} must spend ε exactly once");
-    }
+    // The accountant: one ε spend per published generation, 2 × 0.4.
+    let spent = accountant.accountant();
+    assert_eq!(spent.releases() as u64, daemon.exchange().epoch());
+    assert_eq!(spent.total_epsilon().to_bits(), (2.0 * 0.4f64).to_bits());
     // Every shard ends on the post-swap generation (all shards saw
     // seed-B traffic).
     assert_eq!(daemon.shard_generations(), vec![Some(gen_b); daemon.num_shards()]);

@@ -339,9 +339,20 @@ impl CsrArtifact {
                 return Err(bad(format!("{name} section misaligned (offset {off})")));
             }
         }
-        let offsets_end = header.offsets_off + (header.num_rows + 1) * 8;
-        let vals_end = header.vals_off + header.num_entries * header.value_kind.value_size() as u64;
-        let cols_end = header.cols_off + header.num_entries * 4;
+        // Corrupt counts must not overflow the section arithmetic.
+        let section_end =
+            |off: u64, count: Option<u64>, width: u64| count?.checked_mul(width)?.checked_add(off);
+        let (Some(offsets_end), Some(vals_end), Some(cols_end)) = (
+            section_end(header.offsets_off, header.num_rows.checked_add(1), 8),
+            section_end(
+                header.vals_off,
+                Some(header.num_entries),
+                header.value_kind.value_size() as u64,
+            ),
+            section_end(header.cols_off, Some(header.num_entries), 4),
+        ) else {
+            return Err(bad("artifact section sizes overflow"));
+        };
         if header.offsets_off < HEADER_LEN as u64
             || offsets_end > header.vals_off
             || vals_end > header.cols_off

@@ -31,9 +31,10 @@
 //!   NDCG@N;
 //! * [`datasets`] — Table-1-faithful synthetic Last.fm/Flixster-like
 //!   datasets and loaders for the real file formats;
-//! * [`obs`] — dependency-free observability: hierarchical spans, a
-//!   metrics registry, Chrome-trace export, and the privacy-budget
-//!   ledger (all inert until [`obs::enable`] is called).
+//! * [`obs`] — std-only observability: hierarchical spans (inert until
+//!   [`obs::enable`] is called), a metrics registry, Chrome-trace
+//!   export, an event journal, and an introspection endpoint whose
+//!   `/ledger` reads a live `dp::PrivacyAccountant`.
 //!
 //! ## Quickstart
 //!
