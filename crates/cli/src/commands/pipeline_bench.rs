@@ -252,14 +252,14 @@ pub fn run(args: &Args) -> Result<(), String> {
     let num_users = ds.social.num_users();
     eprintln!("  {} users, {} items, {threads} threads", num_users, ds.prefs.num_items());
 
-    // Stage 1 — similarity build. The two-pass parallel CSR assembly
-    // must reproduce the sequential row-major build bit for bit.
+    // Stage 1 — similarity build. The parallel shared-row build must
+    // reproduce the sequential build bit for bit.
     eprintln!("sim-build: sequential {} reference x{reps}...", measure.name());
     let (sim_seq, sim_seq_ms) =
         timed_min(reps, || SimilarityMatrix::build_sequential(&ds.social, measure.as_ref()));
     eprintln!("  {sim_seq_ms:.0} ms ({} entries)", sim_seq.num_entries());
 
-    eprintln!("sim-build: two-pass parallel CSR assembly x{reps}...");
+    eprintln!("sim-build: parallel build x{reps}...");
     let (sim, sim_par_ms) =
         timed_min(reps, || SimilarityMatrix::build(&ds.social, measure.as_ref()));
     eprintln!("  {sim_par_ms:.0} ms");
@@ -475,13 +475,13 @@ pub fn run(args: &Args) -> Result<(), String> {
 
 fn check_sim_equivalence(seq: &SimilarityMatrix, par: &SimilarityMatrix) -> Result<(), String> {
     if seq.num_users() != par.num_users() || seq.num_entries() != par.num_entries() {
-        return Err("two-pass similarity build changed the matrix shape".to_string());
+        return Err("parallel similarity build changed the matrix shape".to_string());
     }
     for u in 0..seq.num_users() as u32 {
         let (vs, ss) = seq.row(UserId(u));
         let (vp, sp) = par.row(UserId(u));
         if vs != vp || ss.iter().zip(sp).any(|(a, b)| a.to_bits() != b.to_bits()) {
-            return Err(format!("two-pass similarity row {u} differs from the sequential build"));
+            return Err(format!("parallel similarity row {u} differs from the sequential build"));
         }
     }
     Ok(())
@@ -693,14 +693,8 @@ mod tests {
         // before returning Ok).
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
         let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
-        for span in [
-            "sim.build",
-            "louvain.level",
-            "release",
-            "update.publish",
-            "serve.shard_batch",
-            "csr.chunk",
-        ] {
+        for span in ["sim.build", "louvain.level", "release", "update.publish", "serve.shard_batch"]
+        {
             assert!(check.has_span(span), "trace missing {span}: {:?}", check.names);
         }
         std::fs::remove_file(&out).ok();

@@ -273,8 +273,8 @@ mod tests {
                 dur_ns: 4_000_000,
                 depth: 1,
             },
-            ev("csr.chunk", 1, 2_000, 1_500_000, 0),
-            ev("csr.chunk", 2, 2_500, 1_400_000, 0),
+            ev("sim.stream_chunk", 1, 2_000, 1_500_000, 0),
+            ev("sim.stream_chunk", 2, 2_500, 1_400_000, 0),
             ev("louvain.level", 0, 5_000_000, 3_000_000, 1),
         ];
         let json = chrome_trace_json(&events);

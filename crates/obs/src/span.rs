@@ -194,7 +194,7 @@ pub fn drain_events() -> Vec<SpanEvent> {
 /// use socialrec_obs::span;
 /// socialrec_obs::enable();
 /// let _span = span!("sim.build");
-/// let _inner = span!("csr.chunk", rows = 128usize);
+/// let _inner = span!("sim.stream_chunk", rows = 128usize);
 /// ```
 ///
 /// Bind the guard to a named `_span`-style variable — `let _ = span!(…)`

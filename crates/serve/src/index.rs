@@ -18,15 +18,19 @@
 //! The index rows live in one of two backings behind one access path
 //! ([`row_vals`](SimMassIndex::row_vals)):
 //!
-//! * **Heap** — the flat CSR arrays built in RAM, the original form;
+//! * **Heap** — rows built in RAM as [`SharedRows`], one `Arc`
+//!   allocation per row;
 //! * **Mapped** — a zero-copy window onto a
 //!   [`CsrArtifact`] file (see `socialrec_similarity::artifact`),
 //!   shared via `Arc` so sharding never duplicates the backing bytes.
 //!
-//! Heap [`slice_rows`](SimMassIndex::slice_rows) copies (the historical
-//! rebased-slice semantics); mapped `slice_rows` just narrows the
-//! window. Serving code cannot tell the difference — the equivalence
-//! tests pin that both backings return identical row bits.
+//! Neither backing copies row bytes to derive a new index: heap
+//! [`slice_rows`](SimMassIndex::slice_rows), `clone` and
+//! [`update_rows`](SimMassIndex::update_rows) share every row they do
+//! not recompute and copy only the row-pointer table, and mapped
+//! `slice_rows` just narrows the window. Serving code cannot tell the
+//! backings apart — the equivalence tests pin that both return
+//! identical row bits.
 
 use rayon::prelude::*;
 use socialrec_community::Partition;
@@ -34,8 +38,7 @@ use socialrec_graph::UserId;
 use socialrec_similarity::artifact::{
     write_csr_artifact, ArtifactKind, CsrArtifact, StreamingCsrWriter, ValueKind,
 };
-use socialrec_similarity::csr::assemble_csr;
-use socialrec_similarity::{RowVals, SimilarityRows};
+use socialrec_similarity::{RowVals, SharedRows, SimilarityRows};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -71,8 +74,9 @@ pub struct SimMassIndex {
 
 #[derive(Clone, Debug)]
 enum Repr {
-    /// Flat CSR arrays owned in RAM.
-    Heap { offsets: Vec<u64>, clusters: Vec<u32>, masses: Vec<f64> },
+    /// Rows owned in RAM, each shared between the indexes derived
+    /// from one another.
+    Heap { rows: SharedRows<u32, f64> },
     /// A window of `rows` rows starting at artifact row `base`. The
     /// artifact is shared, so slicing is O(1) and allocation-free.
     Mapped { art: Arc<CsrArtifact>, base: usize, rows: usize },
@@ -82,10 +86,8 @@ impl SimMassIndex {
     /// Build the index for every user, in parallel, from any similarity
     /// row store (heap matrix or mapped artifact).
     ///
-    /// Assembly is the two-pass CSR build of `socialrec_similarity::csr`:
-    /// each worker reuses one dense cluster scratch and appends rows
-    /// straight into its chunk buffer, then the flat arrays are written
-    /// with direct-slot parallel copies. Bit-identical to
+    /// Each worker reuses one dense cluster scratch, and each row is
+    /// allocated once at its exact size. Bit-identical to
     /// [`build_reference`](SimMassIndex::build_reference) for any
     /// thread count.
     ///
@@ -94,32 +96,18 @@ impl SimMassIndex {
         let n = sim.num_users();
         assert_eq!(n, partition.num_users(), "partition must cover the similarity matrix's users");
         let nc = partition.num_clusters();
-        let parts = assemble_csr(
+        let rows = SharedRows::build(
             n,
-            0u32,
-            0.0f64,
             || vec![0.0f64; nc],
-            |scratch: &mut Vec<f64>, u, cols, vals| {
-                accumulate_row(sim, partition, UserId(u as u32), scratch);
-                for (cl, m) in scratch.iter_mut().enumerate() {
-                    if *m != 0.0 {
-                        cols.push(cl as u32);
-                        vals.push(*m);
-                    }
-                    *m = 0.0;
-                }
-            },
+            |scratch, u| mass_row(sim, partition, u, scratch),
         );
-        SimMassIndex {
-            repr: Repr::Heap { offsets: parts.offsets, clusters: parts.cols, masses: parts.vals },
-            num_clusters: nc,
-        }
+        SimMassIndex { repr: Repr::Heap { rows }, num_clusters: nc }
     }
 
     /// Sequential reference for [`build`](SimMassIndex::build): one
-    /// thread, one dense scratch, row-major push-down. Retained so the
-    /// equivalence tests (and the thread-count matrix) can prove the
-    /// parallel two-pass assembly produces the same bytes.
+    /// thread, one dense scratch, rows in ascending order. Retained so
+    /// the equivalence tests (and the thread-count matrix) can prove
+    /// the parallel build produces the same bytes.
     pub fn build_reference<R: SimilarityRows + ?Sized>(
         sim: &R,
         partition: &Partition,
@@ -128,22 +116,9 @@ impl SimMassIndex {
         assert_eq!(n, partition.num_users(), "partition must cover the similarity matrix's users");
         let nc = partition.num_clusters();
         let mut scratch = vec![0.0f64; nc];
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut clusters = Vec::new();
-        let mut masses = Vec::new();
-        for u in 0..n as u32 {
-            accumulate_row(sim, partition, UserId(u), &mut scratch);
-            for (cl, m) in scratch.iter_mut().enumerate() {
-                if *m != 0.0 {
-                    clusters.push(cl as u32);
-                    masses.push(*m);
-                }
-                *m = 0.0;
-            }
-            offsets.push(clusters.len() as u64);
-        }
-        SimMassIndex { repr: Repr::Heap { offsets, clusters, masses }, num_clusters: nc }
+        let rows =
+            (0..n as u32).map(|u| mass_row(sim, partition, UserId(u), &mut scratch)).collect();
+        SimMassIndex { repr: Repr::Heap { rows }, num_clusters: nc }
     }
 
     /// The `(clusters, masses)` row for one user, f64 only.
@@ -168,10 +143,9 @@ impl SimMassIndex {
     #[inline]
     pub fn row_vals(&self, u: UserId) -> (&[u32], RowVals<'_>) {
         match &self.repr {
-            Repr::Heap { offsets, clusters, masses } => {
-                let lo = offsets[u.index()] as usize;
-                let hi = offsets[u.index() + 1] as usize;
-                (&clusters[lo..hi], RowVals::F64(&masses[lo..hi]))
+            Repr::Heap { rows } => {
+                let (clusters, masses) = rows.row(u);
+                (clusters, RowVals::F64(masses))
             }
             Repr::Mapped { art, base, rows } => {
                 assert!(u.index() < *rows, "user {u:?} outside this index window");
@@ -190,7 +164,7 @@ impl SimMassIndex {
     /// Number of indexed users.
     pub fn num_users(&self) -> usize {
         match &self.repr {
-            Repr::Heap { offsets, .. } => offsets.len() - 1,
+            Repr::Heap { rows } => rows.num_rows(),
             Repr::Mapped { rows, .. } => *rows,
         }
     }
@@ -203,7 +177,7 @@ impl SimMassIndex {
     /// Total stored `(cluster, mass)` pairs.
     pub fn nnz(&self) -> usize {
         match &self.repr {
-            Repr::Heap { clusters, .. } => clusters.len(),
+            Repr::Heap { rows } => rows.nnz(),
             Repr::Mapped { art, base, rows } => {
                 let offsets = art.offsets();
                 (offsets[base + rows] - offsets[*base]) as usize
@@ -230,29 +204,21 @@ impl SimMassIndex {
     /// Rows `[lo, hi)` rebased so the result's user `0` is this index's
     /// user `lo` — the per-shard index of the sharded server.
     ///
-    /// Heap backing: an owned copy of the rows (copied bytes, no
-    /// re-accumulation, so the floating-point contract is preserved
-    /// verbatim). Mapped backing: the same shared artifact with a
-    /// narrowed window — O(1), no bytes duplicated, which is what lets
-    /// a million-user daemon shard without re-materializing the index.
+    /// Heap backing: the same shared rows behind a new pointer table —
+    /// no row bytes copied or re-accumulated, so the floating-point
+    /// contract is preserved verbatim. Mapped backing: the same shared
+    /// artifact with a narrowed window — O(1), no bytes duplicated,
+    /// which is what lets a million-user daemon shard without
+    /// re-materializing the index.
     ///
     /// Panics if `lo > hi` or `hi` exceeds the user count.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> SimMassIndex {
         assert!(lo <= hi && hi <= self.num_users(), "slice out of bounds");
         match &self.repr {
-            Repr::Heap { offsets, clusters, masses } => {
-                let base = offsets[lo];
-                let new_offsets: Vec<u64> = offsets[lo..=hi].iter().map(|&o| o - base).collect();
-                let (start, end) = (offsets[lo] as usize, offsets[hi] as usize);
-                SimMassIndex {
-                    repr: Repr::Heap {
-                        offsets: new_offsets,
-                        clusters: clusters[start..end].to_vec(),
-                        masses: masses[start..end].to_vec(),
-                    },
-                    num_clusters: self.num_clusters,
-                }
-            }
+            Repr::Heap { rows } => SimMassIndex {
+                repr: Repr::Heap { rows: rows.slice(lo, hi) },
+                num_clusters: self.num_clusters,
+            },
             Repr::Mapped { art, base, .. } => SimMassIndex {
                 repr: Repr::Mapped { art: Arc::clone(art), base: base + lo, rows: hi - lo },
                 num_clusters: self.num_clusters,
@@ -266,41 +232,32 @@ impl SimMassIndex {
     /// to serving this, which is how the compact-value contract is
     /// tested without any tolerance.
     pub fn quantized(&self) -> SimMassIndex {
-        let n = self.num_users();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut clusters = Vec::new();
-        let mut masses = Vec::new();
-        for u in 0..n as u32 {
-            let (cls, vals) = self.row_vals(UserId(u));
-            clusters.extend_from_slice(cls);
-            for i in 0..vals.len() {
-                masses.push((vals.get(i) as f32) as f64);
-            }
-            offsets.push(clusters.len() as u64);
-        }
-        SimMassIndex {
-            repr: Repr::Heap { offsets, clusters, masses },
-            num_clusters: self.num_clusters,
-        }
+        let rows = (0..self.num_users() as u32)
+            .map(|u| {
+                let (cls, vals) = self.row_vals(UserId(u));
+                (cls.into(), (0..vals.len()).map(|i| (vals.get(i) as f32) as f64).collect())
+            })
+            .collect();
+        SimMassIndex { repr: Repr::Heap { rows }, num_clusters: self.num_clusters }
     }
 
     /// Recompute only the `dirty` rows (ascending user ids) against the
-    /// current similarity store and partition, splicing every other row
-    /// from `self` unchanged — the streaming-delta companion to
+    /// current similarity store and partition and share every other row
+    /// with `self` — the streaming-delta companion to
     /// [`build`](SimMassIndex::build).
     ///
     /// When `dirty` covers every row whose contents a refresh could
     /// have changed (see [`dirty_index_rows`]), the result is
     /// **bit-identical** to `SimMassIndex::build(sim, partition)` from
     /// scratch: recomputed rows run the exact dense-scratch walk of the
-    /// full build, and clean rows are byte copies. The partition may
-    /// have a different cluster count than the one this index was built
-    /// with (labels just relabel row contents, which is what makes rows
-    /// dirty).
+    /// full build, and clean rows are the very same allocations. The
+    /// partition may have a different cluster count than the one this
+    /// index was built with (labels just relabel row contents, which is
+    /// what makes rows dirty).
     ///
     /// Requires full-precision (f64) rows; compact (f32) indices are
-    /// read-only serving artifacts.
+    /// read-only serving artifacts. A mapped f64 index is copied into
+    /// heap rows first, so only heap indices update in O(dirty rows).
     pub fn update_rows<R: SimilarityRows + ?Sized>(
         &self,
         sim: &R,
@@ -312,50 +269,27 @@ impl SimMassIndex {
         assert_eq!(partition.num_users(), n, "partition must cover the similarity matrix's users");
         debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty rows must strictly ascend");
         assert!(dirty.last().is_none_or(|u| u.index() < n), "dirty row out of range");
+        let copied: SharedRows<u32, f64>;
+        let rows = match &self.repr {
+            Repr::Heap { rows } => rows,
+            Repr::Mapped { .. } => {
+                copied = (0..n as u32)
+                    .map(|u| {
+                        let (cls, masses) = self.row(UserId(u));
+                        (cls.into(), masses.into())
+                    })
+                    .collect();
+                &copied
+            }
+        };
         let _span = socialrec_obs::span!("update.index_rows", rows = dirty.len());
         let nc = partition.num_clusters();
-
-        // Recompute the dirty rows in parallel with the shared walk.
-        let new_rows: Vec<(Vec<u32>, Vec<f64>)> = dirty
-            .par_iter()
-            .map_init(
-                || vec![0.0f64; nc],
-                |scratch, &u| {
-                    let mut cols = Vec::new();
-                    let mut vals = Vec::new();
-                    accumulate_row(sim, partition, u, scratch);
-                    for (cl, m) in scratch.iter_mut().enumerate() {
-                        if *m != 0.0 {
-                            cols.push(cl as u32);
-                            vals.push(*m);
-                        }
-                        *m = 0.0;
-                    }
-                    (cols, vals)
-                },
-            )
-            .collect();
-
-        // Splice: clean rows verbatim, dirty rows replaced.
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut clusters = Vec::new();
-        let mut masses = Vec::new();
-        let mut next_dirty = 0usize;
-        for u in 0..n as u32 {
-            if next_dirty < dirty.len() && dirty[next_dirty].0 == u {
-                let (cols, vals) = &new_rows[next_dirty];
-                clusters.extend_from_slice(cols);
-                masses.extend_from_slice(vals);
-                next_dirty += 1;
-            } else {
-                let (cols, vals) = self.row(UserId(u));
-                clusters.extend_from_slice(cols);
-                masses.extend_from_slice(vals);
-            }
-            offsets.push(clusters.len() as u64);
-        }
-        SimMassIndex { repr: Repr::Heap { offsets, clusters, masses }, num_clusters: nc }
+        let rows = rows.update(
+            dirty,
+            || vec![0.0f64; nc],
+            |scratch, u| mass_row(sim, partition, u, scratch),
+        );
+        SimMassIndex { repr: Repr::Heap { rows }, num_clusters: nc }
     }
 
     /// Write this index as an mmap-able artifact file (kind
@@ -525,6 +459,29 @@ fn accumulate_row<R: SimilarityRows + ?Sized>(
     }
 }
 
+/// Row `u` of the index: accumulate its masses into the zeroed dense
+/// `scratch`, then emit every non-zero cluster in ascending order into
+/// arrays allocated once at their exact length, zeroing `scratch` for
+/// the next row.
+fn mass_row<R: SimilarityRows + ?Sized>(
+    sim: &R,
+    partition: &Partition,
+    u: UserId,
+    scratch: &mut [f64],
+) -> (Box<[u32]>, Box<[f64]>) {
+    accumulate_row(sim, partition, u, scratch);
+    let len = scratch.iter().filter(|&&m| m != 0.0).count();
+    let (mut cols, mut vals) = (Vec::with_capacity(len), Vec::with_capacity(len));
+    for (cl, m) in scratch.iter_mut().enumerate() {
+        if *m != 0.0 {
+            cols.push(cl as u32);
+            vals.push(*m);
+        }
+        *m = 0.0;
+    }
+    (cols.into_boxed_slice(), vals.into_boxed_slice())
+}
+
 /// The index rows a refresh can change, given the similarity-dirty
 /// rows and the users whose cluster id changed.
 ///
@@ -645,7 +602,7 @@ mod tests {
             ] {
                 let par = SimMassIndex::build(&sim, &partition);
                 let refr = SimMassIndex::build_reference(&sim, &partition);
-                assert_eq!(par, refr, "two-pass build differs from reference");
+                assert_eq!(par, refr, "parallel build differs from reference");
             }
         }
     }
@@ -923,6 +880,61 @@ mod tests {
         let idx = SimMassIndex::build(&sim, &partition);
         let same = idx.update_rows(&sim, &partition, &[]);
         assert_eq!(same, idx);
+    }
+
+    #[test]
+    fn update_rows_on_a_mapped_f64_index_matches_a_rebuild() {
+        let s =
+            social_graph_from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
+                .unwrap();
+        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
+        let heap = SimMassIndex::build(&sim, &Partition::from_assignment(&[0, 0, 0, 1, 1, 1]));
+        let path = temp_path("mapped-update");
+        heap.write_artifact(&path, ValueKind::F64).unwrap();
+        let mapped = SimMassIndex::open_artifact(&path).unwrap();
+        let moved = Partition::from_assignment(&[0, 0, 1, 1, 1, 1]);
+        let dirty = dirty_index_rows(&sim, &[], &[UserId(2)]);
+        assert_eq!(mapped.update_rows(&sim, &moved, &dirty), SimMassIndex::build(&sim, &moved));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A clone, a heap slice and a dirty-row update share every row they
+    /// do not recompute with the index they came from. Empty rows are
+    /// skipped: every empty boxed slice has the same dangling pointer.
+    #[test]
+    fn clone_slice_and_update_rows_share_clean_rows() {
+        let mut edges: Vec<(u32, u32)> = (0..40u32).map(|u| (u, (u + 1) % 40)).collect();
+        edges.extend((0..20u32).map(|u| (u, u + 20)));
+        let s = social_graph_from_edges(40, &edges).unwrap();
+        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
+        let mut labels: Vec<u32> = (0..40).map(|u| u % 5).collect();
+        let idx = SimMassIndex::build(&sim, &Partition::from_assignment(&labels));
+        let ptr = |i: &SimMassIndex, u: usize| i.row(UserId(u as u32)).0.as_ptr();
+        let non_empty: Vec<usize> =
+            (0..40).filter(|&u| !idx.row(UserId(u as u32)).0.is_empty()).collect();
+        assert_eq!(non_empty.len(), 40, "every user of the ring has similar users");
+
+        let copy = idx.clone();
+        assert!(non_empty.iter().all(|&u| ptr(&idx, u) == ptr(&copy, u)), "clone copied a row");
+        for (lo, hi) in [(0, 13), (13, 40)] {
+            let shard = idx.slice_rows(lo, hi);
+            for &u in non_empty.iter().filter(|&&u| (lo..hi).contains(&u)) {
+                assert_eq!(ptr(&idx, u), ptr(&shard, u - lo), "slice copied row {u}");
+            }
+        }
+
+        // Moving user 7 dirties its own row and the rows that hold it.
+        labels[7] = 1;
+        let partition = Partition::from_assignment(&labels);
+        let dirty = dirty_index_rows(&sim, &[], &[UserId(7)]);
+        assert!(dirty.len() < 40);
+        let next = idx.update_rows(&sim, &partition, &dirty);
+        assert_eq!(next, SimMassIndex::build(&sim, &partition));
+        for &u in &non_empty {
+            if dirty.binary_search(&UserId(u as u32)).is_err() {
+                assert_eq!(ptr(&idx, u), ptr(&next, u), "clean row {u} was copied");
+            }
+        }
     }
 
     #[test]

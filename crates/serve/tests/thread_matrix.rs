@@ -5,8 +5,8 @@
 //! exercise the bit-identity contracts off the 1-core CI happy path,
 //! the matrix test re-runs this test binary as a child process per
 //! thread count in {1, 2, 8}, each child running the full equivalence
-//! suite (blocked utility kernel, two-pass `SimilarityMatrix` build,
-//! two-pass `SimMassIndex` build) under that scheduler width.
+//! suite (blocked utility kernel, parallel `SimilarityMatrix` build,
+//! parallel `SimMassIndex` build) under that scheduler width.
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::private::framework::release_noisy_cluster_averages;
@@ -20,8 +20,8 @@ fn run_equivalence_checks() {
     let ds = lastfm_like_scaled(0.04, 21);
     let n = ds.social.num_users();
 
-    // Two-pass parallel SimilarityMatrix assembly vs the sequential
-    // reference: offsets, neighbor order, and score bits.
+    // Parallel SimilarityMatrix build vs the sequential reference:
+    // row lengths, neighbor order, and score bits.
     let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
     let sim_ref = SimilarityMatrix::build_sequential(&ds.social, &Measure::CommonNeighbors);
     assert_eq!(sim.num_users(), sim_ref.num_users());
@@ -35,13 +35,13 @@ fn run_equivalence_checks() {
         }
     }
 
-    // Two-pass parallel SimMassIndex assembly vs the sequential
-    // reference (PartialEq covers offsets, clusters, and mass values;
+    // Parallel SimMassIndex build vs the sequential reference
+    // (PartialEq covers row lengths, clusters, and mass values;
     // the bit-level check is the kernel comparison below).
     let partition = LouvainStrategy { restarts: 2, seed: 21, refine: true }.cluster(&ds.social);
     let index = SimMassIndex::build(&sim, &partition);
     let index_ref = SimMassIndex::build_reference(&sim, &partition);
-    assert_eq!(index, index_ref, "two-pass SimMassIndex differs from reference");
+    assert_eq!(index, index_ref, "parallel SimMassIndex differs from reference");
 
     // Blocked utility kernel vs the per-user full-width reference,
     // across tile sizes (including ones that do not divide the item

@@ -1,17 +1,19 @@
-//! Precomputed similarity sets for all users, in CSR form.
+//! Precomputed similarity sets for all users.
 //!
 //! The recommenders evaluate `sim(u)` for every user, and the NOU
 //! baseline needs the global sensitivity `max_u Σ_v sim(v, u)`; both
 //! want the whole matrix up front. Rows are computed in parallel with
-//! per-thread scratch buffers.
+//! per-thread scratch buffers and stored as [`SharedRows`]: one `Arc`
+//! allocation per row, so a clone or a dirty-row update shares every
+//! row it does not recompute.
 
-use crate::csr::assemble_csr;
+use crate::rows::SharedRows;
 use crate::scratch::SimScratch;
 use crate::Similarity;
 use rayon::prelude::*;
 use socialrec_graph::{SocialGraph, UserId};
 
-/// All similarity sets, row per user, CSR layout.
+/// All similarity sets, one shared row per user.
 ///
 /// # Examples
 ///
@@ -28,85 +30,72 @@ use socialrec_graph::{SocialGraph, UserId};
 /// ```
 #[derive(Clone, Debug)]
 pub struct SimilarityMatrix {
-    offsets: Vec<u64>,
-    neighbors: Vec<UserId>,
-    scores: Vec<f64>,
+    rows: SharedRows<UserId, f64>,
     name: &'static str,
+}
+
+/// Per-worker state of the row computation: dense scratch plus the
+/// pooled row buffer `similarity_set` writes into.
+type Workspace = (SimScratch, Vec<(UserId, f64)>);
+
+/// Row `u` of the matrix, split into exact-size column and value
+/// arrays. `similarity_set` clears the pooled buffer first, so it never
+/// leaks entries across rows; the split reads it while it is cache-hot.
+fn similarity_row<S: Similarity + ?Sized>(
+    g: &SocialGraph,
+    measure: &S,
+    (scratch, row): &mut Workspace,
+    u: UserId,
+) -> (Box<[UserId]>, Box<[f64]>) {
+    measure.similarity_set(g, u, scratch, row);
+    (row.iter().map(|&(v, _)| v).collect(), row.iter().map(|&(_, s)| s).collect())
 }
 
 impl SimilarityMatrix {
     /// Compute every user's similarity set in parallel.
     ///
-    /// Assembly is the two-pass CSR build of [`crate::csr`]: rows are
-    /// filled into per-chunk buffers through one pooled row buffer per
-    /// worker (no per-row allocation), lengths become offsets via an
-    /// exclusive prefix sum, and the flat arrays are written with
-    /// direct-slot parallel copies. Output is bit-identical to
+    /// Each worker reuses one scratch and one row buffer, and each row
+    /// is allocated once at its exact size. Output is bit-identical to
     /// [`build_sequential`](SimilarityMatrix::build_sequential) for any
     /// thread count (proven by tests and re-checked at run time by
     /// `socialrec pipeline-bench`).
     pub fn build<S: Similarity + ?Sized>(g: &SocialGraph, measure: &S) -> SimilarityMatrix {
         let n = g.num_users();
         let _span = socialrec_obs::span!("sim.build", users = n);
-        let parts = assemble_csr(
+        let rows = SharedRows::build(
             n,
-            UserId(0),
-            0.0f64,
             || (SimScratch::new(n), Vec::new()),
-            |(scratch, row): &mut (SimScratch, Vec<(UserId, f64)>), u, cols, vals| {
-                // `similarity_set` clears `row` first, so the pooled
-                // buffer never leaks entries across rows; the split
-                // copy-out reads it while it is still cache-hot.
-                measure.similarity_set(g, UserId(u as u32), scratch, row);
-                cols.extend(row.iter().map(|&(v, _)| v));
-                vals.extend(row.iter().map(|&(_, s)| s));
-            },
+            |ws, u| similarity_row(g, measure, ws, u),
         );
-        SimilarityMatrix {
-            offsets: parts.offsets,
-            neighbors: parts.cols,
-            scores: parts.vals,
-            name: measure.name(),
-        }
+        SimilarityMatrix { rows, name: measure.name() }
     }
 
     /// Sequential reference for [`build`](SimilarityMatrix::build):
-    /// one thread, row-major fill, direct push-down. Retained so the
-    /// equivalence tests and `pipeline-bench` can prove the parallel
-    /// two-pass assembly produces the same bytes.
+    /// one thread, one scratch, rows in ascending order. Retained so
+    /// the equivalence tests and `pipeline-bench` can prove the
+    /// parallel build produces the same bytes.
     pub fn build_sequential<S: Similarity + ?Sized>(
         g: &SocialGraph,
         measure: &S,
     ) -> SimilarityMatrix {
         let n = g.num_users();
-        let mut scratch = SimScratch::new(n);
-        let mut row = Vec::new();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut neighbors = Vec::new();
-        let mut scores = Vec::new();
-        for u in 0..n as u32 {
-            measure.similarity_set(g, UserId(u), &mut scratch, &mut row);
-            for &(v, s) in &row {
-                neighbors.push(v);
-                scores.push(s);
-            }
-            offsets.push(neighbors.len() as u64);
-        }
-        SimilarityMatrix { offsets, neighbors, scores, name: measure.name() }
+        let mut ws = (SimScratch::new(n), Vec::new());
+        let rows = (0..n as u32).map(|u| similarity_row(g, measure, &mut ws, UserId(u))).collect();
+        SimilarityMatrix { rows, name: measure.name() }
     }
 
-    /// Rebuild only the given rows against `g` and splice every other
-    /// row over unchanged — the delta-aware update path.
+    /// Recompute only the given rows against `g` and share every other
+    /// row with `self` — the delta-aware update path.
     ///
     /// `dirty` must be sorted ascending without duplicates (as produced
     /// by [`crate::dirty_rows`]) and in range. If `dirty` conservatively
     /// covers every row a graph delta could have changed, the result is
     /// **bit-identical** to `SimilarityMatrix::build(g, measure)` from
     /// scratch: per-row computation is deterministic, so clean rows keep
-    /// their exact bytes and dirty rows are recomputed exactly as a full
-    /// build would. Cost is O(recomputed rows) + one memcpy of the
-    /// surviving arrays, instead of O(all rows) similarity work.
+    /// their exact bytes (the very same allocations) and dirty rows are
+    /// recomputed exactly as a full build would. Cost is O(recomputed
+    /// rows) plus a copy of the n-entry row-pointer table, instead of
+    /// O(all rows) similarity work or O(entries) copying.
     pub fn update_rows<S: Similarity + ?Sized>(
         &self,
         g: &SocialGraph,
@@ -118,66 +107,22 @@ impl SimilarityMatrix {
         debug_assert!(dirty.windows(2).all(|w| w[0] < w[1]), "dirty rows must be sorted unique");
         assert!(dirty.last().is_none_or(|u| u.index() < n), "dirty row out of range");
         let _span = socialrec_obs::span!("update.sim_rows", rows = dirty.len());
-
-        // Recompute dirty rows in parallel; rows are independent, so
-        // the bytes match a sequential (or full-build) recompute.
-        let new_rows: Vec<Vec<(UserId, f64)>> = dirty
-            .par_iter()
-            .map_init(
-                || (SimScratch::new(n), Vec::new()),
-                |(scratch, row): &mut (SimScratch, Vec<(UserId, f64)>), &u| {
-                    measure.similarity_set(g, u, scratch, row);
-                    std::mem::take(row)
-                },
-            )
-            .collect();
-
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut total = 0u64;
-        let mut di = 0usize;
-        for u in 0..n {
-            let len = if di < dirty.len() && dirty[di].index() == u {
-                let l = new_rows[di].len();
-                di += 1;
-                l
-            } else {
-                (self.offsets[u + 1] - self.offsets[u]) as usize
-            };
-            total += len as u64;
-            offsets.push(total);
-        }
-
-        let mut neighbors = Vec::with_capacity(total as usize);
-        let mut scores = Vec::with_capacity(total as usize);
-        let mut clean_from = 0usize; // first user of the current clean run
-        for (k, &du) in dirty.iter().enumerate() {
-            let u = du.index();
-            let a = self.offsets[clean_from] as usize;
-            let b = self.offsets[u] as usize;
-            neighbors.extend_from_slice(&self.neighbors[a..b]);
-            scores.extend_from_slice(&self.scores[a..b]);
-            let row = &new_rows[k];
-            neighbors.extend(row.iter().map(|&(v, _)| v));
-            scores.extend(row.iter().map(|&(_, s)| s));
-            clean_from = u + 1;
-        }
-        let a = self.offsets[clean_from] as usize;
-        neighbors.extend_from_slice(&self.neighbors[a..]);
-        scores.extend_from_slice(&self.scores[a..]);
-        debug_assert_eq!(neighbors.len() as u64, total);
-
-        SimilarityMatrix { offsets, neighbors, scores, name: self.name }
+        let rows = self.rows.update(
+            dirty,
+            || (SimScratch::new(n), Vec::new()),
+            |ws, u| similarity_row(g, measure, ws, u),
+        );
+        SimilarityMatrix { rows, name: self.name }
     }
 
     /// Number of users (rows).
     pub fn num_users(&self) -> usize {
-        self.offsets.len() - 1
+        self.rows.num_rows()
     }
 
     /// Total number of stored (non-zero) entries.
     pub fn num_entries(&self) -> usize {
-        self.neighbors.len()
+        self.rows.nnz()
     }
 
     /// Name of the measure that produced this matrix.
@@ -189,9 +134,7 @@ impl SimilarityMatrix {
     /// users ascending.
     #[inline]
     pub fn row(&self, u: UserId) -> (&[UserId], &[f64]) {
-        let a = self.offsets[u.index()] as usize;
-        let b = self.offsets[u.index() + 1] as usize;
-        (&self.neighbors[a..b], &self.scores[a..b])
+        self.rows.row(u)
     }
 
     /// `sim(u, v)` by binary search in `u`'s row.
@@ -243,6 +186,18 @@ mod tests {
     use socialrec_graph::generate::{planted_communities, CommunityGraphConfig};
     use socialrec_graph::social::social_graph_from_edges;
 
+    /// Assert `a` and `b` hold the same rows, bit for bit.
+    fn assert_same_rows(a: &SimilarityMatrix, b: &SimilarityMatrix, what: &str) {
+        assert_eq!(a.num_users(), b.num_users(), "{what}: user counts differ");
+        assert_eq!(a.num_entries(), b.num_entries(), "{what}: entry counts differ");
+        for u in 0..a.num_users() as u32 {
+            let ((an, av), (bn, bv)) = (a.row(UserId(u)), b.row(UserId(u)));
+            assert_eq!(an, bn, "{what}: row {u} neighbors differ");
+            let same_bits = av.iter().zip(bv).all(|(x, y)| x.to_bits() == y.to_bits());
+            assert!(same_bits, "{what}: row {u} scores differ bitwise");
+        }
+    }
+
     #[test]
     fn matches_direct_computation() {
         let g = planted_communities(&CommunityGraphConfig {
@@ -277,12 +232,7 @@ mod tests {
         for m in Measure::paper_suite() {
             let par = SimilarityMatrix::build(&g, &m);
             let seq = SimilarityMatrix::build_sequential(&g, &m);
-            assert_eq!(par.offsets, seq.offsets, "{} offsets differ", m.name());
-            assert_eq!(par.neighbors, seq.neighbors, "{} neighbors differ", m.name());
-            assert_eq!(par.scores.len(), seq.scores.len());
-            for (i, (a, b)) in par.scores.iter().zip(&seq.scores).enumerate() {
-                assert_eq!(a.to_bits(), b.to_bits(), "{} score {i} differs bitwise", m.name());
-            }
+            assert_same_rows(&par, &seq, m.name());
             assert_eq!(par.measure_name(), seq.measure_name());
         }
     }
@@ -380,21 +330,7 @@ mod tests {
                 let dirty = crate::dirty_rows(&m, &g, &g_new, &report.touched);
                 let updated = sim.update_rows(&g_new, &m, &dirty);
                 let rebuilt = SimilarityMatrix::build(&g_new, &m);
-                assert_eq!(
-                    updated.offsets,
-                    rebuilt.offsets,
-                    "{} round {round}: offsets diverged",
-                    m.name()
-                );
-                assert_eq!(updated.neighbors, rebuilt.neighbors, "{} round {round}", m.name());
-                for (i, (a, b)) in updated.scores.iter().zip(&rebuilt.scores).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "{} round {round}: score {i} differs bitwise",
-                        m.name()
-                    );
-                }
+                assert_same_rows(&updated, &rebuilt, &format!("{} round {round}", m.name()));
                 g = g_new;
                 sim = updated;
             }
@@ -406,9 +342,46 @@ mod tests {
         let g = social_graph_from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4)]).unwrap();
         let sim = SimilarityMatrix::build(&g, &CommonNeighbors);
         let same = sim.update_rows(&g, &CommonNeighbors, &[]);
-        assert_eq!(same.offsets, sim.offsets);
-        assert_eq!(same.neighbors, sim.neighbors);
-        assert_eq!(same.scores, sim.scores);
+        assert_same_rows(&same, &sim, "empty update");
+    }
+
+    /// A clone and a dirty-row update share every clean row's
+    /// allocation with the generation they came from; only recomputed
+    /// rows are new. Empty rows are skipped: every empty boxed slice
+    /// has the same dangling pointer.
+    #[test]
+    fn clone_and_update_rows_share_clean_rows() {
+        use socialrec_graph::GraphDelta;
+        let g = planted_communities(&CommunityGraphConfig {
+            num_users: 200,
+            num_communities: 4,
+            seed: 5,
+            ..Default::default()
+        })
+        .graph;
+        let sim = SimilarityMatrix::build(&g, &CommonNeighbors);
+        let shared = |a: &SimilarityMatrix, b: &SimilarityMatrix, u: u32| {
+            a.row(UserId(u)).0.as_ptr() == b.row(UserId(u)).0.as_ptr()
+        };
+        let non_empty: Vec<u32> =
+            (0..200u32).filter(|&u| !sim.row(UserId(u)).0.is_empty()).collect();
+        assert!(non_empty.len() > 100, "the graph must give most users a similarity row");
+
+        let copy = sim.clone();
+        assert!(non_empty.iter().all(|&u| shared(&sim, &copy, u)), "clone copied a row");
+
+        let mut d = GraphDelta::new();
+        d.add_social(UserId(3), UserId(150)).unwrap();
+        let (g_new, report) = d.apply_social(&g).unwrap();
+        let dirty = crate::dirty_rows(&CommonNeighbors, &g, &g_new, &report.touched);
+        assert!(!dirty.is_empty() && dirty.len() < 200);
+        let next = sim.update_rows(&g_new, &CommonNeighbors, &dirty);
+        for &u in &non_empty {
+            if dirty.binary_search(&UserId(u)).is_err() {
+                assert!(shared(&sim, &next, u), "clean row {u} was copied");
+            }
+        }
+        assert_same_rows(&next, &SimilarityMatrix::build(&g_new, &CommonNeighbors), "update");
     }
 
     #[test]

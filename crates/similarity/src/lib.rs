@@ -15,14 +15,15 @@
 //! `sim(u) = {v : sim(u, v) > 0}`. Computation is per-user into reusable
 //! dense scratch buffers (no hashing in the hot loop), and
 //! [`SimilarityMatrix`] precomputes all rows in parallel for the
-//! recommenders.
+//! recommenders. Its rows live in [`SharedRows`], one `Arc` allocation
+//! per row, which also backs the serving crate's heap sim-mass index.
 //!
 //! For streaming graph deltas, [`dirty_rows`] bounds which rows a batch
 //! of edge flips can change (per-measure influence radius,
 //! [`Similarity::dirty_radius`]) and
 //! [`SimilarityMatrix::update_rows`](cache::SimilarityMatrix::update_rows)
 //! recomputes exactly those rows, bit-identical to a from-scratch
-//! rebuild.
+//! rebuild, and shares every other row with the previous matrix.
 
 #![warn(missing_docs)]
 
@@ -30,12 +31,12 @@ pub mod adamic_adar;
 pub mod artifact;
 pub mod cache;
 pub mod common_neighbors;
-pub mod csr;
 pub mod extended;
 pub mod graph_distance;
 pub mod katz;
 pub mod measure;
 pub mod mmap;
+pub mod rows;
 pub mod scratch;
 pub mod store;
 pub mod stream;
@@ -49,6 +50,7 @@ pub use graph_distance::GraphDistance;
 pub use katz::Katz;
 pub use measure::{parse_measure, Measure};
 pub use mmap::MappedBytes;
+pub use rows::SharedRows;
 pub use scratch::SimScratch;
 pub use store::{MappedSimilarity, RowVals, SimilarityRows};
 pub use stream::{write_similarity_artifact_streaming, StreamBuildStats};

@@ -86,8 +86,8 @@ pub fn write_similarity_artifact_streaming<S: Similarity + ?Sized>(
         let ranges: Vec<(usize, usize)> =
             (lo..hi).step_by(sub).map(|a| (a, (a + sub).min(hi))).collect();
 
-        // Fill sub-ranges in parallel into split buffers (same shape as
-        // pass 1 of `csr::assemble_csr`), rows ascending within each.
+        // Fill sub-ranges in parallel into split column/value buffers,
+        // rows ascending within each.
         let pieces: Vec<(Vec<u64>, Vec<u32>, Vec<f64>)> = ranges
             .par_iter()
             .map(|&(a, b)| {
