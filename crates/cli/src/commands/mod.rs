@@ -2,6 +2,7 @@
 //! `run(&Args) -> Result<(), String>` so tests can drive them directly.
 
 pub mod attack;
+pub mod bench;
 pub mod cluster;
 pub mod evaluate;
 pub mod generate;
@@ -9,7 +10,6 @@ pub mod pipeline_bench;
 pub mod recommend;
 pub mod scale_bench;
 pub mod serve_bench;
-pub mod simd_info;
 pub mod stats;
 pub mod trace;
 pub mod update_bench;
@@ -67,13 +67,15 @@ COMMANDS
                PREFIX.metrics.prev.txt / PREFIX.metrics.txt /
                PREFIX.events.jsonl for validate-metrics)]
                [--trace OUT.json]
-  pipeline-bench  Offline pipeline: parallel vs sequential
-               sim-build -> cluster -> release -> recommend, with
-               bit-identity equivalence checks on every stage
+  pipeline-bench  Offline pipeline: time the shipped path of
+               sim-build -> cluster -> release -> recommend (served by
+               the daemon) per stage, checking every user's daemon
+               answer bit for bit against the framework
                [--scale 0.15] [--seed 7] [--epsilon 0.5] [--restarts 10]
                [--n 10] [--reps 2 (min-of-reps timing)] [--measure CN]
                [--out BENCH_pipeline.json]
-               [--smoke (tiny scale, no speedup gate)]
+               [--tune (ITEM_TILE x USER_BLOCK sweep of the kernel)]
+               [--smoke (tiny scale, no SIMD gate)]
                [--trace OUT.json]
   scale-bench  Million-user data path: stream-build the similarity and
                sim-mass artifacts in bounded memory, serve sampled
@@ -100,13 +102,13 @@ COMMANDS
                [--out BENCH_update.json]
                [--smoke (tiny scale, no speedup gate)]
                [--trace OUT.json]
-  validate-bench  Check a BENCH_pipeline.json, BENCH_serve.json,
-               BENCH_scale.json, or BENCH_update.json artifact
-               (dispatch on the \"bench\" marker): gated stages / load
-               phases / sweep points / churn rounds present,
-               equivalence_checked == true, latency + coalescing +
-               privacy + memory fields present, and the speedup SLO
-               met whenever its gate was bound
+  validate-bench  Parse a BENCH_pipeline.json, BENCH_serve.json,
+               BENCH_scale.json, or BENCH_update.json artifact and
+               check it against the typed schema its \"bench\" marker
+               names: every field of every stage / load phase / sweep
+               point / churn round, with its type;
+               equivalence_checked == true; the accountant's release
+               count; and every gate met whenever it was bound
                [--path BENCH_pipeline.json]
   validate-metrics  Check introspection scrape dumps: Prometheus
                exposition shape (socialrec_-prefixed names, declared

@@ -1,29 +1,27 @@
-//! `socialrec pipeline-bench` — end-to-end offline-pipeline timing:
-//! similarity build → Louvain clustering (the paper's 10-restart
-//! protocol) → `A_w` noisy release → top-N recommendation, parallel
-//! versus the sequential reference path, at `flixster_like` scales.
+//! `socialrec pipeline-bench` — end-to-end offline-pipeline timing of
+//! the shipped path: similarity build → Louvain clustering (the paper's
+//! 10-restart protocol) → `A_w` noisy release → top-N recommendation
+//! served by the daemon, at `flixster_like` scales.
 //!
-//! Every stage is checked against its sequential reference at run time
-//! (bit-identical similarity rows, partition, release bytes, and
-//! recommendation lists), so the bench doubles as an integration-level
-//! equivalence test. Stage times are the minimum over `--reps` runs
+//! Each stage reports one time, the minimum over `--reps` runs
 //! (default 2), which filters first-touch page faults and scheduler
-//! noise on small shared machines. Results are written as a
-//! `BENCH_pipeline.json` trajectory artifact so perf PRs are measured,
-//! not asserted; the artifact's shape is enforced by `socialrec
-//! validate-bench` in CI.
+//! noise on small shared machines. The run checks every user's daemon
+//! answer bit for bit against `ClusterFramework::recommend`; the
+//! stage-level parallel paths are checked against their sequential
+//! references by tests (the serve crate's thread matrix at 1, 2 and 8
+//! threads). Results are written as a `BENCH_pipeline.json` trajectory
+//! artifact so perf PRs are measured, not asserted; the artifact's
+//! shape is enforced by `socialrec validate-bench` in CI.
 
+use crate::commands::bench::{ms, same_bits, write_artifact, SimdInfo};
 use crate::commands::trace::TraceSink;
-use socialrec_community::{Louvain, LouvainResult};
+use socialrec_community::Louvain;
 use socialrec_core::private::NoisyClusterAverages;
-use socialrec_core::private::{
-    release_noisy_cluster_averages_reference, release_noisy_cluster_averages_with,
-    ClusterFramework, NoiseModel,
-};
-use socialrec_core::{top_n_items_reference, RecommenderInputs, TopN};
+use socialrec_core::private::{release_noisy_cluster_averages_with, ClusterFramework, NoiseModel};
+use socialrec_core::{RecommenderInputs, TopNRecommender};
 use socialrec_datasets::flixster_like;
 use socialrec_dp::Epsilon;
-use socialrec_experiments::{impl_to_json, json::ToJson, Args};
+use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::UserId;
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
 use socialrec_serve::{ShardedServer, SimMassIndex};
@@ -36,26 +34,13 @@ use std::time::Instant;
 /// kernel must measurably beat its scalar-forced baseline.
 const SIMD_GATE_SPEEDUP: f64 = 1.1;
 
-/// One pipeline stage's sequential-vs-parallel timing.
+/// One pipeline stage's min-of-reps time.
 struct Stage {
     stage: String,
-    sequential_ms: f64,
-    parallel_ms: f64,
-    speedup: f64,
+    ms: f64,
 }
 
-impl Stage {
-    fn new(stage: &str, sequential_ms: f64, parallel_ms: f64) -> Stage {
-        Stage {
-            stage: stage.to_string(),
-            sequential_ms,
-            parallel_ms,
-            speedup: sequential_ms / parallel_ms.max(1e-9),
-        }
-    }
-}
-
-impl_to_json!(Stage { stage, sequential_ms, parallel_ms, speedup });
+impl_to_json!(Stage { stage, ms });
 
 /// One grid point of the `--tune` ITEM_TILE × USER_BLOCK sweep.
 struct TunePoint {
@@ -98,9 +83,8 @@ struct SimdKernel {
 
 impl_to_json!(SimdKernel { kernel, scalar_ms, simd_ms, speedup });
 
-/// The run's SIMD dispatch record: what the CPU supports, what tier the
-/// kernels actually ran on, any `SOCIALREC_SIMD` override, and the
-/// per-kernel scalar-vs-SIMD attribution. `gate_bound` is true on
+/// The run's SIMD dispatch record ([`SimdInfo`]'s three fields) plus
+/// the per-kernel scalar-vs-SIMD attribution. `gate_bound` is true on
 /// non-smoke AVX2 machines, where `gate_met` must report a measured
 /// kernel-level speedup (enforced by `validate-bench`).
 struct SimdReport {
@@ -161,9 +145,7 @@ struct Report {
     items: usize,
     clusters: usize,
     stages: Vec<Stage>,
-    end_to_end_sequential_ms: f64,
-    end_to_end_parallel_ms: f64,
-    end_to_end_speedup: f64,
+    end_to_end_ms: f64,
     equivalence_checked: bool,
     /// The recommend stage's daemon registry (per-shard counters).
     serve_metrics: socialrec_obs::RegistrySnapshot,
@@ -194,9 +176,7 @@ impl_to_json!(Report {
     items,
     clusters,
     stages,
-    end_to_end_sequential_ms,
-    end_to_end_parallel_ms,
-    end_to_end_speedup,
+    end_to_end_ms,
     equivalence_checked,
     serve_metrics,
     simd,
@@ -204,10 +184,6 @@ impl_to_json!(Report {
     hotspots,
     memory,
 });
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
 
 /// Run `f` `reps` times, returning its (deterministic) result and the
 /// fastest wall-clock time in ms. Min-of-reps filters out first-touch
@@ -252,52 +228,19 @@ pub fn run(args: &Args) -> Result<(), String> {
     let num_users = ds.social.num_users();
     eprintln!("  {} users, {} items, {threads} threads", num_users, ds.prefs.num_items());
 
-    // Stage 1 — similarity build. The parallel shared-row build must
-    // reproduce the sequential build bit for bit.
-    eprintln!("sim-build: sequential {} reference x{reps}...", measure.name());
-    let (sim_seq, sim_seq_ms) =
-        timed_min(reps, || SimilarityMatrix::build_sequential(&ds.social, measure.as_ref()));
-    eprintln!("  {sim_seq_ms:.0} ms ({} entries)", sim_seq.num_entries());
+    eprintln!("sim-build: {} x{reps}...", measure.name());
+    let (sim, sim_ms) = timed_min(reps, || SimilarityMatrix::build(&ds.social, measure.as_ref()));
+    eprintln!("  {sim_ms:.0} ms ({} entries)", sim.num_entries());
 
-    eprintln!("sim-build: parallel build x{reps}...");
-    let (sim, sim_par_ms) =
-        timed_min(reps, || SimilarityMatrix::build(&ds.social, measure.as_ref()));
-    eprintln!("  {sim_par_ms:.0} ms");
-    check_sim_equivalence(&sim_seq, &sim)?;
-    drop(sim_seq);
-
-    // Stage 2 — Louvain clustering, the paper's best-of-restarts
-    // protocol. Sequential reference first, parallel second; the
-    // results must be bit-identical.
+    // The paper's best-of-restarts Louvain protocol.
     let louvain = Louvain { seed, ..Default::default() };
-    eprintln!("clustering: sequential x{restarts} restarts...");
-    let (seq_cluster, cluster_seq_ms) =
-        timed_min(reps, || louvain.run_best_of_sequential(&ds.social, restarts));
-    eprintln!("  {cluster_seq_ms:.0} ms (Q = {:.4})", seq_cluster.modularity);
+    eprintln!("cluster: {restarts} restarts x{reps}...");
+    let (clustered, cluster_ms) = timed_min(reps, || louvain.run_best_of(&ds.social, restarts));
+    let partition = clustered.partition;
+    eprintln!("  {cluster_ms:.0} ms ({} clusters)", partition.num_clusters());
 
-    eprintln!("clustering: parallel x{restarts} restarts...");
-    let (par_cluster, cluster_par_ms) =
-        timed_min(reps, || louvain.run_best_of(&ds.social, restarts));
-    eprintln!("  {cluster_par_ms:.0} ms ({} clusters)", par_cluster.partition.num_clusters());
-    check_cluster_equivalence(&seq_cluster, &par_cluster)?;
-    let partition = par_cluster.partition;
-
-    // Stage 3 — the A_w noisy release. Byte-identity is asserted over
-    // the full value matrix for the configured noise model.
-    eprintln!("A_w release: sequential reference...");
-    let (seq_release, release_seq_ms) = timed_min(reps, || {
-        release_noisy_cluster_averages_reference(
-            &partition,
-            &ds.prefs,
-            epsilon,
-            NoiseModel::Laplace,
-            seed,
-        )
-    });
-    eprintln!("  {release_seq_ms:.0} ms");
-
-    eprintln!("A_w release: parallel sharded kernel...");
-    let (par_release, release_par_ms) = timed_min(reps, || {
+    eprintln!("release: A_w x{reps}...");
+    let (averages, release_ms) = timed_min(reps, || {
         release_noisy_cluster_averages_with(
             &partition,
             &ds.prefs,
@@ -306,60 +249,40 @@ pub fn run(args: &Args) -> Result<(), String> {
             seed,
         )
     });
-    eprintln!("  {release_par_ms:.0} ms");
-    let identical = seq_release.values().len() == par_release.values().len()
-        && seq_release
-            .values()
-            .iter()
-            .zip(par_release.values())
-            .all(|(a, b)| a.to_bits() == b.to_bits());
-    if !identical {
-        return Err("parallel A_w release is not byte-identical to the reference".to_string());
-    }
+    eprintln!("  {release_ms:.0} ms");
 
-    // Stage 4 — recommendation over every user. The sequential
-    // reference is the framework's per-user utility walk with the
-    // reference top-N heap; the parallel path is the serving daemon's
-    // blocked batch (sim-mass index build + release + publish + tiled
-    // kernel), which must reproduce the reference lists bit for bit.
+    // Recommendation over every user, served end to end by the daemon:
+    // sim-mass index build + release + publish into a one-shard daemon
+    // + blocked batch (a fresh daemon per rep, so every rep pays the
+    // full cold cost).
     let fw = ClusterFramework::new(&partition, epsilon);
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
     let users: Vec<UserId> = (0..num_users as u32).map(UserId).collect();
-
-    eprintln!("recommend: sequential top-{n} for all {num_users} users...");
-    let (seq_lists, recommend_seq_ms) = timed_min(reps, || {
-        let averages = fw.noisy_cluster_averages(&inputs, seed);
-        let (mut sim_scratch, mut utilities) = (Vec::new(), Vec::new());
-        users
-            .iter()
-            .map(|&u| {
-                fw.utility_estimates_into(&inputs, &averages, u, &mut sim_scratch, &mut utilities);
-                TopN { user: u, items: top_n_items_reference(&utilities, n) }
-            })
-            .collect::<Vec<TopN>>()
-    });
-    eprintln!("  {recommend_seq_ms:.0} ms");
-
-    // The parallel path is the serving daemon end-to-end: sim-mass
-    // index build + release + publish into a one-shard daemon + blocked
-    // batch (a fresh daemon per rep, so every rep pays the full cold
-    // cost like the reference).
-    eprintln!("recommend: published daemon batch for all {num_users} users...");
-    let ((par_lists, serve_metrics), recommend_par_ms) = timed_min(reps, || {
+    eprintln!("recommend: published daemon batch for all {num_users} users x{reps}...");
+    let ((lists, serve_metrics), recommend_ms) = timed_min(reps, || {
         let daemon = ShardedServer::new(&partition, &sim, epsilon, 1);
         daemon.publish_release(seed, fw.noisy_cluster_averages(&inputs, seed));
         let lists = daemon.recommend_batch(&inputs, &users, n, seed);
         (lists, daemon.registry().snapshot())
     });
-    eprintln!("  {recommend_par_ms:.0} ms ({} lists)", par_lists.len());
-    check_recommend_equivalence(&seq_lists, &par_lists)?;
+    eprintln!("  {recommend_ms:.0} ms ({} lists)", lists.len());
 
-    // SIMD attribution: re-run the serving kernel scalar-forced and on
-    // the dispatched tier, in this same process, asserting bit-identity
-    // between the two (the §6d contract at bench scale).
-    let index = socialrec_serve::SimMassIndex::build(&sim, &partition);
-    let averages = fw.noisy_cluster_averages(&inputs, seed);
-    let simd = simd_attribution(&averages, &index, &users, reps, smoke)?;
+    // Every user's daemon answer must be the framework's, bit for bit.
+    let want = fw.recommend(&inputs, &users, n, seed);
+    if lists.len() != want.len() {
+        return Err("the daemon returned a different number of lists".to_string());
+    }
+    if let Some((got, _)) = lists.iter().zip(&want).find(|(got, want)| !same_bits(got, want)) {
+        return Err(format!(
+            "the daemon's answer for {:?} diverged from ClusterFramework::recommend",
+            got.user
+        ));
+    }
+
+    // SIMD attribution: time the serving kernel scalar-forced and on
+    // the dispatched tier, in this same process.
+    let index = SimMassIndex::build(&sim, &partition);
+    let simd = simd_attribution(&averages, &index, &users, reps, smoke);
 
     // `--tune`: sweep the blocked kernel's ITEM_TILE × USER_BLOCK grid
     // over the full user population and record the winner.
@@ -382,15 +305,16 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     let hotspots = hotspots_from(&events);
 
-    let stages = vec![
-        Stage::new("sim-build", sim_seq_ms, sim_par_ms),
-        Stage::new("cluster", cluster_seq_ms, cluster_par_ms),
-        Stage::new("release", release_seq_ms, release_par_ms),
-        Stage::new("recommend", recommend_seq_ms, recommend_par_ms),
-    ];
-    let end_seq: f64 = stages.iter().map(|s| s.sequential_ms).sum();
-    let end_par: f64 = stages.iter().map(|s| s.parallel_ms).sum();
-    let end_speedup = end_seq / end_par.max(1e-9);
+    let stages: Vec<Stage> = [
+        ("sim-build", sim_ms),
+        ("cluster", cluster_ms),
+        ("release", release_ms),
+        ("recommend", recommend_ms),
+    ]
+    .into_iter()
+    .map(|(stage, ms)| Stage { stage: stage.to_string(), ms })
+    .collect();
+    let end_to_end_ms: f64 = stages.iter().map(|s| s.ms).sum();
 
     let report = Report {
         bench: "pipeline".to_string(),
@@ -408,9 +332,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         items: ds.prefs.num_items(),
         clusters: partition.num_clusters(),
         stages,
-        end_to_end_sequential_ms: end_seq,
-        end_to_end_parallel_ms: end_par,
-        end_to_end_speedup: end_speedup,
+        end_to_end_ms,
         equivalence_checked: true,
         serve_metrics,
         simd,
@@ -418,18 +340,13 @@ pub fn run(args: &Args) -> Result<(), String> {
         hotspots,
         memory: socialrec_obs::sample_memory(),
     };
-    let json = report.to_json_pretty();
-    std::fs::write(&out_path, format!("{json}\n"))
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
+    write_artifact(&out_path, &report)?;
 
     println!("pipeline-bench (flixster_like scale={scale}, eps={epsilon}, {threads} threads)");
     for s in &report.stages {
-        println!(
-            "  {:<9}: {:>10.0} ms seq  {:>10.0} ms par  ({:.2}x)",
-            s.stage, s.sequential_ms, s.parallel_ms, s.speedup
-        );
+        println!("  {:<9}: {:>10.0} ms", s.stage, s.ms);
     }
-    println!("  end-to-end speedup: {end_speedup:.2}x on {threads} threads");
+    println!("  end-to-end: {end_to_end_ms:.0} ms on {threads} threads");
     println!(
         "  simd: detected {}, active {}{}",
         report.simd.detected,
@@ -459,84 +376,23 @@ pub fn run(args: &Args) -> Result<(), String> {
             detail.join(", ")
         ));
     }
-
-    // The acceptance gate only binds where the hardware can express
-    // parallelism (SOCIALREC_THREADS may oversubscribe a smaller
-    // machine); equivalence is checked unconditionally above.
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    if !smoke && cores >= 4 && threads >= 4 && end_speedup < 2.0 {
-        return Err(format!(
-            "expected >= 2x end-to-end (sim-build+cluster+release+recommend) \
-             speedup on {threads} threads ({cores} cores), measured {end_speedup:.2}x"
-        ));
-    }
     Ok(())
 }
 
-fn check_sim_equivalence(seq: &SimilarityMatrix, par: &SimilarityMatrix) -> Result<(), String> {
-    if seq.num_users() != par.num_users() || seq.num_entries() != par.num_entries() {
-        return Err("parallel similarity build changed the matrix shape".to_string());
-    }
-    for u in 0..seq.num_users() as u32 {
-        let (vs, ss) = seq.row(UserId(u));
-        let (vp, sp) = par.row(UserId(u));
-        if vs != vp || ss.iter().zip(sp).any(|(a, b)| a.to_bits() != b.to_bits()) {
-            return Err(format!("parallel similarity row {u} differs from the sequential build"));
-        }
-    }
-    Ok(())
-}
-
-fn check_cluster_equivalence(seq: &LouvainResult, par: &LouvainResult) -> Result<(), String> {
-    if seq.partition != par.partition {
-        return Err("parallel Louvain partition differs from the sequential loop".to_string());
-    }
-    if seq.modularity.to_bits() != par.modularity.to_bits() {
-        return Err(format!(
-            "parallel Louvain modularity diverged: {} vs {}",
-            par.modularity, seq.modularity
-        ));
-    }
-    if seq.levels != par.levels {
-        return Err("parallel Louvain level count differs".to_string());
-    }
-    Ok(())
-}
-
-fn check_recommend_equivalence(seq: &[TopN], par: &[TopN]) -> Result<(), String> {
-    if seq.len() != par.len() {
-        return Err("blocked recommend returned a different number of lists".to_string());
-    }
-    for (s, p) in seq.iter().zip(par) {
-        if s.user != p.user || s.items.len() != p.items.len() {
-            return Err(format!("blocked recommend list for {:?} has a different shape", s.user));
-        }
-        for ((si, su), (pi, pu)) in s.items.iter().zip(&p.items) {
-            if si != pi || su.to_bits() != pu.to_bits() {
-                return Err(format!(
-                    "blocked recommend diverged for {:?}: ({si:?}, {su}) vs ({pi:?}, {pu})",
-                    s.user
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Kernel-level SIMD attribution: re-run the dominant vectorized
-/// kernel scalar-forced and on the run's dispatched tier, in this same
-/// process via `socialrec_simd::force`, timing both and asserting
-/// bit-identity between them (the DESIGN.md §6d contract exercised at
-/// bench scale). The active tier is restored before returning.
+/// Kernel-level SIMD attribution: time the dominant vectorized kernel
+/// scalar-forced and on the run's dispatched tier, in this same process
+/// via `socialrec_simd::force`. The active tier is restored before
+/// returning. (Every tier's bits are checked against scalar by
+/// `crates/serve/tests/simd_matrix.rs`.)
 fn simd_attribution(
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
     users: &[UserId],
     reps: usize,
     smoke: bool,
-) -> Result<SimdReport, String> {
+) -> SimdReport {
+    let SimdInfo { detected, active, requested } = SimdInfo::current();
     let prior = socialrec_simd::active();
-    let detected = socialrec_simd::detected();
 
     // recommend-axpy: the blocked serving kernel over every user at the
     // compiled-in tile/block geometry.
@@ -556,28 +412,6 @@ fn simd_attribution(
     });
     eprintln!("  {axpy_scalar_ms:.0} ms scalar, {axpy_simd_ms:.0} ms {}", prior.name());
 
-    // Bit-identity pass for the axpy kernel: every block, scalar vs the
-    // dispatched tier, compared bit for bit (chunked so the comparison
-    // never holds the full users x items utility matrix).
-    let mut scalar_out = Vec::new();
-    for chunk in users.chunks(USER_BLOCK) {
-        socialrec_simd::force(Isa::Scalar);
-        utilities_block_tiled(averages, index, chunk, ITEM_TILE, &mut scalar_out);
-        socialrec_simd::force(prior);
-        utilities_block_tiled(averages, index, chunk, ITEM_TILE, &mut out);
-        let identical = scalar_out.len() == out.len()
-            && scalar_out.iter().zip(&out).all(|(a, b)| a.to_bits() == b.to_bits());
-        if !identical {
-            return Err(format!(
-                "{} blocked utilities kernel is not bit-identical to scalar-forced \
-                 (block starting at {:?})",
-                prior.name(),
-                chunk.first()
-            ));
-        }
-    }
-    socialrec_simd::force(prior);
-
     let kernels = vec![SimdKernel {
         kernel: "recommend-axpy".to_string(),
         scalar_ms: axpy_scalar_ms,
@@ -587,16 +421,9 @@ fn simd_attribution(
     // The gate binds only where vector hardware is both present and in
     // use: a smoke run is too small to time, and a `SOCIALREC_SIMD`
     // downgrade is an explicit request to not run vectorized.
-    let gate_bound = !smoke && detected == Isa::Avx2 && prior == Isa::Avx2;
+    let gate_bound = !smoke && socialrec_simd::detected() == Isa::Avx2 && prior == Isa::Avx2;
     let gate_met = kernels.iter().any(|k| k.speedup >= SIMD_GATE_SPEEDUP);
-    Ok(SimdReport {
-        detected: detected.name().to_string(),
-        active: prior.name().to_string(),
-        requested: socialrec_simd::requested().map(|r| r.name().to_string()),
-        kernels,
-        gate_bound,
-        gate_met,
-    })
+    SimdReport { detected, active, requested, kernels, gate_bound, gate_met }
 }
 
 /// The `--tune` sweep: time the blocked serving kernel over the full
@@ -642,6 +469,7 @@ fn tune_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialrec_obs::json::Value;
 
     #[test]
     fn smoke_mode_writes_valid_artifact_and_trace() {
@@ -655,48 +483,27 @@ mod tests {
         let spec =
             format!("--smoke --tune --out {} --trace {}", out.display(), trace_out.display());
         run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap();
+
+        // The artifact must pass the real validator's pipeline branch.
+        let vspec = format!("--path {}", out.display());
+        crate::commands::validate_bench::run(&Args::parse_from(
+            vspec.split_whitespace().map(String::from),
+        ))
+        .unwrap();
         let body = std::fs::read_to_string(&out).unwrap();
-        assert!(body.trim_start().starts_with('{'), "artifact must be a JSON object");
-        for key in [
-            "\"bench\"",
-            "\"stages\"",
-            "\"sim-build\"",
-            "\"cluster\"",
-            "\"release\"",
-            "\"recommend\"",
-            "\"end_to_end_speedup\"",
-            "\"threads\"",
-            "\"equivalence_checked\"",
-            "\"serve_metrics\"",
-            "\"serve.shard0.queries\"",
-            "\"serve.refused\", 0",
-            "\"simd\"",
-            "\"detected\"",
-            "\"active\"",
-            "\"requested\"",
-            "\"kernels\"",
-            "\"recommend-axpy\"",
-            "\"gate_bound\"",
-            "\"gate_met\"",
-            "\"tune\"",
-            "\"grid\"",
-            "\"best_item_tile\"",
-            "\"best_user_block\"",
-            "\"default_item_tile\"",
-            "\"hotspots\"",
-            "\"memory\"",
-        ] {
-            assert!(body.contains(key), "artifact missing {key}: {body}");
-        }
-        // The trace artifact must pass the exporter self-check and
-        // cover the whole pipeline (run() itself also enforces this
-        // before returning Ok).
+        assert!(body.contains("[\"serve.refused\", 0]"), "a daemon query was refused: {body}");
+        // The validator admits a `null` sweep and memory sample, and any
+        // kernel name.
+        let doc = socialrec_obs::json::parse(&body).unwrap();
+        assert!(doc.get("tune").is_some_and(Value::is_object), "--tune wrote no sweep");
+        let kernels = doc.get("simd").and_then(|s| s.get("kernels")).and_then(Value::as_array);
+        let names: Vec<_> = kernels.unwrap().iter().filter_map(|k| k.get("kernel")).collect();
+        assert_eq!(names, [&Value::Str("recommend-axpy".to_string())]);
+        #[cfg(target_os = "linux")]
+        assert!(doc.get("memory").is_some_and(Value::is_object), "no memory sample");
+        // The run itself refuses a trace that lacks the pipeline spans.
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
-        let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
-        for span in ["sim.build", "louvain.level", "release", "update.publish", "serve.shard_batch"]
-        {
-            assert!(check.has_span(span), "trace missing {span}: {:?}", check.names);
-        }
+        socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&trace_out).ok();
     }

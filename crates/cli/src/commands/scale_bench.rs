@@ -24,13 +24,13 @@
 //!
 //! [`StreamingCsrWriter`]: socialrec_similarity::StreamingCsrWriter
 
-use crate::commands::simd_info::SimdInfo;
+use crate::commands::bench::{elapsed_ns, ms, percentile_ns, write_artifact, SimdInfo};
 use socialrec_community::Partition;
 use socialrec_core::private::{release_noisy_cluster_averages_with, NoiseModel};
 use socialrec_core::top_n_items;
 use socialrec_datasets::{scale_dataset, ScaleConfig};
 use socialrec_dp::Epsilon;
-use socialrec_experiments::{impl_to_json, json::ToJson, Args};
+use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::UserId;
 use socialrec_serve::kernel::utilities_block_tiled;
 use socialrec_serve::SimMassIndex;
@@ -121,10 +121,6 @@ impl_to_json!(Report {
     simd,
     memory,
 });
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
 
 /// The deterministic user sample used for queries and equivalence
 /// checks (splitmix over the slot index, like the dataset generator).
@@ -328,15 +324,15 @@ fn run_point(
         let t = Instant::now();
         utilities_block_tiled(&averages, &index, &[u], 512, &mut utilities);
         let list = top_n_items(&utilities, top_n);
-        latencies_ns.push(t.elapsed().as_nanos() as u64);
+        latencies_ns.push(elapsed_ns(t));
         lists += usize::from(!list.is_empty());
     }
     if lists == 0 {
         return Err(format!("all {queries} sampled queries returned empty lists"));
     }
     latencies_ns.sort_unstable();
-    let pct = |p: f64| latencies_ns[((latencies_ns.len() - 1) as f64 * p) as usize];
-    let (query_p50_ns, query_p99_ns) = (pct(0.50), pct(0.99));
+    let (query_p50_ns, query_p99_ns) =
+        (percentile_ns(&latencies_ns, 0.50), percentile_ns(&latencies_ns, 0.99));
     eprintln!(
         "  queries: {} served, p50 {:.1} us, p99 {:.1} us",
         query_users.len(),
@@ -459,9 +455,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         simd: SimdInfo::current(),
         memory: socialrec_obs::sample_memory(),
     };
-    let json = report.to_json_pretty();
-    std::fs::write(&out_path, format!("{json}\n"))
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
+    write_artifact(&out_path, &report)?;
 
     println!(
         "scale-bench ({} value artifacts, eps={epsilon}, {threads} threads)",
@@ -484,6 +478,7 @@ pub fn run(args: &Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialrec_obs::json::Value;
 
     #[test]
     fn smoke_mode_writes_valid_artifact() {
@@ -496,31 +491,22 @@ mod tests {
             dir.join("artifacts").display()
         );
         run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap();
-        let body = std::fs::read_to_string(&out).unwrap();
-        assert!(body.trim_start().starts_with('{'), "artifact must be a JSON object");
-        for key in [
-            "\"bench\"",
-            "\"scale\"",
-            "\"points\"",
-            "\"users\"",
-            "\"sim_build_ms\"",
-            "\"simmass_build_ms\"",
-            "\"query_p50_ns\"",
-            "\"query_p99_ns\"",
-            "\"sim_artifact_bytes\"",
-            "\"value_kind\"",
-            "\"equivalence_checked\"",
-            "\"simd\"",
-            "\"detected\"",
-            "\"active\"",
-            "\"requested\"",
-            "\"memory\"",
-            "\"anon_bytes\"",
-        ] {
-            assert!(body.contains(key), "artifact missing {key}: {body}");
-        }
+
+        // The artifact must pass the real validator's scale branch.
+        let vspec = format!("--path {}", out.display());
+        crate::commands::validate_bench::run(&Args::parse_from(
+            vspec.split_whitespace().map(String::from),
+        ))
+        .unwrap();
+        let doc = socialrec_obs::json::parse(&std::fs::read_to_string(&out).unwrap()).unwrap();
         // Two sweep points requested, two recorded.
-        assert_eq!(body.matches("\"query_p99_ns\"").count(), 2);
+        let points = doc.get("points").and_then(Value::as_array).unwrap();
+        assert_eq!(points.len(), 2);
+        // The validator also admits the null written off Linux.
+        #[cfg(target_os = "linux")]
+        for sampled in points.iter().chain([&doc]) {
+            assert!(sampled.get("memory").is_some_and(Value::is_object), "no memory sample");
+        }
         std::fs::remove_file(&out).ok();
     }
 

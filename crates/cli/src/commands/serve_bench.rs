@@ -34,10 +34,10 @@
 //! per-shard generation stamps) whose shape — and SLO verdict — is
 //! enforced by `socialrec validate-bench` in CI.
 
-use crate::commands::simd_info::SimdInfo;
+use crate::commands::bench::{
+    client_rng, drive_closed, elapsed_ns, ms, percentile_ns, same_bits, write_artifact, SimdInfo,
+};
 use crate::commands::trace::TraceSink;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::private::ClusterFramework;
 use socialrec_core::{
@@ -45,12 +45,13 @@ use socialrec_core::{
 };
 use socialrec_datasets::flixster_like;
 use socialrec_dp::Epsilon;
-use socialrec_experiments::{impl_to_json, json::ToJson, Args};
+use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::UserId;
+use socialrec_obs::json::{self, Value};
 use socialrec_serve::loadgen::{poisson_interarrival, Zipf};
 use socialrec_serve::{kernel, ShardedServer, SimMassIndex};
 use socialrec_similarity::{parse_measure, SimilarityMatrix};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// One load phase's roll-up. `p50_ns`/`p99_ns` are exact nearest-rank
@@ -206,73 +207,6 @@ impl_to_json!(Report {
     memory,
 });
 
-/// Exact nearest-rank quantile over a sorted latency sample.
-fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
-    match sorted.len() {
-        0 => 0,
-        len => sorted[(((len - 1) as f64 * q).round() as usize).min(len - 1)],
-    }
-}
-
-fn elapsed_ns(t: Instant) -> u64 {
-    t.elapsed().as_nanos().min(u64::MAX as u128) as u64
-}
-
-/// A per-client RNG: deterministic, decorrelated across clients.
-fn client_rng(seed: u64, client: usize) -> SmallRng {
-    SmallRng::seed_from_u64(seed ^ (client as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
-
-/// Closed-loop drive: each client issues its next query the instant the
-/// previous answer returns, on whatever seed `seed` holds at that
-/// moment. Once half the phase's queries are answered, `mid_run` runs
-/// on the driving thread (the hot swap under load: it publishes the
-/// next release and then moves `seed` to it). Returns every per-query
-/// latency in ns, sorted, plus the phase's wall-clock ms.
-fn drive_closed<F: Fn(UserId, u64) + Sync>(
-    clients: usize,
-    requests: usize,
-    zipf: &Zipf,
-    rng_seed: u64,
-    seed: &AtomicU64,
-    mid_run: impl FnOnce(),
-    serve: &F,
-) -> (Vec<u64>, f64) {
-    let answered = AtomicUsize::new(0);
-    let t0 = Instant::now();
-    let mut lat: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let answered = &answered;
-                s.spawn(move || {
-                    let mut rng = client_rng(rng_seed, c);
-                    let mut lats = Vec::with_capacity(requests);
-                    for _ in 0..requests {
-                        // Acquire pairs with `mid_run`'s Release store: a
-                        // client that reads the new seed sees its publish.
-                        let qseed = seed.load(Ordering::Acquire);
-                        let u = zipf.sample_user(&mut rng);
-                        let t = Instant::now();
-                        serve(u, qseed);
-                        lats.push(elapsed_ns(t));
-                        answered.fetch_add(1, Ordering::Relaxed);
-                    }
-                    lats
-                })
-            })
-            .collect();
-        while answered.load(Ordering::Relaxed) < clients * requests / 2
-            && !handles.iter().all(|h| h.is_finished())
-        {
-            std::thread::sleep(Duration::from_micros(200));
-        }
-        mid_run();
-        handles.into_iter().flat_map(|h| h.join().expect("load client panicked")).collect()
-    });
-    lat.sort_unstable();
-    (lat, t0.elapsed().as_secs_f64() * 1e3)
-}
-
 /// Open-loop drive: arrivals follow a Poisson process at `rate_qps`
 /// aggregate (split evenly across clients), and latency is measured
 /// from the *scheduled* arrival instant — when the daemon falls behind
@@ -312,16 +246,7 @@ fn drive_open<F: Fn(UserId, u64) + Sync>(
         handles.into_iter().flat_map(|h| h.join().expect("load client panicked")).collect()
     });
     lat.sort_unstable();
-    (lat, t0.elapsed().as_secs_f64() * 1e3)
-}
-
-fn same_bits(a: &TopN, b: &TopN) -> bool {
-    a.user == b.user
-        && a.items.len() == b.items.len()
-        && a.items
-            .iter()
-            .zip(&b.items)
-            .all(|((ai, au), (bi, bu))| ai == bi && au.to_bits() == bu.to_bits())
+    (lat, ms(t0))
 }
 
 /// The uncoalesced single-query path: look up the published release,
@@ -515,7 +440,9 @@ pub fn run(args: &Args) -> Result<(), String> {
             other => return Err(format!("mid-run /metrics probe failed: {other:?}")),
         }
         match health {
-            Ok((200, body)) if body.contains("\"status\":\"ok\"") => {}
+            Ok((200, body))
+                if json::parse(&body)
+                    .is_ok_and(|v| v.get("status").and_then(Value::as_str) == Some("ok")) => {}
             other => return Err(format!("mid-run /health probe failed: {other:?}")),
         }
     }
@@ -643,8 +570,11 @@ pub fn run(args: &Args) -> Result<(), String> {
         None => socialrec_obs::introspect::accountant_json(&spent),
     };
     let want_bits = spent.total_epsilon().to_bits();
-    if !ledger_body.contains(&format!("\"cumulative_epsilon_bits\":{want_bits},"))
-        || !ledger_body.contains(&format!("\"releases\":{}}}", spent.releases()))
+    let ledger = json::parse(&ledger_body)
+        .map_err(|e| format!("/ledger is not JSON ({e}): {ledger_body}"))?;
+    let count = |key| ledger.get(key).and_then(Value::as_u64);
+    if count("cumulative_epsilon_bits") != Some(want_bits)
+        || count("releases") != Some(spent.releases() as u64)
     {
         return Err(format!(
             "/ledger does not match the accountant ({} releases, ε bits {want_bits}): \
@@ -733,9 +663,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         registry: daemon.registry().snapshot(),
         memory: socialrec_obs::sample_memory(),
     };
-    let json = report.to_json_pretty();
-    std::fs::write(&out_path, format!("{json}\n"))
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
+    write_artifact(&out_path, &report)?;
 
     println!(
         "serve-bench load generator (flixster_like scale={scale}, eps={epsilon}, \
@@ -823,48 +751,13 @@ mod tests {
         .unwrap();
 
         let body = std::fs::read_to_string(&out).unwrap();
-        for key in [
-            "\"bench\": \"serve\"",
-            "\"mode\": \"closed\"",
-            "\"mode\": \"open\"",
-            "\"mode\": \"uncoalesced\"",
-            "\"p99_ns\"",
-            "\"mean_ride\"",
-            "\"coalesced_fraction\"",
-            "\"shard_generations\"",
-            "\"serve.shard0.generation\"",
-            "\"accountant_releases\": 2",
-            "\"simd\"",
-            "\"detected\"",
-            "\"active\"",
-            "\"requested\"",
-            "\"memory\"",
-            "\"live\"",
-            "\"introspect_probed\": true",
-            "\"ledger_bits_match\": true",
-            "\"journal_emitted\"",
-        ] {
-            assert!(body.contains(key), "artifact missing {key}: {body}");
-        }
+        assert!(body.contains("\"introspect_probed\": true"), "{body}");
+        // The run itself refuses a trace that lacks the serving spans.
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
-        let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
-        for span in ["serve.coalesced", "serve.shard_batch", "update.publish"] {
-            assert!(check.has_span(span), "trace missing {span}: {:?}", check.names);
-        }
+        socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
 
-        // The introspection dumps the run wrote for `validate-metrics`
-        // must exist and carry the expected shapes: two Prometheus
-        // scrapes (mid-run and final) and the journal tail with the
-        // hot-swap events the bench asserts on.
-        let metrics_prev =
-            std::fs::read_to_string(format!("{}.metrics.prev.txt", scrape_prefix.display()))
-                .unwrap();
-        let metrics_final =
-            std::fs::read_to_string(format!("{}.metrics.txt", scrape_prefix.display())).unwrap();
-        for scrape in [&metrics_prev, &metrics_final] {
-            assert!(scrape.contains(SHARD_LATENCY_FAMILY), "scrape missing the shard histogram");
-            assert!(scrape.contains("socialrec_serve_shard0_query_ns_bucket{le=\"+Inf\"}"));
-        }
+        // The journal tail the run dumped carries the hot swap; the
+        // scrape shapes are `validate-metrics`' to check.
         let events =
             std::fs::read_to_string(format!("{}.events.jsonl", scrape_prefix.display())).unwrap();
         assert!(events.contains("\"event\":\"hot_swap_completed\""), "journal tail: {events}");
@@ -902,12 +795,6 @@ mod tests {
             format!("--path {}", out.display()).split_whitespace().map(String::from),
         ))
         .unwrap();
-        let body = std::fs::read_to_string(&out).unwrap();
-        for key in
-            ["\"release_epochs\": 2", "\"accountant_releases\": 2", "\"ledger_bits_match\": true"]
-        {
-            assert!(body.contains(key), "artifact missing {key}: {body}");
-        }
         std::fs::remove_file(&out).ok();
     }
 }

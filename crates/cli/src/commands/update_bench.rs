@@ -18,13 +18,15 @@
 //!    the same partition.
 //! 2. **Hot swap under live load** — the daemon starts serving one
 //!    accountant release; client threads hammer the
-//!    [`ShardedServer`] while the main thread applies a preference
-//!    delta, produces the next scheduled release through the
-//!    recommender's accountant, and publishes it into the daemon's
-//!    `ReleaseExchange` ([`ShardedServer::publish_release`]). Every
-//!    release the daemon serves is one the accountant paid for — the
-//!    exchange epoch counter proves it — and the served p50/p99 during
-//!    the refresh window lands in the artifact.
+//!    [`ShardedServer`], and once half their queries are answered the
+//!    main thread applies a preference delta, produces the next
+//!    scheduled release through the recommender's accountant, and
+//!    publishes it into the daemon's `ReleaseExchange`
+//!    ([`ShardedServer::publish_release`]) while the other half runs.
+//!    Every release the daemon serves is one the accountant paid for —
+//!    the exchange epoch counter proves it — and the served p50/p99
+//!    over the whole phase, before and during the refresh, lands in the
+//!    artifact.
 //! 3. **Budget enforcement** — after the schedule's plan is consumed,
 //!    the run demonstrates both refusal paths (exhausted schedule,
 //!    over-budget accountant spend) and records the error strings. The
@@ -35,17 +37,19 @@
 //! `socialrec validate-bench`; the non-smoke SLO gate requires the
 //! incremental refresh to be ≥ 5× faster than the full rebuild.
 
-use crate::commands::simd_info::SimdInfo;
+use crate::commands::bench::{
+    check_sim_bits, drive_closed, ms, percentile_ns, same_release_bits, write_artifact, SimdInfo,
+};
 use crate::commands::trace::TraceSink;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use socialrec_community::{IncrementalLouvain, Louvain};
 use socialrec_core::private::framework::release_noisy_cluster_averages_with;
-use socialrec_core::private::{NoiseModel, NoisyClusterAverages};
+use socialrec_core::private::NoiseModel;
 use socialrec_core::{BudgetSchedule, DynamicRecommender, RecommenderInputs};
 use socialrec_datasets::flixster_like;
 use socialrec_dp::Epsilon;
-use socialrec_experiments::{impl_to_json, json::ToJson, Args};
+use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::{GraphDelta, ItemId, UserId};
 use socialrec_obs::span;
 use socialrec_serve::loadgen::Zipf;
@@ -97,9 +101,8 @@ struct UpdateSlo {
 impl_to_json!(UpdateSlo { refresh_speedup, speedup_gate_bound, met });
 
 /// Serving stats for the hot-swap-under-load phase. `release_epochs`
-/// must be exactly 2 — the initial on-miss build plus the publish;
-/// a third epoch would mean a query rebuilt (and re-spent) a release
-/// the recommender had already paid for.
+/// must be exactly 2 — the two publishes (the first serving release,
+/// then the refresh); queries never add an epoch.
 struct ServeDuringRefresh {
     queries: u64,
     elapsed_ms: f64,
@@ -222,18 +225,6 @@ impl_to_json!(Report {
     memory,
 });
 
-/// Exact nearest-rank quantile over a sorted latency sample.
-fn percentile_ns(sorted: &[u64], q: f64) -> u64 {
-    match sorted.len() {
-        0 => 0,
-        len => sorted[(((len - 1) as f64 * q).round() as usize).min(len - 1)],
-    }
-}
-
-fn ms(t: Instant) -> f64 {
-    t.elapsed().as_secs_f64() * 1e3
-}
-
 /// A Zipf-skewed churn delta: `social` edge toggles (80% arrivals, 20%
 /// departures) between popularity-sampled users, plus `pref` preference
 /// toggles of popular users onto uniform items.
@@ -273,28 +264,6 @@ fn churn_delta(
         }
     }
     d
-}
-
-/// Bitwise equality of two similarity matrices, row by row.
-fn check_sim_bits(a: &SimilarityMatrix, b: &SimilarityMatrix) -> Result<(), String> {
-    if a.num_users() != b.num_users() {
-        return Err("similarity user counts diverged from the full rebuild".to_string());
-    }
-    for u in 0..a.num_users() {
-        let (an, av) = a.row(UserId(u as u32));
-        let (bn, bv) = b.row(UserId(u as u32));
-        if an != bn || av.iter().zip(bv.iter()).any(|(x, y)| x.to_bits() != y.to_bits()) {
-            return Err(format!("similarity row {u} diverged bitwise from the full rebuild"));
-        }
-    }
-    Ok(())
-}
-
-/// Bitwise equality of two noisy releases.
-fn same_release_bits(a: &NoisyClusterAverages, b: &NoisyClusterAverages) -> bool {
-    a.num_clusters() == b.num_clusters()
-        && a.num_items() == b.num_items()
-        && a.values().iter().zip(b.values().iter()).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// Run the command.
@@ -470,34 +439,16 @@ pub fn run(args: &Args) -> Result<(), String> {
     daemon.publish_release(seed_a, serving);
 
     eprintln!(
-        "hot swap under load: {clients} clients x {requests} queries while the refresh \
-         publishes generation {gen_b:#x}..."
+        "hot swap under load: {clients} clients x {requests} queries; halfway through, \
+         the refresh publishes generation {gen_b:#x}..."
     );
     let current_seed = AtomicU64::new(seed_a);
     let delta2 = churn_delta(&mut rng, &zipf, num_items, 0, (pref_per_round * 2).max(2));
-    let t_phase = Instant::now();
     let mut refresh_under_load_ms = 0.0f64;
     let mut refresh_result: Result<(), String> = Ok(());
-    let mut lat: Vec<u64> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..clients)
-            .map(|c| {
-                let (daemon, inputs, zipf, current_seed) = (&daemon, &inputs, &zipf, &current_seed);
-                s.spawn(move || {
-                    let mut rng = SmallRng::seed_from_u64(seed ^ ((c as u64 + 1) * 0x9E37));
-                    let mut lats = Vec::with_capacity(requests);
-                    for _ in 0..requests {
-                        let qseed = current_seed.load(Ordering::Relaxed);
-                        let u = zipf.sample_user(&mut rng);
-                        let t = Instant::now();
-                        daemon.recommend_one(inputs, u, n, qseed);
-                        lats.push(t.elapsed().as_nanos().min(u64::MAX as u128) as u64);
-                    }
-                    lats
-                })
-            })
-            .collect();
-        // The refresh itself, concurrent with the load: preference
-        // churn, the accountant-debited release, and the publish.
+    // The refresh itself, concurrent with the load: preference churn,
+    // the accountant-debited release, and the publish.
+    let refresh = || {
         let t = Instant::now();
         refresh_result = (|| {
             let (p2, _r) = delta2.apply_preferences(&prefs).map_err(|e| e.to_string())?;
@@ -518,15 +469,16 @@ pub fn run(args: &Args) -> Result<(), String> {
             if generation != gen_b {
                 return Err("published generation does not match the daemon's key".to_string());
             }
-            current_seed.store(seed_b, Ordering::Relaxed);
+            current_seed.store(seed_b, Ordering::Release);
             Ok(())
         })();
         refresh_under_load_ms = ms(t);
-        handles.into_iter().flat_map(|h| h.join().expect("load client panicked")).collect()
-    });
+    };
+    let (lat, elapsed_ms) =
+        drive_closed(clients, requests, &zipf, seed, &current_seed, refresh, &|u, s| {
+            daemon.recommend_one(&inputs, u, n, s);
+        });
     refresh_result?;
-    let elapsed_ms = ms(t_phase);
-    lat.sort_unstable();
 
     // Every shard flips to the published generation on a final sweep,
     // and the epoch count stays at 2: the two publishes. Queries never
@@ -663,9 +615,7 @@ pub fn run(args: &Args) -> Result<(), String> {
         registry: daemon.registry().snapshot(),
         memory: socialrec_obs::sample_memory(),
     };
-    let json = report.to_json_pretty();
-    std::fs::write(&out_path, format!("{json}\n"))
-        .map_err(|e| format!("writing {out_path}: {e}"))?;
+    write_artifact(&out_path, &report)?;
 
     println!(
         "update-bench streaming churn (flixster_like scale={scale}, eps={epsilon}, \
@@ -678,7 +628,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         if speedup_gate_bound { "" } else { " (gate not bound: smoke)" }
     );
     println!(
-        "  served     : {} queries, p50 {} ns, p99 {} ns during the refresh window",
+        "  served     : {} queries, p50 {} ns, p99 {} ns (half before the refresh, half \
+         during it)",
         report.serve.queries, report.serve.p50_ns, report.serve.p99_ns
     );
     println!(
@@ -731,48 +682,10 @@ mod tests {
         ))
         .unwrap();
 
-        let body = std::fs::read_to_string(&out).unwrap();
-        for key in [
-            "\"bench\": \"update\"",
-            "\"incremental_ms\"",
-            "\"full_rebuild_ms\"",
-            "\"refresh_speedup\"",
-            "\"sim_dirty_rows\"",
-            "\"index_dirty_rows\"",
-            "\"release_epochs\": 2",
-            "\"releases_bit_identical\": true",
-            "\"accountant_releases\": 4",
-            "\"refusal_schedule\"",
-            "privacy budget exceeded",
-            "\"p99_ns\"",
-            "\"simd\"",
-            "\"memory\"",
-        ] {
-            assert!(body.contains(key), "artifact missing {key}: {body}");
-        }
-        // Both refusal paths (schedule-exhausted, accountant-refused)
-        // must have landed in the operational journal; the run itself
-        // asserts one event per reason code, and the journal still
-        // holds them here because only the next traced run resets it.
-        let journal = socialrec_obs::Journal::global();
-        assert!(
-            journal.count_of(socialrec_obs::EventKind::BudgetRefusal) >= 2,
-            "journal lost the budget-refusal events: {}",
-            journal.snapshot(usize::MAX).to_jsonl()
-        );
-
+        // The run itself refuses a trace that lacks the update spans,
+        // and a journal that lacks either budget refusal.
         let trace_body = std::fs::read_to_string(&trace_out).unwrap();
-        let check = socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
-        for span in [
-            "update.refresh",
-            "update.louvain",
-            "update.sim_rows",
-            "update.index_rows",
-            "update.release",
-            "update.publish",
-        ] {
-            assert!(check.has_span(span), "trace missing {span}: {:?}", check.names);
-        }
+        socialrec_obs::validate_chrome_trace(&trace_body).unwrap();
         std::fs::remove_file(&out).ok();
         std::fs::remove_file(&trace_out).ok();
     }

@@ -16,22 +16,13 @@
 //! earlier scrape of the same process), counter and histogram series
 //! must be monotone non-decreasing — the invariant that distinguishes
 //! them from a gauge on the wire. With `--events`, the journal tail must
-//! be one JSON object per line carrying `seq`/`t_ns` and a known `event`
-//! name.
+//! be one JSON object per line (parsed with `socialrec_obs::json`)
+//! carrying unsigned-integer `seq` and `t_ns` and a known `event` name.
 
 use socialrec_experiments::Args;
+use socialrec_obs::json::{self, Value};
+use socialrec_obs::EventKind;
 use std::collections::HashMap;
-
-/// Every event name the journal can emit (`EventKind::name`); an
-/// unknown name in a dump means the endpoint and the journal drifted.
-const KNOWN_EVENTS: [&str; 6] = [
-    "release_published",
-    "hot_swap_completed",
-    "budget_refusal",
-    "drift_valve_restart",
-    "coalesce_requeue",
-    "query_refused",
-];
 
 /// One parsed exposition: `name -> declared type`,
 /// `series key (name + label set) -> value`, and each histogram
@@ -223,21 +214,25 @@ fn validate_events(body: &str) -> Result<(), String> {
     let mut lines = 0usize;
     for (k, line) in body.lines().enumerate() {
         let lineno = k + 1;
-        let line = line.trim();
-        if line.is_empty() {
+        if line.trim().is_empty() {
             continue;
         }
         lines += 1;
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(format!("line {lineno}: not a JSON object: {line:?}"));
-        }
-        for field in ["\"seq\":", "\"t_ns\":", "\"event\":\""] {
-            if !line.contains(field) {
-                return Err(format!("line {lineno}: missing {field} in {line:?}"));
+        let event = json::parse(line)
+            .ok()
+            .filter(Value::is_object)
+            .ok_or_else(|| format!("line {lineno}: not a JSON object: {line:?}"))?;
+        for field in ["seq", "t_ns"] {
+            if event.get(field).and_then(Value::as_u64).is_none() {
+                return Err(format!(
+                    "line {lineno}: \"{field}\" is missing or not an unsigned integer in {line:?}"
+                ));
             }
         }
-        if !KNOWN_EVENTS.iter().any(|e| line.contains(&format!("\"event\":\"{e}\""))) {
-            return Err(format!("line {lineno}: unknown event name in {line:?}"));
+        // An unknown name means the endpoint and the journal drifted.
+        let name = event.get("event").and_then(Value::as_str);
+        if !name.is_some_and(|name| EventKind::ALL.iter().any(|k| k.name() == name)) {
+            return Err(format!("line {lineno}: unknown event name {name:?} in {line:?}"));
         }
     }
     if lines == 0 {
@@ -362,12 +357,20 @@ mod tests {
         assert!(validate_events(&unknown).unwrap_err().contains("unknown event"));
         let no_time = valid_events().replace("\"t_ns\"", "\"t\"");
         assert!(validate_events(&no_time).unwrap_err().contains("t_ns"));
+        // Present but not an unsigned integer.
+        let worded = valid_events().replace("\"seq\":0", "\"seq\":\"zero\"");
+        assert!(validate_events(&worded).unwrap_err().contains("line 1: \"seq\""));
+        let fractional = valid_events().replace("\"t_ns\":450", "\"t_ns\":450.5");
+        assert!(validate_events(&fractional).unwrap_err().contains("line 2: \"t_ns\""));
+        let negative = valid_events().replace("\"seq\":1", "\"seq\":-1");
+        assert!(validate_events(&negative).unwrap_err().contains("\"seq\""));
+        let no_name = valid_events().replace("\"event\":", "\"kind\":");
+        assert!(validate_events(&no_name).unwrap_err().contains("unknown event"));
+        // A full-width generation stamp is an ordinary payload.
+        validate_events(&valid_events().replace(":7}", ":15243249774799408224}")).unwrap();
         let not_json = "hot_swap_completed at t=4\n";
         assert!(validate_events(not_json).unwrap_err().contains("not a JSON object"));
         assert!(validate_events("\n\n").unwrap_err().contains("no events"));
-        // The list tracks the journal's kinds exactly.
-        let kinds: Vec<&str> = socialrec_obs::EventKind::ALL.iter().map(|k| k.name()).collect();
-        assert_eq!(KNOWN_EVENTS.to_vec(), kinds);
         validate_events(
             "{\"seq\":2,\"t_ns\":9,\"event\":\"query_refused\",\"user\":4,\"reason\":0}\n",
         )

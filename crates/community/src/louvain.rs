@@ -283,7 +283,8 @@ impl Louvain {
 
     /// The sequential reference for [`run_best_of`](Self::run_best_of):
     /// one restart after another on the calling thread. Kept as the
-    /// baseline for the equivalence tests and `pipeline-bench`.
+    /// reference the equivalence tests compare against (here, and the
+    /// serve crate's thread matrix at 1, 2 and 8 threads).
     pub fn run_best_of_sequential(&self, g: &SocialGraph, restarts: usize) -> LouvainResult {
         assert!(restarts >= 1, "need at least one restart");
         let base = WeightedGraph::from_social(g);

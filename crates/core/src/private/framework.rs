@@ -296,7 +296,7 @@ pub fn release_noisy_cluster_averages_with(
 
 /// The historical sequential-scan release: one pass over every
 /// preference edge, then per-row noise. Kept as the reference for the
-/// byte-identity equivalence tests and as `pipeline-bench`'s baseline.
+/// byte-identity equivalence tests.
 pub fn release_noisy_cluster_averages_reference(
     partition: &Partition,
     prefs: &socialrec_graph::preference::PreferenceGraph,

@@ -7,10 +7,13 @@
 //! enough to `serde_json::to_string_pretty` for downstream plotting
 //! scripts.
 //!
-//! Only serialization is provided — nothing in the workspace parses
-//! JSON back.
+//! Strings go through `socialrec_obs::json::write_str`, the workspace's
+//! one escaper, and `socialrec_obs::json::parse` reads the output back:
+//! the bench validators parse what these impls write, and this module's
+//! round-trip test checks the two agree.
 
 use socialrec_graph::DatasetStats;
+use socialrec_obs::json::write_str;
 
 /// Types that can render themselves as pretty-printed JSON.
 pub trait ToJson {
@@ -52,24 +55,6 @@ pub fn write_object(out: &mut String, indent: usize, fields: &[(&str, &dyn ToJso
     }
     pad(out, indent);
     out.push('}');
-}
-
-fn write_str(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 macro_rules! int_to_json {
@@ -322,6 +307,36 @@ mod tests {
         assert!(json.contains("[\"hits\", 2]"), "counters render as [name, value]:\n{json}");
         assert!(json.contains("\"p99_ns\":"));
         assert!(json.contains("\"max_ns\": 3000000"));
+    }
+
+    /// Serialize, parse back with the workspace's reader, compare.
+    #[test]
+    fn output_parses_back_to_the_same_values() {
+        use socialrec_obs::json::{parse, Value};
+        // Every escape class: quote, backslash, the named controls, the
+        // \u00XX controls (both ends of the range), DEL and non-ASCII
+        // (written raw), and a character outside the BMP.
+        let name = "q\" b\\ n\n r\r t\t \u{0}\u{1}\u{8}\u{c}\u{1f} \u{7f} é 😀".to_string();
+        let demo = Demo { name: name.clone(), score: f64::NAN, counts: vec![0, 7], tag: Some("t") };
+        let json = (demo, u64::MAX, i64::MIN, vec![0.1, 1e-7, 2.0]).to_json_pretty();
+        let int = Value::Int;
+        let want = Value::Array(vec![
+            Value::Object(
+                [
+                    ("name", Value::Str(name)),
+                    ("score", Value::Null),
+                    ("counts", Value::Array(vec![int(0), int(7)])),
+                    ("tag", Value::Str("t".into())),
+                ]
+                .into_iter()
+                .map(|(k, v)| (k.to_string(), v))
+                .collect(),
+            ),
+            int(u64::MAX.into()),
+            int(i64::MIN.into()),
+            Value::Array(vec![Value::Float(0.1), Value::Float(1e-7), Value::Float(2.0)]),
+        ]);
+        assert_eq!(parse(&json).unwrap(), want, "{json}");
     }
 
     #[test]

@@ -5,15 +5,14 @@
 //! as a *complete* (`"ph": "X"`) event, one event per line. The file
 //! loads directly in `chrome://tracing` or <https://ui.perfetto.dev>.
 //!
-//! The workspace has no JSON parser (no external dependencies), so
-//! [`validate_chrome_trace`] exploits the one-event-per-line layout:
-//! it checks the envelope, per-line brace balance (string-aware),
-//! required keys on every event, and that timestamps are monotonically
-//! non-decreasing per thread lane — the properties a trace viewer
-//! actually relies on.
+//! [`validate_chrome_trace`] parses the file with [`crate::json`], so it
+//! accepts any layout, and checks the envelope, the fields every event
+//! needs, and that timestamps are monotonically non-decreasing per
+//! thread lane — the properties a trace viewer actually relies on.
 
+use crate::json::{self, write_str, Value};
 use crate::span::SpanEvent;
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 /// Render events as Chrome trace-event JSON (one event per line).
@@ -29,7 +28,7 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
     for (i, e) in events.iter().enumerate() {
         out.push('{');
         out.push_str("\"name\":");
-        write_escaped(&mut out, e.name);
+        write_str(&mut out, e.name);
         let _ = write!(
             out,
             ",\"ph\":\"X\",\"pid\":1,\"tid\":{},\"ts\":{},\"dur\":{}",
@@ -39,7 +38,7 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
         );
         if let Some((k, v)) = e.arg {
             out.push_str(",\"args\":{");
-            write_escaped(&mut out, k);
+            write_str(&mut out, k);
             let _ = write!(out, ":{v}}}");
         }
         out.push('}');
@@ -55,24 +54,6 @@ pub fn chrome_trace_json(events: &[SpanEvent]) -> String {
 /// Nanoseconds rendered as decimal microseconds ("12.345").
 fn micros(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn write_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// What [`validate_chrome_trace`] learned about a well-formed trace.
@@ -95,60 +76,42 @@ impl TraceCheck {
 
 /// Structurally validate a trace produced by [`chrome_trace_json`].
 ///
-/// Checks: the `{"traceEvents": [...]}` envelope; every event line is a
-/// single brace-balanced object (string-aware scan) carrying
-/// `ph == "X"`, `name`, `pid`, `tid`, `ts`, and `dur`; comma placement
-/// between events; and per-`tid` timestamps that never go backwards.
-/// Returns a [`TraceCheck`] so callers can assert specific spans exist.
-pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
-    let lines: Vec<&str> = json.lines().filter(|l| !l.trim().is_empty()).collect();
-    if lines.len() < 2 {
-        return Err("trace too short: missing envelope".to_string());
+/// Checks: the document parses as JSON; it is an object whose
+/// `traceEvents` is an array and whose `displayTimeUnit` is `"ms"`;
+/// every event is an object carrying `ph == "X"`, a string `name`,
+/// integer `pid` and `tid`, and non-negative numbers `ts` and `dur`; and
+/// per-`tid` timestamps never go backwards. Returns a [`TraceCheck`] so
+/// callers can assert specific spans exist.
+pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
+    let doc = json::parse(text).map_err(|e| format!("not JSON: {e}"))?;
+    if doc.get("displayTimeUnit").and_then(Value::as_str) != Some("ms") {
+        return Err("envelope lacks \"displayTimeUnit\": \"ms\"".to_string());
     }
-    if lines[0].trim() != "{\"traceEvents\":[" {
-        return Err(format!("bad header line: {:?}", lines[0]));
-    }
-    let footer = lines[lines.len() - 1].trim();
-    if footer != "],\"displayTimeUnit\":\"ms\"}" {
-        return Err(format!("bad footer line: {footer:?}"));
-    }
-
-    let event_lines = &lines[1..lines.len() - 1];
-    let mut names = Vec::new();
-    let mut tids = Vec::new();
+    let events = doc
+        .get("traceEvents")
+        .and_then(Value::as_array)
+        .ok_or("envelope lacks a \"traceEvents\" array")?;
+    let mut names = BTreeSet::new();
+    let mut tids = BTreeSet::new();
     let mut last_ts: HashMap<u64, f64> = HashMap::new();
 
-    for (i, raw) in event_lines.iter().enumerate() {
-        let line = raw.trim();
-        let last = i + 1 == event_lines.len();
-        let body = match (line.strip_suffix(','), last) {
-            (Some(b), false) => b,
-            (None, true) => line,
-            (Some(_), true) => return Err("trailing comma on final event".to_string()),
-            (None, false) => return Err(format!("event {i}: missing separating comma")),
+    for (i, event) in events.iter().enumerate() {
+        let field = |key: &str| event.get(key).ok_or_else(|| format!("event {i}: missing {key:?}"));
+        let number = |key: &str| {
+            field(key)?.as_f64().ok_or_else(|| format!("event {i}: {key:?} is not a number"))
         };
-        if !balanced_object(body) {
-            return Err(format!("event {i}: not a balanced JSON object: {body:?}"));
-        }
-        if !body.contains("\"ph\":\"X\"") {
+        if field("ph")?.as_str() != Some("X") {
             return Err(format!("event {i}: not a complete (ph=X) event"));
         }
-        for key in ["\"name\":", "\"pid\":", "\"tid\":", "\"ts\":", "\"dur\":"] {
-            if !body.contains(key) {
-                return Err(format!("event {i}: missing {key}"));
-            }
-        }
         let name =
-            field_str(body, "\"name\":").ok_or_else(|| format!("event {i}: unreadable name"))?;
-        let tid =
-            field_f64(body, "\"tid\":").ok_or_else(|| format!("event {i}: unreadable tid"))?;
-        let ts = field_f64(body, "\"ts\":").ok_or_else(|| format!("event {i}: unreadable ts"))?;
-        let dur =
-            field_f64(body, "\"dur\":").ok_or_else(|| format!("event {i}: unreadable dur"))?;
+            field("name")?.as_str().ok_or_else(|| format!("event {i}: name is not a string"))?;
+        field("pid")?.as_u64().ok_or_else(|| format!("event {i}: pid is not an integer"))?;
+        let lane =
+            field("tid")?.as_u64().ok_or_else(|| format!("event {i}: tid is not an integer"))?;
+        let (ts, dur) = (number("ts")?, number("dur")?);
         if !(ts >= 0.0 && dur >= 0.0) {
             return Err(format!("event {i}: negative ts/dur"));
         }
-        let lane = tid as u64;
         if let Some(&prev) = last_ts.get(&lane) {
             if ts < prev {
                 return Err(format!(
@@ -157,98 +120,15 @@ pub fn validate_chrome_trace(json: &str) -> Result<TraceCheck, String> {
             }
         }
         last_ts.insert(lane, ts);
-        if !names.contains(&name) {
-            names.push(name);
-        }
-        if !tids.contains(&lane) {
-            tids.push(lane);
-        }
+        names.insert(name.to_string());
+        tids.insert(lane);
     }
 
-    names.sort();
-    tids.sort_unstable();
-    Ok(TraceCheck { events: event_lines.len(), names, tids })
-}
-
-/// Is `s` exactly one `{...}` object with balanced braces, ignoring
-/// braces inside string literals?
-fn balanced_object(s: &str) -> bool {
-    let mut depth = 0i32;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut seen_any = false;
-    for c in s.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                depth += 1;
-                seen_any = true;
-            }
-            '}' => {
-                depth -= 1;
-                if depth < 0 {
-                    return false;
-                }
-                // Nothing may follow the closing brace of the object.
-                if depth == 0 && seen_any {
-                    // handled by caller via suffix stripping; any junk
-                    // after would re-enter the loop and fail below.
-                }
-            }
-            _ => {
-                if depth == 0 {
-                    return false; // content outside the object
-                }
-            }
-        }
-    }
-    !in_str && depth == 0 && seen_any
-}
-
-/// Extract the string value following `key` (handles `\"` escapes).
-fn field_str(body: &str, key: &str) -> Option<String> {
-    let start = body.find(key)? + key.len();
-    let rest = body.get(start..)?;
-    let rest = rest.strip_prefix('"')?;
-    let mut out = String::new();
-    let mut escaped = false;
-    for c in rest.chars() {
-        if escaped {
-            out.push(match c {
-                'n' => '\n',
-                't' => '\t',
-                'r' => '\r',
-                other => other,
-            });
-            escaped = false;
-        } else if c == '\\' {
-            escaped = true;
-        } else if c == '"' {
-            return Some(out);
-        } else {
-            out.push(c);
-        }
-    }
-    None
-}
-
-/// Extract the numeric value following `key`.
-fn field_f64(body: &str, key: &str) -> Option<f64> {
-    let start = body.find(key)? + key.len();
-    let rest = body.get(start..)?;
-    let end =
-        rest.find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-')).unwrap_or(rest.len());
-    rest[..end].parse().ok()
+    Ok(TraceCheck {
+        events: events.len(),
+        names: names.into_iter().collect(),
+        tids: tids.into_iter().collect(),
+    })
 }
 
 #[cfg(test)]
@@ -259,8 +139,8 @@ mod tests {
         SpanEvent { name, arg: None, tid, start_ns, dur_ns, depth }
     }
 
-    /// Satellite 4: round-trip a synthetic span tree and check the
-    /// exported trace is structurally sound.
+    /// Round-trip a synthetic span tree and check the exported trace
+    /// is structurally sound.
     #[test]
     fn round_trips_a_synthetic_span_tree() {
         let events = vec![
@@ -288,6 +168,9 @@ mod tests {
         assert!(json.contains("\"args\":{\"users\":100}"));
         // µs conversion: 1_000ns start -> ts 1.000.
         assert!(json.contains("\"ts\":1.000"));
+        // The check reads JSON, not lines: the same trace on one line
+        // passes too.
+        assert_eq!(validate_chrome_trace(&json.replace('\n', "")).unwrap(), check);
     }
 
     #[test]
@@ -304,6 +187,16 @@ mod tests {
         let json = chrome_trace_json(&events);
         let check = validate_chrome_trace(&json).unwrap();
         assert_eq!(check.names, vec!["we\"ird\\name".to_string()]);
+    }
+
+    #[test]
+    fn control_characters_in_names_round_trip() {
+        // The exporter writes U+0001 as `\u0001`; the check must read it
+        // back as that character, not as the text `u0001`.
+        let json = chrome_trace_json(&[ev("a\u{1}b\u{1f}c", 0, 0, 10, 0)]);
+        assert!(json.contains("a\\u0001b\\u001fc"), "{json}");
+        let check = validate_chrome_trace(&json).unwrap();
+        assert_eq!(check.names, vec!["a\u{1}b\u{1f}c".to_string()]);
     }
 
     #[test]
@@ -330,6 +223,11 @@ mod tests {
         // Wrong phase.
         let bad_ph = good.replace("\"ph\":\"X\"", "\"ph\":\"B\"");
         assert!(validate_chrome_trace(&bad_ph).is_err());
+        // Wrong types and a thinned envelope.
+        let str_tid = good.replacen("\"tid\":0", "\"tid\":\"0\"", 1);
+        assert!(validate_chrome_trace(&str_tid).unwrap_err().contains("tid"));
+        let no_unit = good.replace("\"displayTimeUnit\"", "\"unit\"");
+        assert!(validate_chrome_trace(&no_unit).unwrap_err().contains("displayTimeUnit"));
     }
 
     #[test]

@@ -292,10 +292,14 @@ pub fn render_prometheus(cfg: &IntrospectConfig) -> String {
 /// Render the `/ledger` body from an accountant's state.
 /// `cumulative_epsilon_bits` is the IEEE-754 bit pattern of the spent
 /// ε, so a client can compare it bit for bit without parsing floats.
+/// JSON has no infinity: an unbounded spend (ε = ∞) renders
+/// `cumulative_epsilon` as `null`, as `ToJson` renders any non-finite
+/// float, and only the bits field carries it.
 pub fn accountant_json(a: &PrivacyAccountant) -> String {
     let spent = a.total_epsilon();
+    let shown = if spent.is_finite() { format!("{spent:?}") } else { "null".to_string() };
     format!(
-        "{{\"cumulative_epsilon\":{spent:?},\"cumulative_epsilon_bits\":{},\"releases\":{}}}\n",
+        "{{\"cumulative_epsilon\":{shown},\"cumulative_epsilon_bits\":{},\"releases\":{}}}\n",
         spent.to_bits(),
         a.releases()
     )
@@ -342,7 +346,8 @@ mod tests {
 
     #[test]
     fn ledger_renders_the_accountant() {
-        let body = accountant_json(&test_cfg().read_accountant());
+        let mut accountant = test_cfg().read_accountant();
+        let body = accountant_json(&accountant);
         let bits = 0.75f64.to_bits();
         assert_eq!(
             body,
@@ -350,6 +355,14 @@ mod tests {
                 "{{\"cumulative_epsilon\":0.75,\"cumulative_epsilon_bits\":{bits},\"releases\":2}}\n"
             )
         );
+        // An infinite spend stays JSON: ε reads as null, the bits stay
+        // exact.
+        accountant.spend_sequential(Epsilon::Infinite);
+        let ledger = crate::json::parse(&accountant_json(&accountant)).unwrap();
+        assert_eq!(ledger.get("cumulative_epsilon"), Some(&crate::json::Value::Null));
+        let bits = ledger.get("cumulative_epsilon_bits").unwrap().as_u64();
+        assert_eq!(bits, Some(f64::INFINITY.to_bits()));
+        assert_eq!(ledger.get("releases").unwrap().as_u64(), Some(3));
     }
 
     #[test]

@@ -19,6 +19,9 @@
 //! * [`chrome`] — a Chrome trace-event-format JSON writer (loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>) with a structural
 //!   self-check, and [`summary`], a plain-text per-span timing table.
+//! * [`json`] — the JSON reader behind every artifact check (the trace
+//!   self-check, the CLI's bench and journal validators), and the one
+//!   JSON string escaper.
 //!
 //! Plus two pieces for a running daemon:
 //!
@@ -75,6 +78,7 @@
 mod chrome;
 pub mod introspect;
 pub mod journal;
+pub mod json;
 mod memory;
 mod metrics;
 mod span;

@@ -6,10 +6,14 @@
 //! the matrix test re-runs this test binary as a child process per
 //! thread count in {1, 2, 8}, each child running the full equivalence
 //! suite (blocked utility kernel, parallel `SimilarityMatrix` build,
-//! parallel `SimMassIndex` build) under that scheduler width.
+//! parallel `SimMassIndex` build, best-of-restarts Louvain, sharded
+//! `A_w` release) under that scheduler width.
 
-use socialrec_community::{ClusteringStrategy, LouvainStrategy};
-use socialrec_core::private::framework::release_noisy_cluster_averages;
+use socialrec_community::{ClusteringStrategy, Louvain, LouvainStrategy};
+use socialrec_core::private::framework::{
+    release_noisy_cluster_averages, release_noisy_cluster_averages_reference,
+    release_noisy_cluster_averages_with, NoiseModel,
+};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
@@ -35,6 +39,15 @@ fn run_equivalence_checks() {
         }
     }
 
+    // Parallel best-of-restarts Louvain vs the sequential restart
+    // loop: partition, modularity bits and level count.
+    let louvain = Louvain { seed: 21, ..Default::default() };
+    let par = louvain.run_best_of(&ds.social, 3);
+    let seq = louvain.run_best_of_sequential(&ds.social, 3);
+    assert_eq!(par.partition, seq.partition, "run_best_of partition differs");
+    assert_eq!(par.modularity.to_bits(), seq.modularity.to_bits(), "modularity bits differ");
+    assert_eq!(par.levels, seq.levels, "level count differs");
+
     // Parallel SimMassIndex build vs the sequential reference
     // (PartialEq covers row lengths, clusters, and mass values;
     // the bit-level check is the kernel comparison below).
@@ -42,6 +55,18 @@ fn run_equivalence_checks() {
     let index = SimMassIndex::build(&sim, &partition);
     let index_ref = SimMassIndex::build_reference(&sim, &partition);
     assert_eq!(index, index_ref, "parallel SimMassIndex differs from reference");
+
+    // Sharded A_w release vs the sequential scan, value bits, under
+    // both noise models.
+    for noise in [NoiseModel::Laplace, NoiseModel::Geometric] {
+        let eps = Epsilon::Finite(0.5);
+        let par = release_noisy_cluster_averages_with(&partition, &ds.prefs, eps, noise, 7);
+        let seq = release_noisy_cluster_averages_reference(&partition, &ds.prefs, eps, noise, 7);
+        assert_eq!((par.num_clusters(), par.num_items()), (seq.num_clusters(), seq.num_items()));
+        for (i, (a, b)) in par.values().iter().zip(seq.values()).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "{noise:?} release value {i} differs");
+        }
+    }
 
     // Blocked utility kernel vs the per-user full-width reference,
     // across tile sizes (including ones that do not divide the item

@@ -57,8 +57,8 @@ impl SimilarityMatrix {
     /// Each worker reuses one scratch and one row buffer, and each row
     /// is allocated once at its exact size. Output is bit-identical to
     /// [`build_sequential`](SimilarityMatrix::build_sequential) for any
-    /// thread count (proven by tests and re-checked at run time by
-    /// `socialrec pipeline-bench`).
+    /// thread count (proven by tests, among them the serve crate's
+    /// thread matrix at 1, 2 and 8 threads).
     pub fn build<S: Similarity + ?Sized>(g: &SocialGraph, measure: &S) -> SimilarityMatrix {
         let n = g.num_users();
         let _span = socialrec_obs::span!("sim.build", users = n);
@@ -72,8 +72,8 @@ impl SimilarityMatrix {
 
     /// Sequential reference for [`build`](SimilarityMatrix::build):
     /// one thread, one scratch, rows in ascending order. Retained so
-    /// the equivalence tests and `pipeline-bench` can prove the
-    /// parallel build produces the same bytes.
+    /// the equivalence tests can prove the parallel build produces the
+    /// same bytes.
     pub fn build_sequential<S: Similarity + ?Sized>(
         g: &SocialGraph,
         measure: &S,
