@@ -74,7 +74,6 @@ COMMANDS
                [--scale 0.15] [--seed 7] [--epsilon 0.5] [--restarts 10]
                [--n 10] [--reps 2 (min-of-reps timing)] [--measure CN]
                [--out BENCH_pipeline.json]
-               [--tune (ITEM_TILE x USER_BLOCK sweep of the kernel)]
                [--smoke (tiny scale, no SIMD gate)]
                [--trace OUT.json]
   scale-bench  Million-user data path: stream-build the similarity and

@@ -30,8 +30,8 @@ use socialrec_similarity::{parse_measure, SimilarityMatrix};
 use std::time::Instant;
 
 /// Minimum per-kernel speedup the SIMD acceptance gate demands on an
-/// AVX2 machine (non-smoke, no scalar override): at least one ported
-/// kernel must measurably beat its scalar-forced baseline.
+/// AVX2 machine (non-smoke, no scalar override): the `avx2` build of at
+/// least one kernel must measurably beat its baseline-target build.
 const SIMD_GATE_SPEEDUP: f64 = 1.1;
 
 /// One pipeline stage's min-of-reps time.
@@ -42,38 +42,8 @@ struct Stage {
 
 impl_to_json!(Stage { stage, ms });
 
-/// One grid point of the `--tune` ITEM_TILE × USER_BLOCK sweep.
-struct TunePoint {
-    item_tile: usize,
-    user_block: usize,
-    ms: f64,
-}
-
-impl_to_json!(TunePoint { item_tile, user_block, ms });
-
-/// The `--tune` sweep result: the full grid plus the winning
-/// configuration, next to the compiled-in defaults so a future PR can
-/// see at a glance whether the constants still match the hardware.
-struct TuneReport {
-    grid: Vec<TunePoint>,
-    best_item_tile: usize,
-    best_user_block: usize,
-    best_ms: f64,
-    default_item_tile: usize,
-    default_user_block: usize,
-}
-
-impl_to_json!(TuneReport {
-    grid,
-    best_item_tile,
-    best_user_block,
-    best_ms,
-    default_item_tile,
-    default_user_block,
-});
-
-/// One vectorized kernel's measured speedup against its scalar-forced
-/// baseline (same workload, same process, `socialrec_simd::force`).
+/// One kernel's `avx2` build timed against its baseline-target build
+/// (`scalar_ms`; same workload, same process, `socialrec_simd::force`).
 struct SimdKernel {
     kernel: String,
     scalar_ms: f64,
@@ -84,7 +54,7 @@ struct SimdKernel {
 impl_to_json!(SimdKernel { kernel, scalar_ms, simd_ms, speedup });
 
 /// The run's SIMD dispatch record ([`SimdInfo`]'s three fields) plus
-/// the per-kernel scalar-vs-SIMD attribution. `gate_bound` is true on
+/// the per-kernel baseline-vs-avx2 attribution. `gate_bound` is true on
 /// non-smoke AVX2 machines, where `gate_met` must report a measured
 /// kernel-level speedup (enforced by `validate-bench`).
 struct SimdReport {
@@ -149,10 +119,8 @@ struct Report {
     equivalence_checked: bool,
     /// The recommend stage's daemon registry (per-shard counters).
     serve_metrics: socialrec_obs::RegistrySnapshot,
-    /// SIMD dispatch + per-kernel scalar-vs-SIMD attribution.
+    /// SIMD dispatch + per-kernel baseline-vs-avx2 attribution.
     simd: SimdReport,
-    /// `--tune` sweep (`null` when the flag was not given).
-    tune: Option<TuneReport>,
     /// Per-span aggregates for the whole run (always present).
     hotspots: Vec<Hotspot>,
     /// Process memory at the end of the run (`null` off Linux); the
@@ -180,7 +148,6 @@ impl_to_json!(Report {
     equivalence_checked,
     serve_metrics,
     simd,
-    tune,
     hotspots,
     memory,
 });
@@ -211,7 +178,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let reps = args.get_usize("reps", if smoke { 1 } else { 2 }).max(1);
     let n = args.get_usize("n", 10);
     let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
-    let tune_requested = args.has_flag("tune");
     let out_path = args.get_str("out").unwrap_or("BENCH_pipeline.json").to_string();
     let threads = rayon::current_num_threads();
     let trace = TraceSink::init(args);
@@ -279,15 +245,10 @@ pub fn run(args: &Args) -> Result<(), String> {
         ));
     }
 
-    // SIMD attribution: time the serving kernel scalar-forced and on
-    // the dispatched tier, in this same process.
+    // SIMD attribution: time the serving kernel's baseline build and
+    // the dispatched build, in this same process.
     let index = SimMassIndex::build(&sim, &partition);
     let simd = simd_attribution(&averages, &index, &users, reps, smoke);
-
-    // `--tune`: sweep the blocked kernel's ITEM_TILE × USER_BLOCK grid
-    // over the full user population and record the winner.
-    let tune =
-        if tune_requested { Some(tune_sweep(&averages, &index, &users, reps)) } else { None };
 
     // Close the span stream (writing the trace artifact if requested)
     // and fold the events into the hotspots block.
@@ -336,7 +297,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         equivalence_checked: true,
         serve_metrics,
         simd,
-        tune,
         hotspots,
         memory: socialrec_obs::sample_memory(),
     };
@@ -358,32 +318,32 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
     for k in &report.simd.kernels {
         println!(
-            "    {:<14}: {:>8.0} ms scalar  {:>8.0} ms simd  ({:.2}x)",
-            k.kernel, k.scalar_ms, k.simd_ms, k.speedup
+            "    {:<14}: {:>8.0} ms baseline  {:>8.0} ms {}  ({:.2}x)",
+            k.kernel, k.scalar_ms, k.simd_ms, report.simd.active, k.speedup
         );
     }
     println!("  wrote {out_path}");
 
-    // SIMD acceptance gate: on an AVX2 machine running vectorized (no
-    // override, not smoke), at least one ported kernel must measurably
-    // beat its scalar-forced baseline in this same artifact.
+    // SIMD acceptance gate: on an AVX2 machine running the avx2 build
+    // (no override, not smoke), at least one kernel must measurably beat
+    // its baseline build in this same artifact.
     if report.simd.gate_bound && !report.simd.gate_met {
         let detail: Vec<String> =
             report.simd.kernels.iter().map(|k| format!("{} {:.2}x", k.kernel, k.speedup)).collect();
         return Err(format!(
             "AVX2 active but no kernel reached {SIMD_GATE_SPEEDUP}x over its \
-             scalar-forced baseline: {}",
+             baseline build: {}",
             detail.join(", ")
         ));
     }
     Ok(())
 }
 
-/// Kernel-level SIMD attribution: time the dominant vectorized kernel
-/// scalar-forced and on the run's dispatched tier, in this same process
-/// via `socialrec_simd::force`. The active tier is restored before
-/// returning. (Every tier's bits are checked against scalar by
-/// `crates/serve/tests/simd_matrix.rs`.)
+/// Kernel-level SIMD attribution: time the serving kernel's
+/// baseline-target build and the run's dispatched build, in this same
+/// process via `socialrec_simd::force`. The active tier is restored
+/// before returning. (Both builds' bits are checked against the scalar
+/// reference by `crates/serve/tests/simd_matrix.rs`.)
 fn simd_attribution(
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
@@ -396,7 +356,7 @@ fn simd_attribution(
 
     // recommend-axpy: the blocked serving kernel over every user at the
     // compiled-in tile/block geometry.
-    eprintln!("simd: recommend-axpy scalar-forced vs {} x{reps}...", prior.name());
+    eprintln!("simd: recommend-axpy baseline build vs {} x{reps}...", prior.name());
     let mut out = Vec::new();
     socialrec_simd::force(Isa::Scalar);
     let ((), axpy_scalar_ms) = timed_min(reps, || {
@@ -410,7 +370,7 @@ fn simd_attribution(
             utilities_block_tiled(averages, index, chunk, ITEM_TILE, &mut out);
         }
     });
-    eprintln!("  {axpy_scalar_ms:.0} ms scalar, {axpy_simd_ms:.0} ms {}", prior.name());
+    eprintln!("  {axpy_scalar_ms:.0} ms baseline, {axpy_simd_ms:.0} ms {}", prior.name());
 
     let kernels = vec![SimdKernel {
         kernel: "recommend-axpy".to_string(),
@@ -418,52 +378,12 @@ fn simd_attribution(
         simd_ms: axpy_simd_ms,
         speedup: axpy_scalar_ms / axpy_simd_ms.max(1e-9),
     }];
-    // The gate binds only where vector hardware is both present and in
-    // use: a smoke run is too small to time, and a `SOCIALREC_SIMD`
-    // downgrade is an explicit request to not run vectorized.
+    // The gate binds only where AVX2 is both present and in use: a
+    // smoke run is too small to time, and a `SOCIALREC_SIMD` downgrade
+    // is an explicit request to run the baseline build.
     let gate_bound = !smoke && socialrec_simd::detected() == Isa::Avx2 && prior == Isa::Avx2;
     let gate_met = kernels.iter().any(|k| k.speedup >= SIMD_GATE_SPEEDUP);
     SimdReport { detected, active, requested, kernels, gate_bound, gate_met }
-}
-
-/// The `--tune` sweep: time the blocked serving kernel over the full
-/// user population at every ITEM_TILE x USER_BLOCK grid point and
-/// report the winner next to the compiled-in defaults.
-fn tune_sweep(
-    averages: &NoisyClusterAverages,
-    index: &SimMassIndex,
-    users: &[UserId],
-    reps: usize,
-) -> TuneReport {
-    const TILES: [usize; 5] = [128, 256, 512, 1024, 2048];
-    const BLOCKS: [usize; 4] = [2, 4, 8, 16];
-    eprintln!("tune: sweeping {} x {} grid...", TILES.len(), BLOCKS.len());
-    let mut grid = Vec::with_capacity(TILES.len() * BLOCKS.len());
-    let mut out = Vec::new();
-    let (mut best_item_tile, mut best_user_block, mut best_ms) = (0, 0, f64::INFINITY);
-    for &tile in &TILES {
-        for &block in &BLOCKS {
-            let ((), ms) = timed_min(reps, || {
-                for chunk in users.chunks(block) {
-                    utilities_block_tiled(averages, index, chunk, tile, &mut out);
-                }
-            });
-            eprintln!("  tile {tile:>4} x block {block:>2}: {ms:>7.1} ms");
-            if ms < best_ms {
-                (best_item_tile, best_user_block, best_ms) = (tile, block, ms);
-            }
-            grid.push(TunePoint { item_tile: tile, user_block: block, ms });
-        }
-    }
-    eprintln!("  best: tile {best_item_tile} x block {best_user_block} ({best_ms:.1} ms)");
-    TuneReport {
-        grid,
-        best_item_tile,
-        best_user_block,
-        best_ms,
-        default_item_tile: ITEM_TILE,
-        default_user_block: USER_BLOCK,
-    }
 }
 
 #[cfg(test)]
@@ -480,8 +400,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_pipeline.json");
         let trace_out = dir.join("trace.json");
-        let spec =
-            format!("--smoke --tune --out {} --trace {}", out.display(), trace_out.display());
+        let spec = format!("--smoke --out {} --trace {}", out.display(), trace_out.display());
         run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap();
 
         // The artifact must pass the real validator's pipeline branch.
@@ -492,10 +411,9 @@ mod tests {
         .unwrap();
         let body = std::fs::read_to_string(&out).unwrap();
         assert!(body.contains("[\"serve.refused\", 0]"), "a daemon query was refused: {body}");
-        // The validator admits a `null` sweep and memory sample, and any
-        // kernel name.
+        // The validator admits a `null` memory sample and any kernel
+        // name.
         let doc = socialrec_obs::json::parse(&body).unwrap();
-        assert!(doc.get("tune").is_some_and(Value::is_object), "--tune wrote no sweep");
         let kernels = doc.get("simd").and_then(|s| s.get("kernels")).and_then(Value::as_array);
         let names: Vec<_> = kernels.unwrap().iter().filter_map(|k| k.get("kernel")).collect();
         assert_eq!(names, [&Value::Str("recommend-axpy".to_string())]);

@@ -32,7 +32,7 @@ use socialrec_datasets::{scale_dataset, ScaleConfig};
 use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::UserId;
-use socialrec_serve::kernel::utilities_block_tiled;
+use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE};
 use socialrec_serve::SimMassIndex;
 use socialrec_similarity::{
     parse_measure, write_similarity_artifact_streaming, MappedSimilarity, RowVals, SimScratch,
@@ -322,7 +322,7 @@ fn run_point(
     let mut lists = 0usize;
     for &u in &query_users {
         let t = Instant::now();
-        utilities_block_tiled(&averages, &index, &[u], 512, &mut utilities);
+        utilities_block_tiled(&averages, &index, &[u], ITEM_TILE, &mut utilities);
         let list = top_n_items(&utilities, top_n);
         latencies_ns.push(elapsed_ns(t));
         lists += usize::from(!list.is_empty());

@@ -84,18 +84,8 @@ const PIPELINE: Schema = &[
     (Bool, "simd.gate_bound simd.gate_met"),
     // The recommend stage's daemon registry (per-shard counters).
     (Obj(REGISTRY), "serve_metrics"),
-    // `null` unless the run passed `--tune`.
-    (Obj(TUNE), "tune?"),
     // `null` off Linux, but the key must exist so thinning is loud.
     (Obj(MEMORY), "memory?"),
-];
-
-/// The `--tune` sweep grid and its winner next to the defaults.
-const TUNE: Schema = &[
-    (List, "grid"),
-    (U64, "grid[].item_tile grid[].user_block best_item_tile best_user_block"),
-    (U64, "default_item_tile default_user_block"),
-    (F64, "grid[].ms best_ms"),
 ];
 
 const SERVE: Schema = &[
@@ -359,11 +349,6 @@ mod tests {
     "detected": "avx2", "active": "avx2", "requested": null,
     "kernels": [{ "kernel": "recommend-axpy", "scalar_ms": 2.0, "simd_ms": 1.0, "speedup": 2.0 }],
     "gate_bound": true, "gate_met": true
-  },
-  "tune": {
-    "grid": [{ "item_tile": 512, "user_block": 8, "ms": 1.0 }],
-    "best_item_tile": 512, "best_user_block": 8, "best_ms": 1.0,
-    "default_item_tile": 512, "default_user_block": 8
   },
   "hotspots": [
     { "span": "sim.build", "count": 1, "total_ms": 3.0, "mean_us": 10.0, "p99_us": 20.0,
@@ -646,14 +631,12 @@ mod tests {
     }
 
     #[test]
-    fn rejects_thinned_simd_tune_or_hotspot_blocks() {
+    fn rejects_thinned_simd_or_hotspot_blocks() {
         rejects(
             PIPELINE_JSON,
             &[
                 ("\"kernels\"", "\"ks\"", "kernels"),
                 ("\"gate_bound\"", "\"gb\"", "gate_bound"),
-                ("\"grid\"", "\"g\"", "grid"),
-                ("\"best_item_tile\"", "\"bit\"", "best_item_tile"),
                 ("\"span\"", "\"s\"", "span"),
                 // Bound-but-unmet SIMD gate: the artifact contradicts
                 // itself.
@@ -663,10 +646,8 @@ mod tests {
         rejects(SERVE_JSON, &[("\"detected\"", "\"d\"", "detected")]);
         rejects(SCALE_JSON, &[("\"active\"", "\"a\"", "active")]);
         rejects(UPDATE_JSON, &[("\"requested\": \"avx2\"", "\"requested\": 2", "simd.requested")]);
-        // A run without `--tune` writes `"tune": null`, and an unbound
-        // SIMD gate (scalar override, non-AVX2 box) need not be met.
-        let untuned = PIPELINE_JSON.replace("\"tune\": {", "\"tune\": null, \"was\": {");
-        assert_eq!(validate(&untuned).unwrap(), "pipeline");
+        // An unbound SIMD gate (scalar override, non-AVX2 box) need not
+        // be met.
         let unbound = PIPELINE_JSON
             .replace("\"gate_met\": true", "\"gate_met\": false")
             .replace("\"gate_bound\": true", "\"gate_bound\": false");

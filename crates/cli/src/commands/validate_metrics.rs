@@ -9,7 +9,8 @@
 //! `socialrec_`-prefixed `[a-zA-Z0-9_:]` charset, every sample needs a
 //! preceding `# TYPE` — its own or, for a `_bucket`, `_sum` or `_count`
 //! series, its histogram family's — and every value must parse as a
-//! finite number (counters additionally non-negative). In each histogram
+//! finite number (counters additionally non-negative), except that a
+//! gauge may read Prometheus's `+Inf` or `-Inf`. In each histogram
 //! family the cumulative buckets must not decrease as `le` grows and the
 //! `+Inf` bucket must equal `_count`; every dump must carry at least one
 //! `socialrec_serve_shard<i>_query_ns` histogram. With `--previous` (an
@@ -132,12 +133,20 @@ fn parse_exposition(body: &str) -> Result<Exposition, String> {
         }
         let kind = declared_type(&exp.types, name)
             .ok_or_else(|| format!("line {lineno}: sample {name:?} has no preceding # TYPE"))?;
-        let v: f64 = value
-            .parse()
-            .map_err(|e| format!("line {lineno}: value {value:?} of {name:?}: {e}"))?;
-        if !v.is_finite() {
-            return Err(format!("line {lineno}: non-finite value {value:?} of {name:?}"));
-        }
+        let v = match value {
+            // An unbounded ε spend is a legitimate gauge reading.
+            "+Inf" if kind == "gauge" => f64::INFINITY,
+            "-Inf" if kind == "gauge" => f64::NEG_INFINITY,
+            _ => {
+                let v: f64 = value
+                    .parse()
+                    .map_err(|e| format!("line {lineno}: value {value:?} of {name:?}: {e}"))?;
+                if !v.is_finite() {
+                    return Err(format!("line {lineno}: non-finite value {value:?} of {name:?}"));
+                }
+                v
+            }
+        };
         if kind == "counter" && v < 0.0 {
             return Err(format!("line {lineno}: negative counter {name:?} = {value}"));
         }
@@ -272,6 +281,19 @@ mod tests {
         assert_eq!(exp.samples.len(), 9);
         assert_eq!(exp.types.get("socialrec_serve_shard_generation").unwrap(), "gauge");
         assert_eq!(exp.buckets["socialrec_serve_shard0_query_ns"].len(), 3);
+        // A gauge may read ±Inf: the endpoint renders an unbounded ε
+        // spend as `+Inf`.
+        let mut accountant = socialrec_dp::PrivacyAccountant::new();
+        accountant.spend_sequential(socialrec_dp::Epsilon::Infinite);
+        let cfg = socialrec_obs::IntrospectConfig {
+            registry: Default::default(),
+            accountant: std::sync::Arc::new(std::sync::Mutex::new(accountant)),
+        };
+        let exp = parse_exposition(&socialrec_obs::introspect::render_prometheus(&cfg)).unwrap();
+        assert_eq!(exp.samples["socialrec_ledger_cumulative_epsilon"], f64::INFINITY);
+        let minus = valid_exposition().replace("{shard=\"1\"} 6", "{shard=\"1\"} -Inf");
+        let exp = parse_exposition(&minus).unwrap();
+        assert_eq!(exp.samples["socialrec_serve_shard_generation{shard=\"1\"}"], f64::NEG_INFINITY);
     }
 
     #[test]
@@ -286,6 +308,17 @@ mod tests {
         let nan = valid_exposition()
             .replace("socialrec_journal_emitted 9", "socialrec_journal_emitted NaN-ish");
         assert!(parse_exposition(&nan).unwrap_err().contains("value"));
+        // Rust's spelling of infinity, NaN, and ±Inf outside a gauge.
+        for (from, to) in [
+            ("{shard=\"1\"} 6", "{shard=\"1\"} inf"),
+            ("{shard=\"1\"} 6", "{shard=\"1\"} NaN"),
+            ("socialrec_journal_emitted 9", "socialrec_journal_emitted +Inf"),
+            ("query_ns_sum 9000", "query_ns_sum +Inf"),
+            ("{le=\"1023\"} 2", "{le=\"1023\"} -Inf"),
+        ] {
+            let text = valid_exposition().replace(from, to);
+            assert!(parse_exposition(&text).unwrap_err().contains("non-finite"), "{to}");
+        }
         // A negative counter.
         let negative = valid_exposition()
             .replace("socialrec_journal_emitted 9", "socialrec_journal_emitted -3");

@@ -112,8 +112,6 @@ fn local_moving(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng, min_ga
     // Dense scratch: weight from the current node to each community.
     let mut link_to = vec![0.0f64; n];
     let mut touched: Vec<u32> = Vec::new();
-    // Neighbor community labels, gathered a register at a time.
-    let mut labels: Vec<u32> = Vec::new();
 
     loop {
         let mut moved_this_pass = false;
@@ -123,17 +121,11 @@ fn local_moving(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng, min_ga
             let cu = comm[u] as usize;
             let ku = wg.degree[u];
 
-            // Accumulate links from u to neighboring communities. The
-            // label gather `comm[v]` is SIMD (AVX2 vpgatherdd); the
-            // scatter into link_to stays scalar in neighbor order, so
-            // the accumulated weights are bit-identical to the fused
-            // scalar loop.
+            // Accumulate links from u to neighboring communities, in
+            // neighbor order.
             let (ns, ws) = wg.neighbors_of(u);
-            labels.clear();
-            labels.resize(ns.len(), 0);
-            socialrec_simd::gather_u32(comm, ns, &mut labels);
-            for (&cv32, &w) in labels.iter().zip(ws) {
-                let cv = cv32 as usize;
+            for (&v, &w) in ns.iter().zip(ws) {
+                let cv = comm[v as usize] as usize;
                 if link_to[cv] == 0.0 {
                     touched.push(cv as u32);
                 }
@@ -343,7 +335,6 @@ fn local_moving_worklist(
 
     let mut link_to = vec![0.0f64; n];
     let mut touched: Vec<u32> = Vec::new();
-    let mut labels: Vec<u32> = Vec::new();
     let mut any_move = false;
 
     while let Some(u32u) = queue.pop_front() {
@@ -353,11 +344,8 @@ fn local_moving_worklist(
         let ku = wg.degree[u];
 
         let (ns, ws) = wg.neighbors_of(u);
-        labels.clear();
-        labels.resize(ns.len(), 0);
-        socialrec_simd::gather_u32(comm, ns, &mut labels);
-        for (&cv32, &w) in labels.iter().zip(ws) {
-            let cv = cv32 as usize;
+        for (&v, &w) in ns.iter().zip(ws) {
+            let cv = comm[v as usize] as usize;
             if link_to[cv] == 0.0 {
                 touched.push(cv as u32);
             }

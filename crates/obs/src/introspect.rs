@@ -284,9 +284,20 @@ pub fn render_prometheus(cfg: &IntrospectConfig) -> String {
         &mut out,
         "socialrec_ledger_cumulative_epsilon",
         "gauge",
-        &[(String::new(), format!("{:?}", accountant.total_epsilon()))],
+        &[(String::new(), prom_float(accountant.total_epsilon()))],
     );
     out
+}
+
+/// A float sample as Prometheus spells it: an infinity is `+Inf` or
+/// `-Inf`, where Rust would print `inf` or `-inf`.
+fn prom_float(v: f64) -> String {
+    if v.is_infinite() {
+        let sign = if v > 0.0 { '+' } else { '-' };
+        format!("{sign}Inf")
+    } else {
+        format!("{v:?}")
+    }
 }
 
 /// Render the `/ledger` body from an accountant's state.
@@ -342,6 +353,12 @@ mod tests {
         assert!(text.contains("socialrec_ledger_cumulative_epsilon 0.75\n"));
         // The '.'-separated registry names were sanitized.
         assert!(!text.contains("serve.shard0"));
+        // An infinite spend is Prometheus's `+Inf`, not Rust's `inf`.
+        let cfg = test_cfg();
+        cfg.accountant.lock().unwrap().spend_sequential(Epsilon::Infinite);
+        let text = render_prometheus(&cfg);
+        assert!(text.contains("socialrec_ledger_cumulative_epsilon +Inf\n"), "{text}");
+        assert_eq!(prom_float(f64::NEG_INFINITY), "-Inf");
     }
 
     #[test]

@@ -12,7 +12,11 @@
 //! into tiles sized to stay resident in L1 while clusters stream over
 //! them, and users are processed in small blocks so each release-row
 //! tile fetched into cache is reused by every user in the block that
-//! touches its cluster.
+//! touches its cluster. Within a tile, a user's clusters are folded
+//! four per pass, so the destination tile is loaded and stored once per
+//! four clusters instead of once per cluster. The loop is plain Rust,
+//! compiled for the baseline target and for AVX2
+//! ([`socialrec_simd::multiversion!`]).
 //!
 //! # Floating-point contract (why tiling is exact, not approximate)
 //!
@@ -20,13 +24,16 @@
 //! `Σ_c mass_{u,c} · ŵ_c[i]` over the user's touched clusters in
 //! **ascending cluster order** — the order [`SimMassIndex`] stores rows
 //! in, which is itself the order the reference path's dense scratch
-//! iterates. Tiling splits the *items*, never the cluster sum: each
-//! `(user, item)` accumulator still receives exactly the same additions
-//! in exactly the same order, whatever the tile size, tile alignment,
-//! or user block. The kernel is therefore **bit-identical** to
+//! iterates. Tiling splits the *items*, never the cluster sum, and the
+//! four-cluster fold computes `x += a0·r0[i]; x += a1·r1[i]; …` in
+//! cluster order: each `(user, item)` accumulator still receives
+//! exactly the same additions in exactly the same order, whatever the
+//! tile size, tile alignment, user block or build. Rust never fuses a
+//! multiply and an add, so the kernel is **bit-identical** to
 //! [`utilities_into_reference`] — proven across tile sizes, ragged
-//! final tiles, empty sim rows, and thread counts by the tests in this
-//! module and `tests/thread_matrix.rs`.
+//! final tiles, every leftover count after the groups of four, empty
+//! sim rows, thread counts and both builds by the tests in this module,
+//! `tests/simd_matrix.rs` and `tests/thread_matrix.rs`.
 
 use crate::SimMassIndex;
 use socialrec_core::private::framework::NoisyClusterAverages;
@@ -42,8 +49,8 @@ pub const ITEM_TILE: usize = 512;
 pub const USER_BLOCK: usize = 8;
 
 /// Utility estimates for one user: the per-user full-width sparse axpy
-/// the serving layer shipped first. Retained, fully scalar, as the
-/// equivalence reference for the blocked SIMD kernel (and still
+/// the serving layer shipped first, one cluster per pass. Retained as
+/// the equivalence reference for the blocked kernel (and still
 /// bit-identical to `ClusterFramework::utility_estimates_into`).
 pub fn utilities_into_reference(
     averages: &NoisyClusterAverages,
@@ -74,35 +81,6 @@ pub fn utilities_into_reference(
     }
 }
 
-/// One user's index row with the width dispatch already resolved: the
-/// clusters slice plus f64 masses, either borrowed straight from the
-/// index or widened once from an f32 row into the shared scratch (the
-/// widening is exact, so a compact index accumulates the same bits the
-/// pre-quantized f64 index would — see [`SimMassIndex::quantized`]).
-enum ResolvedMasses<'a> {
-    Borrowed(&'a [f64]),
-    /// Range into the caller's widening scratch.
-    Widened(usize, usize),
-}
-
-/// The shared inner loop: accumulate one user's cluster masses against
-/// the release-row slice `[t0, t1)` into `dst`, one SIMD axpy per
-/// touched cluster. Elementwise, so bit-identical to the scalar
-/// reference on every ISA tier (DESIGN.md §6d).
-#[inline]
-fn axpy_tile(
-    averages: &NoisyClusterAverages,
-    clusters: &[u32],
-    masses: &[f64],
-    t0: usize,
-    t1: usize,
-    dst: &mut [f64],
-) {
-    for (&cl, &mass) in clusters.iter().zip(masses) {
-        socialrec_simd::axpy(dst, mass, &averages.cluster_row(cl)[t0..t1]);
-    }
-}
-
 /// Utility estimates for a block of users, item-tiled: `out` is resized
 /// to `users.len() * num_items` and row `k` (user `users[k]`) occupies
 /// `out[k * num_items..(k + 1) * num_items]`.
@@ -111,9 +89,9 @@ fn axpy_tile(
 /// [`ITEM_TILE`], tests sweep it). See the module docs for why every
 /// row is bit-identical to [`utilities_into_reference`].
 ///
-/// Each user's `RowVals` width dispatch is resolved **once per row**
-/// before the tile loop (f32 rows widen into a scratch buffer exactly
-/// once), so the per-tile work is always the dense-f64 [`axpy_tile`].
+/// Each user's `RowVals` width is resolved **once per row** before the
+/// tile loop: f32 rows widen into one scratch buffer exactly once, so
+/// the tile loop only ever reads dense f64 masses.
 pub fn utilities_block_tiled(
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
@@ -121,42 +99,78 @@ pub fn utilities_block_tiled(
     tile: usize,
     out: &mut Vec<f64>,
 ) {
-    let ni = averages.num_items();
     out.clear();
-    out.resize(users.len() * ni, 0.0);
-    let tile = tile.max(1);
-    // Hoisted per-row dispatch: resolve every user's row before the
-    // tile loop instead of re-matching per (tile × user). `widened` may
-    // reallocate while filling, so rows store ranges, not slices.
+    out.resize(users.len() * averages.num_items(), 0.0);
     let mut widened: Vec<f64> = Vec::new();
-    let rows: Vec<(&[u32], ResolvedMasses<'_>)> = users
+    for &u in users {
+        if let (_, RowVals::F32(ms)) = index.row_vals(u) {
+            widened.extend(ms.iter().map(|&m| f64::from(m)));
+        }
+    }
+    let mut unclaimed = widened.as_slice();
+    let rows: Vec<(&[u32], &[f64])> = users
         .iter()
-        .map(|&u| {
-            let (clusters, masses) = index.row_vals(u);
-            let resolved = match masses {
-                RowVals::F64(ms) => ResolvedMasses::Borrowed(ms),
-                RowVals::F32(ms) => {
-                    let start = widened.len();
-                    widened.extend(ms.iter().map(|&m| f64::from(m)));
-                    ResolvedMasses::Widened(start, widened.len())
-                }
-            };
-            (clusters, resolved)
+        .map(|&u| match index.row_vals(u) {
+            (clusters, RowVals::F64(ms)) => (clusters, ms),
+            (clusters, RowVals::F32(ms)) => {
+                let (mine, rest) = unclaimed.split_at(ms.len());
+                unclaimed = rest;
+                (clusters, mine)
+            }
         })
         .collect();
-    let mut t0 = 0;
-    while t0 < ni {
-        let t1 = (t0 + tile).min(ni);
-        for (k, (clusters, resolved)) in rows.iter().enumerate() {
-            let base = k * ni;
-            let dst = &mut out[base + t0..base + t1];
-            let masses: &[f64] = match *resolved {
-                ResolvedMasses::Borrowed(ms) => ms,
-                ResolvedMasses::Widened(s, e) => &widened[s..e],
-            };
-            axpy_tile(averages, clusters, masses, t0, t1, dst);
+    fold_tiles(averages, &rows, tile.max(1), out);
+}
+
+socialrec_simd::multiversion! {
+    /// The loop nest of [`utilities_block_tiled`]: per item tile, per
+    /// user, that user's clusters in ascending order, four per pass over
+    /// the destination tile, then the 0–3 leftovers one at a time.
+    fn fold_tiles(
+        averages: &NoisyClusterAverages,
+        rows: &[(&[u32], &[f64])],
+        tile: usize,
+        out: &mut [f64],
+    ) {
+        let ni = averages.num_items();
+        let mut t0 = 0;
+        while t0 < ni {
+            let t1 = (t0 + tile).min(ni);
+            let row = |cl: u32| &averages.cluster_row(cl)[t0..t1];
+            for (&(clusters, masses), dst) in rows.iter().zip(out.chunks_exact_mut(ni)) {
+                let dst = &mut dst[t0..t1];
+                let (groups, leftover) = clusters.as_chunks::<4>();
+                let (mass_groups, leftover_masses) = masses.as_chunks::<4>();
+                for (cls, &ms) in groups.iter().zip(mass_groups) {
+                    fold4(dst, ms, cls.map(row));
+                }
+                for (&cl, &mass) in leftover.iter().zip(leftover_masses) {
+                    for (x, &w) in dst.iter_mut().zip(row(cl)) {
+                        *x += mass * w;
+                    }
+                }
+            }
+            t0 = t1;
         }
-        t0 = t1;
+    }
+}
+
+/// Apply four clusters to `dst` in one pass: each element receives
+/// `+= m[0]·r[0][i]`, then `m[1]·r[1][i]`, `m[2]·r[2][i]` and
+/// `m[3]·r[3][i]` — the additions four one-cluster passes would make,
+/// in their order, so the bits are theirs — with one load and one store
+/// of `dst[i]` instead of four.
+#[inline(always)]
+fn fold4(dst: &mut [f64], m: [f64; 4], r: [&[f64]; 4]) {
+    let n = dst.len();
+    let [r0, r1, r2, r3] = r.map(|row| &row[..n]);
+    for i in 0..n {
+        let mut x = dst[i];
+        x += m[0] * r0[i];
+        x += m[1] * r1[i];
+        x += m[2] * r2[i];
+        x += m[3] * r3[i];
+        dst[i] = x;
     }
 }
 

@@ -1,88 +1,69 @@
-//! # socialrec-simd — runtime-dispatched SIMD kernels
+//! # socialrec-simd — one portable body per kernel, compiled twice
 //!
-//! Three measured hot loops of the workspace — the serving axpy tile,
-//! Louvain's community-label gather, and the top-N reject scan — reduce
-//! to three tiny kernels. This crate owns them, with one implementation
-//! per ISA tier and a process-wide dispatch decision made once:
+//! The workspace's vector hot loops — the serving kernel's
+//! cluster fold and the top-N reject scan — are written once, as plain
+//! Rust. [`multiversion!`] compiles such a body twice: once for the
+//! baseline target and once under `#[target_feature(enable = "avx2")]`,
+//! where LLVM vectorizes the same loop to 256-bit registers. Each call
+//! runs the build that matches [`active()`].
 //!
-//! * [`axpy`] — `dst[i] += a * src[i]` (the batch utility kernel);
-//! * [`gather_u32`] — `out[k] = table[idx[k]]` (Louvain label gather);
-//! * [`scan_ge`] — first index whose value is `>=` a threshold
-//!   (top-N reject path).
+//! * [`scan_ge`] — first index whose value is `>=` a threshold (top-N
+//!   reject path).
+//! * `socialrec_serve::kernel::utilities_block_tiled` — the batch
+//!   utility kernel, multiversioned in its own crate.
 //!
 //! # Dispatch
 //!
-//! Three tiers, ordered by capability: [`Isa::Scalar`] (portable,
-//! always available), [`Isa::Sse2`] (x86_64 baseline), and
-//! [`Isa::Avx2`] (requires `avx2` **and** `fma` via
-//! `is_x86_feature_detected!` — FMA is part of the tier definition
-//! even though no kernel emits a fused multiply-add, see below). The
-//! best available tier is picked once, cached in an atomic, and used
-//! by every dispatched entry point. The `SOCIALREC_SIMD` environment
-//! variable (`auto`, `avx2`, `sse2`, `scalar`) overrides the choice —
-//! requests above the detected capability clamp down with a warning —
-//! and [`force`] switches the active tier in-process for benchmarks
-//! and tests.
+//! Two tiers: [`Isa::Scalar`] (the baseline-target build, always
+//! available) and [`Isa::Avx2`] (the `avx2` build, available when
+//! `is_x86_feature_detected!("avx2")` holds). The best available tier
+//! is picked once, cached in an atomic, and read by every call. The
+//! `SOCIALREC_SIMD` environment variable (`auto`, `avx2`, `scalar`)
+//! overrides the choice — a request above the detected capability
+//! clamps down with a warning — and [`force`] switches the active tier
+//! in-process for benchmarks and tests.
 //!
-//! # Floating-point contract: every kernel is bit-exact
+//! # Floating-point contract: both builds give the same bits
 //!
-//! None of these kernels relaxes the scalar result:
-//!
-//! * `axpy` is elementwise: lane `i` computes exactly
-//!   `dst[i] + a * src[i]` with one rounding per operation, the same
-//!   as scalar. The AVX2 tier deliberately emits `mul` + `add`, **not**
-//!   `fmadd` — a fused multiply-add rounds once instead of twice and
-//!   would change the bits.
-//! * `gather_u32` and `scan_ge` are integer / comparison kernels;
-//!   there is nothing to round. (`scan_ge` uses ordered-quiet compares,
-//!   so `NaN >= t` is `false` exactly as in scalar Rust.)
-//!
-//! Every kernel keeps a `*_reference` scalar implementation and a
-//! `*_on(isa, ...)` entry point so equivalence is testable across all
-//! available tiers inside one process; `SOCIALREC_SIMD` covers the
-//! cross-process matrix (`crates/serve/tests/simd_matrix.rs`).
+//! Rust never contracts a multiply and an add into a fused
+//! multiply-add, and only `avx2` is enabled, never `fma`. So both
+//! builds perform the same IEEE operations in the same order as the
+//! source, and give the same bits by language rule. (Rust leaves the
+//! sign and payload of a NaN result unspecified, so NaN results agree
+//! as NaN, not bit for bit.) Each kernel keeps a scalar `*_reference`
+//! for tests. `crates/serve/tests/simd_matrix.rs` runs the kernels'
+//! properties against those references in a child process per tier.
 
 #![warn(missing_docs)]
 
-mod axpy;
-mod gather;
 mod scan;
 
-pub use axpy::{axpy, axpy_on, axpy_reference};
-pub use gather::{gather_u32, gather_u32_on, gather_u32_reference};
-pub use scan::{scan_ge, scan_ge_on, scan_ge_reference};
+pub use scan::{scan_ge, scan_ge_reference};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Environment variable controlling the dispatched tier:
-/// `auto` (default), `avx2`, `sse2`, or `scalar`.
+/// `auto` (default), `avx2`, or `scalar`.
 pub const ENV_VAR: &str = "SOCIALREC_SIMD";
 
-/// An instruction-set tier. Ordered by capability:
-/// `Scalar < Sse2 < Avx2`.
+/// An instruction-set tier. Ordered by capability: `Scalar < Avx2`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum Isa {
-    /// Portable scalar Rust; always available.
+    /// The baseline-target build; always available.
     Scalar = 1,
-    /// 128-bit SSE2 — the x86_64 baseline, so always available there.
-    Sse2 = 2,
-    /// 256-bit AVX2. The tier requires both `avx2` and `fma` to be
-    /// detected (machines with AVX2 but no FMA predate every target we
-    /// care about), although the kernels themselves avoid fused
-    /// multiply-adds to stay bit-identical to scalar.
-    Avx2 = 3,
+    /// The `#[target_feature(enable = "avx2")]` build.
+    Avx2 = 2,
 }
 
 impl Isa {
     /// All tiers, ascending by capability.
-    pub const ALL: [Isa; 3] = [Isa::Scalar, Isa::Sse2, Isa::Avx2];
+    pub const ALL: [Isa; 2] = [Isa::Scalar, Isa::Avx2];
 
     /// Lower-case tier name as used by `SOCIALREC_SIMD`.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Scalar => "scalar",
-            Isa::Sse2 => "sse2",
             Isa::Avx2 => "avx2",
         }
     }
@@ -91,7 +72,6 @@ impl Isa {
     pub fn parse(s: &str) -> Option<Isa> {
         match s {
             "scalar" => Some(Isa::Scalar),
-            "sse2" => Some(Isa::Sse2),
             "avx2" => Some(Isa::Avx2),
             _ => None,
         }
@@ -101,17 +81,14 @@ impl Isa {
     pub fn is_available(self) -> bool {
         match self {
             Isa::Scalar => true,
-            Isa::Sse2 => cfg!(target_arch = "x86_64"),
             Isa::Avx2 => avx2_available(),
         }
     }
 
-    /// This tier if available, else the best available tier below it.
+    /// This tier if available, else [`Isa::Scalar`].
     pub fn clamped(self) -> Isa {
         if self.is_available() {
             self
-        } else if self > Isa::Sse2 && Isa::Sse2.is_available() {
-            Isa::Sse2
         } else {
             Isa::Scalar
         }
@@ -120,8 +97,7 @@ impl Isa {
     fn from_u8(v: u8) -> Option<Isa> {
         match v {
             1 => Some(Isa::Scalar),
-            2 => Some(Isa::Sse2),
-            3 => Some(Isa::Avx2),
+            2 => Some(Isa::Avx2),
             _ => None,
         }
     }
@@ -129,7 +105,7 @@ impl Isa {
 
 #[cfg(target_arch = "x86_64")]
 fn avx2_available() -> bool {
-    std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
+    std::arch::is_x86_feature_detected!("avx2")
 }
 
 #[cfg(not(target_arch = "x86_64"))]
@@ -165,19 +141,18 @@ fn resolve_from_env() -> Isa {
         "" | "auto" => det,
         s => match Isa::parse(s) {
             Some(isa) if isa <= det => isa,
-            Some(isa) => {
-                let clamped = isa.clamped();
+            Some(_) => {
                 eprintln!(
                     "socialrec-simd: {ENV_VAR}={s} is not available on this CPU; \
                      falling back to {}",
-                    clamped.name()
+                    det.name()
                 );
-                clamped
+                det
             }
             None => {
                 eprintln!(
                     "socialrec-simd: unrecognized {ENV_VAR}={raw:?} \
-                     (expected auto|avx2|sse2|scalar); using auto ({})",
+                     (expected auto|avx2|scalar); using auto ({})",
                     det.name()
                 );
                 det
@@ -186,7 +161,7 @@ fn resolve_from_env() -> Isa {
     }
 }
 
-/// The tier dispatched entry points use. Resolved once from detection
+/// The tier multiversioned functions run. Resolved once from detection
 /// plus the `SOCIALREC_SIMD` override, then cached; [`force`] replaces
 /// it.
 pub fn active() -> Isa {
@@ -202,13 +177,59 @@ pub fn active() -> Isa {
 
 /// Force the active tier in-process (clamped to what the CPU supports;
 /// returns the tier actually installed). Safe to call at any time:
-/// every kernel is bit-exact across tiers, so switching mid-run changes
-/// speed, never results. Used by benchmarks to measure scalar-forced
-/// baselines and by tests to pin a tier.
+/// both builds give the same bits, so switching mid-run changes speed,
+/// never results. Used by benchmarks to time the baseline build and by
+/// tests to pin a tier.
 pub fn force(isa: Isa) -> Isa {
     let clamped = isa.clamped();
     ACTIVE.store(clamped as u8, Ordering::Relaxed);
     clamped
+}
+
+/// Define a function whose body is compiled twice — for the baseline
+/// target and under `#[target_feature(enable = "avx2")]` — and whose
+/// every call runs the build [`active()`] names.
+///
+/// The body is an `#[inline(always)]` inner function, so each build
+/// inlines it whole and LLVM vectorizes it for that build's registers.
+/// Arguments are plain `name: Type` pairs; lifetimes must be elided.
+///
+/// ```
+/// socialrec_simd::multiversion! {
+///     /// `Σ xs[i]`, in index order.
+///     pub fn sum(xs: &[f64]) -> f64 {
+///         xs.iter().fold(0.0, |acc, &x| acc + x)
+///     }
+/// }
+/// assert_eq!(sum(&[1.0, 2.0, 3.5]), 6.5);
+/// ```
+#[macro_export]
+macro_rules! multiversion {
+    (
+        $(#[$attr:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) $(-> $ret:ty)? $body:block
+    ) => {
+        $(#[$attr])*
+        $vis fn $name($($arg: $ty),*) $(-> $ret)? {
+            #[inline(always)]
+            fn portable($($arg: $ty),*) $(-> $ret)? $body
+
+            #[cfg(target_arch = "x86_64")]
+            #[target_feature(enable = "avx2")]
+            fn with_avx2($($arg: $ty),*) $(-> $ret)? {
+                portable($($arg),*)
+            }
+
+            #[cfg(target_arch = "x86_64")]
+            if $crate::active() == $crate::Isa::Avx2 {
+                // SAFETY: `active()` returns `Avx2` only when
+                // `is_x86_feature_detected!("avx2")` held on this CPU
+                // (`detected`, `force` and the override all clamp).
+                return unsafe { with_avx2($($arg),*) };
+            }
+            portable($($arg),*)
+        }
+    };
 }
 
 #[cfg(test)]
@@ -217,12 +238,13 @@ mod tests {
 
     #[test]
     fn tier_order_and_names() {
-        assert!(Isa::Scalar < Isa::Sse2 && Isa::Sse2 < Isa::Avx2);
+        assert!(Isa::Scalar < Isa::Avx2);
         for isa in Isa::ALL {
             assert_eq!(Isa::parse(isa.name()), Some(isa));
             assert_eq!(Isa::from_u8(isa as u8), Some(isa));
         }
         assert_eq!(Isa::parse("auto"), None);
+        assert_eq!(Isa::parse("sse2"), None);
         assert_eq!(Isa::parse("neon"), None);
     }
 

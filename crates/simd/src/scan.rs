@@ -1,19 +1,17 @@
 //! `scan_ge` — first index at or after `from` whose value is `>=` a
 //! threshold. The top-N reject path: with a full heap, most utilities
-//! fall below the cached floor, and this scan skips them a register at
-//! a time.
+//! fall below the cached floor, and this scan skips them eight at a
+//! time.
 //!
-//! Comparison semantics are exactly scalar `xs[i] >= t`: the vector
-//! tiers use ordered-quiet predicates, so a `NaN` on either side never
-//! matches. Pure comparison — no FP results are produced.
-
-use crate::Isa;
+//! Comparison semantics are exactly scalar `xs[i] >= t`, which is false
+//! when either side is NaN: a NaN element is skipped, and a NaN
+//! threshold matches nothing. Pure comparison — no FP results are
+//! produced.
 
 /// Scalar reference: smallest `i >= from` with `xs[i] >= t`, else
 /// `xs.len()`.
 // `!(x >= t)` is deliberate, not `x < t`: a NaN element must be
-// *skipped* (both compares are false on NaN), matching the vector
-// tiers' ordered-quiet predicates.
+// *skipped* (both compares are false on NaN).
 #[allow(clippy::neg_cmp_op_on_partial_ord)]
 pub fn scan_ge_reference(xs: &[f64], from: usize, t: f64) -> usize {
     let mut i = from.min(xs.len());
@@ -23,103 +21,20 @@ pub fn scan_ge_reference(xs: &[f64], from: usize, t: f64) -> usize {
     i
 }
 
-/// Dispatched [`scan_ge_reference`] over the active tier.
-pub fn scan_ge(xs: &[f64], from: usize, t: f64) -> usize {
-    scan_ge_on(crate::active(), xs, from, t)
-}
-
-/// [`scan_ge`] on an explicit tier (clamped to the CPU).
-pub fn scan_ge_on(isa: Isa, xs: &[f64], from: usize, t: f64) -> usize {
-    match isa.clamped() {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `clamped()` only returns Avx2 when avx2+fma are detected.
-        Isa::Avx2 => unsafe { x86::scan_ge_avx2(xs, from, t) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: SSE2 is part of the x86_64 baseline.
-        Isa::Sse2 => unsafe { x86::scan_ge_sse2(xs, from, t) },
-        _ => scan_ge_reference(xs, from, t),
-    }
-}
-
-#[cfg(target_arch = "x86_64")]
-mod x86 {
-    use super::scan_ge_reference;
-    use core::arch::x86_64::*;
-
-    /// # Safety
-    /// Caller must ensure AVX2 is available.
-    #[target_feature(enable = "avx2")]
-    pub unsafe fn scan_ge_avx2(xs: &[f64], from: usize, t: f64) -> usize {
-        let n = xs.len();
-        let mut i = from.min(n);
-        let vt = _mm256_set1_pd(t);
-        while i + 4 <= n {
-            let v = _mm256_loadu_pd(xs.as_ptr().add(i));
-            // _CMP_GE_OQ: ordered quiet — NaN lanes compare false,
-            // matching scalar `xs[i] >= t`.
-            let m = _mm256_movemask_pd(_mm256_cmp_pd::<_CMP_GE_OQ>(v, vt));
-            if m != 0 {
-                return i + m.trailing_zeros() as usize;
-            }
-            i += 4;
-        }
-        scan_ge_reference(xs, i, t)
-    }
-
-    /// # Safety
-    /// SSE2 is part of the x86_64 baseline.
-    pub unsafe fn scan_ge_sse2(xs: &[f64], from: usize, t: f64) -> usize {
-        let n = xs.len();
-        let mut i = from.min(n);
-        let vt = _mm_set1_pd(t);
-        while i + 2 <= n {
-            let v = _mm_loadu_pd(xs.as_ptr().add(i));
-            // cmpge is an ordered compare: NaN lanes yield false.
-            let m = _mm_movemask_pd(_mm_cmpge_pd(v, vt));
-            if m != 0 {
-                return i + m.trailing_zeros() as usize;
-            }
-            i += 2;
-        }
-        scan_ge_reference(xs, i, t)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn check(xs: &[f64], from: usize, t: f64) {
-        let want = scan_ge_reference(xs, from, t);
-        for isa in Isa::ALL {
-            assert_eq!(
-                scan_ge_on(isa, xs, from, t),
-                want,
-                "isa={} from={from} t={t} xs={xs:?}",
-                isa.name()
-            );
-        }
-    }
-
-    #[test]
-    fn matches_reference_including_nan_and_signed_zero() {
-        let xs = [0.5, f64::NAN, -0.0, 3.0, f64::NEG_INFINITY, 2.0, 2.0, 0.1, 9.0];
-        for from in 0..=xs.len() + 1 {
-            for t in [f64::NEG_INFINITY, -1.0, 0.0, 2.0, 3.5, f64::INFINITY, f64::NAN] {
-                check(&xs, from, t);
+crate::multiversion! {
+    /// [`scan_ge_reference`], eight elements per step: a chunk is
+    /// tested with a branch-free `any(x >= t)`, which compiles to vector
+    /// compares, and only a chunk that holds a hit is searched element
+    /// by element.
+    pub fn scan_ge(xs: &[f64], from: usize, t: f64) -> usize {
+        let start = from.min(xs.len());
+        let (chunks, _) = xs[start..].as_chunks::<8>();
+        for (k, chunk) in chunks.iter().enumerate() {
+            // `|`, not `||`: a short-circuit per lane would branch.
+            if chunk.iter().fold(false, |hit, &x| hit | (x >= t)) {
+                return scan_ge_reference(xs, start + 8 * k, t);
             }
         }
-        check(&[], 0, 1.0);
-        check(&[f64::NAN; 7], 0, f64::NEG_INFINITY);
-    }
-
-    #[test]
-    fn finds_match_in_every_lane_position() {
-        for hit in 0..12usize {
-            let mut xs = vec![0.0; 12];
-            xs[hit] = 10.0;
-            check(&xs, 0, 5.0);
-            check(&xs, hit / 2, 5.0);
-        }
+        scan_ge_reference(xs, start + 8 * chunks.len(), t)
     }
 }
