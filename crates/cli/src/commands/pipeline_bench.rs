@@ -342,8 +342,9 @@ pub fn run(args: &Args) -> Result<(), String> {
 /// Kernel-level SIMD attribution: time the serving kernel's
 /// baseline-target build and the run's dispatched build, in this same
 /// process via `socialrec_simd::force`. The active tier is restored
-/// before returning. (Both builds' bits are checked against the scalar
-/// reference by `crates/serve/tests/simd_matrix.rs`.)
+/// before returning. (Both builds' bits are checked against the
+/// one-cluster-per-pass reference by the kernel's tests, which CI runs
+/// once per tier.)
 fn simd_attribution(
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,

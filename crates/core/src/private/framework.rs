@@ -65,17 +65,6 @@ pub struct NoisyClusterAverages {
 }
 
 impl NoisyClusterAverages {
-    /// Wrap row-major `num_clusters × num_items` values as a release,
-    /// so kernel tests can feed values no mechanism draws (NaN, ±∞,
-    /// subnormals). It adds no noise and spends nothing: values wrapped
-    /// here carry no privacy guarantee.
-    ///
-    /// Panics if `values.len() != num_clusters * num_items`.
-    pub fn from_values(num_clusters: usize, num_items: usize, values: Vec<f64>) -> Self {
-        assert_eq!(values.len(), num_clusters * num_items, "release must be clusters × items");
-        NoisyClusterAverages { values, num_clusters, num_items }
-    }
-
     /// The noisy average for `(cluster, item)`.
     #[inline]
     pub fn get(&self, cluster: u32, item: u32) -> f64 {

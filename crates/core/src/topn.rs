@@ -79,7 +79,7 @@ pub fn top_n_items(utilities: &[f64], n: usize) -> Vec<(ItemId, f64)> {
         // exactly the scalar NaN→-∞ behavior (a -∞ floor still rejects
         // NaN there via the tie rule: worst_item entered earlier, so
         // idx >= worst_item always holds).
-        idx = socialrec_simd::scan_ge(utilities, idx, worst_u);
+        idx = scan_ge(utilities, idx, worst_u);
         if idx >= utilities.len() {
             break;
         }
@@ -119,6 +119,38 @@ pub fn top_n_items_reference(utilities: &[f64], n: usize) -> Vec<(ItemId, f64)> 
         }
     }
     sorted_out(heap)
+}
+
+/// The first index `i >= from` with `xs[i] >= t`, else `xs.len()`:
+/// the reject path of [`top_n_items`], eight elements per step. A chunk
+/// is tested with a branch-free `any(x >= t)`, which compiles to vector
+/// compares, and only a chunk that holds a hit is searched element by
+/// element. `>=` is false when either side is NaN, so a NaN element is
+/// skipped and a NaN threshold matches nothing, exactly as in
+/// [`scan_ge_reference`].
+fn scan_ge(xs: &[f64], from: usize, t: f64) -> usize {
+    let start = from.min(xs.len());
+    let (chunks, _) = xs[start..].as_chunks::<8>();
+    for (k, chunk) in chunks.iter().enumerate() {
+        // `|`, not `||`: a short-circuit per lane would branch.
+        if chunk.iter().fold(false, |hit, &x| hit | (x >= t)) {
+            return scan_ge_reference(xs, start + 8 * k, t);
+        }
+    }
+    scan_ge_reference(xs, start + 8 * chunks.len(), t)
+}
+
+/// [`scan_ge`] one element at a time: its in-chunk search and its test
+/// reference.
+// `!(x >= t)` is deliberate, not `x < t`: a NaN element must be
+// *skipped* (both compares are false on NaN).
+#[allow(clippy::neg_cmp_op_on_partial_ord)]
+fn scan_ge_reference(xs: &[f64], from: usize, t: f64) -> usize {
+    let mut i = from.min(xs.len());
+    while i < xs.len() && !(xs[i] >= t) {
+        i += 1;
+    }
+    i
 }
 
 fn sorted_out(heap: BinaryHeap<HeapEntry>) -> Vec<(ItemId, f64)> {
@@ -174,10 +206,11 @@ mod tests {
         assert!(top_n_items(&[], 5).is_empty());
     }
 
-    // Property test: the threshold-cached selection is pinned to the
-    // reference heap — same items, same order, same utility bits —
-    // over tie-heavy inputs (few distinct values), NaNs, negatives,
-    // and every n regime (0, < len, = len, > len).
+    // Property tests: the reject scan is pinned to its one-at-a-time
+    // reference, and the threshold-cached selection to the reference
+    // heap — same items, same order, same utility bits — over
+    // tie-heavy inputs (few distinct values), NaNs, negatives, and
+    // every n regime (0, < len, = len, > len).
     mod threshold_equivalence {
         use super::*;
         use proptest::prelude::*;
@@ -194,7 +227,37 @@ mod tests {
             })
         }
 
+        /// Scan elements and thresholds: finite, or one draw in four
+        /// NaN, ±∞ or ±0.0.
+        fn scan_value() -> impl Strategy<Value = f64> {
+            const SPECIALS: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
+            (0..4 * SPECIALS.len(), -10.0f64..10.0)
+                .prop_map(|(pick, x)| SPECIALS.get(pick).copied().unwrap_or(x))
+        }
+
         proptest! {
+            /// `scan_ge` equals its reference on random rows, and on rows
+            /// whose only hit after `from` is planted at any lane of the
+            /// first three 8-lane chunks (or in the tail): with `from`
+            /// anywhere up to past the end, and with NaN elements and
+            /// thresholds.
+            #[test]
+            fn scan_ge_matches_reference(
+                xs in proptest::collection::vec(scan_value(), 0..48),
+                from in 0usize..56,
+                lane in 0usize..24,
+                t in scan_value(),
+            ) {
+                prop_assert_eq!(scan_ge(&xs, from, t), scan_ge_reference(&xs, from, t));
+                // Every other hit becomes a NaN, which no threshold matches.
+                let mut planted: Vec<f64> =
+                    xs.iter().map(|&x| if x >= t { f64::NAN } else { x }).collect();
+                if let Some(x) = planted.get_mut(from + lane) {
+                    *x = if t.is_nan() { f64::INFINITY } else { t };
+                }
+                prop_assert_eq!(scan_ge(&planted, from, t), scan_ge_reference(&planted, from, t));
+            }
+
             #[test]
             fn pinned_to_reference_heap(
                 utilities in proptest::collection::vec(tie_heavy_value(), 0..150),

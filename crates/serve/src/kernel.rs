@@ -119,24 +119,28 @@ pub fn utilities_block_tiled(
             }
         })
         .collect();
-    fold_tiles(averages, &rows, tile.max(1), out);
+    fold_tiles(averages.values(), averages.num_items(), &rows, tile.max(1), out);
 }
 
 socialrec_simd::multiversion! {
-    /// The loop nest of [`utilities_block_tiled`]: per item tile, per
-    /// user, that user's clusters in ascending order, four per pass over
-    /// the destination tile, then the 0–3 leftovers one at a time.
+    /// The loop nest of [`utilities_block_tiled`] over a row-major
+    /// `clusters × ni` release: per item tile, per user, that user's
+    /// clusters in ascending order, four per pass over the destination
+    /// tile, then the 0–3 leftovers one at a time.
     fn fold_tiles(
-        averages: &NoisyClusterAverages,
+        release: &[f64],
+        ni: usize,
         rows: &[(&[u32], &[f64])],
         tile: usize,
         out: &mut [f64],
     ) {
-        let ni = averages.num_items();
         let mut t0 = 0;
         while t0 < ni {
             let t1 = (t0 + tile).min(ni);
-            let row = |cl: u32| &averages.cluster_row(cl)[t0..t1];
+            let row = |cl: u32| {
+                let base = cl as usize * ni;
+                &release[base + t0..base + t1]
+            };
             for (&(clusters, masses), dst) in rows.iter().zip(out.chunks_exact_mut(ni)) {
                 let dst = &mut dst[t0..t1];
                 let (groups, leftover) = clusters.as_chunks::<4>();
@@ -177,6 +181,7 @@ fn fold4(dst: &mut [f64], m: [f64; 4], r: [&[f64]; 4]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use socialrec_community::Partition;
     use socialrec_core::private::framework::{
         release_noisy_cluster_averages, NoisyClusterAverages,
@@ -310,5 +315,84 @@ mod tests {
         let mut out = vec![1.0; 5];
         utilities_block_tiled(&averages, &index, &[], ITEM_TILE, &mut out);
         assert!(out.is_empty());
+    }
+
+    /// Equal bits, or both NaN: Rust leaves the sign and payload of a
+    /// NaN result unspecified, so no two compilations promise NaN bits.
+    fn same_value(a: f64, b: f64) -> bool {
+        a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
+    }
+
+    /// Clusters in the property's releases.
+    const CLUSTERS: u32 = 12;
+
+    /// NaN, ±∞, ±0.0, subnormals and values near the ends of the range.
+    const SPECIALS: [f64; 9] =
+        [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -2.5e-310, -1e-300, 1e300];
+
+    /// Finite values spread over 2⁻⁴⁰..2⁴⁰, so the order of additions
+    /// shows in the bits, and one draw in twelve from [`SPECIALS`].
+    fn adversarial_f64() -> impl Strategy<Value = f64> {
+        (0..12 * SPECIALS.len(), -1.0f64..1.0, -40i32..40)
+            .prop_map(|(pick, m, e)| SPECIALS.get(pick).copied().unwrap_or(m * 2f64.powi(e)))
+    }
+
+    /// A row-major `CLUSTERS × ni` release and its `ni`: mostly 0–40
+    /// items, one time in four more than two [`ITEM_TILE`]s.
+    fn release() -> impl Strategy<Value = (usize, Vec<f64>)> {
+        (0usize..4, 0usize..=40)
+            .prop_map(|(wide, n)| if wide == 0 { 2 * ITEM_TILE + n } else { n })
+            .prop_flat_map(|ni| {
+                let len = CLUSTERS as usize * ni;
+                (Just(ni), proptest::collection::vec(adversarial_f64(), len..len + 1))
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `fold_tiles` gives every user the bits of applying their
+        /// clusters one full-width pass at a time, in row order: rows of
+        /// 0–9 clusters reach every leftover count after the groups of
+        /// four, tiles straddle every group, and user blocks come ragged.
+        #[test]
+        fn fold_matches_one_cluster_per_pass_on_adversarial_values(
+            (ni, release) in release(),
+            rows in proptest::collection::vec(
+                proptest::collection::vec((0..CLUSTERS, adversarial_f64()), 0..10),
+                1..13,
+            ),
+            block in 1usize..=USER_BLOCK + 1,
+        ) {
+            let rows: Vec<(Vec<u32>, Vec<f64>)> =
+                rows.into_iter().map(|row| row.into_iter().unzip()).collect();
+            let rows: Vec<(&[u32], &[f64])> =
+                rows.iter().map(|(c, m)| (c.as_slice(), m.as_slice())).collect();
+            let mut want = vec![0.0; ni];
+            let mut got = Vec::new();
+            for tile in [1, 3, 4, 5, ITEM_TILE, ni + 1] {
+                for chunk in rows.chunks(block) {
+                    got.clear();
+                    got.resize(chunk.len() * ni, 0.0);
+                    fold_tiles(&release, ni, chunk, tile, &mut got);
+                    for (k, &(clusters, masses)) in chunk.iter().enumerate() {
+                        want.fill(0.0);
+                        for (&cl, &mass) in clusters.iter().zip(masses) {
+                            let row = &release[cl as usize * ni..][..ni];
+                            for (x, &w) in want.iter_mut().zip(row) {
+                                *x += mass * w;
+                            }
+                        }
+                        let row = &got[k * ni..(k + 1) * ni];
+                        for (i, (&g, &w)) in row.iter().zip(&want).enumerate() {
+                            prop_assert!(
+                                same_value(g, w),
+                                "tile={} block row={} item={}: {:e} vs {:e}", tile, k, i, g, w
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 }

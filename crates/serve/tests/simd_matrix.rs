@@ -1,39 +1,44 @@
-//! `SOCIALREC_SIMD` tier matrix for the multiversioned kernels.
+//! Bit-identity of the serving path under the ambient `SOCIALREC_SIMD`
+//! tier.
 //!
 //! The dispatch tier is resolved once per process (an `AtomicU8` latch
-//! in `socialrec_simd`), so one process only ever runs one build of
-//! each kernel. To exercise the DESIGN.md §6d bit-identity contract on
-//! both builds — the baseline target and `avx2` — not just the one
-//! auto-dispatch picks, the matrix test re-runs this test binary as a
-//! child process per `SOCIALREC_SIMD` value in {scalar, avx2}, skipping
-//! (and logging) a tier the CPU cannot run. Each child runs every other
-//! test in this file: the blocked utility kernel against its reference
-//! on real data and as a property over adversarial values, the reject
-//! scan as a property against its reference, top-N selection against
-//! the reference heap, and end-to-end serving against the framework
-//! walk.
+//! in `socialrec_simd`), so one test process runs one build of the
+//! multiversioned kernel. CI runs the workspace tests twice, with
+//! `SOCIALREC_SIMD` unset (the `avx2` build on an AVX2 runner) and with
+//! `SOCIALREC_SIMD=scalar` (the baseline build), so these checks, like
+//! the kernel's own property test, hold the DESIGN.md §6d contract on
+//! both builds. To run the baseline build locally:
+//! `SOCIALREC_SIMD=scalar cargo test -p socialrec-serve --test simd_matrix`.
+//! The checks: the blocked utility kernel against its reference on real
+//! data, top-N selection against the reference heap, and end-to-end
+//! serving against the framework walk.
 
-use proptest::prelude::*;
-use socialrec_community::{ClusteringStrategy, LouvainStrategy, Partition};
-use socialrec_core::private::framework::{release_noisy_cluster_averages, NoisyClusterAverages};
+use socialrec_community::{ClusteringStrategy, LouvainStrategy};
+use socialrec_core::private::framework::release_noisy_cluster_averages;
 use socialrec_core::private::ClusterFramework;
 use socialrec_core::{top_n_items, top_n_items_reference, RecommenderInputs, TopNRecommender};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_serve::{kernel, ShardedServer, SimMassIndex};
-use socialrec_simd::{scan_ge, scan_ge_reference, Isa};
-use socialrec_similarity::{Measure, RowVals, SimilarityMatrix, SimilarityRows};
+use socialrec_similarity::{Measure, SimilarityMatrix};
 
-fn run_equivalence_checks() {
-    // When the parent set an override, the resolved tier must be
-    // exactly the requested one (the parent only spawns available
-    // tiers, so no clamping can have happened).
-    if let Ok(want) = std::env::var(socialrec_simd::ENV_VAR) {
+/// The checks under whatever tier is ambient (auto-dispatch in CI's
+/// default test step, the baseline build under `SOCIALREC_SIMD=scalar`).
+#[test]
+fn equivalence_under_ambient_isa() {
+    eprintln!(
+        "simd_matrix: detected {}, active {}",
+        socialrec_simd::detected().name(),
+        socialrec_simd::active().name()
+    );
+    // Under an override, the build under test must be the one
+    // requested (clamped to what the CPU runs).
+    if let Some(want) = socialrec_simd::requested() {
         assert_eq!(
-            socialrec_simd::active().name(),
-            want,
-            "child resolved a different tier than SOCIALREC_SIMD requested"
+            socialrec_simd::active(),
+            want.clamped(),
+            "resolved a different tier than SOCIALREC_SIMD requested"
         );
     }
     let ds = lastfm_like_scaled(0.04, 21);
@@ -66,7 +71,7 @@ fn run_equivalence_checks() {
         }
     }
 
-    // Top-N selection (multiversioned reject scan) vs the reference heap
+    // Top-N selection (the chunked reject scan) vs the reference heap
     // over real utility rows, including the NaN-free negative regime.
     for &u in users.iter().take(64) {
         kernel::utilities_into_reference(&averages, &index, u, &mut reference);
@@ -98,196 +103,5 @@ fn run_equivalence_checks() {
             assert_eq!(gi, wi, "served item diverged for {:?}", g.user);
             assert_eq!(gu.to_bits(), wu.to_bits(), "served bits diverged for {:?}", g.user);
         }
-    }
-}
-
-/// The checks under whatever tier is ambient (auto-dispatch in default
-/// CI, the overridden tier when run as a matrix child).
-#[test]
-fn equivalence_under_ambient_isa() {
-    eprintln!(
-        "simd_matrix: detected {}, active {}",
-        socialrec_simd::detected().name(),
-        socialrec_simd::active().name()
-    );
-    run_equivalence_checks();
-}
-
-/// Re-run every other test of this binary in a child process per
-/// `SOCIALREC_SIMD` tier the CPU can actually run, logging the skip
-/// reason for the rest. The `--skip` filter keeps the child from
-/// recursing into this test.
-#[test]
-fn equivalence_matrix_across_isa_tiers() {
-    let exe = std::env::current_exe().expect("test binary path");
-    for isa in Isa::ALL {
-        if !isa.is_available() {
-            eprintln!(
-                "simd_matrix: skipping SOCIALREC_SIMD={} — not available on this CPU \
-                 (detected {})",
-                isa.name(),
-                socialrec_simd::detected().name()
-            );
-            continue;
-        }
-        let status = std::process::Command::new(&exe)
-            .args(["--skip", "equivalence_matrix_across_isa_tiers"])
-            .env(socialrec_simd::ENV_VAR, isa.name())
-            .status()
-            .expect("spawn matrix child");
-        assert!(status.success(), "equivalence failed under SOCIALREC_SIMD={}", isa.name());
-    }
-}
-
-/// Equal bits, or both NaN: Rust leaves the sign and payload of a NaN
-/// result unspecified, so no two compilations promise NaN bits.
-fn same_value(a: f64, b: f64) -> bool {
-    a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan())
-}
-
-/// Clusters in the kernel property's releases: more than a row's nine.
-const CLUSTERS: u32 = 12;
-
-/// Similarity rows whose user `CLUSTERS + k` is similar to the given
-/// anchors with the given scores, where anchor `c < CLUSTERS` is alone
-/// in cluster `c`: each score lands in its cluster's mass as
-/// `0.0 + score`, so a row's masses are its scores (zeros drop out).
-struct AnchoredRows {
-    neighbors: Vec<Vec<UserId>>,
-    scores: Vec<Vec<f64>>,
-}
-
-impl SimilarityRows for AnchoredRows {
-    fn num_users(&self) -> usize {
-        self.neighbors.len()
-    }
-
-    fn num_entries(&self) -> usize {
-        self.neighbors.iter().map(Vec::len).sum()
-    }
-
-    fn measure_name(&self) -> &str {
-        "anchored"
-    }
-
-    fn row_vals(&self, u: UserId) -> (&[UserId], RowVals<'_>) {
-        (&self.neighbors[u.index()], RowVals::F64(&self.scores[u.index()]))
-    }
-}
-
-/// NaN, ±∞, ±0.0, subnormals, and values whose f32 rounding is 0.0,
-/// −0.0 or ∞.
-const SPECIALS: [f64; 9] =
-    [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0, 5e-324, -2.5e-310, -1e-300, 1e300];
-
-/// Finite values spread over 2⁻⁴⁰..2⁴⁰, so the order of additions shows
-/// in the bits, and one draw in twelve from [`SPECIALS`].
-fn adversarial_f64() -> impl Strategy<Value = f64> {
-    (0..12 * SPECIALS.len(), -1.0f64..1.0, -40i32..40)
-        .prop_map(|(pick, m, e)| SPECIALS.get(pick).copied().unwrap_or(m * 2f64.powi(e)))
-}
-
-/// One index row: `k` ∈ 0..=9 distinct clusters, ascending (a stride
-/// coprime to `CLUSTERS` from a random start), with their masses.
-fn index_row() -> impl Strategy<Value = Vec<(u32, f64)>> {
-    (0usize..=9, 0..CLUSTERS, 0usize..4, proptest::collection::vec(adversarial_f64(), 9..10))
-        .prop_map(|(k, start, s, masses)| {
-            let stride = [1, 5, 7, 11][s];
-            let mut clusters: Vec<u32> =
-                (0..k as u32).map(|j| (start + j * stride) % CLUSTERS).collect();
-            clusters.sort_unstable();
-            clusters.into_iter().zip(masses).collect()
-        })
-}
-
-/// A release of `CLUSTERS` rows: mostly 0–40 items, one time in four
-/// more than two [`kernel::ITEM_TILE`]s.
-fn release() -> impl Strategy<Value = NoisyClusterAverages> {
-    (0usize..4, 0usize..=40)
-        .prop_map(|(wide, n)| if wide == 0 { 2 * kernel::ITEM_TILE + n } else { n })
-        .prop_flat_map(|ni| {
-            let len = CLUSTERS as usize * ni;
-            proptest::collection::vec(adversarial_f64(), len..len + 1).prop_map(move |values| {
-                NoisyClusterAverages::from_values(CLUSTERS as usize, ni, values)
-            })
-        })
-}
-
-/// Threshold-scan elements and thresholds: finite, or one draw in four
-/// NaN, ±∞ or ±0.0.
-fn scan_value() -> impl Strategy<Value = f64> {
-    const SCAN_SPECIALS: [f64; 5] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 0.0, -0.0];
-    (0..4 * SCAN_SPECIALS.len(), -10.0f64..10.0)
-        .prop_map(|(pick, x)| SCAN_SPECIALS.get(pick).copied().unwrap_or(x))
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
-
-    /// Every user's blocked row equals `utilities_into_reference`: rows
-    /// of 0–9 clusters reach every leftover count after the groups of
-    /// four, tiles straddle every group, and user blocks come ragged.
-    #[test]
-    fn blocked_kernel_matches_reference_on_adversarial_values(
-        averages in release(),
-        rows in proptest::collection::vec(index_row(), 1..13),
-        block in 1usize..=kernel::USER_BLOCK + 1,
-    ) {
-        let mut assignment: Vec<u32> = (0..CLUSTERS).collect();
-        assignment.resize(CLUSTERS as usize + rows.len(), 0);
-        let partition = Partition::from_assignment(&assignment);
-        let mut sim = AnchoredRows {
-            neighbors: vec![Vec::new(); CLUSTERS as usize],
-            scores: vec![Vec::new(); CLUSTERS as usize],
-        };
-        for row in &rows {
-            sim.neighbors.push(row.iter().map(|&(c, _)| UserId(c)).collect());
-            sim.scores.push(row.iter().map(|&(_, m)| m).collect());
-        }
-        let heap = SimMassIndex::build(&sim, &partition);
-        // The quantized copy turns the tiny negative masses into -0.0.
-        let quantized = heap.quantized();
-        let users: Vec<UserId> = (0..assignment.len() as u32).map(UserId).collect();
-        let ni = averages.num_items();
-        let (mut want, mut got) = (Vec::new(), Vec::new());
-        for index in [&heap, &quantized] {
-            for tile in [1, 3, 4, 5, kernel::ITEM_TILE, ni + 1] {
-                for chunk in users.chunks(block) {
-                    kernel::utilities_block_tiled(&averages, index, chunk, tile, &mut got);
-                    prop_assert_eq!(got.len(), chunk.len() * ni);
-                    for (k, &u) in chunk.iter().enumerate() {
-                        kernel::utilities_into_reference(&averages, index, u, &mut want);
-                        let row = &got[k * ni..(k + 1) * ni];
-                        for (i, (&g, &w)) in row.iter().zip(&want).enumerate() {
-                            prop_assert!(
-                                same_value(g, w),
-                                "tile={} user={:?} item={}: {:e} vs {:e}", tile, u, i, g, w
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// `scan_ge` equals its reference on random rows, and on rows whose
-    /// only hit after `from` is planted at any lane of the first three
-    /// 8-lane chunks (or in the tail): with `from` anywhere up to past
-    /// the end, and with NaN elements and thresholds.
-    #[test]
-    fn scan_ge_matches_reference(
-        xs in proptest::collection::vec(scan_value(), 0..48),
-        from in 0usize..56,
-        lane in 0usize..24,
-        t in scan_value(),
-    ) {
-        prop_assert_eq!(scan_ge(&xs, from, t), scan_ge_reference(&xs, from, t));
-        // Every other hit becomes a NaN, which no threshold matches.
-        let mut planted: Vec<f64> =
-            xs.iter().map(|&x| if x >= t { f64::NAN } else { x }).collect();
-        if let Some(x) = planted.get_mut(from + lane) {
-            *x = if t.is_nan() { f64::INFINITY } else { t };
-        }
-        prop_assert_eq!(scan_ge(&planted, from, t), scan_ge_reference(&planted, from, t));
     }
 }

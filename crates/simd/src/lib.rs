@@ -1,16 +1,12 @@
-//! # socialrec-simd — one portable body per kernel, compiled twice
+//! # socialrec-simd — one portable body, compiled twice
 //!
-//! The workspace's vector hot loops — the serving kernel's
-//! cluster fold and the top-N reject scan — are written once, as plain
-//! Rust. [`multiversion!`] compiles such a body twice: once for the
-//! baseline target and once under `#[target_feature(enable = "avx2")]`,
-//! where LLVM vectorizes the same loop to 256-bit registers. Each call
-//! runs the build that matches [`active()`].
-//!
-//! * [`scan_ge`] — first index whose value is `>=` a threshold (top-N
-//!   reject path).
-//! * `socialrec_serve::kernel::utilities_block_tiled` — the batch
-//!   utility kernel, multiversioned in its own crate.
+//! A hot loop is written once, as plain Rust. [`multiversion!`]
+//! compiles such a body twice: once for the baseline target and once
+//! under `#[target_feature(enable = "avx2")]`, where LLVM vectorizes the
+//! same loop to 256-bit registers. Each call runs the build that
+//! matches [`active()`]. The one multiversioned kernel is the serving
+//! fold inside `socialrec_serve::kernel::utilities_block_tiled`; a loop
+//! gets a second build only when a measurement shows it winning.
 //!
 //! # Dispatch
 //!
@@ -30,15 +26,11 @@
 //! builds perform the same IEEE operations in the same order as the
 //! source, and give the same bits by language rule. (Rust leaves the
 //! sign and payload of a NaN result unspecified, so NaN results agree
-//! as NaN, not bit for bit.) Each kernel keeps a scalar `*_reference`
-//! for tests. `crates/serve/tests/simd_matrix.rs` runs the kernels'
-//! properties against those references in a child process per tier.
+//! as NaN, not bit for bit.) The kernel's tests compare it with a
+//! one-cluster-per-pass reference; CI runs the test suite once per
+//! tier (`SOCIALREC_SIMD` unset, then `scalar`).
 
 #![warn(missing_docs)]
-
-mod scan;
-
-pub use scan::{scan_ge, scan_ge_reference};
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -57,9 +49,6 @@ pub enum Isa {
 }
 
 impl Isa {
-    /// All tiers, ascending by capability.
-    pub const ALL: [Isa; 2] = [Isa::Scalar, Isa::Avx2];
-
     /// Lower-case tier name as used by `SOCIALREC_SIMD`.
     pub fn name(self) -> &'static str {
         match self {
@@ -239,7 +228,7 @@ mod tests {
     #[test]
     fn tier_order_and_names() {
         assert!(Isa::Scalar < Isa::Avx2);
-        for isa in Isa::ALL {
+        for isa in [Isa::Scalar, Isa::Avx2] {
             assert_eq!(Isa::parse(isa.name()), Some(isa));
             assert_eq!(Isa::from_u8(isa as u8), Some(isa));
         }
@@ -251,7 +240,7 @@ mod tests {
     #[test]
     fn scalar_always_available_and_clamp_is_monotone() {
         assert!(Isa::Scalar.is_available());
-        for isa in Isa::ALL {
+        for isa in [Isa::Scalar, Isa::Avx2] {
             let c = isa.clamped();
             assert!(c.is_available());
             assert!(c <= isa);
