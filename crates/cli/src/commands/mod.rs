@@ -27,6 +27,7 @@ socialrec — privacy-preserving personalized social recommendations
 (Jorgensen & Yu, EDBT 2014)
 
 USAGE: socialrec <command> [--flag value]...
+(a flag the command does not list below is an error)
 
 COMMANDS
   generate   Write a synthetic dataset to --out-dir as social.tsv/prefs.tsv
@@ -76,14 +77,15 @@ COMMANDS
                [--out BENCH_pipeline.json]
                [--smoke (tiny scale, no SIMD gate)]
                [--trace OUT.json]
-  scale-bench  Million-user data path: stream-build the similarity and
-               sim-mass artifacts in bounded memory, serve sampled
-               queries off the mmap'd files, sweep users x {build time,
-               peak/anon RSS via the obs memory gauge, query p50/p99},
-               with sampled from-scratch row-equivalence checks
+  scale-bench  Million-user data path: stream-build the sim-mass index
+               from the social graph to an artifact in bounded memory,
+               read it back (checksum verified), serve sampled queries
+               off it, sweep users x {build time, open time, peak/anon
+               RSS via the obs memory gauge, query p50/p99}, with
+               sampled from-scratch row-equivalence checks
                [--users 1000000 (comma-separated sweep)]
                [--value-kind f32|f64] [--queries 2000] [--epsilon 0.5]
-               [--n 10] [--seed 7] [--chunk-rows N] [--measure CN]
+               [--n 10] [--seed 7] [--measure CN]
                [--dir DIR (artifact dir)] [--keep (retain artifacts)]
                [--out BENCH_scale.json]
                [--smoke (20k users)]

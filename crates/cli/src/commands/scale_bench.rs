@@ -1,28 +1,26 @@
 //! `socialrec scale-bench` — the million-user data-path benchmark:
-//! generate a planted-partition dataset, stream the similarity matrix
-//! and the sim-mass index straight to mmap-able artifacts in bounded
-//! memory, then serve sampled queries off the mapped artifacts and
-//! sweep users × {build time, peak RSS, query p50/p99}.
+//! generate a planted-partition dataset, stream-build the sim-mass
+//! index from the social graph straight to an artifact in bounded
+//! memory, read it back, then serve sampled queries off it and sweep
+//! users × {build time, open time, peak RSS, query p50/p99}.
 //!
 //! The point of this bench is the *memory shape*, not the speedup: at
-//! no stage is the O(similarity-entries) matrix materialized on the
-//! heap. The offline builds go through [`StreamingCsrWriter`]-backed
-//! paths (bounded by the macro-chunk size), and serving reads the
-//! artifacts through `mmap`, so the page cache — not the process heap —
-//! holds the row data. `memory.anon_bytes` (RssAnon) is therefore the
-//! honest bounded-memory metric: it excludes resident file pages the
-//! kernel can reclaim at will, while `rss_bytes`/`peak_rss_bytes` show
-//! the conventional (pessimistic) view.
+//! no stage is the O(similarity-entries) matrix materialized. The build
+//! goes through [`SimMassIndex::stream_build_artifact`], which folds
+//! each user's similarity set into cluster masses as it goes and holds
+//! one macro-chunk of index rows at a time; serving reads the artifact
+//! into one heap buffer, checksum verified (`open_ms`).
+//! `memory.anon_bytes` (RssAnon) is the bounded-memory metric: it
+//! counts what the process holds, the opened index included;
+//! `rss_bytes`/`peak_rss_bytes` add the file-backed pages it maps, such
+//! as its own program text.
 //!
-//! Every sweep point also re-derives a deterministic sample of rows
-//! from scratch — fresh similarity sets against the social graph, and
-//! dense-scratch sim-mass accumulation against the mapped similarity
-//! rows — and requires the artifacts to match under the [`ValueKind`]
-//! contract (bit-identical for f64; `(x as f32)` bits for compact
-//! artifacts). The checked-in `BENCH_scale.json` is validated by
-//! `socialrec validate-bench` in CI.
-//!
-//! [`StreamingCsrWriter`]: socialrec_similarity::StreamingCsrWriter
+//! Every sweep point also re-derives a deterministic sample of index
+//! rows from scratch — a fresh similarity set against the social graph,
+//! folded into a dense cluster array — and requires the artifact to
+//! match under the [`ValueKind`] contract (bit-identical for f64;
+//! `(x as f32)` bits for compact artifacts). The checked-in
+//! `BENCH_scale.json` is validated by `socialrec validate-bench` in CI.
 
 use crate::commands::bench::{elapsed_ns, ms, percentile_ns, write_artifact, SimdInfo};
 use socialrec_community::Partition;
@@ -31,13 +29,10 @@ use socialrec_core::top_n_items;
 use socialrec_datasets::{scale_dataset, ScaleConfig};
 use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, Args};
-use socialrec_graph::UserId;
+use socialrec_graph::{SocialGraph, UserId};
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE};
 use socialrec_serve::SimMassIndex;
-use socialrec_similarity::{
-    parse_measure, write_similarity_artifact_streaming, MappedSimilarity, RowVals, SimScratch,
-    SimilarityRows, ValueKind,
-};
+use socialrec_similarity::{parse_measure, RowVals, SimScratch, Similarity, ValueKind};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -50,20 +45,19 @@ struct Point {
     users: usize,
     social_edges: usize,
     clusters: usize,
-    sim_entries: u64,
     simmass_entries: u64,
-    sim_artifact_bytes: u64,
     simmass_artifact_bytes: u64,
     generate_ms: f64,
-    sim_build_ms: f64,
+    /// Graph → sim-mass artifact, the one build stage.
     simmass_build_ms: f64,
+    /// Reading and verifying the artifact (`SimMassIndex::open_artifact`).
+    open_ms: f64,
     release_ms: f64,
     queries: usize,
     query_p50_ns: u64,
     query_p99_ns: u64,
     /// Process memory right after this point's query phase (`null` off
-    /// Linux). `anon_bytes` is the bounded-memory metric; `rss_bytes`
-    /// also counts resident (reclaimable) mapped artifact pages.
+    /// Linux). `anon_bytes` is the bounded-memory metric.
     memory: Option<socialrec_obs::MemorySample>,
 }
 
@@ -71,13 +65,11 @@ impl_to_json!(Point {
     users,
     social_edges,
     clusters,
-    sim_entries,
     simmass_entries,
-    sim_artifact_bytes,
     simmass_artifact_bytes,
     generate_ms,
-    sim_build_ms,
     simmass_build_ms,
+    open_ms,
     release_ms,
     queries,
     query_p50_ns,
@@ -93,13 +85,12 @@ struct Report {
     measure: String,
     value_kind: String,
     top_n: usize,
-    chunk_rows: usize,
     smoke: bool,
     threads: usize,
     points: Vec<Point>,
     equivalence_checked: bool,
-    /// SIMD dispatch record: the stream builds and the query phase's
-    /// blocked kernel all ran on `active`.
+    /// SIMD dispatch record: the query phase's blocked kernel ran on
+    /// `active`.
     simd: SimdInfo,
     /// End-of-run process memory (`null` off Linux); the peak covers
     /// every sweep point above.
@@ -113,7 +104,6 @@ impl_to_json!(Report {
     measure,
     value_kind,
     top_n,
-    chunk_rows,
     smoke,
     threads,
     points,
@@ -148,62 +138,24 @@ fn value_matches(fresh: f64, stored: RowVals<'_>, i: usize) -> bool {
     }
 }
 
-/// Recompute `EQUIV_SAMPLES` similarity rows from the social graph and
-/// require the streamed artifact to match them.
-fn check_sim_rows(
-    ds: &socialrec_datasets::ScaleDataset,
-    measure: &dyn socialrec_similarity::Similarity,
-    mapped: &MappedSimilarity,
-    seed: u64,
-) -> Result<(), String> {
-    let n = ds.social.num_users();
-    let mut scratch = SimScratch::new(n);
-    let mut fresh = Vec::new();
-    for u in sample_users(n, EQUIV_SAMPLES, seed ^ 0x51) {
-        measure.similarity_set(&ds.social, u, &mut scratch, &mut fresh);
-        let (users, vals) = mapped.row_vals(u);
-        if users.len() != fresh.len() {
-            return Err(format!(
-                "similarity artifact row {u:?} has {} entries, fresh build has {}",
-                users.len(),
-                fresh.len()
-            ));
-        }
-        for (i, &(v, s)) in fresh.iter().enumerate() {
-            if users[i] != v || !value_matches(s, vals, i) {
-                return Err(format!(
-                    "similarity artifact row {u:?} diverges from the fresh build at entry {i}"
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
-/// Re-accumulate `EQUIV_SAMPLES` sim-mass rows from the mapped
-/// similarity artifact (the exact input the streamed build consumed)
-/// and require the sim-mass artifact to match them.
+/// Recompute `EQUIV_SAMPLES` sim-mass rows from scratch — a fresh
+/// similarity set from the social graph, folded into a dense cluster
+/// array in neighbor order — and require the artifact rows to match.
 fn check_simmass_rows(
-    mapped_sim: &MappedSimilarity,
+    g: &SocialGraph,
+    measure: &dyn Similarity,
     partition: &Partition,
     index: &SimMassIndex,
     seed: u64,
 ) -> Result<(), String> {
-    let n = mapped_sim.num_users();
+    let n = g.num_users();
+    let mut scratch = SimScratch::new(n);
+    let mut set = Vec::new();
     let mut dense = vec![0.0f64; partition.num_clusters()];
     for u in sample_users(n, EQUIV_SAMPLES, seed ^ 0x52) {
-        let (users, vals) = mapped_sim.row_vals(u);
-        match vals {
-            RowVals::F64(ss) => {
-                for (&v, &s) in users.iter().zip(ss) {
-                    dense[partition.cluster_of(v) as usize] += s;
-                }
-            }
-            RowVals::F32(ss) => {
-                for (&v, &s) in users.iter().zip(ss) {
-                    dense[partition.cluster_of(v) as usize] += f64::from(s);
-                }
-            }
+        measure.similarity_set(g, u, &mut scratch, &mut set);
+        for &(v, s) in &set {
+            dense[partition.cluster_of(v) as usize] += s;
         }
         let (clusters, masses) = index.row_vals(u);
         let mut i = 0usize;
@@ -216,7 +168,7 @@ fn check_simmass_rows(
             if i >= clusters.len() || clusters[i] as usize != cl || !value_matches(mass, masses, i)
             {
                 return Err(format!(
-                    "sim-mass artifact row {u:?} diverges from dense accumulation at cluster {cl}"
+                    "sim-mass artifact row {u:?} diverges from a fresh fold at cluster {cl}"
                 ));
             }
             i += 1;
@@ -235,15 +187,14 @@ fn artifact_len(path: &Path) -> u64 {
     std::fs::metadata(path).map(|m| m.len()).unwrap_or(0)
 }
 
-/// Run one sweep point, leaving no artifacts behind unless `keep`.
+/// Run one sweep point, leaving no artifact behind unless `keep`.
 #[allow(clippy::too_many_arguments)]
 fn run_point(
     users: usize,
     seed: u64,
     epsilon: Epsilon,
-    measure: &dyn socialrec_similarity::Similarity,
+    measure: &dyn Similarity,
     value_kind: ValueKind,
-    chunk_rows: usize,
     queries: usize,
     top_n: usize,
     dir: &Path,
@@ -263,32 +214,13 @@ fn run_point(
         partition.num_clusters()
     );
 
-    // Offline stage 1 — similarity, streamed to the artifact in
-    // macro-chunks. Heap high-water: one chunk of rows, not the matrix.
-    let sim_path = dir.join(format!("sim-{users}.srcsr"));
-    let t = Instant::now();
-    let stats =
-        write_similarity_artifact_streaming(&ds.social, measure, &sim_path, value_kind, chunk_rows)
-            .map_err(err("sim stream-build"))?;
-    let sim_build_ms = ms(t);
-    eprintln!(
-        "  sim stream-build: {sim_build_ms:.0} ms, {} entries, {} chunks, {} MiB on disk",
-        stats.num_entries,
-        stats.chunks,
-        artifact_len(&sim_path) >> 20
-    );
-    let mapped_sim = MappedSimilarity::open(&sim_path).map_err(err("sim artifact open"))?;
-
-    // Offline stage 2 — sim-mass, streamed from the *mapped* similarity
-    // artifact: neither matrix is ever heap-resident.
+    // The one offline build: graph -> sim-mass artifact, folding each
+    // similarity set into cluster masses as it is computed. Heap
+    // high-water: one chunk of index rows, never the similarity matrix.
     let mass_path = dir.join(format!("simmass-{users}.srcsr"));
     let t = Instant::now();
     let simmass_entries = SimMassIndex::stream_build_artifact(
-        &mapped_sim,
-        &partition,
-        &mass_path,
-        value_kind,
-        chunk_rows,
+        &ds.social, measure, &partition, &mass_path, value_kind, 0,
     )
     .map_err(err("sim-mass stream-build"))?;
     let simmass_build_ms = ms(t);
@@ -296,10 +228,13 @@ fn run_point(
         "  sim-mass stream-build: {simmass_build_ms:.0} ms, {simmass_entries} entries, {} MiB on disk",
         artifact_len(&mass_path) >> 20
     );
+    let t = Instant::now();
     let index = SimMassIndex::open_artifact(&mass_path).map_err(err("sim-mass artifact open"))?;
+    let open_ms = ms(t);
+    eprintln!("  open (read + verify): {open_ms:.1} ms");
 
     // Serving inputs: the A_w release is clusters x items — O(users)
-    // nowhere — and the index is served straight off the mapping.
+    // nowhere — and the index is served from the opened artifact.
     let t = Instant::now();
     let averages = release_noisy_cluster_averages_with(
         &partition,
@@ -315,7 +250,7 @@ fn run_point(
         averages.num_items()
     );
 
-    // Query phase: per-user utilities + top-N off the mapped index.
+    // Query phase: per-user utilities + top-N off the opened index.
     let query_users = sample_users(users, queries.max(1), seed ^ 0x9E);
     let mut utilities = Vec::new();
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(query_users.len());
@@ -340,9 +275,8 @@ fn run_point(
         query_p99_ns as f64 / 1e3
     );
 
-    // Runtime equivalence: artifacts vs from-scratch rows.
-    check_sim_rows(&ds, measure, &mapped_sim, seed)?;
-    check_simmass_rows(&mapped_sim, &partition, &index, seed)?;
+    // Runtime equivalence: artifact rows vs from-scratch folds.
+    check_simmass_rows(&ds.social, measure, &partition, &index, seed)?;
 
     // The obs gauge is the acceptance artifact: peak/current/anon RSS
     // land in the global registry and in the JSON point.
@@ -363,13 +297,11 @@ fn run_point(
         users,
         social_edges: ds.social.num_edges(),
         clusters: partition.num_clusters(),
-        sim_entries: stats.num_entries,
         simmass_entries,
-        sim_artifact_bytes: artifact_len(&sim_path),
         simmass_artifact_bytes: artifact_len(&mass_path),
         generate_ms,
-        sim_build_ms,
         simmass_build_ms,
+        open_ms,
         release_ms,
         queries: query_users.len(),
         query_p50_ns,
@@ -377,9 +309,7 @@ fn run_point(
         memory,
     };
     drop(index);
-    drop(mapped_sim);
     if !keep {
-        std::fs::remove_file(&sim_path).ok();
         std::fs::remove_file(&mass_path).ok();
     }
     Ok(point)
@@ -393,7 +323,6 @@ pub fn run(args: &Args) -> Result<(), String> {
     let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
     let top_n = args.get_usize("n", 10);
     let queries = args.get_usize("queries", if smoke { 200 } else { 2000 });
-    let chunk_rows = args.get_usize("chunk-rows", 0);
     let keep = args.has_flag("keep");
     let out_path = args.get_str("out").unwrap_or("BENCH_scale.json").to_string();
     let value_kind = match args.get_str("value-kind").unwrap_or("f32") {
@@ -426,7 +355,6 @@ pub fn run(args: &Args) -> Result<(), String> {
             epsilon,
             measure.as_ref(),
             value_kind,
-            chunk_rows,
             queries,
             top_n,
             &dir,
@@ -447,7 +375,6 @@ pub fn run(args: &Args) -> Result<(), String> {
             ValueKind::F64 => "f64".to_string(),
         },
         top_n,
-        chunk_rows,
         smoke,
         threads,
         points,
@@ -463,10 +390,10 @@ pub fn run(args: &Args) -> Result<(), String> {
     );
     for p in &report.points {
         println!(
-            "  {:>9} users: sim {:>8.0} ms  mass {:>7.0} ms  p99 {:>7.1} us  anon {:>5} MiB",
+            "  {:>9} users: build {:>7.0} ms  open {:>6.1} ms  p99 {:>7.1} us  anon {:>5} MiB",
             p.users,
-            p.sim_build_ms,
             p.simmass_build_ms,
+            p.open_ms,
             p.query_p99_ns as f64 / 1e3,
             p.memory.map(|m| m.anon_bytes >> 20).unwrap_or(0),
         );

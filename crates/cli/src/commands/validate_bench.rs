@@ -110,12 +110,12 @@ const SERVE: Schema = &[
 
 const SCALE: Schema = &[
     (Str, "value_kind epsilon measure"),
-    (U64, "chunk_rows threads"),
+    (U64, "threads"),
     (List, "points"),
-    (U64, "points[].users points[].social_edges points[].sim_entries points[].simmass_entries"),
-    // The artifact sizes prove the builds actually streamed to disk.
-    (U64, "points[].sim_artifact_bytes points[].simmass_artifact_bytes"),
-    (F64, "points[].sim_build_ms points[].simmass_build_ms"),
+    (U64, "points[].users points[].social_edges points[].simmass_entries"),
+    // The artifact size proves the build actually streamed to disk.
+    (U64, "points[].simmass_artifact_bytes"),
+    (F64, "points[].simmass_build_ms points[].open_ms"),
     (U64, "points[].query_p50_ns points[].query_p99_ns"),
     // The RSS gauge is the point of the sweep: a sample, or an explicit
     // null off Linux.
@@ -377,12 +377,10 @@ mod tests {
 }"#;
 
     const SCALE_JSON: &str = r#"{
-  "bench": "scale", "epsilon": "0.5", "measure": "CN", "value_kind": "f32", "chunk_rows": 0,
-  "threads": 1,
+  "bench": "scale", "epsilon": "0.5", "measure": "CN", "value_kind": "f32", "threads": 1,
   "points": [
-    { "users": 1, "social_edges": 1, "sim_entries": 1, "simmass_entries": 1,
-      "sim_artifact_bytes": 1, "simmass_artifact_bytes": 1, "sim_build_ms": 1.5,
-      "simmass_build_ms": 1.5, "query_p50_ns": 1, "query_p99_ns": 1,
+    { "users": 1, "social_edges": 1, "simmass_entries": 1, "simmass_artifact_bytes": 1,
+      "simmass_build_ms": 1.5, "open_ms": 0.5, "query_p50_ns": 1, "query_p99_ns": 1,
       "memory": { "rss_bytes": 1, "peak_rss_bytes": 2, "anon_bytes": 1 } }
   ],
   "equivalence_checked": true,
@@ -534,7 +532,8 @@ mod tests {
             &[
                 ("\"query_p50_ns\"", "\"pXX\"", "points[0].query_p50_ns: missing"),
                 ("\"query_p99_ns\"", "\"pXX\"", "query_p99_ns"),
-                ("\"sim_artifact_bytes\"", "\"b\"", "sim_artifact_bytes"),
+                ("\"simmass_artifact_bytes\"", "\"b\"", "simmass_artifact_bytes"),
+                ("\"open_ms\"", "\"o\"", "points[0].open_ms: missing"),
                 ("\"value_kind\"", "\"vk\"", "value_kind"),
                 ("\"points\"", "\"pts\"", "points: missing"),
                 // The memory gauge: a sample or an explicit null, never

@@ -74,6 +74,11 @@ impl Args {
         self.flags.contains(key)
     }
 
+    /// Every `--key` given, valued or boolean, in no fixed order.
+    pub fn keys(&self) -> impl Iterator<Item = &str> {
+        self.values.keys().chain(&self.flags).map(String::as_str)
+    }
+
     /// Comma-separated ε list (`inf` allowed), or the given default.
     pub fn epsilons(&self, default: &[Epsilon]) -> Vec<Epsilon> {
         match self.get_str("epsilons") {
@@ -127,6 +132,9 @@ mod tests {
         assert!((a.get_f64("scale", 1.0) - 0.5).abs() < 1e-12);
         assert_eq!(a.get_usize("runs", 3), 3);
         assert!(!a.has_flag("missing"));
+        let mut keys: Vec<&str> = a.keys().collect();
+        keys.sort_unstable();
+        assert_eq!(keys, ["scale", "seed", "verbose"]);
     }
 
     #[test]

@@ -196,7 +196,7 @@ impl ToJson for DatasetStats {
 impl ToJson for socialrec_obs::MemorySample {
     /// Raw byte counts plus derived MiB floats for human readers; the
     /// `anon_bytes` figure is the "bounded memory" metric — it excludes
-    /// reclaimable file-backed (mmap) pages. See `socialrec_obs::memory`.
+    /// reclaimable file-backed pages. See `socialrec_obs::memory`.
     fn write_json(&self, out: &mut String, indent: usize) {
         let mib = |b: u64| b as f64 / (1024.0 * 1024.0);
         write_object(

@@ -5,15 +5,16 @@
 //! reads the kernel's own accounting from `/proc/self/status`:
 //!
 //! * `VmRSS` — resident set right now, **including** resident
-//!   page-cache pages of file mappings (an mmap-served artifact shows
-//!   up here even though the kernel can drop those pages at will);
+//!   file-backed pages the process maps (the kernel can drop those at
+//!   will);
 //! * `VmHWM` — the high-water mark of `VmRSS` over the process
 //!   lifetime, the usual "peak RSS" figure;
 //! * `RssAnon` — anonymous (heap/stack) resident memory only. This is
-//!   the honest "bounded memory" metric for the mmap data path: it
-//!   excludes reclaimable file-backed pages, so a streaming build that
-//!   stages gigabytes on disk but keeps scratch small stays small
-//!   *here* even when the page cache is warm.
+//!   the "bounded memory" metric of the scale benchmark: it counts
+//!   everything the process holds, an index artifact read into the
+//!   heap included, and nothing the kernel could reclaim, so a
+//!   streaming build that writes its output to disk but keeps scratch
+//!   small stays small *here*.
 //!
 //! Off Linux (or when `/proc` is absent) sampling returns `None` and
 //! report writers emit nothing — no stubs, no zeros masquerading as

@@ -4,9 +4,8 @@
 //! similarity row of the user (`O(|sim(u)|)`, plus zeroing a
 //! `num_clusters`-sized scratch) just to learn how much similarity mass
 //! the user has in each cluster. That mapping depends only on the
-//! public similarity matrix and the public partition — never on the
-//! private release — so a server can compute it once, up front, for
-//! every user.
+//! public social graph and the public partition — never on the private
+//! release — so a server can compute it once, up front, for every user.
 //!
 //! [`SimMassIndex`] stores exactly that: a CSR of per-user
 //! `(cluster, Σ sim)` pairs, collapsing the per-query cost to one
@@ -20,25 +19,26 @@
 //!
 //! * **Heap** — rows built in RAM as [`SharedRows`], one `Arc`
 //!   allocation per row;
-//! * **Mapped** — a zero-copy window onto a
-//!   [`CsrArtifact`] file (see `socialrec_similarity::artifact`),
-//!   shared via `Arc` so sharding never duplicates the backing bytes.
+//! * **Artifact** — a window onto a [`CsrArtifact`] read whole from
+//!   disk (see `socialrec_similarity::artifact`), shared via `Arc` so
+//!   sharding never duplicates its bytes, and kept at the file's value
+//!   width, so a compact (f32) index stays compact in memory.
 //!
 //! Neither backing copies row bytes to derive a new index: heap
 //! [`slice_rows`](SimMassIndex::slice_rows), `clone` and
 //! [`update_rows`](SimMassIndex::update_rows) share every row they do
-//! not recompute and copy only the row-pointer table, and mapped
+//! not recompute and copy only the row-pointer table, and artifact
 //! `slice_rows` just narrows the window. Serving code cannot tell the
 //! backings apart — the equivalence tests pin that both return
 //! identical row bits.
 
 use rayon::prelude::*;
 use socialrec_community::Partition;
-use socialrec_graph::UserId;
+use socialrec_graph::{SocialGraph, UserId};
 use socialrec_similarity::artifact::{
-    write_csr_artifact, ArtifactKind, CsrArtifact, StreamingCsrWriter, ValueKind,
+    write_csr_artifact, CsrArtifact, StreamingCsrWriter, ValueKind,
 };
-use socialrec_similarity::{RowVals, SharedRows, SimilarityRows};
+use socialrec_similarity::{RowVals, SharedRows, SimScratch, Similarity, SimilarityMatrix};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -79,12 +79,12 @@ enum Repr {
     Heap { rows: SharedRows<u32, f64> },
     /// A window of `rows` rows starting at artifact row `base`. The
     /// artifact is shared, so slicing is O(1) and allocation-free.
-    Mapped { art: Arc<CsrArtifact>, base: usize, rows: usize },
+    Artifact { art: Arc<CsrArtifact>, base: usize, rows: usize },
 }
 
 impl SimMassIndex {
-    /// Build the index for every user, in parallel, from any similarity
-    /// row store (heap matrix or mapped artifact).
+    /// Build the index for every user, in parallel, from the similarity
+    /// matrix.
     ///
     /// Each worker reuses one dense cluster scratch, and each row is
     /// allocated once at its exact size. Bit-identical to
@@ -92,7 +92,7 @@ impl SimMassIndex {
     /// thread count.
     ///
     /// Panics if `sim` and `partition` disagree on the user count.
-    pub fn build<R: SimilarityRows + ?Sized>(sim: &R, partition: &Partition) -> SimMassIndex {
+    pub fn build(sim: &SimilarityMatrix, partition: &Partition) -> SimMassIndex {
         let n = sim.num_users();
         assert_eq!(n, partition.num_users(), "partition must cover the similarity matrix's users");
         let nc = partition.num_clusters();
@@ -108,10 +108,7 @@ impl SimMassIndex {
     /// thread, one dense scratch, rows in ascending order. Retained so
     /// the equivalence tests (and the thread-count matrix) can prove
     /// the parallel build produces the same bytes.
-    pub fn build_reference<R: SimilarityRows + ?Sized>(
-        sim: &R,
-        partition: &Partition,
-    ) -> SimMassIndex {
+    pub fn build_reference(sim: &SimilarityMatrix, partition: &Partition) -> SimMassIndex {
         let n = sim.num_users();
         assert_eq!(n, partition.num_users(), "partition must cover the similarity matrix's users");
         let nc = partition.num_clusters();
@@ -123,7 +120,7 @@ impl SimMassIndex {
 
     /// The `(clusters, masses)` row for one user, f64 only.
     ///
-    /// Works for every heap index and for full-precision (f64) mapped
+    /// Works for every heap index and for full-precision (f64)
     /// artifacts. **Panics** on a compact (f32) artifact — those rows
     /// exist only at f32 width; use [`row_vals`](SimMassIndex::row_vals),
     /// which every serving path goes through.
@@ -147,7 +144,7 @@ impl SimMassIndex {
                 let (clusters, masses) = rows.row(u);
                 (clusters, RowVals::F64(masses))
             }
-            Repr::Mapped { art, base, rows } => {
+            Repr::Artifact { art, base, rows } => {
                 assert!(u.index() < *rows, "user {u:?} outside this index window");
                 let (lo, hi) = art.row_range(base + u.index());
                 let clusters = &art.cols()[lo..hi];
@@ -165,7 +162,7 @@ impl SimMassIndex {
     pub fn num_users(&self) -> usize {
         match &self.repr {
             Repr::Heap { rows } => rows.num_rows(),
-            Repr::Mapped { rows, .. } => *rows,
+            Repr::Artifact { rows, .. } => *rows,
         }
     }
 
@@ -178,18 +175,10 @@ impl SimMassIndex {
     pub fn nnz(&self) -> usize {
         match &self.repr {
             Repr::Heap { rows } => rows.nnz(),
-            Repr::Mapped { art, base, rows } => {
+            Repr::Artifact { art, base, rows } => {
                 let offsets = art.offsets();
                 (offsets[base + rows] - offsets[*base]) as usize
             }
-        }
-    }
-
-    /// Whether the rows are served zero-copy from a file mapping.
-    pub fn is_mapped(&self) -> bool {
-        match &self.repr {
-            Repr::Heap { .. } => false,
-            Repr::Mapped { art, .. } => art.is_mapped(),
         }
     }
 
@@ -197,7 +186,7 @@ impl SimMassIndex {
     pub fn value_kind(&self) -> ValueKind {
         match &self.repr {
             Repr::Heap { .. } => ValueKind::F64,
-            Repr::Mapped { art, .. } => art.header().value_kind,
+            Repr::Artifact { art, .. } => art.header().value_kind,
         }
     }
 
@@ -206,10 +195,10 @@ impl SimMassIndex {
     ///
     /// Heap backing: the same shared rows behind a new pointer table —
     /// no row bytes copied or re-accumulated, so the floating-point
-    /// contract is preserved verbatim. Mapped backing: the same shared
-    /// artifact with a narrowed window — O(1), no bytes duplicated,
-    /// which is what lets a million-user daemon shard without
-    /// re-materializing the index.
+    /// contract is preserved verbatim. Artifact backing: the same
+    /// shared artifact with a narrowed window — O(1), no bytes
+    /// duplicated, which is what lets a million-user daemon shard
+    /// without re-materializing the index.
     ///
     /// Panics if `lo > hi` or `hi` exceeds the user count.
     pub fn slice_rows(&self, lo: usize, hi: usize) -> SimMassIndex {
@@ -219,8 +208,8 @@ impl SimMassIndex {
                 repr: Repr::Heap { rows: rows.slice(lo, hi) },
                 num_clusters: self.num_clusters,
             },
-            Repr::Mapped { art, base, .. } => SimMassIndex {
-                repr: Repr::Mapped { art: Arc::clone(art), base: base + lo, rows: hi - lo },
+            Repr::Artifact { art, base, .. } => SimMassIndex {
+                repr: Repr::Artifact { art: Arc::clone(art), base: base + lo, rows: hi - lo },
                 num_clusters: self.num_clusters,
             },
         }
@@ -242,8 +231,8 @@ impl SimMassIndex {
     }
 
     /// Recompute only the `dirty` rows (ascending user ids) against the
-    /// current similarity store and partition and share every other row
-    /// with `self` — the streaming-delta companion to
+    /// current similarity matrix and partition and share every other
+    /// row with `self` — the streaming-delta companion to
     /// [`build`](SimMassIndex::build).
     ///
     /// When `dirty` covers every row whose contents a refresh could
@@ -256,11 +245,12 @@ impl SimMassIndex {
     /// what makes rows dirty).
     ///
     /// Requires full-precision (f64) rows; compact (f32) indices are
-    /// read-only serving artifacts. A mapped f64 index is copied into
-    /// heap rows first, so only heap indices update in O(dirty rows).
-    pub fn update_rows<R: SimilarityRows + ?Sized>(
+    /// read-only serving artifacts. An artifact-backed f64 index is
+    /// copied into heap rows first, so only heap indices update in
+    /// O(dirty rows).
+    pub fn update_rows(
         &self,
-        sim: &R,
+        sim: &SimilarityMatrix,
         partition: &Partition,
         dirty: &[UserId],
     ) -> SimMassIndex {
@@ -272,7 +262,7 @@ impl SimMassIndex {
         let copied: SharedRows<u32, f64>;
         let rows = match &self.repr {
             Repr::Heap { rows } => rows,
-            Repr::Mapped { .. } => {
+            Repr::Artifact { .. } => {
                 copied = (0..n as u32)
                     .map(|u| {
                         let (cls, masses) = self.row(UserId(u));
@@ -292,10 +282,9 @@ impl SimMassIndex {
         SimMassIndex { repr: Repr::Heap { rows }, num_clusters: nc }
     }
 
-    /// Write this index as an mmap-able artifact file (kind
-    /// [`ArtifactKind::SimMass`], `meta` = cluster count). With
-    /// [`ValueKind::F32`] the masses are quantized per the documented
-    /// compact-value contract.
+    /// Write this index as an artifact file (`meta` = cluster count).
+    /// With [`ValueKind::F32`] the masses are quantized per the
+    /// documented compact-value contract.
     pub fn write_artifact(&self, path: &Path, value_kind: ValueKind) -> io::Result<()> {
         let n = self.num_users();
         let mut offsets = Vec::with_capacity(n + 1);
@@ -310,45 +299,50 @@ impl SimMassIndex {
             }
             offsets.push(cols.len() as u64);
         }
-        write_csr_artifact(
-            path,
-            ArtifactKind::SimMass,
-            value_kind,
-            self.num_clusters as u64,
-            &offsets,
-            &cols,
-            &vals,
-        )
+        write_csr_artifact(path, value_kind, self.num_clusters as u64, &offsets, &cols, &vals)
     }
 
-    /// Build the index row-by-row from any similarity store and stream
-    /// it straight into an artifact at `path`, never materializing the
-    /// index in RAM — the bounded-memory companion to
-    /// [`build`](SimMassIndex::build) +
+    /// Build the index straight from the social graph and stream it
+    /// into an artifact at `path`, materializing neither the similarity
+    /// matrix nor the index — the bounded-memory form of
+    /// `build(&SimilarityMatrix::build(g, measure), partition)` +
     /// [`write_artifact`](SimMassIndex::write_artifact), and
-    /// byte-identical to that pair (rows are accumulated by the same
-    /// dense-scratch walk in the same order). `chunk_rows = 0` picks a
-    /// default. Returns the entry count written.
-    pub fn stream_build_artifact<R: SimilarityRows + ?Sized>(
-        sim: &R,
+    /// byte-identical to that pair for every measure: each user's
+    /// `similarity_set` is the very row the matrix stores, folded by the
+    /// same dense-scratch walk in the same order.
+    ///
+    /// Users go in chunks of `chunk_rows` (`0` picks a default); each
+    /// chunk is computed in parallel and appended in row order. Peak
+    /// memory is one chunk of index rows plus per-worker scratch
+    /// (`O(users)` for the similarity set, `O(clusters)` for the
+    /// masses), never `O(similarity entries)`. Returns the entry count
+    /// written.
+    ///
+    /// Panics if `g` and `partition` disagree on the user count.
+    pub fn stream_build_artifact<S: Similarity + ?Sized>(
+        g: &SocialGraph,
+        measure: &S,
         partition: &Partition,
         path: &Path,
         value_kind: ValueKind,
         chunk_rows: usize,
     ) -> io::Result<u64> {
-        let n = sim.num_users();
-        assert_eq!(n, partition.num_users(), "partition must cover the similarity matrix's users");
+        let n = g.num_users();
+        assert_eq!(n, partition.num_users(), "partition must cover the graph's users");
         let nc = partition.num_clusters();
         let chunk_rows = if chunk_rows == 0 { 8192 } else { chunk_rows };
         let _span = socialrec_obs::span!("simmass.stream_build", users = n);
-        let mut writer =
-            StreamingCsrWriter::create(path, ArtifactKind::SimMass, value_kind, nc as u64, n)?;
-        // Dense cluster scratch is O(clusters) per worker; pool across
-        // chunks like the similarity streamer does.
-        let pool: Mutex<Vec<Vec<f64>>> = Mutex::new(Vec::new());
+        let mut writer = StreamingCsrWriter::create(path, value_kind, nc as u64, n)?;
+        // Each worker's similarity scratch, similarity-set buffer and
+        // dense cluster scratch, pooled so a worker allocates them once
+        // for the whole build, not once per chunk.
+        type Workspace = (SimScratch, Vec<(UserId, f64)>, Vec<f64>);
+        let pool: Mutex<Vec<Workspace>> = Mutex::new(Vec::new());
         let mut entries = 0u64;
-        for lo in (0..n).step_by(chunk_rows.max(1)) {
+        for lo in (0..n).step_by(chunk_rows) {
             let hi = (lo + chunk_rows).min(n);
+            // Sub-split the chunk so the dynamic scheduler can balance
+            // skewed rows across workers.
             let workers = rayon::current_num_threads().max(1);
             let sub = (hi - lo).div_ceil(workers * 4).max(16);
             let ranges: Vec<(usize, usize)> =
@@ -356,30 +350,30 @@ impl SimMassIndex {
             let pieces: Vec<(Vec<u64>, Vec<u32>, Vec<f64>)> = ranges
                 .par_iter()
                 .map(|&(a, b)| {
-                    let mut scratch = pool
+                    let (mut scratch, mut set, mut dense) = pool
                         .lock()
                         .expect("scratch pool")
                         .pop()
-                        .unwrap_or_else(|| vec![0.0f64; nc]);
+                        .unwrap_or_else(|| (SimScratch::new(n), Vec::new(), vec![0.0f64; nc]));
                     let mut lens = Vec::with_capacity(b - a);
                     let mut cols = Vec::new();
                     let mut vals = Vec::new();
                     for u in a..b {
-                        accumulate_row(sim, partition, UserId(u as u32), &mut scratch);
+                        measure.similarity_set(g, UserId(u as u32), &mut scratch, &mut set);
+                        accumulate(partition, set.iter().copied(), &mut dense);
                         let before = cols.len();
-                        for (cl, m) in scratch.iter_mut().enumerate() {
-                            if *m != 0.0 {
-                                cols.push(cl as u32);
-                                vals.push(*m);
-                            }
-                            *m = 0.0;
-                        }
+                        drain_nonzero(&mut dense, |cl, m| {
+                            cols.push(cl);
+                            vals.push(m);
+                        });
                         lens.push((cols.len() - before) as u64);
                     }
-                    pool.lock().expect("scratch pool").push(scratch);
+                    pool.lock().expect("scratch pool").push((scratch, set, dense));
                     (lens, cols, vals)
                 })
                 .collect();
+            // Sub-ranges ascend, so pushing them in sequence keeps the
+            // global row order.
             for (lens, cols, vals) in &pieces {
                 let mut at = 0usize;
                 for &len in lens {
@@ -394,31 +388,22 @@ impl SimMassIndex {
         Ok(entries)
     }
 
-    /// Open an artifact written by
+    /// Read an artifact written by
     /// [`write_artifact`](SimMassIndex::write_artifact) or
-    /// [`stream_build_artifact`](SimMassIndex::stream_build_artifact),
-    /// memory-mapping where supported.
+    /// [`stream_build_artifact`](SimMassIndex::stream_build_artifact)
+    /// into memory, verifying its checksum and structure (see
+    /// [`CsrArtifact::open`]). The index owns its bytes: nothing that
+    /// later happens to the file changes the rows it serves.
     pub fn open_artifact(path: &Path) -> io::Result<SimMassIndex> {
         Self::from_artifact(CsrArtifact::open(path)?)
     }
 
-    /// Open through the heap-copy backing (tests; non-mmap platforms).
-    pub fn open_artifact_owned(path: &Path) -> io::Result<SimMassIndex> {
-        Self::from_artifact(CsrArtifact::open_owned(path)?)
-    }
-
-    /// Wrap a validated artifact, checking it holds a sim-mass index
-    /// whose every cluster id is below its cluster count. A stored id at
-    /// or past the count would index outside a release row on the first
-    /// query that reads it, so it fails the open instead.
+    /// Wrap a validated artifact, checking that every cluster id is
+    /// below its cluster count. A stored id at or past the count would
+    /// index outside a release row on the first query that reads it,
+    /// so it fails the open instead.
     pub fn from_artifact(art: CsrArtifact) -> io::Result<SimMassIndex> {
         let header = art.header();
-        if header.kind != ArtifactKind::SimMass {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("artifact holds {:?}, not a sim-mass index", header.kind),
-            ));
-        }
         if let Some(max) = art.cols().iter().copied().max().filter(|&c| u64::from(c) >= header.meta)
         {
             return Err(io::Error::new(
@@ -428,34 +413,33 @@ impl SimMassIndex {
         }
         let num_clusters = header.meta as usize;
         let rows = art.num_rows();
-        Ok(SimMassIndex { repr: Repr::Mapped { art: Arc::new(art), base: 0, rows }, num_clusters })
+        Ok(SimMassIndex {
+            repr: Repr::Artifact { art: Arc::new(art), base: 0, rows },
+            num_clusters,
+        })
     }
 }
 
-/// Accumulate `u`'s per-cluster similarity mass into `scratch` — the
-/// one shared walk of every builder, so heap and streaming builds are
-/// additions-for-additions identical. The f32 arm widens exactly, so a
-/// mass index rebuilt *from* a compact similarity artifact accumulates
-/// exactly the quantized scores.
+/// Add a similarity row, `(v, sim(u, v))` in neighbor order, into the
+/// dense cluster scratch — the one walk of every builder, so the heap,
+/// reference, update and streamed builds are addition-for-addition
+/// identical.
 #[inline]
-fn accumulate_row<R: SimilarityRows + ?Sized>(
-    sim: &R,
-    partition: &Partition,
-    u: UserId,
-    scratch: &mut [f64],
-) {
-    let (users, scores) = sim.row_vals(u);
-    match scores {
-        RowVals::F64(ss) => {
-            for (&v, &s) in users.iter().zip(ss) {
-                scratch[partition.cluster_of(v) as usize] += s;
-            }
+fn accumulate(partition: &Partition, row: impl Iterator<Item = (UserId, f64)>, dense: &mut [f64]) {
+    for (v, s) in row {
+        dense[partition.cluster_of(v) as usize] += s;
+    }
+}
+
+/// Hand every non-zero cluster of `dense` to `emit` in ascending order,
+/// zeroing `dense` for the next row.
+#[inline]
+fn drain_nonzero(dense: &mut [f64], mut emit: impl FnMut(u32, f64)) {
+    for (cl, m) in dense.iter_mut().enumerate() {
+        if *m != 0.0 {
+            emit(cl as u32, *m);
         }
-        RowVals::F32(ss) => {
-            for (&v, &s) in users.iter().zip(ss) {
-                scratch[partition.cluster_of(v) as usize] += f64::from(s);
-            }
-        }
+        *m = 0.0;
     }
 }
 
@@ -463,22 +447,20 @@ fn accumulate_row<R: SimilarityRows + ?Sized>(
 /// `scratch`, then emit every non-zero cluster in ascending order into
 /// arrays allocated once at their exact length, zeroing `scratch` for
 /// the next row.
-fn mass_row<R: SimilarityRows + ?Sized>(
-    sim: &R,
+fn mass_row(
+    sim: &SimilarityMatrix,
     partition: &Partition,
     u: UserId,
     scratch: &mut [f64],
 ) -> (Box<[u32]>, Box<[f64]>) {
-    accumulate_row(sim, partition, u, scratch);
+    let (users, scores) = sim.row(u);
+    accumulate(partition, users.iter().copied().zip(scores.iter().copied()), scratch);
     let len = scratch.iter().filter(|&&m| m != 0.0).count();
     let (mut cols, mut vals) = (Vec::with_capacity(len), Vec::with_capacity(len));
-    for (cl, m) in scratch.iter_mut().enumerate() {
-        if *m != 0.0 {
-            cols.push(cl as u32);
-            vals.push(*m);
-        }
-        *m = 0.0;
-    }
+    drain_nonzero(scratch, |cl, m| {
+        cols.push(cl);
+        vals.push(m);
+    });
     (cols.into_boxed_slice(), vals.into_boxed_slice())
 }
 
@@ -489,19 +471,19 @@ fn mass_row<R: SimilarityRows + ?Sized>(
 /// cluster labels of the users *in* that row. So it changes only if
 /// `u`'s similarity row changed (`sim_dirty`) or some `v ∈ sim(u)`
 /// moved clusters — and by symmetry those `u` are exactly the similar
-/// users of the moved ones, read from the *new* similarity store. The
+/// users of the moved ones, read from the *new* similarity matrix. The
 /// moved users themselves are included for good measure (their own rows
 /// are unaffected by their own label, but the superset is cheap and
 /// keeps the contract simple). Result ascends, deduplicated.
-pub fn dirty_index_rows<R: SimilarityRows + ?Sized>(
-    sim: &R,
+pub fn dirty_index_rows(
+    sim: &SimilarityMatrix,
     sim_dirty: &[UserId],
     moved: &[UserId],
 ) -> Vec<UserId> {
     let mut rows: Vec<UserId> = sim_dirty.to_vec();
     rows.extend_from_slice(moved);
     for &v in moved {
-        let (us, _) = sim.row_vals(v);
+        let (us, _) = sim.row(v);
         rows.extend_from_slice(us);
     }
     rows.sort_unstable();
@@ -511,8 +493,8 @@ pub fn dirty_index_rows<R: SimilarityRows + ?Sized>(
 
 impl PartialEq for SimMassIndex {
     /// Logical equality: same shape and bit-identical rows, regardless
-    /// of backing (heap vs mapped) — f32-backed masses compare at their
-    /// widened value.
+    /// of backing (heap vs artifact) — f32-backed masses compare at
+    /// their widened value.
     fn eq(&self, other: &Self) -> bool {
         if self.num_users() != other.num_users()
             || self.num_clusters != other.num_clusters
@@ -634,9 +616,8 @@ mod tests {
         assert_eq!(full.slice_rows(0, 6).nnz(), full.nnz());
     }
 
-    /// Satellite coverage: the shard-shaped boundary cases — an empty
-    /// shard, a single-user shard, and a final ragged shard — on both
-    /// backings.
+    /// The shard-shaped boundary cases — an empty shard, a single-user
+    /// shard, and a final ragged shard — on both backings.
     #[test]
     fn slice_rows_boundary_cases_on_both_backings() {
         let s = social_graph_from_edges(
@@ -649,9 +630,9 @@ mod tests {
         let heap = SimMassIndex::build(&sim, &partition);
         let path = temp_path("slice-bounds");
         heap.write_artifact(&path, ValueKind::F64).unwrap();
-        let mapped = SimMassIndex::open_artifact(&path).unwrap();
+        let opened = SimMassIndex::open_artifact(&path).unwrap();
 
-        for full in [&heap, &mapped] {
+        for full in [&heap, &opened] {
             // Empty shard: zero users anywhere in the range, nnz 0.
             for at in [0usize, 3, 7] {
                 let empty = full.slice_rows(at, at);
@@ -676,17 +657,17 @@ mod tests {
             let (sc, _) = ragged.row_vals(UserId(0));
             assert_eq!(gc, sc);
         }
-        // Mapped slices share the backing and stay O(1): a sub-slice of
-        // a slice still answers correctly.
-        let nested = mapped.slice_rows(2, 7).slice_rows(3, 5);
-        let (gc, _) = mapped.row_vals(UserId(5));
+        // Artifact slices share the backing and stay O(1): a sub-slice
+        // of a slice still answers correctly.
+        let nested = opened.slice_rows(2, 7).slice_rows(3, 5);
+        let (gc, _) = opened.row_vals(UserId(5));
         let (nc2, _) = nested.row_vals(UserId(0));
         assert_eq!(gc, nc2);
         std::fs::remove_file(&path).ok();
     }
 
     #[test]
-    fn mapped_index_equals_heap_index_and_f32_equals_quantized() {
+    fn artifact_index_equals_heap_index_and_f32_equals_quantized() {
         let s = social_graph_from_edges(
             8,
             &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (2, 6)],
@@ -701,18 +682,14 @@ mod tests {
         heap.write_artifact(&p64, ValueKind::F64).unwrap();
         heap.write_artifact(&p32, ValueKind::F32).unwrap();
 
-        // Full precision: mapped == heap exactly, both open paths.
-        for opened in [
-            SimMassIndex::open_artifact(&p64).unwrap(),
-            SimMassIndex::open_artifact_owned(&p64).unwrap(),
-        ] {
-            assert_eq!(opened.num_clusters(), heap.num_clusters());
-            assert_eq!(opened, heap);
-            assert_eq!(opened.value_kind(), ValueKind::F64);
-        }
+        // Full precision: opened == heap exactly.
+        let opened = SimMassIndex::open_artifact(&p64).unwrap();
+        assert_eq!(opened.num_clusters(), heap.num_clusters());
+        assert_eq!(opened, heap);
+        assert_eq!(opened.value_kind(), ValueKind::F64);
 
-        // Compact: mapped f32 == quantized heap exactly (the §6e
-        // contract), and row() panics while row_vals serves.
+        // Compact: opened f32 == quantized heap exactly (the §6e
+        // contract).
         let compact = SimMassIndex::open_artifact(&p32).unwrap();
         assert_eq!(compact.value_kind(), ValueKind::F32);
         assert_eq!(compact, heap.quantized());
@@ -733,66 +710,47 @@ mod tests {
         let _ = compact.row(UserId(0));
     }
 
+    /// The streamed build writes exactly the bytes of the matrix build
+    /// plus `write_artifact`, for every paper measure, both value
+    /// widths and chunk sizes that cross row boundaries (1, 7), cover
+    /// the graph (n) or take the default (0) — and for an empty graph.
     #[test]
-    fn stream_build_matches_materialized_write_byte_for_byte() {
+    fn stream_build_matches_matrix_build_byte_for_byte() {
         let mut edges: Vec<(u32, u32)> = (0..50u32).map(|u| (u, (u + 1) % 50)).collect();
         edges.extend((0..25u32).map(|u| (u, u + 25)));
-        let s = social_graph_from_edges(50, &edges).unwrap();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let partition =
-            Partition::from_assignment(&(0..50).map(|u| (u % 6) as u32).collect::<Vec<_>>());
-        let heap = SimMassIndex::build(&sim, &partition);
-        let reference = temp_path("stream-ref");
-        heap.write_artifact(&reference, ValueKind::F64).unwrap();
-        let want = std::fs::read(&reference).unwrap();
-        for chunk_rows in [1, 7, 50, 0] {
-            let p = temp_path(&format!("stream-{chunk_rows}"));
-            let entries = SimMassIndex::stream_build_artifact(
-                &sim,
-                &partition,
-                &p,
-                ValueKind::F64,
-                chunk_rows,
-            )
-            .unwrap();
-            assert_eq!(entries as usize, heap.nnz());
-            assert_eq!(std::fs::read(&p).unwrap(), want, "chunk_rows={chunk_rows}");
-            std::fs::remove_file(&p).ok();
+        edges.extend((0..10u32).map(|u| (u, 3 * u + 7)));
+        let ring = social_graph_from_edges(50, &edges).unwrap();
+        let empty = social_graph_from_edges(0, &[]).unwrap();
+        for g in [&ring, &empty] {
+            let n = g.num_users();
+            let partition =
+                Partition::from_assignment(&(0..n).map(|u| (u % 6) as u32).collect::<Vec<_>>());
+            for measure in Measure::paper_suite() {
+                let heap = SimMassIndex::build(&SimilarityMatrix::build(g, &measure), &partition);
+                assert_eq!(heap.nnz() == 0, n == 0);
+                for value_kind in [ValueKind::F64, ValueKind::F32] {
+                    let reference = temp_path("stream-ref");
+                    heap.write_artifact(&reference, value_kind).unwrap();
+                    let want = std::fs::read(&reference).unwrap();
+                    for chunk_rows in [1, 7, n, 0] {
+                        let p = temp_path(&format!("stream-{chunk_rows}"));
+                        let entries = SimMassIndex::stream_build_artifact(
+                            g, &measure, &partition, &p, value_kind, chunk_rows,
+                        )
+                        .unwrap();
+                        assert_eq!(entries as usize, heap.nnz());
+                        let what =
+                            format!("{} {value_kind:?} chunk_rows={chunk_rows}", measure.name());
+                        assert_eq!(std::fs::read(&p).unwrap(), want, "{what}");
+                        std::fs::remove_file(&p).ok();
+                    }
+                    std::fs::remove_file(&reference).ok();
+                }
+            }
         }
-        std::fs::remove_file(&reference).ok();
     }
 
-    #[test]
-    fn build_from_mapped_similarity_matches_build_from_heap() {
-        let s = social_graph_from_edges(
-            9,
-            &[
-                (0, 1),
-                (1, 2),
-                (2, 0),
-                (3, 4),
-                (4, 5),
-                (5, 3),
-                (6, 7),
-                (7, 8),
-                (8, 6),
-                (2, 3),
-                (5, 6),
-            ],
-        )
-        .unwrap();
-        let sim = SimilarityMatrix::build(&s, &Measure::AdamicAdar);
-        let partition = Partition::from_assignment(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
-        let sim_path = temp_path("mapped-sim");
-        sim.write_artifact(&sim_path, ValueKind::F64).unwrap();
-        let mapped_sim = socialrec_similarity::MappedSimilarity::open(&sim_path).unwrap();
-        let from_heap = SimMassIndex::build(&sim, &partition);
-        let from_mapped = SimMassIndex::build(&mapped_sim, &partition);
-        assert_eq!(from_heap, from_mapped, "index must not depend on the similarity backing");
-        std::fs::remove_file(&sim_path).ok();
-    }
-
-    /// Satellite property: dirty-row index updates across random delta
+    /// Dirty-row index updates across random delta
     /// sequences are bitwise equal to from-scratch rebuilds — both for
     /// similarity-row churn and for cluster moves (including cluster
     /// count changes).
@@ -883,18 +841,18 @@ mod tests {
     }
 
     #[test]
-    fn update_rows_on_a_mapped_f64_index_matches_a_rebuild() {
+    fn update_rows_on_an_artifact_f64_index_matches_a_rebuild() {
         let s =
             social_graph_from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
                 .unwrap();
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let heap = SimMassIndex::build(&sim, &Partition::from_assignment(&[0, 0, 0, 1, 1, 1]));
-        let path = temp_path("mapped-update");
+        let path = temp_path("artifact-update");
         heap.write_artifact(&path, ValueKind::F64).unwrap();
-        let mapped = SimMassIndex::open_artifact(&path).unwrap();
+        let opened = SimMassIndex::open_artifact(&path).unwrap();
         let moved = Partition::from_assignment(&[0, 0, 1, 1, 1, 1]);
         let dirty = dirty_index_rows(&sim, &[], &[UserId(2)]);
-        assert_eq!(mapped.update_rows(&sim, &moved, &dirty), SimMassIndex::build(&sim, &moved));
+        assert_eq!(opened.update_rows(&sim, &moved, &dirty), SimMassIndex::build(&sim, &moved));
         std::fs::remove_file(&path).ok();
     }
 

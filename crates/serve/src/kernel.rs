@@ -257,13 +257,12 @@ mod tests {
         assert!(out.iter().all(|&x| x == 0.0));
     }
 
-    /// Tentpole equivalence: serving from an mmap-backed index is
-    /// bit-identical to serving from the heap index (f64 artifact), and
-    /// serving from a compact f32 artifact is bit-identical to serving
-    /// the pre-quantized heap index — the DESIGN.md §6e contract, with
-    /// zero tolerance.
+    /// Serving from an index read from an f64 artifact is bit-identical
+    /// to serving from the heap index, and serving from a compact f32
+    /// artifact is bit-identical to serving the pre-quantized heap
+    /// index — the DESIGN.md §6e contract, with zero tolerance.
     #[test]
-    fn mapped_and_compact_indexes_serve_identical_bits() {
+    fn artifact_and_compact_indexes_serve_identical_bits() {
         use socialrec_similarity::ValueKind;
         let (sim, partition, averages) = fixture();
         let heap = SimMassIndex::build(&sim, &partition);
@@ -273,7 +272,7 @@ mod tests {
         let p32 = dir.join(format!("k32-{}.srart", std::process::id()));
         heap.write_artifact(&p64, ValueKind::F64).unwrap();
         heap.write_artifact(&p32, ValueKind::F32).unwrap();
-        let mapped = SimMassIndex::open_artifact(&p64).unwrap();
+        let opened = SimMassIndex::open_artifact(&p64).unwrap();
         let compact = SimMassIndex::open_artifact(&p32).unwrap();
         let quantized = heap.quantized();
 
@@ -283,10 +282,10 @@ mod tests {
         for tile in [1, 16, 37, 10_000] {
             for chunk in users.chunks(USER_BLOCK) {
                 utilities_block_tiled(&averages, &heap, chunk, tile, &mut a);
-                utilities_block_tiled(&averages, &mapped, chunk, tile, &mut b);
+                utilities_block_tiled(&averages, &opened, chunk, tile, &mut b);
                 assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "mapped f64 diverged at tile={tile}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "artifact f64 diverged at tile={tile}");
                 }
                 utilities_block_tiled(&averages, &quantized, chunk, tile, &mut a);
                 utilities_block_tiled(&averages, &compact, chunk, tile, &mut b);

@@ -162,10 +162,9 @@ impl<'p> ShardedServer<'p> {
     }
 
     /// Build a daemon from a prebuilt [`SimMassIndex`] — typically one
-    /// opened from an mmap-able artifact
-    /// ([`SimMassIndex::open_artifact`]), in which case the per-shard
-    /// `slice_rows` calls are O(1) windows over the shared mapping and
-    /// no index bytes are duplicated. The index must cover exactly
+    /// read from an artifact ([`SimMassIndex::open_artifact`]), in which
+    /// case the per-shard `slice_rows` calls are O(1) windows over the
+    /// one shared buffer and no index bytes are duplicated. The index must cover exactly
     /// `partition`'s users and have been built against that partition.
     pub fn from_index(
         partition: &'p Partition,
@@ -553,11 +552,11 @@ mod tests {
         assert!(got.iter().all(|t| t.items.len() == 4), "n > num_items clamps to the item count");
     }
 
-    /// A daemon sharding an mmap-backed index (O(1) window slices over
-    /// one shared mapping) answers bit-identically to the heap-built
-    /// daemon, for single queries and batches alike.
+    /// A daemon sharding an index read from an artifact (O(1) window
+    /// slices over one shared buffer) answers bit-identically to the
+    /// heap-built daemon, for single queries and batches alike.
     #[test]
-    fn mmap_backed_daemon_matches_heap_daemon_bitwise() {
+    fn artifact_backed_daemon_matches_heap_daemon_bitwise() {
         use socialrec_similarity::ValueKind;
         let (s, p) = fixture();
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
@@ -573,20 +572,20 @@ mod tests {
 
         for num_shards in [1, 3, 6] {
             let heap = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), num_shards);
-            let mapped_index = SimMassIndex::open_artifact(&path).unwrap();
-            let mapped = ShardedServer::from_index(
+            let opened_index = SimMassIndex::open_artifact(&path).unwrap();
+            let opened = ShardedServer::from_index(
                 &partition,
-                mapped_index,
+                opened_index,
                 Epsilon::Finite(0.5),
                 num_shards,
             );
             publish(&heap, &inputs, 42);
-            publish(&mapped, &inputs, 42);
+            publish(&opened, &inputs, 42);
             let want = heap.recommend_batch(&inputs, &users, 3, 42);
-            let got = mapped.recommend_batch(&inputs, &users, 3, 42);
+            let got = opened.recommend_batch(&inputs, &users, 3, 42);
             assert_bits(&got, &want);
             for &u in &users {
-                let one = mapped.recommend_one(&inputs, u, 3, 42);
+                let one = opened.recommend_one(&inputs, u, 3, 42);
                 let row = want.iter().find(|t| t.user == u).unwrap();
                 assert_bits(std::slice::from_ref(&one), std::slice::from_ref(row));
             }

@@ -1,13 +1,15 @@
-//! The sim-mass index artifact fails closed, and a rebuild under a
-//! live daemon leaves the daemon on the rows it mapped.
+//! The sim-mass index artifact fails closed, and nothing done to the
+//! file under a live daemon changes the daemon's answers.
 //!
-//! * Opening a corrupted index artifact gives an error or an index
-//!   whose every cluster id is below its cluster count — never a panic,
-//!   at open or on the first query. A property drives byte flips and
-//!   truncations of a small index artifact through both backings.
-//! * Rewriting the artifact path while a daemon serves from its mapping
-//!   leaves every answer bit-identical to the old file; only a fresh
-//!   `open_artifact` serves the new rows.
+//! * Opening a corrupted index artifact gives an `InvalidData` error —
+//!   never a panic, at open or on the first query. A property drives
+//!   byte flips and truncations of a small index artifact: every mutant
+//!   that differs from the written bytes fails its checksum or an
+//!   earlier check.
+//! * Rewriting the artifact path, or truncating the file in place,
+//!   while a daemon serves from an opened artifact leaves every answer
+//!   bit-identical to the old file; only a fresh `open_artifact` sees
+//!   the change.
 
 use proptest::prelude::*;
 use socialrec_community::{ClusteringStrategy, LouvainStrategy, Partition};
@@ -17,7 +19,7 @@ use socialrec_dp::Epsilon;
 use socialrec_graph::social::social_graph_from_edges;
 use socialrec_graph::UserId;
 use socialrec_serve::{ShardedServer, SimMassIndex};
-use socialrec_similarity::artifact::ValueKind;
+use socialrec_similarity::artifact::{checksum, ValueKind};
 use socialrec_similarity::{Measure, SimilarityMatrix};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -49,22 +51,21 @@ fn small_index_bytes() -> &'static [u8] {
     })
 }
 
-/// Open `bytes` through both backings; each must fail or yield an index
-/// whose every row reads cluster ids below the cluster count.
-fn open_fails_closed(bytes: &[u8], tag: &str) {
+/// Write `bytes` to a file and open it as an index.
+fn open_bytes(bytes: &[u8], tag: &str) -> std::io::Result<SimMassIndex> {
     let path = temp_path(tag);
     std::fs::write(&path, bytes).unwrap();
-    for opened in [SimMassIndex::open_artifact(&path), SimMassIndex::open_artifact_owned(&path)] {
-        let Ok(index) = opened else { continue };
-        for u in 0..index.num_users() as u32 {
-            let (clusters, vals) = index.row_vals(UserId(u));
-            assert_eq!(clusters.len(), vals.len());
-            for &c in clusters {
-                assert!((c as usize) < index.num_clusters(), "cluster id {c} opened");
-            }
-        }
-    }
+    let opened = SimMassIndex::open_artifact(&path);
     std::fs::remove_file(&path).ok();
+    opened
+}
+
+/// Re-stamp the header checksum of edited artifact bytes, so that a
+/// test can reach the checks behind it.
+fn restamp(bytes: &mut [u8]) {
+    let words: Vec<u64> =
+        bytes.chunks_exact(8).map(|w| u64::from_ne_bytes(w.try_into().unwrap())).collect();
+    bytes[88..96].copy_from_slice(&checksum(&words).to_le_bytes());
 }
 
 proptest! {
@@ -76,7 +77,8 @@ proptest! {
         cut in 0usize..1 << 20,
         truncate in 0u8..3,
     ) {
-        let mut bytes = small_index_bytes().to_vec();
+        let good = small_index_bytes();
+        let mut bytes = good.to_vec();
         for (at, xor) in flips {
             let len = bytes.len();
             bytes[at % len] ^= xor;
@@ -84,23 +86,32 @@ proptest! {
         if truncate == 0 {
             bytes.truncate(cut % bytes.len());
         }
-        open_fails_closed(&bytes, "mutant");
+        match open_bytes(&bytes, "mutant") {
+            Ok(index) => {
+                prop_assert_eq!(bytes.as_slice(), good, "a corrupted artifact opened");
+                prop_assert!(index.nnz() > 0);
+            }
+            Err(e) => {
+                prop_assert_ne!(bytes.as_slice(), good, "the written artifact failed: {}", e);
+                prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+            }
+        }
     }
 }
 
 /// The corruption that used to open and then panic on the first query:
-/// a stored cluster id far past the cluster count.
+/// a stored cluster id far past the cluster count. The checksum is
+/// re-stamped, so the id check itself must refuse it.
 #[test]
 fn out_of_range_cluster_id_fails_at_open() {
     let good = small_index_bytes();
     let cols_off = u64::from_le_bytes(good[72..80].try_into().unwrap()) as usize;
     let num_clusters = u64::from_le_bytes(good[48..56].try_into().unwrap()) as u32;
-    let path = temp_path("bad-id");
     for (id, opens) in [(0xFF_FFFF, false), (num_clusters, false), (num_clusters - 1, true)] {
         let mut bytes = good.to_vec();
         bytes[cols_off..cols_off + 4].copy_from_slice(&id.to_le_bytes());
-        std::fs::write(&path, &bytes).unwrap();
-        match SimMassIndex::open_artifact(&path) {
+        restamp(&mut bytes);
+        match open_bytes(&bytes, "bad-id") {
             Ok(_) => assert!(opens, "cluster id {id} of {num_clusters} opened"),
             Err(e) => {
                 assert!(!opens, "cluster id {id} of {num_clusters} refused: {e}");
@@ -109,7 +120,6 @@ fn out_of_range_cluster_id_fails_at_open() {
             }
         }
     }
-    std::fs::remove_file(&path).ok();
 }
 
 fn assert_same_bits(got: &[TopN], want: &[TopN], what: &str) {
@@ -121,7 +131,7 @@ fn assert_same_bits(got: &[TopN], want: &[TopN], what: &str) {
     }
 }
 
-/// Rebuild the index artifact under a daemon serving it from a mapping:
+/// Rebuild the index artifact under a daemon serving an opened copy:
 /// every answer stays on the old file until a fresh open.
 #[test]
 fn rebuilt_index_artifact_leaves_the_live_daemon_on_the_old_rows() {
@@ -153,9 +163,7 @@ fn rebuilt_index_artifact_leaves_the_live_daemon_on_the_old_rows() {
         "the new rows must change some answer"
     );
 
-    let mapped = SimMassIndex::open_artifact(&path).unwrap();
-    assert!(mapped.is_mapped());
-    let live = serve(mapped);
+    let live = serve(SimMassIndex::open_artifact(&path).unwrap());
     assert_same_bits(&live.recommend_batch(&inputs, &all, 10, SEED), &want_old, "before");
 
     new_rows.write_artifact(&path, ValueKind::F64).unwrap();
@@ -166,5 +174,51 @@ fn rebuilt_index_artifact_leaves_the_live_daemon_on_the_old_rows() {
 
     let reopened = serve(SimMassIndex::open_artifact(&path).unwrap());
     assert_same_bits(&reopened.recommend_batch(&inputs, &all, 10, SEED), &want_new, "reopened");
+    std::fs::remove_file(&path).ok();
+}
+
+/// Truncate the artifact file in place to half its length under a
+/// daemon serving it: every batch and single answer stays bit-identical
+/// to the answers from before the cut, and a fresh open of the cut file
+/// fails with `InvalidData`. A daemon that mapped the file would fault
+/// on its next touch of a dropped page instead.
+#[test]
+fn truncated_artifact_leaves_the_live_daemon_whole() {
+    const SEED: u64 = 5;
+    let ds = lastfm_like_scaled(0.05, 9);
+    let partition = LouvainStrategy::default().cluster(&ds.social);
+    let sim = SimilarityMatrix::build(&ds.social, &Measure::CommonNeighbors);
+    let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
+    let all: Vec<UserId> = (0..ds.social.num_users() as u32).map(UserId).collect();
+    let path = temp_path("truncate");
+    SimMassIndex::build(&sim, &partition).write_artifact(&path, ValueKind::F64).unwrap();
+
+    let mut accountant =
+        DynamicRecommender::new(Epsilon::Finite(0.5), BudgetSchedule::Uniform { releases: 1 });
+    let (epsilon, release) = accountant.release_averages(&partition, &ds.prefs, SEED).unwrap();
+    let live = ShardedServer::from_index(
+        &partition,
+        SimMassIndex::open_artifact(&path).unwrap(),
+        epsilon,
+        4,
+    );
+    live.publish_release(SEED, release);
+    let want = live.recommend_batch(&inputs, &all, 10, SEED);
+    let want_singles: Vec<TopN> =
+        all.iter().map(|&u| live.recommend_one(&inputs, u, 10, SEED)).collect();
+    assert_same_bits(&want_singles, &want, "singles before");
+    assert!(want.iter().any(|t| !t.items.is_empty()), "the daemon must answer something");
+
+    let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+    let len = file.metadata().unwrap().len();
+    file.set_len(len / 2).unwrap();
+    drop(file);
+
+    assert_same_bits(&live.recommend_batch(&inputs, &all, 10, SEED), &want, "batch after");
+    let singles: Vec<TopN> =
+        all.iter().map(|&u| live.recommend_one(&inputs, u, 10, SEED)).collect();
+    assert_same_bits(&singles, &want, "singles after");
+    let e = SimMassIndex::open_artifact(&path).unwrap_err();
+    assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{e}");
     std::fs::remove_file(&path).ok();
 }

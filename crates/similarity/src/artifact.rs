@@ -1,11 +1,11 @@
-//! Versioned, mmap-able on-disk CSR container.
+//! Versioned, checksummed on-disk CSR container.
 //!
-//! One file format carries both release artifacts of the offline
-//! pipeline — the [`SimilarityMatrix`](crate::SimilarityMatrix) and the
-//! serve crate's `SimMassIndex` — so the serving tier can map either
-//! straight from disk and read rows zero-copy (see [`crate::mmap`]).
+//! The serve crate's `SimMassIndex` is the one release artifact of the
+//! offline pipeline that goes to disk. [`CsrArtifact::open`] reads the
+//! whole file into one 8-byte-aligned heap buffer, verifies it, and
+//! then hands out rows zero-copy from that buffer.
 //!
-//! # Layout (version 1, all integers little-endian)
+//! # Layout (version 2, all integers little-endian)
 //!
 //! ```text
 //! [ header  | 96 bytes, fixed                                     ]
@@ -22,26 +22,27 @@
 //! |--------|-------------|-----------------------------------------------|
 //! | 0..8   | magic       | `b"SRCSRART"`                                 |
 //! | 8..16  | endian tag  | `0x0102030405060708` as a native-endian store |
-//! | 16..20 | version     | `1`                                           |
-//! | 20..24 | kind        | 1 = similarity, 2 = sim-mass                  |
+//! | 16..20 | version     | `2`                                           |
+//! | 20..24 | kind        | `2` = sim-mass index (the only kind)          |
 //! | 24..28 | value kind  | 1 = f64, 2 = f32                              |
 //! | 28..32 | (reserved)  | zero                                          |
 //! | 32..40 | num_rows    | u64                                           |
 //! | 40..48 | num_entries | u64                                           |
-//! | 48..56 | meta        | kind-specific (measure name / num_clusters)   |
+//! | 48..56 | meta        | the index's cluster count                     |
 //! | 56..64 | offsets_off | byte offset of the offsets section            |
 //! | 64..72 | vals_off    | byte offset of the vals section               |
 //! | 72..80 | cols_off    | byte offset of the cols section               |
 //! | 80..88 | file_len    | total file length in bytes                    |
-//! | 88..96 | (reserved)  | zero                                          |
+//! | 88..96 | checksum    | [`checksum`] of the file, these 8 bytes as 0  |
 //!
-//! Every section offset is a multiple of 8, so a buffer whose base is
-//! 8-byte aligned (guaranteed by [`MappedBytes`]) can reinterpret each
-//! section as `&[u64]` / `&[f64]` / `&[u32]` / `&[f32]` in place. The
-//! endian tag makes a file written on a big-endian machine fail loudly
-//! on open instead of decoding garbage. Unknown versions and kinds are
-//! rejected with explicit errors so future revisions can evolve the
-//! format without old readers mis-parsing new files.
+//! Every section offset is a multiple of 8, so the 8-byte-aligned read
+//! buffer can reinterpret each section as `&[u64]` / `&[f64]` /
+//! `&[u32]` / `&[f32]` in place. The endian tag makes a file written on
+//! a big-endian machine fail loudly on open instead of decoding
+//! garbage. Unknown versions and kinds are rejected with explicit
+//! errors, and so is any file whose checksum does not match: a flipped
+//! mass bit or header field fails the open instead of serving wrong
+//! answers.
 //!
 //! Writing comes in two shapes: [`write_csr_artifact`] for matrices
 //! already materialized in RAM, and [`StreamingCsrWriter`] for the
@@ -49,61 +50,39 @@
 //! stream straight to their final file position (the offsets section
 //! size is known from `num_rows` up front), columns stream to a scratch
 //! file whose final position depends on the still-unknown entry count,
-//! and `finish()` splices everything together and back-patches the
-//! header. Peak writer memory is the offsets array (O(rows)) plus two
-//! small I/O buffers, never O(entries).
+//! and `finish()` splices everything together, back-patches the header
+//! and then reads the file back once to stamp its checksum. Peak writer
+//! memory is the offsets array (O(rows)) plus two small I/O buffers,
+//! never O(entries).
 //!
 //! The writer never touches the target file until the new artifact is
 //! complete: it builds the file under a sibling temp name, fsyncs it,
-//! and `rename(2)`s it over the target. A reader that has the old
-//! artifact mapped keeps its own inode and reads the old rows until it
-//! reopens the path; rewriting in place would change, or truncate, the
-//! pages under its mapping.
+//! and `rename(2)`s it over the target. A reader that opened the old
+//! artifact holds its own copy of the bytes, and a crashed write leaves
+//! the old file in place.
 
-use crate::mmap::MappedBytes;
 use std::ffi::OsString;
-use std::fs::File;
+use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// File magic for the artifact container.
 pub const ARTIFACT_MAGIC: &[u8; 8] = b"SRCSRART";
-/// Current (and only) container version.
-pub const ARTIFACT_VERSION: u32 = 1;
+/// Current (and only) container version. Version 1 files carry no
+/// checksum and fail the open.
+pub const ARTIFACT_VERSION: u32 = 2;
 /// Byte-order probe stored in the header; reads back as written only
 /// when writer and reader agree on endianness.
 const ENDIAN_TAG: u64 = 0x0102_0304_0506_0708;
+/// The kind word of a sim-mass index, the one artifact kind.
+const KIND_SIM_MASS: u32 = 2;
 /// Fixed header size; also the file offset of the offsets section.
 pub const HEADER_LEN: usize = 96;
-/// Buffered-write granularity for the streaming writer.
+/// Byte offset of the checksum word in the header.
+const CHECKSUM_OFF: usize = 88;
+/// Buffered-write granularity for the streaming writer (a multiple of
+/// 8, so the checksum pass reads whole words).
 const WRITE_CHUNK_BYTES: usize = 64 * 1024;
-
-/// Which release artifact a container file holds.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum ArtifactKind {
-    /// A `SimilarityMatrix`: cols are neighbor user ids, `meta` packs
-    /// the measure name (NUL-padded ASCII, little-endian byte order).
-    Similarity,
-    /// A `SimMassIndex`: cols are cluster ids, `meta` is `num_clusters`.
-    SimMass,
-}
-
-impl ArtifactKind {
-    fn to_u32(self) -> u32 {
-        match self {
-            ArtifactKind::Similarity => 1,
-            ArtifactKind::SimMass => 2,
-        }
-    }
-
-    fn from_u32(v: u32) -> Option<ArtifactKind> {
-        match v {
-            1 => Some(ArtifactKind::Similarity),
-            2 => Some(ArtifactKind::SimMass),
-            _ => None,
-        }
-    }
-}
 
 /// Storage width of the value section.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -147,17 +126,13 @@ impl ValueKind {
 /// Parsed container header. See the module docs for the byte layout.
 #[derive(Clone, Copy, Debug)]
 pub struct ArtifactHeader {
-    /// Container version (currently always [`ARTIFACT_VERSION`]).
-    pub version: u32,
-    /// Which artifact the file holds.
-    pub kind: ArtifactKind,
     /// Storage width of the value section.
     pub value_kind: ValueKind,
     /// Number of CSR rows.
     pub num_rows: u64,
     /// Number of stored entries.
     pub num_entries: u64,
-    /// Kind-specific word (measure name / cluster count).
+    /// The index's cluster count.
     pub meta: u64,
     /// Byte offset of the offsets section.
     pub offsets_off: u64,
@@ -167,6 +142,8 @@ pub struct ArtifactHeader {
     pub cols_off: u64,
     /// Total file length in bytes.
     pub file_len: u64,
+    /// The stored [`checksum`] of the file.
+    pub checksum: u64,
 }
 
 fn bad(msg: impl Into<String>) -> io::Error {
@@ -181,21 +158,13 @@ fn align8(len: u64) -> u64 {
 impl ArtifactHeader {
     /// Compute the section layout for a matrix of the given shape. The
     /// offsets section always starts right after the header; vals and
-    /// cols follow, each 8-byte aligned.
-    fn layout(
-        kind: ArtifactKind,
-        value_kind: ValueKind,
-        num_rows: u64,
-        num_entries: u64,
-        meta: u64,
-    ) -> ArtifactHeader {
+    /// cols follow, each 8-byte aligned. The checksum is left zero.
+    fn layout(value_kind: ValueKind, num_rows: u64, num_entries: u64, meta: u64) -> ArtifactHeader {
         let offsets_off = HEADER_LEN as u64;
         let vals_off = offsets_off + (num_rows + 1) * 8;
         let cols_off = align8(vals_off + num_entries * value_kind.value_size() as u64);
         let file_len = align8(cols_off + num_entries * 4);
         ArtifactHeader {
-            version: ARTIFACT_VERSION,
-            kind,
             value_kind,
             num_rows,
             num_entries,
@@ -204,6 +173,7 @@ impl ArtifactHeader {
             vals_off,
             cols_off,
             file_len,
+            checksum: 0,
         }
     }
 
@@ -211,8 +181,8 @@ impl ArtifactHeader {
         let mut h = [0u8; HEADER_LEN];
         h[0..8].copy_from_slice(ARTIFACT_MAGIC);
         h[8..16].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
-        h[16..20].copy_from_slice(&self.version.to_le_bytes());
-        h[20..24].copy_from_slice(&self.kind.to_u32().to_le_bytes());
+        h[16..20].copy_from_slice(&ARTIFACT_VERSION.to_le_bytes());
+        h[20..24].copy_from_slice(&KIND_SIM_MASS.to_le_bytes());
         h[24..28].copy_from_slice(&self.value_kind.to_u32().to_le_bytes());
         h[32..40].copy_from_slice(&self.num_rows.to_le_bytes());
         h[40..48].copy_from_slice(&self.num_entries.to_le_bytes());
@@ -221,6 +191,7 @@ impl ArtifactHeader {
         h[64..72].copy_from_slice(&self.vals_off.to_le_bytes());
         h[72..80].copy_from_slice(&self.cols_off.to_le_bytes());
         h[80..88].copy_from_slice(&self.file_len.to_le_bytes());
+        h[88..96].copy_from_slice(&self.checksum.to_le_bytes());
         h
     }
 
@@ -247,13 +218,12 @@ impl ArtifactHeader {
                  version {ARTIFACT_VERSION})"
             )));
         }
-        let kind = ArtifactKind::from_u32(u32_at(20))
-            .ok_or_else(|| bad(format!("unknown artifact kind {}", u32_at(20))))?;
+        if u32_at(20) != KIND_SIM_MASS {
+            return Err(bad(format!("artifact kind {} is not a sim-mass index", u32_at(20))));
+        }
         let value_kind = ValueKind::from_u32(u32_at(24))
             .ok_or_else(|| bad(format!("unknown artifact value kind {}", u32_at(24))))?;
         Ok(ArtifactHeader {
-            version,
-            kind,
             value_kind,
             num_rows: u64_at(32),
             num_entries: u64_at(40),
@@ -262,23 +232,72 @@ impl ArtifactHeader {
             vals_off: u64_at(64),
             cols_off: u64_at(72),
             file_len: u64_at(80),
+            checksum: u64_at(CHECKSUM_OFF),
         })
     }
 }
 
-/// Pack a measure name (≤ 8 ASCII bytes) into the header meta word.
-pub fn pack_measure_name(name: &str) -> u64 {
-    let mut b = [0u8; 8];
-    let take = name.len().min(8);
-    b[..take].copy_from_slice(&name.as_bytes()[..take]);
-    u64::from_le_bytes(b)
+/// The artifact checksum of a file, given as its `u64` words as stored
+/// (little-endian), with the checksum word (bytes 88..96) read as zero.
+///
+/// Word `i` feeds lane `i % 4` through an xxHash64-style round, so the
+/// four dependency chains overlap in the CPU; the lanes and the word
+/// count then fold into one avalanched `u64`. Each round is a bijection
+/// in both the lane and the word, so a file that differs from the
+/// checksummed one in a single word never matches.
+pub fn checksum(file: &[u64]) -> u64 {
+    let split = file.len().min(HEADER_LEN / 8);
+    let mut header = [0u64; HEADER_LEN / 8];
+    header[..split].copy_from_slice(&file[..split]);
+    header[CHECKSUM_OFF / 8] = 0;
+    let mut sum = Checksum::default();
+    sum.update(&header[..split]);
+    sum.update(&file[split..]);
+    sum.finish()
 }
 
-/// Recover a measure name packed by [`pack_measure_name`].
-pub fn unpack_measure_name(meta: u64) -> String {
-    let b = meta.to_le_bytes();
-    let end = b.iter().position(|&c| c == 0).unwrap_or(8);
-    String::from_utf8_lossy(&b[..end]).into_owned()
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// Running state of [`checksum`], fed in file order.
+#[derive(Clone, Copy, Debug, Default)]
+struct Checksum {
+    lanes: [u64; 4],
+    words: u64,
+}
+
+impl Checksum {
+    /// Fold the file's next `words`, as stored. Every call but the last
+    /// passes a multiple of 4 words, so word `i` lands in lane `i % 4`.
+    fn update(&mut self, words: &[u64]) {
+        debug_assert_eq!(self.words % 4, 0, "only the last update may end mid-stripe");
+        let round = |lane: u64, w: u64| {
+            lane.wrapping_add(u64::from_le(w).wrapping_mul(P2)).rotate_left(31).wrapping_mul(P1)
+        };
+        let mut lanes = self.lanes;
+        let mut stripes = words.chunks_exact(4);
+        for stripe in &mut stripes {
+            for (lane, &w) in lanes.iter_mut().zip(stripe) {
+                *lane = round(*lane, w);
+            }
+        }
+        for (lane, &w) in lanes.iter_mut().zip(stripes.remainder()) {
+            *lane = round(*lane, w);
+        }
+        self.lanes = lanes;
+        self.words += words.len() as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.lanes.iter().fold(self.words, |h, &lane| {
+            (h.rotate_left(27) ^ lane).wrapping_mul(P1).wrapping_add(P2)
+        });
+        h ^= h >> 33;
+        h = h.wrapping_mul(P2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(P1);
+        h ^ (h >> 32)
+    }
 }
 
 /// Reinterpret an 8-byte-aligned byte slice as a slice of `T`.
@@ -287,8 +306,8 @@ pub fn unpack_measure_name(meta: u64) -> String {
 /// patterns (`u64`, `u32`, `f64`, `f32` here), that `bytes.len()` is a
 /// multiple of `size_of::<T>()`, and that the base pointer satisfies
 /// `T`'s alignment — all enforced by the section validation in
-/// [`CsrArtifact::from_bytes`] plus [`MappedBytes`]'s alignment
-/// guarantee, and re-checked by the debug asserts.
+/// [`CsrArtifact::open`] plus the `u64` read buffer's alignment, and
+/// re-checked by the debug asserts.
 fn cast_section<T>(bytes: &[u8]) -> &[T] {
     debug_assert_eq!(bytes.len() % std::mem::size_of::<T>(), 0);
     debug_assert_eq!(bytes.as_ptr() as usize % std::mem::align_of::<T>(), 0);
@@ -302,35 +321,56 @@ fn cast_section<T>(bytes: &[u8]) -> &[T] {
     }
 }
 
-/// A validated, read-only view of an artifact file. Rows are served
-/// zero-copy out of the backing buffer (mapped or owned; see
-/// [`MappedBytes`]).
+/// The bytes of an 8-byte-aligned word buffer.
+fn as_bytes(words: &[u64]) -> &[u8] {
+    // SAFETY: an initialized u64 buffer is a valid byte buffer of eight
+    // times its length.
+    unsafe { std::slice::from_raw_parts(words.as_ptr() as *const u8, words.len() * 8) }
+}
+
+/// A validated, read-only artifact held in memory. Rows are served
+/// zero-copy out of the read buffer.
 pub struct CsrArtifact {
-    bytes: MappedBytes,
+    /// The file's bytes, in `u64` words so the buffer is 8-byte
+    /// aligned; the file length is a multiple of 8.
+    words: Vec<u64>,
     header: ArtifactHeader,
 }
 
 impl CsrArtifact {
-    /// Open and validate `path`, memory-mapping where supported.
+    /// Read `path` into memory and validate it: header, length,
+    /// checksum, section bounds and offsets. A file that fails any
+    /// check gives an [`io::ErrorKind::InvalidData`] error.
     pub fn open(path: &Path) -> io::Result<CsrArtifact> {
-        Self::from_bytes(MappedBytes::open(path)?)
+        let mut file = File::open(path)?;
+        let len = usize::try_from(file.metadata()?.len())
+            .map_err(|_| bad("artifact too large for the address space"))?;
+        let mut words = vec![0u64; len.div_ceil(8)];
+        // SAFETY: a u64 buffer of ceil(len/8) words holds at least `len`
+        // bytes, and u64 has no invalid byte patterns.
+        let bytes = unsafe {
+            std::slice::from_raw_parts_mut(words.as_mut_ptr() as *mut u8, words.len() * 8)
+        };
+        file.read_exact(&mut bytes[..len])?;
+        if len % 8 != 0 {
+            return Err(bad(format!("artifact length {len} is not a multiple of 8")));
+        }
+        Self::from_words(words)
     }
 
-    /// Open and validate `path` through the heap-copy backing — used by
-    /// tests to prove the mapped and owned paths serve identical rows.
-    pub fn open_owned(path: &Path) -> io::Result<CsrArtifact> {
-        Self::from_bytes(MappedBytes::open_owned(path)?)
-    }
-
-    /// Validate a raw buffer as an artifact.
-    pub fn from_bytes(bytes: MappedBytes) -> io::Result<CsrArtifact> {
-        let header = ArtifactHeader::parse(bytes.bytes())?;
+    /// Validate a file's bytes, held as `u64` words.
+    fn from_words(words: Vec<u64>) -> io::Result<CsrArtifact> {
+        let bytes = as_bytes(&words);
+        let header = ArtifactHeader::parse(bytes)?;
         let len = bytes.len() as u64;
         if header.file_len != len {
             return Err(bad(format!(
                 "artifact truncated or padded: header says {} bytes, file has {len}",
                 header.file_len
             )));
+        }
+        if checksum(&words) != header.checksum {
+            return Err(bad("artifact checksum mismatch: the file is corrupt"));
         }
         for (name, off) in
             [("offsets", header.offsets_off), ("vals", header.vals_off), ("cols", header.cols_off)]
@@ -360,7 +400,7 @@ impl CsrArtifact {
         {
             return Err(bad("artifact sections overlap or run past end of file"));
         }
-        let art = CsrArtifact { bytes, header };
+        let art = CsrArtifact { words, header };
         let offsets = art.offsets();
         if offsets.first() != Some(&0) || offsets.last() != Some(&art.header.num_entries) {
             return Err(bad("corrupt offsets: bad first/last entry"));
@@ -386,13 +426,8 @@ impl CsrArtifact {
         self.header.num_entries as usize
     }
 
-    /// Whether the backing buffer is a live file mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.bytes.is_mapped()
-    }
-
     fn section(&self, off: u64, len_bytes: u64) -> &[u8] {
-        &self.bytes.bytes()[off as usize..(off + len_bytes) as usize]
+        &as_bytes(&self.words)[off as usize..(off + len_bytes) as usize]
     }
 
     /// The CSR offsets section: `num_rows + 1` exclusive prefix sums.
@@ -437,11 +472,9 @@ impl CsrArtifact {
 impl std::fmt::Debug for CsrArtifact {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CsrArtifact")
-            .field("kind", &self.header.kind)
             .field("value_kind", &self.header.value_kind)
             .field("num_rows", &self.header.num_rows)
             .field("num_entries", &self.header.num_entries)
-            .field("mapped", &self.is_mapped())
             .finish()
     }
 }
@@ -451,7 +484,6 @@ impl std::fmt::Debug for CsrArtifact {
 /// [`ValueKind::F32`] (see that variant's contract).
 pub fn write_csr_artifact(
     path: &Path,
-    kind: ArtifactKind,
     value_kind: ValueKind,
     meta: u64,
     offsets: &[u64],
@@ -462,7 +494,7 @@ pub fn write_csr_artifact(
     assert_eq!(cols.len(), vals.len(), "cols and vals must be parallel");
     assert_eq!(*offsets.last().expect("non-empty") as usize, vals.len(), "offsets/vals mismatch");
     let num_rows = offsets.len() - 1;
-    let mut w = StreamingCsrWriter::create(path, kind, value_kind, meta, num_rows)?;
+    let mut w = StreamingCsrWriter::create(path, value_kind, meta, num_rows)?;
     for r in 0..num_rows {
         let (a, b) = (offsets[r] as usize, offsets[r + 1] as usize);
         w.push_row(&cols[a..b], &vals[a..b])?;
@@ -483,7 +515,6 @@ pub struct StreamingCsrWriter {
     file_tmp_path: PathBuf,
     cols_tmp: File,
     cols_tmp_path: PathBuf,
-    kind: ArtifactKind,
     value_kind: ValueKind,
     meta: u64,
     num_rows: usize,
@@ -497,13 +528,17 @@ impl StreamingCsrWriter {
     /// Start writing an artifact for a matrix with `num_rows` rows.
     pub fn create(
         path: &Path,
-        kind: ArtifactKind,
         value_kind: ValueKind,
         meta: u64,
         num_rows: usize,
     ) -> io::Result<StreamingCsrWriter> {
         let file_tmp_path = sibling(path, ".tmp");
-        let mut file = File::create(&file_tmp_path)?;
+        let mut file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&file_tmp_path)?;
         // Values stream straight to their final position — everything
         // before them (header + offsets) has a size known up front.
         let vals_off = HEADER_LEN as u64 + (num_rows as u64 + 1) * 8;
@@ -518,7 +553,6 @@ impl StreamingCsrWriter {
             file_tmp_path,
             cols_tmp,
             cols_tmp_path,
-            kind,
             value_kind,
             meta,
             num_rows,
@@ -563,8 +597,9 @@ impl StreamingCsrWriter {
     }
 
     /// Splice the sections together, back-patch the header and offsets,
-    /// fsync, and rename the finished file over the target (then fsync
-    /// its directory); the column scratch file is removed.
+    /// stamp the checksum, fsync, and rename the finished file over the
+    /// target (then fsync its directory); the column scratch file is
+    /// removed.
     pub fn finish(mut self) -> io::Result<()> {
         assert_eq!(
             self.offsets.len(),
@@ -577,13 +612,8 @@ impl StreamingCsrWriter {
         self.cols_tmp.write_all(&self.cols_buf)?;
         self.cols_tmp.flush()?;
 
-        let header = ArtifactHeader::layout(
-            self.kind,
-            self.value_kind,
-            self.num_rows as u64,
-            self.entries,
-            self.meta,
-        );
+        let header =
+            ArtifactHeader::layout(self.value_kind, self.num_rows as u64, self.entries, self.meta);
         // Pad the vals section out to the cols offset, then append the
         // cols scratch file and the final alignment pad.
         let vals_end = header.vals_off + self.entries * self.value_kind.value_size() as u64;
@@ -600,7 +630,7 @@ impl StreamingCsrWriter {
         let cols_end = header.cols_off + self.entries * 4;
         self.file.write_all(&vec![0u8; (header.file_len - cols_end) as usize])?;
 
-        // Back-patch the header and the offsets section.
+        // Back-patch the header (checksum still zero) and the offsets.
         self.file.seek(SeekFrom::Start(0))?;
         let mut front = BufWriter::with_capacity(WRITE_CHUNK_BYTES, &mut self.file);
         front.write_all(&header.encode())?;
@@ -609,6 +639,28 @@ impl StreamingCsrWriter {
         }
         front.flush()?;
         drop(front);
+
+        // Read the whole file back once for its checksum; the header's
+        // checksum word is still zero, as the checksum reads it.
+        self.file.seek(SeekFrom::Start(0))?;
+        let mut sum = Checksum::default();
+        let mut words = Vec::with_capacity(WRITE_CHUNK_BYTES / 8);
+        let mut left = header.file_len as usize;
+        while left > 0 {
+            let chunk = &mut buf[..left.min(WRITE_CHUNK_BYTES)];
+            self.file.read_exact(chunk)?;
+            words.clear();
+            words.extend(
+                chunk
+                    .chunks_exact(8)
+                    .map(|w| u64::from_ne_bytes(w.try_into().expect("8-byte word"))),
+            );
+            sum.update(&words);
+            left -= chunk.len();
+        }
+        self.file.seek(SeekFrom::Start(CHECKSUM_OFF as u64))?;
+        self.file.write_all(&sum.finish().to_le_bytes())?;
+
         self.file.sync_all()?;
         drop(self.file);
         drop(self.cols_tmp);
@@ -667,31 +719,37 @@ mod tests {
         (offsets, cols, vals)
     }
 
+    /// The bytes of a demo artifact with `rows` rows.
+    fn demo_bytes(rows: usize, value_kind: ValueKind) -> Vec<u8> {
+        let (offsets, cols, vals) = demo_csr(rows);
+        let path = temp_path(&format!("demo-{rows}-{value_kind:?}"));
+        write_csr_artifact(&path, value_kind, 1000, &offsets, &cols, &vals).unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        bytes
+    }
+
+    fn open_bytes(bytes: &[u8]) -> io::Result<CsrArtifact> {
+        assert_eq!(bytes.len() % 8, 0);
+        CsrArtifact::from_words(
+            bytes.chunks_exact(8).map(|w| u64::from_ne_bytes(w.try_into().unwrap())).collect(),
+        )
+    }
+
     #[test]
     fn one_shot_roundtrip_f64_bit_identical() {
         let (offsets, cols, vals) = demo_csr(57);
         let path = temp_path("roundtrip-f64");
-        write_csr_artifact(
-            &path,
-            ArtifactKind::Similarity,
-            ValueKind::F64,
-            pack_measure_name("CN"),
-            &offsets,
-            &cols,
-            &vals,
-        )
-        .unwrap();
-        for art in [CsrArtifact::open(&path).unwrap(), CsrArtifact::open_owned(&path).unwrap()] {
-            assert_eq!(art.header().kind, ArtifactKind::Similarity);
-            assert_eq!(unpack_measure_name(art.header().meta), "CN");
-            assert_eq!(art.offsets(), offsets.as_slice());
-            assert_eq!(art.cols(), cols.as_slice());
-            let got = art.vals_f64().unwrap();
-            assert!(art.vals_f32().is_none());
-            assert_eq!(got.len(), vals.len());
-            for (a, b) in got.iter().zip(&vals) {
-                assert_eq!(a.to_bits(), b.to_bits());
-            }
+        write_csr_artifact(&path, ValueKind::F64, 42, &offsets, &cols, &vals).unwrap();
+        let art = CsrArtifact::open(&path).unwrap();
+        assert_eq!(art.header().meta, 42);
+        assert_eq!(art.offsets(), offsets.as_slice());
+        assert_eq!(art.cols(), cols.as_slice());
+        let got = art.vals_f64().unwrap();
+        assert!(art.vals_f32().is_none());
+        assert_eq!(got.len(), vals.len());
+        for (a, b) in got.iter().zip(&vals) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
         std::fs::remove_file(&path).ok();
     }
@@ -700,16 +758,7 @@ mod tests {
     fn f32_artifact_quantizes_round_to_nearest() {
         let (offsets, cols, vals) = demo_csr(40);
         let path = temp_path("roundtrip-f32");
-        write_csr_artifact(
-            &path,
-            ArtifactKind::SimMass,
-            ValueKind::F32,
-            64, // num_clusters
-            &offsets,
-            &cols,
-            &vals,
-        )
-        .unwrap();
+        write_csr_artifact(&path, ValueKind::F32, 64, &offsets, &cols, &vals).unwrap();
         let art = CsrArtifact::open(&path).unwrap();
         assert_eq!(art.header().meta, 64);
         let got = art.vals_f32().unwrap();
@@ -725,11 +774,9 @@ mod tests {
         let (offsets, cols, vals) = demo_csr(63);
         let p1 = temp_path("stream-a");
         let p2 = temp_path("stream-b");
-        write_csr_artifact(&p1, ArtifactKind::SimMass, ValueKind::F32, 7, &offsets, &cols, &vals)
-            .unwrap();
+        write_csr_artifact(&p1, ValueKind::F32, 7, &offsets, &cols, &vals).unwrap();
         // Hand-driven streaming with uneven row batches.
-        let mut w =
-            StreamingCsrWriter::create(&p2, ArtifactKind::SimMass, ValueKind::F32, 7, 63).unwrap();
+        let mut w = StreamingCsrWriter::create(&p2, ValueKind::F32, 7, 63).unwrap();
         for r in 0..63 {
             let (a, b) = (offsets[r] as usize, offsets[r + 1] as usize);
             w.push_row(&cols[a..b], &vals[a..b]).unwrap();
@@ -743,8 +790,7 @@ mod tests {
     #[test]
     fn empty_matrix_and_empty_rows() {
         let path = temp_path("empty");
-        write_csr_artifact(&path, ArtifactKind::Similarity, ValueKind::F64, 0, &[0], &[], &[])
-            .unwrap();
+        write_csr_artifact(&path, ValueKind::F64, 0, &[0], &[], &[]).unwrap();
         let art = CsrArtifact::open(&path).unwrap();
         assert_eq!(art.num_rows(), 0);
         assert_eq!(art.num_entries(), 0);
@@ -753,111 +799,86 @@ mod tests {
 
         // All-empty rows still produce a valid (rows + 1)-offset file.
         let path = temp_path("all-empty-rows");
-        write_csr_artifact(
-            &path,
-            ArtifactKind::Similarity,
-            ValueKind::F64,
-            0,
-            &[0, 0, 0, 0],
-            &[],
-            &[],
-        )
-        .unwrap();
+        write_csr_artifact(&path, ValueKind::F64, 0, &[0, 0, 0, 0], &[], &[]).unwrap();
         let art = CsrArtifact::open(&path).unwrap();
         assert_eq!(art.num_rows(), 3);
         assert_eq!(art.row_range(1), (0, 0));
         std::fs::remove_file(&path).ok();
     }
 
+    /// Each header check fails with its own message, ahead of the
+    /// checksum, and a truncated file fails on its length.
     #[test]
     fn rejects_bad_magic_version_and_truncation() {
-        let (offsets, cols, vals) = demo_csr(20);
+        let good = demo_bytes(20, ValueKind::F64);
         let path = temp_path("tamper");
-        write_csr_artifact(
-            &path,
-            ArtifactKind::Similarity,
-            ValueKind::F64,
-            0,
-            &offsets,
-            &cols,
-            &vals,
-        )
-        .unwrap();
-        let good = std::fs::read(&path).unwrap();
-
-        let check_rejected = |mutate: &dyn Fn(&mut Vec<u8>), what: &str| {
+        let check_rejected = |mutate: &dyn Fn(&mut Vec<u8>), want: &str| {
             let mut bytes = good.clone();
             mutate(&mut bytes);
             std::fs::write(&path, &bytes).unwrap();
-            assert!(CsrArtifact::open(&path).is_err(), "must reject: {what}");
+            let e = CsrArtifact::open(&path).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains(want), "{want}: {e}");
         };
         check_rejected(&|b| b[0] = b'X', "bad magic");
-        check_rejected(&|b| b[16] = 99, "future version");
-        check_rejected(&|b| b[20] = 77, "unknown kind");
-        check_rejected(&|b| b[24] = 9, "unknown value kind");
-        check_rejected(&|b| b[8] = 0xFF, "wrong endianness");
-        check_rejected(
-            &|b| {
-                let l = b.len();
-                b.truncate(l - 8);
-            },
-            "truncated file",
-        );
+        check_rejected(&|b| b[16] = 99, "version 99");
+        check_rejected(&|b| b[16] = 1, "version 1");
+        // Kind 1 was the similarity matrix.
+        check_rejected(&|b| b[20] = 1, "kind 1 is not a sim-mass index");
+        check_rejected(&|b| b[24] = 9, "unknown artifact value kind");
+        check_rejected(&|b| b[8] = 0xFF, "byte order");
+        check_rejected(&|b| b.truncate(b.len() - 8), "truncated");
+        check_rejected(&|b| b.truncate(b.len() - 3), "not a multiple of 8");
+        check_rejected(&|b| b.truncate(40), "too short");
         check_rejected(
             &|b| b[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&9u64.to_le_bytes()),
-            "offsets[0] != 0",
+            "checksum",
         );
-        check_rejected(
-            &|b| {
-                // Swap two interior offsets to break monotonicity.
-                b[HEADER_LEN + 16..HEADER_LEN + 24].copy_from_slice(&100u64.to_le_bytes());
-                b[HEADER_LEN + 24..HEADER_LEN + 32].copy_from_slice(&1u64.to_le_bytes());
-            },
-            "non-monotone offsets",
-        );
-
         std::fs::remove_file(&path).ok();
+        assert!(CsrArtifact::open(&path).is_err(), "a missing file opened");
     }
 
-    /// A rewrite replaces the file by rename: a reader holding the old
-    /// mapping keeps reading the old values, a fresh open reads the new
-    /// ones, and no scratch file is left behind.
+    /// The stored checksum is [`checksum`] of the file with its own word
+    /// zeroed, and flipping any one bit anywhere in the file — header,
+    /// offsets, values, columns, padding or the checksum itself —
+    /// fails the open.
     #[test]
-    fn rewrite_leaves_live_mapping_on_the_old_file() {
+    fn every_flipped_bit_fails_the_open() {
+        for value_kind in [ValueKind::F64, ValueKind::F32] {
+            let good = demo_bytes(9, value_kind);
+            let art = open_bytes(&good).unwrap();
+            assert_eq!(art.header().checksum, checksum(&art.words));
+            for at in 0..good.len() {
+                for bit in 0..8 {
+                    let mut bytes = good.clone();
+                    bytes[at] ^= 1 << bit;
+                    assert!(open_bytes(&bytes).is_err(), "byte {at} bit {bit} opened");
+                }
+            }
+        }
+    }
+
+    /// A rewrite replaces the file by rename: a reader that opened the
+    /// old artifact keeps reading the old values, a fresh open reads the
+    /// new ones, and no scratch file is left behind.
+    #[test]
+    fn rewrite_leaves_an_open_artifact_on_the_old_file() {
         let (offsets, cols, vals) = demo_csr(40);
         let path = temp_path("rewrite");
         let write = |vals: &[f64]| {
-            write_csr_artifact(
-                &path,
-                ArtifactKind::Similarity,
-                ValueKind::F64,
-                0,
-                &offsets,
-                &cols,
-                vals,
-            )
-            .unwrap()
+            write_csr_artifact(&path, ValueKind::F64, 0, &offsets, &cols, vals).unwrap()
         };
         write(&vals);
         let old = CsrArtifact::open(&path).unwrap();
         let new_vals: Vec<f64> = vals.iter().map(|x| x + 1.0).collect();
         write(&new_vals);
-        assert_eq!(old.vals_f64().unwrap(), vals.as_slice(), "old mapping changed");
+        assert_eq!(old.vals_f64().unwrap(), vals.as_slice(), "old artifact changed");
         let fresh = CsrArtifact::open(&path).unwrap();
         assert_eq!(fresh.offsets(), offsets.as_slice());
         assert_eq!(fresh.vals_f64().unwrap(), new_vals.as_slice());
         assert!(!sibling(&path, ".tmp").exists());
         assert!(!sibling(&path, ".cols.tmp").exists());
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn measure_name_packing() {
-        for name in ["CN", "GD", "AA", "KZ", "??", ""] {
-            assert_eq!(unpack_measure_name(pack_measure_name(name)), name);
-        }
-        // Over-long names truncate to 8 bytes rather than failing.
-        assert_eq!(unpack_measure_name(pack_measure_name("ABCDEFGHIJ")), "ABCDEFGH");
     }
 
     #[test]
@@ -868,16 +889,7 @@ mod tests {
         let cols = vec![5u32, 1, 9];
         let vals = vec![0.5f64, 0.25, 0.125];
         let path = temp_path("align-odd");
-        write_csr_artifact(
-            &path,
-            ArtifactKind::SimMass,
-            ValueKind::F32,
-            16,
-            &offsets,
-            &cols,
-            &vals,
-        )
-        .unwrap();
+        write_csr_artifact(&path, ValueKind::F32, 16, &offsets, &cols, &vals).unwrap();
         let art = CsrArtifact::open(&path).unwrap();
         assert_eq!(art.header().cols_off % 8, 0);
         assert_eq!(art.header().file_len % 8, 0);

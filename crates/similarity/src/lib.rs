@@ -17,6 +17,8 @@
 //! [`SimilarityMatrix`] precomputes all rows in parallel for the
 //! recommenders. Its rows live in [`SharedRows`], one `Arc` allocation
 //! per row, which also backs the serving crate's heap sim-mass index.
+//! The [`artifact`] module holds the checksummed on-disk CSR container
+//! that index is written to and read back from whole.
 //!
 //! For streaming graph deltas, [`dirty_rows`] bounds which rows a batch
 //! of edge flips can change (per-measure influence radius,
@@ -35,25 +37,21 @@ pub mod extended;
 pub mod graph_distance;
 pub mod katz;
 pub mod measure;
-pub mod mmap;
 pub mod rows;
 pub mod scratch;
 pub mod store;
-pub mod stream;
 
 pub use adamic_adar::AdamicAdar;
-pub use artifact::{ArtifactKind, CsrArtifact, StreamingCsrWriter, ValueKind};
+pub use artifact::{CsrArtifact, StreamingCsrWriter, ValueKind};
 pub use cache::SimilarityMatrix;
 pub use common_neighbors::CommonNeighbors;
 pub use extended::{HubPromoted, Jaccard, PreferentialAttachment, ResourceAllocation, Salton};
 pub use graph_distance::GraphDistance;
 pub use katz::Katz;
 pub use measure::{parse_measure, Measure};
-pub use mmap::MappedBytes;
 pub use rows::SharedRows;
 pub use scratch::SimScratch;
-pub use store::{MappedSimilarity, RowVals, SimilarityRows};
-pub use stream::{write_similarity_artifact_streaming, StreamBuildStats};
+pub use store::RowVals;
 
 use socialrec_graph::{SocialGraph, UserId};
 

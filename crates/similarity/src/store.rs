@@ -1,27 +1,10 @@
-//! Row stores: one access path over heap-owned and file-backed rows.
+//! [`RowVals`]: a borrowed value row at either storage width.
 //!
-//! The serving tier used to read similarity rows only out of an in-RAM
-//! [`SimilarityMatrix`]. At millions of users the matrix no longer fits
-//! comfortably, so releases are written as mmap-able artifacts
-//! ([`crate::artifact`]) and served straight off disk. This module is
-//! the seam that makes both cases look the same to consumers:
-//!
-//! * [`RowVals`] — a borrowed value row that is either `&[f64]` (heap
-//!   or full-precision artifact) or `&[f32]` (compact artifact). The
-//!   compact contract is documented on [`ValueKind::F32`]: widening an
-//!   f32 to f64 is exact, so every consumer that accumulates in f64
-//!   behaves bit-identically to serving pre-rounded f64 values.
-//! * [`SimilarityRows`] — the read interface shared by
-//!   [`SimilarityMatrix`] (heap) and [`MappedSimilarity`] (artifact).
-
-use crate::artifact::{
-    pack_measure_name, unpack_measure_name, write_csr_artifact, ArtifactKind, CsrArtifact,
-    ValueKind,
-};
-use crate::cache::SimilarityMatrix;
-use socialrec_graph::UserId;
-use std::io;
-use std::path::Path;
+//! A heap `SimMassIndex` row holds `&[f64]`; an index read from a
+//! compact artifact holds `&[f32]`. The compact contract is documented
+//! on [`ValueKind::F32`](crate::ValueKind::F32): widening an f32 to f64
+//! is exact, so every consumer that accumulates in f64 behaves
+//! bit-identically to serving pre-rounded f64 values.
 
 /// A borrowed CSR value row at either storage width.
 ///
@@ -80,216 +63,9 @@ impl<'a> RowVals<'a> {
     }
 }
 
-/// Read access to per-user similarity rows, independent of where the
-/// bytes live. Implemented by the heap [`SimilarityMatrix`] and the
-/// artifact-backed [`MappedSimilarity`].
-pub trait SimilarityRows: Send + Sync {
-    /// Number of users (rows).
-    fn num_users(&self) -> usize;
-
-    /// Total stored entries.
-    fn num_entries(&self) -> usize;
-
-    /// Name of the measure that produced the rows.
-    fn measure_name(&self) -> &str;
-
-    /// The similarity set of `u` as `(neighbors, values)`, neighbors
-    /// ascending.
-    fn row_vals(&self, u: UserId) -> (&[UserId], RowVals<'_>);
-}
-
-impl SimilarityRows for SimilarityMatrix {
-    fn num_users(&self) -> usize {
-        SimilarityMatrix::num_users(self)
-    }
-
-    fn num_entries(&self) -> usize {
-        SimilarityMatrix::num_entries(self)
-    }
-
-    fn measure_name(&self) -> &str {
-        SimilarityMatrix::measure_name(self)
-    }
-
-    #[inline]
-    fn row_vals(&self, u: UserId) -> (&[UserId], RowVals<'_>) {
-        let (users, scores) = self.row(u);
-        (users, RowVals::F64(scores))
-    }
-}
-
-/// Reinterpret a `&[u32]` as `&[UserId]` — sound because [`UserId`] is
-/// `repr(transparent)` over `u32`.
-#[inline]
-pub fn user_ids(cols: &[u32]) -> &[UserId] {
-    // SAFETY: UserId is repr(transparent) over u32, so layout, size and
-    // alignment are identical and every bit pattern is valid.
-    unsafe { std::slice::from_raw_parts(cols.as_ptr() as *const UserId, cols.len()) }
-}
-
-/// A similarity matrix served zero-copy out of an artifact file.
-pub struct MappedSimilarity {
-    art: CsrArtifact,
-    name: String,
-}
-
-impl MappedSimilarity {
-    /// Open an artifact written by
-    /// [`SimilarityMatrix::write_artifact`], mapping where supported.
-    pub fn open(path: &Path) -> io::Result<MappedSimilarity> {
-        Self::from_artifact(CsrArtifact::open(path)?)
-    }
-
-    /// Open through the heap-copy backing (tests; non-mmap platforms).
-    pub fn open_owned(path: &Path) -> io::Result<MappedSimilarity> {
-        Self::from_artifact(CsrArtifact::open_owned(path)?)
-    }
-
-    /// Wrap a validated artifact, checking it holds a similarity
-    /// matrix.
-    pub fn from_artifact(art: CsrArtifact) -> io::Result<MappedSimilarity> {
-        if art.header().kind != ArtifactKind::Similarity {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("artifact holds {:?}, not a similarity matrix", art.header().kind),
-            ));
-        }
-        let name = unpack_measure_name(art.header().meta);
-        Ok(MappedSimilarity { art, name })
-    }
-
-    /// Whether the rows are served from a live file mapping.
-    pub fn is_mapped(&self) -> bool {
-        self.art.is_mapped()
-    }
-
-    /// Storage width of the values.
-    pub fn value_kind(&self) -> ValueKind {
-        self.art.header().value_kind
-    }
-}
-
-impl SimilarityRows for MappedSimilarity {
-    fn num_users(&self) -> usize {
-        self.art.num_rows()
-    }
-
-    fn num_entries(&self) -> usize {
-        self.art.num_entries()
-    }
-
-    fn measure_name(&self) -> &str {
-        &self.name
-    }
-
-    #[inline]
-    fn row_vals(&self, u: UserId) -> (&[UserId], RowVals<'_>) {
-        let (a, b) = self.art.row_range(u.index());
-        let users = user_ids(&self.art.cols()[a..b]);
-        let vals = match (self.art.vals_f64(), self.art.vals_f32()) {
-            (Some(v), _) => RowVals::F64(&v[a..b]),
-            (_, Some(v)) => RowVals::F32(&v[a..b]),
-            _ => unreachable!("artifact has exactly one value section"),
-        };
-        (users, vals)
-    }
-}
-
-impl SimilarityMatrix {
-    /// Write this matrix as an mmap-able artifact file (see
-    /// [`crate::artifact`] for the layout and [`ValueKind`] for the
-    /// precision contract).
-    pub fn write_artifact(&self, path: &Path, value_kind: ValueKind) -> io::Result<()> {
-        let n = self.num_users();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut cols = Vec::with_capacity(self.num_entries());
-        let mut vals = Vec::with_capacity(self.num_entries());
-        for u in 0..n as u32 {
-            let (users, scores) = self.row(UserId(u));
-            cols.extend(users.iter().map(|v| v.0));
-            vals.extend_from_slice(scores);
-            offsets.push(cols.len() as u64);
-        }
-        write_csr_artifact(
-            path,
-            ArtifactKind::Similarity,
-            value_kind,
-            pack_measure_name(self.measure_name()),
-            &offsets,
-            &cols,
-            &vals,
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Measure;
-    use socialrec_graph::generate::{planted_communities, CommunityGraphConfig};
-
-    fn temp_path(name: &str) -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join("socialrec-store-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        dir.join(format!("{name}-{}.srart", std::process::id()))
-    }
-
-    fn build_matrix() -> SimilarityMatrix {
-        let g = planted_communities(&CommunityGraphConfig {
-            num_users: 150,
-            num_communities: 4,
-            seed: 23,
-            ..Default::default()
-        })
-        .graph;
-        SimilarityMatrix::build(&g, &Measure::AdamicAdar)
-    }
-
-    #[test]
-    fn mapped_f64_rows_are_bit_identical_to_heap() {
-        let m = build_matrix();
-        let path = temp_path("f64-identity");
-        m.write_artifact(&path, ValueKind::F64).unwrap();
-        for mapped in
-            [MappedSimilarity::open(&path).unwrap(), MappedSimilarity::open_owned(&path).unwrap()]
-        {
-            assert_eq!(SimilarityRows::num_users(&mapped), m.num_users());
-            assert_eq!(SimilarityRows::num_entries(&mapped), m.num_entries());
-            assert_eq!(SimilarityRows::measure_name(&mapped), m.measure_name());
-            for u in 0..m.num_users() as u32 {
-                let (hu, hv) = m.row_vals(UserId(u));
-                let (mu, mv) = mapped.row_vals(UserId(u));
-                assert_eq!(hu, mu, "row {u} neighbors differ");
-                assert_eq!(hv.len(), mv.len());
-                for i in 0..hv.len() {
-                    assert_eq!(hv.get(i).to_bits(), mv.get(i).to_bits(), "row {u} val {i}");
-                }
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn mapped_f32_rows_match_quantized_reference_exactly() {
-        let m = build_matrix();
-        let path = temp_path("f32-contract");
-        m.write_artifact(&path, ValueKind::F32).unwrap();
-        let mapped = MappedSimilarity::open(&path).unwrap();
-        assert_eq!(mapped.value_kind(), ValueKind::F32);
-        // The compact contract: stored value = (x as f32), read back as
-        // f64::from(f32) — i.e. exactly (x as f32) as f64.
-        for u in 0..m.num_users() as u32 {
-            let (hu, hv) = m.row_vals(UserId(u));
-            let (mu, mv) = mapped.row_vals(UserId(u));
-            assert_eq!(hu, mu);
-            for i in 0..hv.len() {
-                let expect = (hv.get(i) as f32) as f64;
-                assert_eq!(mv.get(i).to_bits(), expect.to_bits(), "row {u} val {i}");
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
 
     #[test]
     fn row_vals_helpers_widen_exactly() {
@@ -305,32 +81,5 @@ mod tests {
         b.widen_into(&mut wb);
         assert_eq!(wa, wb);
         assert_eq!(a.sum_f64().to_bits(), b.sum_f64().to_bits());
-    }
-
-    #[test]
-    fn user_ids_cast_is_value_preserving() {
-        let raw = [0u32, 7, 42, u32::MAX];
-        let ids = user_ids(&raw);
-        assert_eq!(ids.len(), 4);
-        for (i, &r) in raw.iter().enumerate() {
-            assert_eq!(ids[i], UserId(r));
-        }
-    }
-
-    #[test]
-    fn similarity_artifact_rejects_simmass_files() {
-        let path = temp_path("wrong-kind");
-        crate::artifact::write_csr_artifact(
-            &path,
-            ArtifactKind::SimMass,
-            ValueKind::F64,
-            4,
-            &[0, 1],
-            &[2],
-            &[0.5],
-        )
-        .unwrap();
-        assert!(MappedSimilarity::open(&path).is_err());
-        std::fs::remove_file(&path).ok();
     }
 }
