@@ -5,7 +5,10 @@
 //!   never a panic, at open or on the first query. A property drives
 //!   byte flips and truncations of a small index artifact: every mutant
 //!   that differs from the written bytes fails its checksum or an
-//!   earlier check.
+//!   earlier check, and the same mutant with its checksum re-stamped,
+//!   as a crafted file would carry, fails a structural check or opens
+//!   as an index whose every row reads in-range cluster ids and serves
+//!   without a panic.
 //! * Rewriting the artifact path, or truncating the file in place,
 //!   while a daemon serves from an opened artifact leaves every answer
 //!   bit-identical to the old file; only a fresh `open_artifact` sees
@@ -13,13 +16,15 @@
 
 use proptest::prelude::*;
 use socialrec_community::{ClusteringStrategy, LouvainStrategy, Partition};
+use socialrec_core::private::NoisyClusterAverages;
 use socialrec_core::{BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
+use socialrec_graph::preference::preference_graph_from_edges;
 use socialrec_graph::social::social_graph_from_edges;
-use socialrec_graph::UserId;
+use socialrec_graph::{PreferenceGraph, UserId};
 use socialrec_serve::{ShardedServer, SimMassIndex};
-use socialrec_similarity::artifact::{checksum, ValueKind};
+use socialrec_similarity::artifact::{checksum, ValueKind, HEADER_LEN};
 use socialrec_similarity::{Measure, SimilarityMatrix};
 use std::path::PathBuf;
 use std::sync::OnceLock;
@@ -29,19 +34,46 @@ fn temp_path(tag: &str) -> PathBuf {
         .join(format!("socialrec-index-artifact-{}-{tag}.srcsr", std::process::id()))
 }
 
-/// The bytes of a small f64 index artifact: two triangles joined by a
-/// bridge and a pendant, CN similarity, three clusters.
-fn small_index_bytes() -> &'static [u8] {
-    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
-    BYTES.get_or_init(|| {
-        let g = social_graph_from_edges(
+/// The world of the small index: two triangles joined by a bridge and
+/// a pendant, CN similarity, three clusters, and a release over five
+/// items.
+struct Small {
+    sim: SimilarityMatrix,
+    prefs: PreferenceGraph,
+    partition: Partition,
+    epsilon: Epsilon,
+    release: NoisyClusterAverages,
+}
+
+fn small() -> &'static Small {
+    static SMALL: OnceLock<Small> = OnceLock::new();
+    SMALL.get_or_init(|| {
+        let social = social_graph_from_edges(
             7,
             &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3), (5, 6)],
         )
         .unwrap();
-        let sim = SimilarityMatrix::build(&g, &Measure::CommonNeighbors);
+        let prefs = preference_graph_from_edges(
+            7,
+            5,
+            &[(0, 0), (1, 1), (2, 0), (3, 2), (4, 3), (5, 2), (6, 4), (6, 0)],
+        )
+        .unwrap();
         let partition = Partition::from_assignment(&[0, 0, 0, 1, 1, 1, 2]);
-        let index = SimMassIndex::build(&sim, &partition);
+        let mut accountant =
+            DynamicRecommender::new(Epsilon::Finite(1.0), BudgetSchedule::Uniform { releases: 1 });
+        let (epsilon, release) = accountant.release_averages(&partition, &prefs, 11).unwrap();
+        let sim = SimilarityMatrix::build(&social, &Measure::CommonNeighbors);
+        Small { sim, prefs, partition, epsilon, release }
+    })
+}
+
+/// The bytes of the small f64 index artifact.
+fn small_index_bytes() -> &'static [u8] {
+    static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
+    BYTES.get_or_init(|| {
+        let Small { sim, partition, .. } = small();
+        let index = SimMassIndex::build(sim, partition);
         assert!(index.nnz() > 0);
         let path = temp_path("small");
         index.write_artifact(&path, ValueKind::F64).unwrap();
@@ -66,6 +98,35 @@ fn restamp(bytes: &mut [u8]) {
     let words: Vec<u64> =
         bytes.chunks_exact(8).map(|w| u64::from_ne_bytes(w.try_into().unwrap())).collect();
     bytes[88..96].copy_from_slice(&checksum(&words).to_le_bytes());
+}
+
+/// An index opened from a crafted file must still be safe to serve:
+/// every row reads cluster ids below the cluster count, and when its
+/// shape fits the small world a daemon answers every user, in a batch
+/// and one at a time, without a panic.
+fn serves_without_panic(index: SimMassIndex) {
+    for u in 0..index.num_users() as u32 {
+        let (clusters, vals) = index.row_vals(UserId(u));
+        assert_eq!(clusters.len(), vals.len());
+        for &c in clusters {
+            assert!((c as usize) < index.num_clusters(), "cluster id {c} opened");
+        }
+    }
+    let Small { sim, prefs, partition, epsilon, release } = small();
+    if index.num_users() != partition.num_users()
+        || index.num_clusters() != partition.num_clusters()
+    {
+        return;
+    }
+    let inputs = RecommenderInputs { prefs, sim };
+    let daemon = ShardedServer::from_index(partition, index, *epsilon, 2);
+    daemon.publish_release(11, release.clone());
+    let all: Vec<UserId> = (0..partition.num_users() as u32).map(UserId).collect();
+    let batch = daemon.recommend_batch(&inputs, &all, 3, 11);
+    assert_eq!(batch.len(), all.len());
+    for &u in &all {
+        assert_eq!(daemon.recommend_one(&inputs, u, 3, 11).user, u);
+    }
 }
 
 proptest! {
@@ -94,6 +155,16 @@ proptest! {
             Err(e) => {
                 prop_assert_ne!(bytes.as_slice(), good, "the written artifact failed: {}", e);
                 prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e);
+            }
+        }
+        // The checksum cannot stop a crafted file; the checks behind it
+        // must. Re-stamp every mutant that still has a whole header and
+        // whole words.
+        if bytes.len().is_multiple_of(8) && bytes.len() >= HEADER_LEN {
+            restamp(&mut bytes);
+            match open_bytes(&bytes, "restamped") {
+                Ok(index) => serves_without_panic(index),
+                Err(e) => prop_assert_eq!(e.kind(), std::io::ErrorKind::InvalidData, "{}", e),
             }
         }
     }

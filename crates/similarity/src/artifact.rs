@@ -806,20 +806,42 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// Each header check fails with its own message, ahead of the
-    /// checksum, and a truncated file fails on its length.
+    /// Re-stamp the checksum of edited artifact bytes, so that a test
+    /// reaches the checks behind it, as a crafted file would.
+    fn restamp(bytes: &mut [u8]) {
+        let words: Vec<u64> =
+            bytes.chunks_exact(8).map(|w| u64::from_ne_bytes(w.try_into().unwrap())).collect();
+        bytes[CHECKSUM_OFF..CHECKSUM_OFF + 8].copy_from_slice(&checksum(&words).to_le_bytes());
+    }
+
+    /// Overwrite the `u64` word at byte `off`.
+    fn set_u64(bytes: &mut [u8], off: usize, v: u64) {
+        bytes[off..off + 8].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// Each check fails with its own message. The header checks and a
+    /// truncation fail ahead of the checksum. The checksum is no defence
+    /// against a crafted file, so the structural checks behind it are
+    /// driven with the checksum re-stamped: section-size overflow,
+    /// misalignment, each way a section can overlap another or run past
+    /// the end, and corrupt offsets.
     #[test]
     fn rejects_bad_magic_version_and_truncation() {
         let good = demo_bytes(20, ValueKind::F64);
         let path = temp_path("tamper");
-        let check_rejected = |mutate: &dyn Fn(&mut Vec<u8>), want: &str| {
+        let check = |mutate: &dyn Fn(&mut Vec<u8>), restamped: bool, want: &str| {
             let mut bytes = good.clone();
             mutate(&mut bytes);
+            if restamped {
+                restamp(&mut bytes);
+            }
             std::fs::write(&path, &bytes).unwrap();
             let e = CsrArtifact::open(&path).unwrap_err();
             assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
             assert!(e.to_string().contains(want), "{want}: {e}");
         };
+        let check_rejected = |mutate: &dyn Fn(&mut Vec<u8>), want: &str| check(mutate, false, want);
+        let check_restamped = |mutate: &dyn Fn(&mut Vec<u8>), want: &str| check(mutate, true, want);
         check_rejected(&|b| b[0] = b'X', "bad magic");
         check_rejected(&|b| b[16] = 99, "version 99");
         check_rejected(&|b| b[16] = 1, "version 1");
@@ -830,9 +852,32 @@ mod tests {
         check_rejected(&|b| b.truncate(b.len() - 8), "truncated");
         check_rejected(&|b| b.truncate(b.len() - 3), "not a multiple of 8");
         check_rejected(&|b| b.truncate(40), "too short");
-        check_rejected(
-            &|b| b[HEADER_LEN..HEADER_LEN + 8].copy_from_slice(&9u64.to_le_bytes()),
-            "checksum",
+        check_rejected(&|b| set_u64(b, HEADER_LEN, 9), "checksum");
+
+        let word = |off: usize| u64::from_le_bytes(good[off..off + 8].try_into().unwrap());
+        let (num_entries, vals_off, cols_off) = (word(40), word(64), word(72));
+        check_restamped(&|b| set_u64(b, 32, u64::MAX), "section sizes overflow");
+        check_restamped(&|b| set_u64(b, 40, u64::MAX), "section sizes overflow");
+        check_restamped(&|b| set_u64(b, 56, HEADER_LEN as u64 + 4), "offsets section misaligned");
+        check_restamped(&|b| set_u64(b, 64, vals_off + 4), "vals section misaligned");
+        check_restamped(&|b| set_u64(b, 72, cols_off + 4), "cols section misaligned");
+        // One overlap at a time: offsets into the header, offsets into
+        // vals, vals into cols, cols past the end of the file.
+        let overlap = "sections overlap or run past end of file";
+        check_restamped(&|b| set_u64(b, 56, HEADER_LEN as u64 - 8), overlap);
+        check_restamped(&|b| set_u64(b, 64, vals_off - 8), overlap);
+        check_restamped(&|b| set_u64(b, 72, cols_off - 8), overlap);
+        check_restamped(&|b| set_u64(b, 72, cols_off + 8), overlap);
+        check_restamped(&|b| set_u64(b, HEADER_LEN, 9), "bad first/last entry");
+        // The last offset sits just before the vals section.
+        check_restamped(&|b| set_u64(b, vals_off as usize - 8, num_entries + 1), "bad first/last");
+        check_restamped(
+            &|b| {
+                // Swap two interior offsets to break monotonicity.
+                set_u64(b, HEADER_LEN + 16, 100);
+                set_u64(b, HEADER_LEN + 24, 1);
+            },
+            "not monotone",
         );
         std::fs::remove_file(&path).ok();
         assert!(CsrArtifact::open(&path).is_err(), "a missing file opened");

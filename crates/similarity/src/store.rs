@@ -43,43 +43,4 @@ impl<'a> RowVals<'a> {
             RowVals::F32(v) => f64::from(v[i]),
         }
     }
-
-    /// Copy the row into `out` (cleared first), widened to f64.
-    pub fn widen_into(&self, out: &mut Vec<f64>) {
-        out.clear();
-        match self {
-            RowVals::F64(v) => out.extend_from_slice(v),
-            RowVals::F32(v) => out.extend(v.iter().map(|&x| f64::from(x))),
-        }
-    }
-
-    /// Sum of the row in f64 accumulation (left-to-right, same order as
-    /// `slice.iter().sum()` on the heap path).
-    pub fn sum_f64(&self) -> f64 {
-        match self {
-            RowVals::F64(v) => v.iter().sum(),
-            RowVals::F32(v) => v.iter().map(|&x| f64::from(x)).sum(),
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn row_vals_helpers_widen_exactly() {
-        let f64s = [1.5f64, 2.25, -0.75];
-        let f32s = [1.5f32, 2.25, -0.75];
-        let a = RowVals::F64(&f64s);
-        let b = RowVals::F32(&f32s);
-        assert_eq!(a.len(), 3);
-        assert!(!b.is_empty());
-        let mut wa = Vec::new();
-        let mut wb = Vec::new();
-        a.widen_into(&mut wa);
-        b.widen_into(&mut wb);
-        assert_eq!(wa, wb);
-        assert_eq!(a.sum_f64().to_bits(), b.sum_f64().to_bits());
-    }
 }
