@@ -3,8 +3,8 @@
 //! 10-restart protocol) → `A_w` noisy release → top-N recommendation
 //! served by the daemon, at `flixster_like` scales.
 //!
-//! Each stage reports one time, the minimum over `--reps` runs
-//! (default 2), which filters first-touch page faults and scheduler
+//! Each stage reports one time, the minimum over two runs (one under
+//! `--smoke`), which filters first-touch page faults and scheduler
 //! noise on small shared machines. The run checks every user's daemon
 //! answer bit for bit against `ClusterFramework::recommend`; the
 //! stage-level parallel paths are checked against their sequential
@@ -26,7 +26,7 @@ use socialrec_graph::UserId;
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
 use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_simd::Isa;
-use socialrec_similarity::{parse_measure, SimilarityMatrix};
+use socialrec_similarity::{CommonNeighbors, Similarity, SimilarityMatrix};
 use std::time::Instant;
 
 /// Minimum per-kernel speedup the SIMD acceptance gate demands on an
@@ -171,13 +171,9 @@ fn timed_min<T>(reps: usize, mut f: impl FnMut() -> T) -> (T, f64) {
 /// Run the command.
 pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.has_flag("smoke");
-    let scale = args.get_f64("scale", if smoke { 0.005 } else { 0.15 });
+    let (scale, restarts, reps) = if smoke { (0.005, 3, 1) } else { (0.15, 10, 2) };
+    let (epsilon, n, measure) = (Epsilon::Finite(0.5), 10, CommonNeighbors);
     let seed = args.get_u64("seed", 7);
-    let epsilon: Epsilon = args.get_str("epsilon").unwrap_or("0.5").parse()?;
-    let restarts = args.get_usize("restarts", if smoke { 3 } else { 10 }).max(1);
-    let reps = args.get_usize("reps", if smoke { 1 } else { 2 }).max(1);
-    let n = args.get_usize("n", 10);
-    let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
     let out_path = args.get_str("out").unwrap_or("BENCH_pipeline.json").to_string();
     let threads = rayon::current_num_threads();
     let trace = TraceSink::init(args);
@@ -195,7 +191,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     eprintln!("  {} users, {} items, {threads} threads", num_users, ds.prefs.num_items());
 
     eprintln!("sim-build: {} x{reps}...", measure.name());
-    let (sim, sim_ms) = timed_min(reps, || SimilarityMatrix::build(&ds.social, measure.as_ref()));
+    let (sim, sim_ms) = timed_min(reps, || SimilarityMatrix::build(&ds.social, &measure));
     eprintln!("  {sim_ms:.0} ms ({} entries)", sim.num_entries());
 
     // The paper's best-of-restarts Louvain protocol.

@@ -32,13 +32,18 @@ use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::{SocialGraph, UserId};
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE};
 use socialrec_serve::SimMassIndex;
-use socialrec_similarity::{parse_measure, RowVals, SimScratch, Similarity, ValueKind};
+use socialrec_similarity::{CommonNeighbors, RowVals, SimScratch, Similarity, ValueKind};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 /// Rows re-derived from scratch per sweep point for the runtime
 /// equivalence check (spread evenly over the user range).
 const EQUIV_SAMPLES: usize = 32;
+
+/// Privacy budget of each point's release.
+const EPSILON: Epsilon = Epsilon::Finite(0.5);
+/// List length N.
+const TOP_N: usize = 10;
 
 /// One sweep point of the scale benchmark.
 struct Point {
@@ -188,18 +193,15 @@ fn artifact_len(path: &Path) -> u64 {
 }
 
 /// Run one sweep point, leaving no artifact behind unless `keep`.
-#[allow(clippy::too_many_arguments)]
 fn run_point(
     users: usize,
     seed: u64,
-    epsilon: Epsilon,
-    measure: &dyn Similarity,
     value_kind: ValueKind,
     queries: usize,
-    top_n: usize,
     dir: &Path,
     keep: bool,
 ) -> Result<Point, String> {
+    let measure = &CommonNeighbors;
     let err =
         |stage: &'static str| move |e: std::io::Error| format!("{stage} ({users} users): {e}");
 
@@ -239,7 +241,7 @@ fn run_point(
     let averages = release_noisy_cluster_averages_with(
         &partition,
         &ds.prefs,
-        epsilon,
+        EPSILON,
         NoiseModel::Laplace,
         seed,
     );
@@ -258,7 +260,7 @@ fn run_point(
     for &u in &query_users {
         let t = Instant::now();
         utilities_block_tiled(&averages, &index, &[u], ITEM_TILE, &mut utilities);
-        let list = top_n_items(&utilities, top_n);
+        let list = top_n_items(&utilities, TOP_N);
         latencies_ns.push(elapsed_ns(t));
         lists += usize::from(!list.is_empty());
     }
@@ -318,11 +320,8 @@ fn run_point(
 /// Run the command.
 pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.has_flag("smoke");
+    let queries = if smoke { 200 } else { 2000 };
     let seed = args.get_u64("seed", 7);
-    let epsilon: Epsilon = args.get_str("epsilon").unwrap_or("0.5").parse()?;
-    let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
-    let top_n = args.get_usize("n", 10);
-    let queries = args.get_usize("queries", if smoke { 200 } else { 2000 });
     let keep = args.has_flag("keep");
     let out_path = args.get_str("out").unwrap_or("BENCH_scale.json").to_string();
     let value_kind = match args.get_str("value-kind").unwrap_or("f32") {
@@ -349,17 +348,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let threads = rayon::current_num_threads();
     let mut points = Vec::with_capacity(sweep.len());
     for &users in &sweep {
-        points.push(run_point(
-            users,
-            seed,
-            epsilon,
-            measure.as_ref(),
-            value_kind,
-            queries,
-            top_n,
-            &dir,
-            keep,
-        )?);
+        points.push(run_point(users, seed, value_kind, queries, &dir, keep)?);
     }
     if !keep {
         std::fs::remove_dir(&dir).ok();
@@ -368,13 +357,13 @@ pub fn run(args: &Args) -> Result<(), String> {
     let report = Report {
         bench: "scale".to_string(),
         seed,
-        epsilon: epsilon.to_string(),
-        measure: measure.name().to_string(),
+        epsilon: EPSILON.to_string(),
+        measure: CommonNeighbors.name().to_string(),
         value_kind: match value_kind {
             ValueKind::F32 => "f32".to_string(),
             ValueKind::F64 => "f64".to_string(),
         },
-        top_n,
+        top_n: TOP_N,
         smoke,
         threads,
         points,
@@ -385,7 +374,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     write_artifact(&out_path, &report)?;
 
     println!(
-        "scale-bench ({} value artifacts, eps={epsilon}, {threads} threads)",
+        "scale-bench ({} value artifacts, eps={EPSILON}, {threads} threads)",
         report.value_kind
     );
     for p in &report.points {
@@ -413,7 +402,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_scale.json");
         let spec = format!(
-            "--smoke --users 3000,5000 --queries 50 --out {} --dir {}",
+            "--smoke --users 3000,5000 --out {} --dir {}",
             out.display(),
             dir.join("artifacts").display()
         );
@@ -443,7 +432,7 @@ mod tests {
         std::fs::create_dir_all(&dir).unwrap();
         let out = dir.join("BENCH_scale.json");
         let spec = format!(
-            "--smoke --users 2000 --queries 25 --value-kind f64 --out {} --dir {}",
+            "--smoke --users 2000 --value-kind f64 --out {} --dir {}",
             out.display(),
             dir.join("artifacts").display()
         );

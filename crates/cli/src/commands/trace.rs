@@ -85,3 +85,23 @@ impl TraceSink {
         Ok(events)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_missing_required_span_fails_the_run_and_writes_no_trace() {
+        let _guard = obs_test_lock();
+        let path = std::env::temp_dir()
+            .join(format!("socialrec-trace-missing-span-{}.json", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        let spec = format!("--trace {}", path.display());
+        let sink = TraceSink::init(&Args::parse_from(spec.split_whitespace().map(String::from)));
+        drop(socialrec_obs::span!("release"));
+        let e = sink.finish(&["release", "louvain.level"]).unwrap_err();
+        assert!(e.contains("missing the required span \"louvain.level\""), "{e}");
+        assert!(!path.exists(), "a trace that failed its check was written");
+        assert!(!socialrec_obs::enabled(), "the failed finish left span recording on");
+    }
+}

@@ -23,16 +23,22 @@
 //!
 //! Requests are served one at a time from a single thread — this is an
 //! operator scrape port, not a data path — and reads from the shared
-//! metrics never block recorders.
+//! metrics never block recorders. A client gets two seconds from accept
+//! to send its request head, so a slow or stalled client holds the
+//! endpoint (and its shutdown) for at most that long before it is
+//! answered `408`.
 
 use crate::journal::{Journal, CAPACITY};
 use crate::metrics::MetricsRegistry;
 use socialrec_dp::PrivacyAccountant;
 use std::io::{self, Read, Write};
-use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long a client has, from accept, to send its whole request head.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
 
 /// What the endpoint exposes (the process-global journal is picked up
 /// automatically).
@@ -118,48 +124,64 @@ fn accept_loop(listener: TcpListener, cfg: IntrospectConfig, stop: Arc<AtomicBoo
 }
 
 fn handle_connection(mut stream: TcpStream, cfg: &IntrospectConfig) -> io::Result<()> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
     stream.set_nonblocking(false)?;
-    stream.set_read_timeout(Some(Duration::from_secs(2)))?;
-    stream.set_write_timeout(Some(Duration::from_secs(2)))?;
-    // A GET request fits in one segment in practice; read what is
-    // available up to 4 KiB and parse the request line.
+    stream.set_write_timeout(Some(HEAD_DEADLINE))?;
+    let answered = match read_request_line(&mut stream, deadline) {
+        Ok(line) => answer(&mut stream, &line, cfg),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            respond(&mut stream, 408, "text/plain", "request head not received in time\n")
+        }
+        Err(e) => Err(e),
+    };
+    // A socket closed with unread input sends a reset, which the client
+    // reads as an error where the response should end; half-closing first
+    // ends the response cleanly.
+    let _ = stream.shutdown(Shutdown::Write);
+    answered
+}
+
+/// Read the request head until its blank line, a half-close or 4 KiB —
+/// a GET request fits in one segment in practice — and return its first
+/// line. Every read waits at most until `deadline`.
+fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> io::Result<String> {
     let mut buf = [0u8; 4096];
     let mut filled = 0;
-    let path = loop {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
+        }
+        stream.set_read_timeout(Some(left))?;
         let n = stream.read(&mut buf[filled..])?;
         filled += n;
         let head = String::from_utf8_lossy(&buf[..filled]);
-        if let Some(line) = head.split("\r\n").next() {
-            if head.contains("\r\n\r\n") || n == 0 || filled == buf.len() {
-                let mut parts = line.split_whitespace();
-                let method = parts.next().unwrap_or("");
-                let path = parts.next().unwrap_or("/").to_string();
-                if method != "GET" {
-                    return respond(&mut stream, 405, "text/plain", "method not allowed\n");
-                }
-                break path;
-            }
+        if head.contains("\r\n\r\n") || n == 0 || filled == buf.len() {
+            return Ok(head.split("\r\n").next().unwrap_or("").to_string());
         }
-        if n == 0 {
-            return Ok(());
-        }
-    };
+    }
+}
+
+fn answer(stream: &mut TcpStream, request_line: &str, cfg: &IntrospectConfig) -> io::Result<()> {
+    let mut parts = request_line.split_whitespace();
+    if parts.next() != Some("GET") {
+        return respond(stream, 405, "text/plain", "method not allowed\n");
+    }
+    let path = parts.next().unwrap_or("/");
     let path = path.split('?').next().unwrap_or("/");
     match path {
-        "/metrics" => {
-            respond(&mut stream, 200, "text/plain; version=0.0.4", &render_prometheus(cfg))
-        }
-        "/health" => respond(&mut stream, 200, "application/json", "{\"status\":\"ok\"}\n"),
+        "/metrics" => respond(stream, 200, "text/plain; version=0.0.4", &render_prometheus(cfg)),
+        "/health" => respond(stream, 200, "application/json", "{\"status\":\"ok\"}\n"),
         "/ledger" => {
-            respond(&mut stream, 200, "application/json", &accountant_json(&cfg.read_accountant()))
+            respond(stream, 200, "application/json", &accountant_json(&cfg.read_accountant()))
         }
         "/events" => respond(
-            &mut stream,
+            stream,
             200,
             "application/x-ndjson",
             &Journal::global().snapshot(CAPACITY).to_jsonl(),
         ),
-        _ => respond(&mut stream, 404, "text/plain", "not found\n"),
+        _ => respond(stream, 404, "text/plain", "not found\n"),
     }
 }
 
@@ -168,6 +190,7 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         200 => "OK",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        408 => "Request Timeout",
         _ => "Error",
     };
     let head = format!(
@@ -412,5 +435,108 @@ mod tests {
         let t = Instant::now();
         server.shutdown();
         assert!(t.elapsed() < Duration::from_secs(2), "shutdown joins promptly");
+    }
+
+    /// Deadline slack for a loaded test machine.
+    const SLACK: Duration = Duration::from_millis(1500);
+
+    /// Connect (on the calling thread, so the endpoint takes this
+    /// connection before any made after the call), then send a request
+    /// head that never ends, one byte every 100 ms, until the endpoint
+    /// answers or closes, or 10 s pass. Returns the time from connect
+    /// and the reply, empty if the endpoint closed without one.
+    fn trickle(addr: SocketAddr) -> std::thread::JoinHandle<(Duration, String)> {
+        let t = Instant::now();
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_millis(100))).unwrap();
+        std::thread::spawn(move || {
+            let mut reply = Vec::new();
+            while t.elapsed() < Duration::from_secs(10) && stream.write_all(b"G").is_ok() {
+                match stream.read_to_end(&mut reply) {
+                    Err(e) if e.kind() == io::ErrorKind::WouldBlock => continue,
+                    // The end of the reply, or a reset: either way closed.
+                    _ => break,
+                }
+            }
+            (t.elapsed(), String::from_utf8_lossy(&reply).into_owned())
+        })
+    }
+
+    #[test]
+    fn a_trickling_client_cannot_hold_the_endpoint() {
+        let server = IntrospectionServer::start(0, test_cfg()).expect("bind localhost");
+        let trickler = trickle(server.addr());
+        // Queued behind the trickler: answered once its deadline passes.
+        let t = Instant::now();
+        let (status, _) = http_get(server.addr(), "/health").expect("scrape during a trickle");
+        assert_eq!(status, 200);
+        assert!(t.elapsed() < Duration::from_secs(5), "/health took {:?}", t.elapsed());
+        let (took, reply) = trickler.join().unwrap();
+        assert!(took < HEAD_DEADLINE + SLACK, "the trickler was held {took:?}");
+        assert!(reply.is_empty() || reply.starts_with("HTTP/1.0 408 "), "{reply}");
+    }
+
+    #[test]
+    fn shutdown_with_a_trickler_connected_returns_within_the_deadline() {
+        let server = IntrospectionServer::start(0, test_cfg()).expect("bind localhost");
+        let trickler = trickle(server.addr());
+        // Let the accept loop (which polls every 5 ms) take the
+        // connection; if it has not, shutdown is quick anyway and the
+        // test checks less, never wrongly.
+        std::thread::sleep(Duration::from_millis(200));
+        let t = Instant::now();
+        server.shutdown();
+        assert!(t.elapsed() < HEAD_DEADLINE + SLACK, "shutdown took {:?}", t.elapsed());
+        trickler.join().unwrap();
+    }
+
+    /// The status of a well-formed `HTTP/1.0 <code>` response whose body
+    /// is as long as its `Content-Length` says.
+    fn status_of(reply: &[u8]) -> Option<u16> {
+        let text = std::str::from_utf8(reply).ok()?;
+        let (head, body) = text.split_once("\r\n\r\n")?;
+        let status = head.strip_prefix("HTTP/1.0 ")?.get(..3)?.parse().ok()?;
+        let length = head.lines().find_map(|l| l.strip_prefix("Content-Length: "))?;
+        (length.parse() == Ok(body.len())).then_some(status)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// Whatever a client sends before it half-closes — nothing, over
+        /// 4 KiB, non-UTF-8 bytes, no CRLF at all, or a valid GET
+        /// followed by junk — its connection reads a well-formed
+        /// response or a clean close, never a reset, and the endpoint
+        /// answers the next scrape.
+        #[test]
+        fn any_request_gets_a_response_or_a_clean_close(
+            shape in 0usize..5,
+            junk in proptest::collection::vec(0u8..=255, 0..6000),
+        ) {
+            let request: Vec<u8> = match shape {
+                0 => Vec::new(),
+                1 => [vec![b'A'; 4097], junk].concat(),
+                2 => [b"\xff\xfeGET /health".to_vec(), junk].concat(),
+                3 => junk.into_iter().filter(|b| !matches!(b, b'\r' | b'\n')).collect(),
+                _ => [b"GET /health HTTP/1.0\r\n\r\n".to_vec(), junk].concat(),
+            };
+            let server = IntrospectionServer::start(0, test_cfg()).expect("bind localhost");
+            let reply = {
+                let mut stream = TcpStream::connect(server.addr()).expect("connect");
+                stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                stream.write_all(&request).expect("send the request");
+                stream.shutdown(Shutdown::Write).unwrap();
+                let mut reply = Vec::new();
+                stream.read_to_end(&mut reply).expect("a response or a clean close");
+                reply
+            };
+            let status = status_of(&reply);
+            proptest::prop_assert!(reply.is_empty() || status.is_some(), "{reply:?}");
+            if shape == 4 {
+                proptest::prop_assert_eq!(status, Some(200));
+            }
+            let (status, _) = http_get(server.addr(), "/health").expect("the endpoint lives");
+            proptest::prop_assert_eq!(status, 200);
+        }
     }
 }
