@@ -13,19 +13,19 @@ use socialrec_similarity::{parse_measure, SimilarityMatrix};
 /// Run the command.
 pub fn run(args: &Args) -> Result<(), String> {
     let (social, prefs) = load_dataset(args)?;
-    let victim = UserId(args.get_u64("victim", u64::MAX) as u32);
+    let victim = UserId(args.get_u64("victim", u64::MAX)? as u32);
     if victim.index() >= social.num_users() {
         return Err("missing or out-of-range --victim <user>".to_string());
     }
-    let item = ItemId(args.get_u64("item", u64::MAX) as u32);
+    let item = ItemId(args.get_u64("item", u64::MAX)? as u32);
     if item.index() >= prefs.num_items() {
         return Err("missing or out-of-range --item <item>".to_string());
     }
     let epsilon: Epsilon =
         args.get_str("epsilon").ok_or("missing --epsilon".to_string())?.parse()?;
-    let trials = args.get_u64("trials", 2000);
+    let trials = args.get_u64("trials", 2000)?;
     let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
-    let seed = args.get_u64("seed", 0);
+    let seed = args.get_u64("seed", 0)?;
 
     // Mount the attack; ensure the target edge exists in the "with"
     // world (add it if the victim does not have it — we are asking a

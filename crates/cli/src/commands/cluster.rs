@@ -9,10 +9,10 @@ use std::path::PathBuf;
 /// Run the command.
 pub fn run(args: &Args) -> Result<(), String> {
     let social = load_social(args)?;
-    let restarts = args.get_usize("restarts", 10);
-    let seed = args.get_u64("seed", 0);
+    let restarts = args.get_usize("restarts", 10)?;
+    let seed = args.get_u64("seed", 0)?;
     let refine = !args.has_flag("no-refine");
-    let min_size = args.get_usize("min-size", 0);
+    let min_size = args.get_usize("min-size", 0)?;
     let trace = TraceSink::init(args);
 
     let res = Louvain { seed, refine, ..Default::default() }.run_best_of(&social, restarts.max(1));

@@ -15,10 +15,11 @@ use socialrec_similarity::{parse_measure, SimilarityMatrix};
 pub fn run(args: &Args) -> Result<(), String> {
     let (social, prefs) = load_dataset(args)?;
     let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
-    let epsilons = args.epsilons(&[Epsilon::Infinite, Epsilon::Finite(1.0), Epsilon::Finite(0.1)]);
-    let n = args.get_usize("n", 50);
-    let runs = args.get_usize("runs", 3);
-    let seed = args.get_u64("seed", 0);
+    let epsilons =
+        args.epsilons(&[Epsilon::Infinite, Epsilon::Finite(1.0), Epsilon::Finite(0.1)])?;
+    let n = args.get_usize("n", 50)?;
+    let runs = args.get_usize("runs", 3)?;
+    let seed = args.get_u64("seed", 0)?;
     let mechanism = args.get_str("mechanism").unwrap_or("framework").to_ascii_lowercase();
     let streaming = args.has_flag("streaming");
     let users = parse_users(args, social.num_users())?;

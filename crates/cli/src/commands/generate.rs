@@ -8,8 +8,8 @@ use std::path::PathBuf;
 /// Run the command.
 pub fn run(args: &Args) -> Result<(), String> {
     let kind = args.get_str("kind").unwrap_or("lastfm").to_ascii_lowercase();
-    let scale = args.get_f64("scale", if kind == "flixster" { 0.15 } else { 1.0 });
-    let seed = args.get_u64("seed", 7);
+    let scale = args.get_f64("scale", if kind == "flixster" { 0.15 } else { 1.0 })?;
+    let seed = args.get_u64("seed", 7)?;
     let out_dir = PathBuf::from(args.get_str("out-dir").unwrap_or("."));
     std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir:?}: {e}"))?;
 

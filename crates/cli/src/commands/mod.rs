@@ -75,14 +75,13 @@ COMMANDS
                [--smoke (tiny scale, no SIMD gate)]
                [--trace OUT.json]
   scale-bench  Million-user data path: stream-build the sim-mass index
-               from the social graph to an artifact in bounded memory,
-               read it back (checksum verified), serve sampled queries
-               off it, sweep users x {build time, open time, peak/anon
-               RSS via the obs memory gauge, query p50/p99}, with
-               sampled from-scratch row-equivalence checks (CN,
-               ε = 0.5, N = 10, 2000 queries per point)
-               [--users 1000000 (comma-separated sweep)]
-               [--value-kind f32|f64] [--seed 7]
+               from the social graph to an f64 artifact in bounded
+               memory, read it back (checksum verified), serve sampled
+               queries off it, sweep users x {build time, open time,
+               peak/anon RSS via the obs memory gauge, query p50/p99},
+               with sampled from-scratch bit-identity checks of its rows
+               (CN, ε = 0.5, N = 10, 2000 queries per point)
+               [--users 1000000 (comma-separated sweep)] [--seed 7]
                [--dir DIR (artifact dir)] [--keep (retain artifacts)]
                [--out BENCH_scale.json]
                [--smoke (20k users)]

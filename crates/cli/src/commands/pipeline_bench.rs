@@ -173,7 +173,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.has_flag("smoke");
     let (scale, restarts, reps) = if smoke { (0.005, 3, 1) } else { (0.15, 10, 2) };
     let (epsilon, n, measure) = (Epsilon::Finite(0.5), 10, CommonNeighbors);
-    let seed = args.get_u64("seed", 7);
+    let seed = args.get_u64("seed", 7)?;
     let out_path = args.get_str("out").unwrap_or("BENCH_pipeline.json").to_string();
     let threads = rayon::current_num_threads();
     let trace = TraceSink::init(args);

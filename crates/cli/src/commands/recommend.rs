@@ -18,8 +18,8 @@ pub fn run(args: &Args) -> Result<(), String> {
         .ok_or("missing --epsilon (number or `inf`)".to_string())?
         .parse()?;
     let measure = parse_measure(args.get_str("measure").unwrap_or("CN"))?;
-    let n = args.get_usize("n", 10);
-    let seed = args.get_u64("seed", 0);
+    let n = args.get_usize("n", 10)?;
+    let seed = args.get_u64("seed", 0)?;
     let users = parse_users(args, social.num_users())?;
     let trace = TraceSink::init(args);
 

@@ -18,9 +18,8 @@
 //! Every sweep point also re-derives a deterministic sample of index
 //! rows from scratch — a fresh similarity set against the social graph,
 //! folded into a dense cluster array — and requires the artifact to
-//! match under the [`ValueKind`] contract (bit-identical for f64;
-//! `(x as f32)` bits for compact artifacts). The checked-in
-//! `BENCH_scale.json` is validated by `socialrec validate-bench` in CI.
+//! match it bit for bit. The checked-in `BENCH_scale.json` is validated
+//! by `socialrec validate-bench` in CI.
 
 use crate::commands::bench::{elapsed_ns, ms, percentile_ns, write_artifact, SimdInfo};
 use socialrec_community::Partition;
@@ -32,7 +31,7 @@ use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::{SocialGraph, UserId};
 use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE};
 use socialrec_serve::SimMassIndex;
-use socialrec_similarity::{CommonNeighbors, RowVals, SimScratch, Similarity, ValueKind};
+use socialrec_similarity::{CommonNeighbors, SimScratch, Similarity};
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
@@ -88,7 +87,6 @@ struct Report {
     seed: u64,
     epsilon: String,
     measure: String,
-    value_kind: String,
     top_n: usize,
     smoke: bool,
     threads: usize,
@@ -107,7 +105,6 @@ impl_to_json!(Report {
     seed,
     epsilon,
     measure,
-    value_kind,
     top_n,
     smoke,
     threads,
@@ -132,20 +129,10 @@ fn sample_users(n: usize, count: usize, seed: u64) -> Vec<UserId> {
         .collect()
 }
 
-/// Check that a stored value matches a freshly computed f64 under the
-/// [`ValueKind`] contract: exact bits for f64 artifacts, and the bits
-/// of `(fresh as f32)` (round-to-nearest-even at write time, widened
-/// exactly on read) for compact artifacts.
-fn value_matches(fresh: f64, stored: RowVals<'_>, i: usize) -> bool {
-    match stored {
-        RowVals::F64(v) => v[i].to_bits() == fresh.to_bits(),
-        RowVals::F32(v) => v[i].to_bits() == (fresh as f32).to_bits(),
-    }
-}
-
 /// Recompute `EQUIV_SAMPLES` sim-mass rows from scratch — a fresh
 /// similarity set from the social graph, folded into a dense cluster
-/// array in neighbor order — and require the artifact rows to match.
+/// array in neighbor order — and require the artifact rows to match bit
+/// for bit.
 fn check_simmass_rows(
     g: &SocialGraph,
     measure: &dyn Similarity,
@@ -162,27 +149,17 @@ fn check_simmass_rows(
         for &(v, s) in &set {
             dense[partition.cluster_of(v) as usize] += s;
         }
-        let (clusters, masses) = index.row_vals(u);
-        let mut i = 0usize;
+        let (mut want_clusters, mut want_bits) = (Vec::new(), Vec::new());
         for (cl, slot) in dense.iter_mut().enumerate() {
-            let mass = *slot;
+            if *slot != 0.0 {
+                want_clusters.push(cl as u32);
+                want_bits.push(slot.to_bits());
+            }
             *slot = 0.0;
-            if mass == 0.0 {
-                continue;
-            }
-            if i >= clusters.len() || clusters[i] as usize != cl || !value_matches(mass, masses, i)
-            {
-                return Err(format!(
-                    "sim-mass artifact row {u:?} diverges from a fresh fold at cluster {cl}"
-                ));
-            }
-            i += 1;
         }
-        if i != clusters.len() {
-            return Err(format!(
-                "sim-mass artifact row {u:?} has {} extra entries",
-                clusters.len() - i
-            ));
+        let (clusters, masses) = index.row_vals(u);
+        if clusters != want_clusters || !masses.iter().map(|m| m.to_bits()).eq(want_bits) {
+            return Err(format!("sim-mass artifact row {u:?} diverges from a fresh fold"));
         }
     }
     Ok(())
@@ -196,7 +173,6 @@ fn artifact_len(path: &Path) -> u64 {
 fn run_point(
     users: usize,
     seed: u64,
-    value_kind: ValueKind,
     queries: usize,
     dir: &Path,
     keep: bool,
@@ -221,10 +197,9 @@ fn run_point(
     // high-water: one chunk of index rows, never the similarity matrix.
     let mass_path = dir.join(format!("simmass-{users}.srcsr"));
     let t = Instant::now();
-    let simmass_entries = SimMassIndex::stream_build_artifact(
-        &ds.social, measure, &partition, &mass_path, value_kind, 0,
-    )
-    .map_err(err("sim-mass stream-build"))?;
+    let simmass_entries =
+        SimMassIndex::stream_build_artifact(&ds.social, measure, &partition, &mass_path, 0)
+            .map_err(err("sim-mass stream-build"))?;
     let simmass_build_ms = ms(t);
     eprintln!(
         "  sim-mass stream-build: {simmass_build_ms:.0} ms, {simmass_entries} entries, {} MiB on disk",
@@ -321,14 +296,9 @@ fn run_point(
 pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.has_flag("smoke");
     let queries = if smoke { 200 } else { 2000 };
-    let seed = args.get_u64("seed", 7);
+    let seed = args.get_u64("seed", 7)?;
     let keep = args.has_flag("keep");
     let out_path = args.get_str("out").unwrap_or("BENCH_scale.json").to_string();
-    let value_kind = match args.get_str("value-kind").unwrap_or("f32") {
-        "f32" => ValueKind::F32,
-        "f64" => ValueKind::F64,
-        other => return Err(format!("unknown --value-kind {other:?} (expected f32 or f64)")),
-    };
     let default_users = if smoke { "20000".to_string() } else { "1000000".to_string() };
     let sweep: Vec<usize> = args
         .get_str("users")
@@ -348,7 +318,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let threads = rayon::current_num_threads();
     let mut points = Vec::with_capacity(sweep.len());
     for &users in &sweep {
-        points.push(run_point(users, seed, value_kind, queries, &dir, keep)?);
+        points.push(run_point(users, seed, queries, &dir, keep)?);
     }
     if !keep {
         std::fs::remove_dir(&dir).ok();
@@ -359,10 +329,6 @@ pub fn run(args: &Args) -> Result<(), String> {
         seed,
         epsilon: EPSILON.to_string(),
         measure: CommonNeighbors.name().to_string(),
-        value_kind: match value_kind {
-            ValueKind::F32 => "f32".to_string(),
-            ValueKind::F64 => "f64".to_string(),
-        },
         top_n: TOP_N,
         smoke,
         threads,
@@ -373,10 +339,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     };
     write_artifact(&out_path, &report)?;
 
-    println!(
-        "scale-bench ({} value artifacts, eps={EPSILON}, {threads} threads)",
-        report.value_kind
-    );
+    println!("scale-bench (eps={EPSILON}, {threads} threads)");
     for p in &report.points {
         println!(
             "  {:>9} users: build {:>7.0} ms  open {:>6.1} ms  p99 {:>7.1} us  anon {:>5} MiB",
@@ -427,27 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn f64_artifacts_also_pass_equivalence() {
-        let dir = std::env::temp_dir().join("socialrec-scale-bench-test-f64");
-        std::fs::create_dir_all(&dir).unwrap();
-        let out = dir.join("BENCH_scale.json");
-        let spec = format!(
-            "--smoke --users 2000 --value-kind f64 --out {} --dir {}",
-            out.display(),
-            dir.join("artifacts").display()
-        );
-        run(&Args::parse_from(spec.split_whitespace().map(String::from))).unwrap();
-        let body = std::fs::read_to_string(&out).unwrap();
-        assert!(body.contains("\"value_kind\": \"f64\""), "{body}");
-        std::fs::remove_file(&out).ok();
-    }
-
-    #[test]
-    fn rejects_bad_value_kind_and_empty_sweep() {
-        let e =
-            run(&Args::parse_from("--smoke --value-kind f16".split_whitespace().map(String::from)))
-                .unwrap_err();
-        assert!(e.contains("value-kind"), "{e}");
+    fn rejects_a_bad_users_entry() {
         let e = run(&Args::parse_from("--smoke --users nope".split_whitespace().map(String::from)))
             .unwrap_err();
         assert!(e.contains("--users"), "{e}");

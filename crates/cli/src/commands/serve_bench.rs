@@ -358,7 +358,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let smoke = args.has_flag("smoke");
     let (scale, requests) = if smoke { (0.004, 24) } else { (0.15, 400) };
     let (clients, num_shards, zipf_s, n, measure) = (CLIENTS, 4, 1.0, 10, CommonNeighbors);
-    let seed = args.get_u64("seed", 7);
+    let seed = args.get_u64("seed", 7)?;
     let epsilon: Epsilon = args.get_str("epsilon").unwrap_or("0.5").parse()?;
     let out_path = args.get_str("out").unwrap_or("BENCH_serve.json").to_string();
     let introspect_port: Option<u16> = match args.get_str("introspect") {

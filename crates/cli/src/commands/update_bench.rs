@@ -222,7 +222,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let restarts = if smoke { 2 } else { 3 };
     let (epsilon, drift_threshold, zipf_s) = (Epsilon::Finite(1.0), 0.02, 1.0);
     let measure = CommonNeighbors;
-    let seed = args.get_u64("seed", 7);
+    let seed = args.get_u64("seed", 7)?;
     let out_path = args.get_str("out").unwrap_or("BENCH_update.json").to_string();
     let threads = rayon::current_num_threads();
     let cores = std::thread::available_parallelism().map(|c| c.get()).unwrap_or(1);

@@ -109,7 +109,7 @@ const SERVE: Schema = &[
 ];
 
 const SCALE: Schema = &[
-    (Str, "value_kind epsilon measure"),
+    (Str, "epsilon measure"),
     (U64, "threads"),
     (List, "points"),
     (U64, "points[].users points[].social_edges points[].simmass_entries"),
@@ -372,7 +372,7 @@ mod tests {
 }"#;
 
     const SCALE_JSON: &str = r#"{
-  "bench": "scale", "epsilon": "0.5", "measure": "CN", "value_kind": "f32", "threads": 1,
+  "bench": "scale", "epsilon": "0.5", "measure": "CN", "threads": 1,
   "points": [
     { "users": 1, "social_edges": 1, "simmass_entries": 1, "simmass_artifact_bytes": 1,
       "simmass_build_ms": 1.5, "open_ms": 0.5, "query_p50_ns": 1, "query_p99_ns": 1,
@@ -523,7 +523,6 @@ mod tests {
                 ("\"query_p99_ns\"", "\"pXX\"", "query_p99_ns"),
                 ("\"simmass_artifact_bytes\"", "\"b\"", "simmass_artifact_bytes"),
                 ("\"open_ms\"", "\"o\"", "points[0].open_ms: missing"),
-                ("\"value_kind\"", "\"vk\"", "value_kind"),
                 ("\"points\"", "\"pts\"", "points: missing"),
                 // The memory gauge: a sample or an explicit null, never
                 // absent.

@@ -253,6 +253,7 @@ fn validate_events(body: &str) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use socialrec_obs::journal::Event;
 
     fn valid_exposition() -> &'static str {
         "# TYPE socialrec_serve_shard0_queries counter\n\
@@ -404,10 +405,11 @@ mod tests {
         let not_json = "hot_swap_completed at t=4\n";
         assert!(validate_events(not_json).unwrap_err().contains("not a JSON object"));
         assert!(validate_events("\n\n").unwrap_err().contains("no events"));
-        validate_events(
-            "{\"seq\":2,\"t_ns\":9,\"event\":\"query_refused\",\"user\":4,\"reason\":0}\n",
-        )
-        .unwrap();
+        // Every kind the journal emits, rendered as the journal renders it.
+        let every_kind: Vec<String> = (EventKind::ALL.iter().enumerate())
+            .map(|(k, &kind)| Event { seq: k as u64, at_ns: 9, kind, a: 4, b: 0 }.to_json_line())
+            .collect();
+        validate_events(&every_kind.join("\n")).unwrap();
     }
 
     #[test]

@@ -39,7 +39,7 @@ const COMMANDS: &[(&str, Run, &str, &str)] = &[
     ("serve-bench", commands::serve_bench::run,
         "seed epsilon out introspect introspect-out trace", "smoke"),
     ("pipeline-bench", commands::pipeline_bench::run, "seed out trace", "smoke"),
-    ("scale-bench", commands::scale_bench::run, "users value-kind seed dir out", "keep smoke"),
+    ("scale-bench", commands::scale_bench::run, "users seed dir out", "keep smoke"),
     ("update-bench", commands::update_bench::run, "seed out trace", "smoke"),
     ("validate-bench", commands::validate_bench::run, "path", ""),
     ("validate-metrics", commands::validate_metrics::run, "metrics previous events", ""),
@@ -106,6 +106,7 @@ mod tests {
             ("update-bench", "--smoke --rounds 3", "unknown flag --rounds "),
             ("pipeline-bench", "--smoke --reps 1", "unknown flag --reps "),
             ("scale-bench", "--smoke --queries 25", "unknown flag --queries "),
+            ("scale-bench", "--smoke --value-kind f32", "unknown flag --value-kind "),
             ("pipeline-bench", "--smoke --out", "missing value for --out "),
             ("validate-bench", "--path", "missing value for --path "),
             (
@@ -116,6 +117,9 @@ mod tests {
             ("scale-bench", "--keep yes --smoke", "unexpected value for --keep "),
             ("cluster", "--no-refine 0", "unexpected value for --no-refine "),
             ("evaluate", "--streaming on", "unexpected value for --streaming "),
+            // A value of the wrong type is an error, not a panic.
+            ("generate", "--kind lastfm --scale x", "--scale expects a number, got \"x\""),
+            ("serve-bench", "--smoke --seed banana", "--seed expects an integer, got \"banana\""),
         ] {
             let e = dispatch(command, &args(spec)).unwrap_err();
             assert!(e.contains(want), "{spec}: {e}");

@@ -1,7 +1,9 @@
 //! Minimal command-line argument parsing for the experiment binaries.
 //!
 //! Deliberately tiny (no external CLI crate): `--key value` pairs and
-//! boolean `--flag`s, with typed accessors and defaults.
+//! boolean `--flag`s, with typed accessors and defaults. A value that
+//! does not parse as its type is an error naming the flag, never a
+//! panic.
 
 use socialrec_dp::Epsilon;
 use std::collections::{HashMap, HashSet};
@@ -49,23 +51,24 @@ impl Args {
     }
 
     /// `u64` value with default.
-    pub fn get_u64(&self, key: &str, default: u64) -> u64 {
-        self.get_str(key).map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {s:?}"))
-        })
+    pub fn get_u64(&self, key: &str, default: u64) -> Result<u64, String> {
+        self.parsed(key, default, "an integer")
     }
 
     /// `usize` value with default.
-    pub fn get_usize(&self, key: &str, default: usize) -> usize {
-        self.get_str(key).map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| panic!("--{key} expects an integer, got {s:?}"))
-        })
+    pub fn get_usize(&self, key: &str, default: usize) -> Result<usize, String> {
+        self.parsed(key, default, "an integer")
     }
 
     /// `f64` value with default.
-    pub fn get_f64(&self, key: &str, default: f64) -> f64 {
-        self.get_str(key).map_or(default, |s| {
-            s.parse().unwrap_or_else(|_| panic!("--{key} expects a number, got {s:?}"))
+    pub fn get_f64(&self, key: &str, default: f64) -> Result<f64, String> {
+        self.parsed(key, default, "a number")
+    }
+
+    /// The value of `--key` parsed as `T`, or `default` when absent.
+    fn parsed<T: std::str::FromStr>(&self, key: &str, default: T, what: &str) -> Result<T, String> {
+        self.get_str(key).map_or(Ok(default), |s| {
+            s.parse().map_err(|_| format!("--{key} expects {what}, got {s:?}"))
         })
     }
 
@@ -80,25 +83,20 @@ impl Args {
     }
 
     /// Comma-separated ε list (`inf` allowed), or the given default.
-    pub fn epsilons(&self, default: &[Epsilon]) -> Vec<Epsilon> {
+    pub fn epsilons(&self, default: &[Epsilon]) -> Result<Vec<Epsilon>, String> {
         match self.get_str("epsilons") {
-            None => default.to_vec(),
-            Some(s) => s
-                .split(',')
-                .map(|t| t.parse::<Epsilon>().unwrap_or_else(|e| panic!("{e}")))
-                .collect(),
+            None => Ok(default.to_vec()),
+            Some(s) => s.split(',').map(str::parse).collect(),
         }
     }
 
     /// Comma-separated N list, or the given default.
-    pub fn ns(&self, default: &[usize]) -> Vec<usize> {
+    pub fn ns(&self, default: &[usize]) -> Result<Vec<usize>, String> {
         match self.get_str("ns") {
-            None => default.to_vec(),
+            None => Ok(default.to_vec()),
             Some(s) => s
                 .split(',')
-                .map(|t| {
-                    t.trim().parse().unwrap_or_else(|_| panic!("--ns expects integers, got {t:?}"))
-                })
+                .map(|t| t.trim().parse().map_err(|_| format!("--ns expects integers, got {t:?}")))
                 .collect(),
         }
     }
@@ -127,10 +125,10 @@ mod tests {
     #[test]
     fn values_and_flags() {
         let a = args("--seed 7 --verbose --scale 0.5");
-        assert_eq!(a.get_u64("seed", 0), 7);
+        assert_eq!(a.get_u64("seed", 0), Ok(7));
         assert!(a.has_flag("verbose"));
-        assert!((a.get_f64("scale", 1.0) - 0.5).abs() < 1e-12);
-        assert_eq!(a.get_usize("runs", 3), 3);
+        assert_eq!(a.get_f64("scale", 1.0), Ok(0.5));
+        assert_eq!(a.get_usize("runs", 3), Ok(3));
         assert!(!a.has_flag("missing"));
         let mut keys: Vec<&str> = a.keys().collect();
         keys.sort_unstable();
@@ -140,19 +138,19 @@ mod tests {
     #[test]
     fn epsilon_list() {
         let a = args("--epsilons inf,1.0,0.1");
-        let e = a.epsilons(&[]);
+        let e = a.epsilons(&[]).unwrap();
         assert_eq!(e.len(), 3);
         assert_eq!(e[0], Epsilon::Infinite);
         assert_eq!(e[2], Epsilon::Finite(0.1));
         let d = args("").epsilons(&[Epsilon::Finite(2.0)]);
-        assert_eq!(d, vec![Epsilon::Finite(2.0)]);
+        assert_eq!(d, Ok(vec![Epsilon::Finite(2.0)]));
     }
 
     #[test]
     fn ns_list() {
         let a = args("--ns 10,50,100");
-        assert_eq!(a.ns(&[5]), vec![10, 50, 100]);
-        assert_eq!(args("").ns(&[5]), vec![5]);
+        assert_eq!(a.ns(&[5]), Ok(vec![10, 50, 100]));
+        assert_eq!(args("").ns(&[5]), Ok(vec![5]));
     }
 
     #[test]
@@ -163,8 +161,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "expects an integer")]
-    fn bad_integer_panics() {
-        args("--seed banana").get_u64("seed", 0);
+    fn a_bad_value_is_an_error_naming_its_flag() {
+        let a = args("--seed banana --runs 2.5 --scale x --epsilons 1.0,nope --ns 10,five");
+        assert_eq!(a.get_u64("seed", 0), Err("--seed expects an integer, got \"banana\"".into()));
+        assert_eq!(a.get_usize("runs", 3), Err("--runs expects an integer, got \"2.5\"".into()));
+        assert_eq!(a.get_f64("scale", 1.0), Err("--scale expects a number, got \"x\"".into()));
+        assert_eq!(a.epsilons(&[]), Err("bad epsilon: \"nope\"".into()));
+        assert_eq!(a.ns(&[]), Err("--ns expects integers, got \"five\"".into()));
     }
 }

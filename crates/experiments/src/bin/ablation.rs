@@ -42,13 +42,14 @@ struct Row {
 
 impl_to_json!(Row { strategy, clusters, modularity, epsilon, ndcg_mean, ndcg_std });
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 7);
-    let runs = args.get_usize("runs", 3);
-    let scale = args.get_f64("scale", 1.0);
-    let n = args.get_usize("n", 50);
-    let epsilons = args.epsilons(&[Epsilon::Infinite, Epsilon::Finite(1.0), Epsilon::Finite(0.1)]);
+    let seed = args.get_u64("seed", 7)?;
+    let runs = args.get_usize("runs", 3)?;
+    let scale = args.get_f64("scale", 1.0)?;
+    let n = args.get_usize("n", 50)?;
+    let epsilons =
+        args.epsilons(&[Epsilon::Infinite, Epsilon::Finite(1.0), Epsilon::Finite(0.1)])?;
 
     eprintln!("dataset: lastfm-like scale {scale} (seed {seed})");
     let ds = lastfm_like_scaled(scale, seed);
@@ -105,4 +106,5 @@ fn main() {
     println!("\nAblation — clustering strategies, CN measure, NDCG@{n} (runs={runs})\n");
     table.print();
     write_json(args.get_str("out"), &rows);
+    Ok(())
 }

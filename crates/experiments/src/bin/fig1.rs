@@ -27,14 +27,14 @@ struct Row {
 
 impl_to_json!(Row { measure, epsilon, points });
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 7);
-    let runs = args.get_usize("runs", 3);
-    let scale = args.get_f64("scale", 1.0);
-    let restarts = args.get_usize("restarts", 10);
-    let epsilons = args.epsilons(&Args::paper_epsilons());
-    let ns = args.ns(&[10, 50, 100]);
+    let seed = args.get_u64("seed", 7)?;
+    let runs = args.get_usize("runs", 3)?;
+    let scale = args.get_f64("scale", 1.0)?;
+    let restarts = args.get_usize("restarts", 10)?;
+    let epsilons = args.epsilons(&Args::paper_epsilons())?;
+    let ns = args.ns(&[10, 50, 100])?;
 
     eprintln!("dataset: lastfm-like scale {scale} (seed {seed})");
     let ds = lastfm_like_scaled(scale, seed);
@@ -60,7 +60,7 @@ fn main() {
 
     let measures: Vec<Measure> = match args.get_str("measures") {
         None => Measure::paper_suite().to_vec(),
-        Some(list) => list.split(',').map(|t| t.parse().expect("valid measure name")).collect(),
+        Some(list) => list.split(',').map(str::parse).collect::<Result<_, _>>()?,
     };
     for measure in measures {
         eprintln!("building {} similarity matrix...", measure.name());
@@ -87,4 +87,5 @@ fn main() {
     println!("\nFigure 1 — Last.fm-like: framework NDCG@N per measure and ε (runs={runs})\n");
     table.print();
     write_json(args.get_str("out"), &rows);
+    Ok(())
 }

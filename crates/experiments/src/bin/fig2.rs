@@ -30,19 +30,19 @@ struct Row {
 
 impl_to_json!(Row { measure, epsilon, points });
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 7);
-    let runs = args.get_usize("runs", 3);
-    let scale = args.get_f64("scale", 0.15);
-    let restarts = args.get_usize("restarts", 10);
-    let epsilons = args.epsilons(&Args::paper_epsilons());
-    let ns = args.ns(&[10, 50, 100]);
+    let seed = args.get_u64("seed", 7)?;
+    let runs = args.get_usize("runs", 3)?;
+    let scale = args.get_f64("scale", 0.15)?;
+    let restarts = args.get_usize("restarts", 10)?;
+    let epsilons = args.epsilons(&Args::paper_epsilons())?;
+    let ns = args.ns(&[10, 50, 100])?;
 
     eprintln!("dataset: flixster-like scale {scale} (seed {seed})");
     let ds = flixster_like(scale, seed);
     let default_eval = ((10_000.0 * scale).round() as usize).max(200);
-    let eval_count = args.get_usize("eval-users", default_eval);
+    let eval_count = args.get_usize("eval-users", default_eval)?;
 
     eprintln!("clustering (Louvain, {restarts} restarts)...");
     let partition = LouvainStrategy { restarts, seed, refine: true }.cluster(&ds.social);
@@ -67,7 +67,7 @@ fn main() {
 
     let measures: Vec<Measure> = match args.get_str("measures") {
         None => Measure::paper_suite().to_vec(),
-        Some(list) => list.split(',').map(|t| t.parse().expect("valid measure name")).collect(),
+        Some(list) => list.split(',').map(str::parse).collect::<Result<_, _>>()?,
     };
     // --streaming avoids materialising the similarity matrix (needed
     // for full-scale runs that would not fit in RAM).
@@ -121,4 +121,5 @@ fn main() {
     );
     table.print();
     write_json(args.get_str("out"), &rows);
+    Ok(())
 }

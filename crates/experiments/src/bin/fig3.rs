@@ -122,14 +122,14 @@ fn print_report(r: &DatasetReport, paper_low: f64, paper_high: f64) {
     t.print();
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 7);
-    let runs = args.get_usize("runs", 3);
-    let n = args.get_usize("n", 50);
-    let lscale = args.get_f64("lastfm-scale", 1.0);
-    let fscale = args.get_f64("flixster-scale", 0.15);
-    let restarts = args.get_usize("restarts", 10);
+    let seed = args.get_u64("seed", 7)?;
+    let runs = args.get_usize("runs", 3)?;
+    let n = args.get_usize("n", 50)?;
+    let lscale = args.get_f64("lastfm-scale", 1.0)?;
+    let fscale = args.get_f64("flixster-scale", 0.15)?;
+    let restarts = args.get_usize("restarts", 10)?;
 
     eprintln!("Last.fm-like (scale {lscale})...");
     let lfm = lastfm_like_scaled(lscale, seed);
@@ -141,10 +141,12 @@ fn main() {
     eprintln!("\nFlixster-like (scale {fscale})...");
     let flx = flixster_like(fscale, seed);
     let fp = LouvainStrategy { restarts, seed, refine: true }.cluster(&flx.social);
-    let eval_count = args.get_usize("eval-users", ((10_000.0 * fscale).round() as usize).max(200));
+    let eval_count =
+        args.get_usize("eval-users", ((10_000.0 * fscale).round() as usize).max(200))?;
     let flx_users = sample_users(flx.social.num_users(), eval_count, seed ^ 0xEA7);
     let r2 = run_dataset(&flx, &fp, flx_users, n, runs, seed);
     print_report(&r2, 0.871, 0.975);
 
     write_json(args.get_str("out"), &vec![r1, r2]);
+    Ok(())
 }

@@ -35,21 +35,21 @@ struct Row {
 
 impl_to_json!(Row { measure, mechanism, epsilon, ndcg_mean, ndcg_std });
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 7);
-    let runs = args.get_usize("runs", 3);
-    let scale = args.get_f64("scale", 1.0);
-    let n = args.get_usize("n", 50);
-    let lrm_rank = args.get_usize("lrm-rank", 256);
-    let gs_cap = args.get_usize("gs-users", 600);
-    let restarts = args.get_usize("restarts", 10);
+    let seed = args.get_u64("seed", 7)?;
+    let runs = args.get_usize("runs", 3)?;
+    let scale = args.get_f64("scale", 1.0)?;
+    let n = args.get_usize("n", 50)?;
+    let lrm_rank = args.get_usize("lrm-rank", 256)?;
+    let gs_cap = args.get_usize("gs-users", 600)?;
+    let restarts = args.get_usize("restarts", 10)?;
     let epsilons =
-        args.epsilons(&[socialrec_dp::Epsilon::Finite(1.0), socialrec_dp::Epsilon::Finite(0.1)]);
+        args.epsilons(&[socialrec_dp::Epsilon::Finite(1.0), socialrec_dp::Epsilon::Finite(0.1)])?;
     let measures: Vec<Measure> = match args.get_str("measures") {
         None => vec![Measure::CommonNeighbors],
         Some("all") => Measure::paper_suite().to_vec(),
-        Some(s) => s.split(',').map(|t| t.parse().expect("valid measure")).collect(),
+        Some(s) => s.split(',').map(str::parse).collect::<Result<_, _>>()?,
     };
 
     eprintln!("dataset: lastfm-like scale {scale} (seed {seed})");
@@ -101,4 +101,5 @@ fn main() {
     println!("\nFigure 4 — Last.fm-like: baselines & comparators, NDCG@{n} (runs={runs})\n");
     table.print();
     write_json(args.get_str("out"), &rows);
+    Ok(())
 }

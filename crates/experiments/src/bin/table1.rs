@@ -54,10 +54,10 @@ fn cluster_report(ds: &Dataset, restarts: usize, seed: u64) -> ClusterReport {
     }
 }
 
-fn main() {
+fn main() -> Result<(), String> {
     let args = Args::parse();
-    let seed = args.get_u64("seed", 7);
-    let fscale = args.get_f64("flixster-scale", 0.15);
+    let seed = args.get_u64("seed", 7)?;
+    let fscale = args.get_f64("flixster-scale", 0.15)?;
 
     eprintln!("generating datasets (seed={seed}, flixster scale={fscale})...");
     let lfm = lastfm_like(seed);
@@ -138,4 +138,5 @@ fn main() {
         args.get_str("out"),
         &Output { lastfm: s1, flixster: s2, flixster_scale: fscale, clusters },
     );
+    Ok(())
 }

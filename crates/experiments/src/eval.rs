@@ -192,7 +192,8 @@ mod tests {
 }
 
 /// Memory-bounded framework evaluation: computes each user's similarity
-/// row *on the fly* instead of caching the full [`SimilarityMatrix`],
+/// row *on the fly* instead of caching the full
+/// [`SimilarityMatrix`](socialrec_similarity::SimilarityMatrix),
 /// so graphs where the cache would not fit in RAM (e.g. full-scale
 /// Flixster-like: ~4×10⁸ similarity entries) can still be evaluated.
 ///

@@ -1,6 +1,6 @@
 //! Bounded operational event journal: a non-blocking ring buffer of
 //! typed, timestamped events ("a hot swap completed", "a release was
-//! refused") that an operator can tail through the introspection
+//! refused", "an artifact failed its open") that an operator can tail through the introspection
 //! endpoint or export as JSON lines.
 //!
 //! # Design
@@ -55,6 +55,13 @@ pub enum EventKind {
     /// `b` = reason: 0 = unpublished generation, 1 = user outside the
     /// partition).
     QueryRefused,
+    /// An index artifact failed its open with `InvalidData`: corrupt,
+    /// truncated, of a retired width or with an out-of-range cluster id
+    /// (`a` = the file's length in bytes).
+    ArtifactRejected,
+    /// The introspection endpoint answered a request with a status other
+    /// than 200: 404, 405, 408 or 503 (`a` = the status).
+    RequestRejected,
 }
 
 impl EventKind {
@@ -67,17 +74,21 @@ impl EventKind {
             EventKind::DriftValveRestart => "drift_valve_restart",
             EventKind::CoalesceRequeue => "coalesce_requeue",
             EventKind::QueryRefused => "query_refused",
+            EventKind::ArtifactRejected => "artifact_rejected",
+            EventKind::RequestRejected => "request_rejected",
         }
     }
 
     /// Every kind, for schema validation.
-    pub const ALL: [EventKind; 6] = [
+    pub const ALL: [EventKind; 8] = [
         EventKind::ReleasePublished,
         EventKind::HotSwapCompleted,
         EventKind::BudgetRefusal,
         EventKind::DriftValveRestart,
         EventKind::CoalesceRequeue,
         EventKind::QueryRefused,
+        EventKind::ArtifactRejected,
+        EventKind::RequestRejected,
     ];
 
     fn code(self) -> u64 {
@@ -97,6 +108,8 @@ impl EventKind {
             EventKind::DriftValveRestart => ("touched", "moved"),
             EventKind::CoalesceRequeue => ("requeued", "unused"),
             EventKind::QueryRefused => ("user", "reason"),
+            EventKind::ArtifactRejected => ("bytes", "unused"),
+            EventKind::RequestRejected => ("status", "unused"),
         }
     }
 }

@@ -11,14 +11,14 @@
 //!   relaxed atomic load and constructs an inert guard, so the
 //!   workspace's bit-identity and performance contracts are untouched
 //!   by instrumentation (see `DESIGN.md` §7).
-//! * [`metrics`] — lock-free [`Counter`]s, [`Gauge`]s, and the
+//! * `metrics` — lock-free [`Counter`]s, [`Gauge`]s, and the
 //!   log₂-bucketed [`LatencyHistogram`], plus a named
 //!   [`MetricsRegistry`] (the serving daemon keeps its per-shard
 //!   counters and latency histograms in one; it is the daemon's only
 //!   latency and error record).
-//! * [`chrome`] — a Chrome trace-event-format JSON writer (loadable in
+//! * `chrome` — a Chrome trace-event-format JSON writer (loadable in
 //!   `chrome://tracing` or <https://ui.perfetto.dev>) with a structural
-//!   self-check, and [`summary`], a plain-text per-span timing table.
+//!   self-check, and `summary`, a plain-text per-span timing table.
 //! * [`json`] — the JSON reader behind every artifact check (the trace
 //!   self-check, the CLI's bench and journal validators), and the one
 //!   JSON string escaper.

@@ -21,8 +21,7 @@
 //!   allocation per row;
 //! * **Artifact** — a window onto a [`CsrArtifact`] read whole from
 //!   disk (see `socialrec_similarity::artifact`), shared via `Arc` so
-//!   sharding never duplicates its bytes, and kept at the file's value
-//!   width, so a compact (f32) index stays compact in memory.
+//!   sharding never duplicates its bytes.
 //!
 //! Neither backing copies row bytes to derive a new index: heap
 //! [`slice_rows`](SimMassIndex::slice_rows), `clone` and
@@ -35,10 +34,9 @@
 use rayon::prelude::*;
 use socialrec_community::Partition;
 use socialrec_graph::{SocialGraph, UserId};
-use socialrec_similarity::artifact::{
-    write_csr_artifact, CsrArtifact, StreamingCsrWriter, ValueKind,
-};
-use socialrec_similarity::{RowVals, SharedRows, SimScratch, Similarity, SimilarityMatrix};
+use socialrec_obs::journal::{self, EventKind};
+use socialrec_similarity::artifact::{CsrArtifact, StreamingCsrWriter, ValueKind};
+use socialrec_similarity::{SharedRows, SimScratch, Similarity, SimilarityMatrix};
 use std::io;
 use std::path::Path;
 use std::sync::{Arc, Mutex};
@@ -55,14 +53,9 @@ use std::sync::{Arc, Mutex};
 /// order**, and rows are emitted in ascending cluster order with
 /// exact-zero sums dropped — the same additions, in the same order,
 /// that [`ClusterFramework::utility_estimates_into`] performs through
-/// its dense scratch. Serving through this index is therefore
-/// bit-identical to the reference path, not merely close.
-///
-/// A **compact (f32) artifact** relaxes this per DESIGN.md §6e: each
-/// stored mass is the f64 mass rounded once to f32 at write time, and
-/// widening on read is exact — so serving a compact index is
-/// bit-identical to serving [`quantized`](SimMassIndex::quantized) of
-/// the full-precision index, which the tests verify exactly.
+/// its dense scratch. Serving through this index, from the heap or from
+/// an opened artifact, is therefore bit-identical to the reference
+/// path, not merely close.
 ///
 /// [`ClusterFramework::utility_estimates_into`]:
 ///     socialrec_core::private::ClusterFramework::utility_estimates_into
@@ -118,42 +111,15 @@ impl SimMassIndex {
         SimMassIndex { repr: Repr::Heap { rows }, num_clusters: nc }
     }
 
-    /// The `(clusters, masses)` row for one user, f64 only.
-    ///
-    /// Works for every heap index and for full-precision (f64)
-    /// artifacts. **Panics** on a compact (f32) artifact — those rows
-    /// exist only at f32 width; use [`row_vals`](SimMassIndex::row_vals),
-    /// which every serving path goes through.
+    /// The `(clusters, masses)` row for one user.
     #[inline]
-    pub fn row(&self, u: UserId) -> (&[u32], &[f64]) {
-        let (clusters, vals) = self.row_vals(u);
-        match vals {
-            RowVals::F64(masses) => (clusters, masses),
-            RowVals::F32(_) => {
-                panic!("compact (f32) sim-mass artifact has no f64 rows; use row_vals")
-            }
-        }
-    }
-
-    /// The `(clusters, masses)` row for one user at whatever width the
-    /// backing stores — the universal access path (see [`RowVals`]).
-    #[inline]
-    pub fn row_vals(&self, u: UserId) -> (&[u32], RowVals<'_>) {
+    pub fn row_vals(&self, u: UserId) -> (&[u32], &[f64]) {
         match &self.repr {
-            Repr::Heap { rows } => {
-                let (clusters, masses) = rows.row(u);
-                (clusters, RowVals::F64(masses))
-            }
+            Repr::Heap { rows } => rows.row(u),
             Repr::Artifact { art, base, rows } => {
                 assert!(u.index() < *rows, "user {u:?} outside this index window");
                 let (lo, hi) = art.row_range(base + u.index());
-                let clusters = &art.cols()[lo..hi];
-                let vals = match (art.vals_f64(), art.vals_f32()) {
-                    (Some(v), _) => RowVals::F64(&v[lo..hi]),
-                    (_, Some(v)) => RowVals::F32(&v[lo..hi]),
-                    _ => unreachable!("artifact has exactly one value section"),
-                };
-                (clusters, vals)
+                (&art.cols()[lo..hi], &art.vals()[lo..hi])
             }
         }
     }
@@ -182,14 +148,6 @@ impl SimMassIndex {
         }
     }
 
-    /// Storage width of the masses ([`ValueKind::F64`] for heap).
-    pub fn value_kind(&self) -> ValueKind {
-        match &self.repr {
-            Repr::Heap { .. } => ValueKind::F64,
-            Repr::Artifact { art, .. } => art.header().value_kind,
-        }
-    }
-
     /// Rows `[lo, hi)` rebased so the result's user `0` is this index's
     /// user `lo` — the per-shard index of the sharded server.
     ///
@@ -215,21 +173,6 @@ impl SimMassIndex {
         }
     }
 
-    /// The full-precision index with every mass pre-rounded through f32
-    /// (`(m as f32) as f64`) — the exact reference a compact (f32)
-    /// artifact serves. Serving from an f32 artifact is bit-identical
-    /// to serving this, which is how the compact-value contract is
-    /// tested without any tolerance.
-    pub fn quantized(&self) -> SimMassIndex {
-        let rows = (0..self.num_users() as u32)
-            .map(|u| {
-                let (cls, vals) = self.row_vals(UserId(u));
-                (cls.into(), (0..vals.len()).map(|i| (vals.get(i) as f32) as f64).collect())
-            })
-            .collect();
-        SimMassIndex { repr: Repr::Heap { rows }, num_clusters: self.num_clusters }
-    }
-
     /// Recompute only the `dirty` rows (ascending user ids) against the
     /// current similarity matrix and partition and share every other
     /// row with `self` — the streaming-delta companion to
@@ -244,10 +187,8 @@ impl SimMassIndex {
     /// index was built with (labels just relabel row contents, which is
     /// what makes rows dirty).
     ///
-    /// Requires full-precision (f64) rows; compact (f32) indices are
-    /// read-only serving artifacts. An artifact-backed f64 index is
-    /// copied into heap rows first, so only heap indices update in
-    /// O(dirty rows).
+    /// An artifact-backed index is copied into heap rows first, so only
+    /// heap indices update in O(dirty rows).
     pub fn update_rows(
         &self,
         sim: &SimilarityMatrix,
@@ -265,7 +206,7 @@ impl SimMassIndex {
             Repr::Artifact { .. } => {
                 copied = (0..n as u32)
                     .map(|u| {
-                        let (cls, masses) = self.row(UserId(u));
+                        let (cls, masses) = self.row_vals(UserId(u));
                         (cls.into(), masses.into())
                     })
                     .collect();
@@ -282,24 +223,17 @@ impl SimMassIndex {
         SimMassIndex { repr: Repr::Heap { rows }, num_clusters: nc }
     }
 
-    /// Write this index as an artifact file (`meta` = cluster count).
-    /// With [`ValueKind::F32`] the masses are quantized per the
-    /// documented compact-value contract.
-    pub fn write_artifact(&self, path: &Path, value_kind: ValueKind) -> io::Result<()> {
+    /// Write this index as an artifact file (`meta` = cluster count),
+    /// streaming its rows into the artifact writer. `ValueKind` has one
+    /// variant, f64, so the artifact holds every mass bit for bit.
+    pub fn write_artifact(&self, path: &Path, _: ValueKind) -> io::Result<()> {
         let n = self.num_users();
-        let mut offsets = Vec::with_capacity(n + 1);
-        offsets.push(0u64);
-        let mut cols = Vec::with_capacity(self.nnz());
-        let mut vals = Vec::with_capacity(self.nnz());
+        let mut writer = StreamingCsrWriter::create(path, self.num_clusters as u64, n)?;
         for u in 0..n as u32 {
-            let (cls, row) = self.row_vals(UserId(u));
-            cols.extend_from_slice(cls);
-            for i in 0..row.len() {
-                vals.push(row.get(i));
-            }
-            offsets.push(cols.len() as u64);
+            let (clusters, masses) = self.row_vals(UserId(u));
+            writer.push_row(clusters, masses)?;
         }
-        write_csr_artifact(path, value_kind, self.num_clusters as u64, &offsets, &cols, &vals)
+        writer.finish()
     }
 
     /// Build the index straight from the social graph and stream it
@@ -324,7 +258,6 @@ impl SimMassIndex {
         measure: &S,
         partition: &Partition,
         path: &Path,
-        value_kind: ValueKind,
         chunk_rows: usize,
     ) -> io::Result<u64> {
         let n = g.num_users();
@@ -332,7 +265,7 @@ impl SimMassIndex {
         let nc = partition.num_clusters();
         let chunk_rows = if chunk_rows == 0 { 8192 } else { chunk_rows };
         let _span = socialrec_obs::span!("simmass.stream_build", users = n);
-        let mut writer = StreamingCsrWriter::create(path, value_kind, nc as u64, n)?;
+        let mut writer = StreamingCsrWriter::create(path, nc as u64, n)?;
         // Each worker's similarity scratch, similarity-set buffer and
         // dense cluster scratch, pooled so a worker allocates them once
         // for the whole build, not once per chunk.
@@ -392,31 +325,36 @@ impl SimMassIndex {
     /// [`write_artifact`](SimMassIndex::write_artifact) or
     /// [`stream_build_artifact`](SimMassIndex::stream_build_artifact)
     /// into memory, verifying its checksum and structure (see
-    /// [`CsrArtifact::open`]). The index owns its bytes: nothing that
-    /// later happens to the file changes the rows it serves.
+    /// [`CsrArtifact::open`]) and that every cluster id is below its
+    /// cluster count: a stored id at or past the count would index
+    /// outside a release row on the first query that reads it. The index
+    /// owns its bytes: nothing that later happens to the file changes the
+    /// rows it serves. A file that fails a check gives an
+    /// [`io::ErrorKind::InvalidData`] error and, when the journal is
+    /// armed, an [`EventKind::ArtifactRejected`] event carrying the
+    /// file's length.
     pub fn open_artifact(path: &Path) -> io::Result<SimMassIndex> {
-        Self::from_artifact(CsrArtifact::open(path)?)
-    }
-
-    /// Wrap a validated artifact, checking that every cluster id is
-    /// below its cluster count. A stored id at or past the count would
-    /// index outside a release row on the first query that reads it,
-    /// so it fails the open instead.
-    pub fn from_artifact(art: CsrArtifact) -> io::Result<SimMassIndex> {
-        let header = art.header();
-        if let Some(max) = art.cols().iter().copied().max().filter(|&c| u64::from(c) >= header.meta)
-        {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("corrupt sim-mass index: cluster id {max} >= {} clusters", header.meta),
-            ));
+        let opened = CsrArtifact::open(path).and_then(|art| {
+            let clusters = art.header().meta;
+            if let Some(max) =
+                art.cols().iter().copied().max().filter(|&c| u64::from(c) >= clusters)
+            {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("corrupt sim-mass index: cluster id {max} >= {clusters} clusters"),
+                ));
+            }
+            let rows = art.num_rows();
+            Ok(SimMassIndex {
+                repr: Repr::Artifact { art: Arc::new(art), base: 0, rows },
+                num_clusters: clusters as usize,
+            })
+        });
+        if opened.as_ref().is_err_and(|e| e.kind() == io::ErrorKind::InvalidData) {
+            let len = std::fs::metadata(path).map_or(0, |m| m.len());
+            journal::emit(EventKind::ArtifactRejected, len, 0);
         }
-        let num_clusters = header.meta as usize;
-        let rows = art.num_rows();
-        Ok(SimMassIndex {
-            repr: Repr::Artifact { art: Arc::new(art), base: 0, rows },
-            num_clusters,
-        })
+        opened
     }
 }
 
@@ -493,8 +431,7 @@ pub fn dirty_index_rows(
 
 impl PartialEq for SimMassIndex {
     /// Logical equality: same shape and bit-identical rows, regardless
-    /// of backing (heap vs artifact) — f32-backed masses compare at
-    /// their widened value.
+    /// of backing (heap vs artifact).
     fn eq(&self, other: &Self) -> bool {
         if self.num_users() != other.num_users()
             || self.num_clusters != other.num_clusters
@@ -505,9 +442,7 @@ impl PartialEq for SimMassIndex {
         (0..self.num_users() as u32).all(|u| {
             let (ca, va) = self.row_vals(UserId(u));
             let (cb, vb) = other.row_vals(UserId(u));
-            ca == cb
-                && va.len() == vb.len()
-                && (0..va.len()).all(|i| va.get(i).to_bits() == vb.get(i).to_bits())
+            ca == cb && va.iter().map(|m| m.to_bits()).eq(vb.iter().map(|m| m.to_bits()))
         })
     }
 }
@@ -540,7 +475,7 @@ mod tests {
             for (&v, &s) in vs.iter().zip(ss) {
                 dense[partition.cluster_of(v) as usize] += s;
             }
-            let (cls, ms) = idx.row(UserId(u));
+            let (cls, ms) = idx.row_vals(UserId(u));
             let mut it = cls.iter().zip(ms);
             for (cl, &want) in dense.iter().enumerate() {
                 if want != 0.0 {
@@ -560,11 +495,11 @@ mod tests {
         let partition = Partition::singletons(5);
         let idx = SimMassIndex::build(&sim, &partition);
         for u in 0..5u32 {
-            let (cls, ms) = idx.row(UserId(u));
+            let (cls, ms) = idx.row_vals(UserId(u));
             assert!(cls.windows(2).all(|w| w[0] < w[1]), "clusters not ascending");
             assert!(ms.iter().all(|&m| m != 0.0));
         }
-        let total: usize = (0..5u32).map(|u| idx.row(UserId(u)).0.len()).sum();
+        let total: usize = (0..5u32).map(|u| idx.row_vals(UserId(u)).0.len()).sum();
         assert_eq!(idx.nnz(), total);
     }
 
@@ -603,8 +538,8 @@ mod tests {
             assert_eq!(slice.num_users(), 2);
             assert_eq!(slice.num_clusters(), full.num_clusters());
             for local in 0..2u32 {
-                let (gc, gm) = full.row(UserId(lo as u32 + local));
-                let (sc, sm) = slice.row(UserId(local));
+                let (gc, gm) = full.row_vals(UserId(lo as u32 + local));
+                let (sc, sm) = slice.row_vals(UserId(local));
                 assert_eq!(gc, sc);
                 for (a, b) in gm.iter().zip(sm) {
                     assert_eq!(a.to_bits(), b.to_bits(), "sliced mass differs bitwise");
@@ -646,9 +581,7 @@ mod tests {
                 let (gc, gv) = full.row_vals(UserId(at as u32));
                 let (sc, sv) = one.row_vals(UserId(0));
                 assert_eq!(gc, sc);
-                for i in 0..gv.len() {
-                    assert_eq!(gv.get(i).to_bits(), sv.get(i).to_bits());
-                }
+                assert!(gv.iter().zip(sv).all(|(a, b)| a.to_bits() == b.to_bits()));
             }
             // Final ragged shard: chunk 3 over 7 users → [6, 7).
             let ragged = full.slice_rows(6, 7);
@@ -667,7 +600,7 @@ mod tests {
     }
 
     #[test]
-    fn artifact_index_equals_heap_index_and_f32_equals_quantized() {
+    fn artifact_index_equals_heap_index() {
         let s = social_graph_from_edges(
             8,
             &[(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4), (0, 4), (2, 6)],
@@ -676,44 +609,18 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::AdamicAdar);
         let partition = Partition::from_assignment(&[0, 0, 1, 1, 2, 2, 3, 3]);
         let heap = SimMassIndex::build(&sim, &partition);
-
-        let p64 = temp_path("eq-f64");
-        let p32 = temp_path("eq-f32");
-        heap.write_artifact(&p64, ValueKind::F64).unwrap();
-        heap.write_artifact(&p32, ValueKind::F32).unwrap();
-
-        // Full precision: opened == heap exactly.
-        let opened = SimMassIndex::open_artifact(&p64).unwrap();
+        let path = temp_path("eq-f64");
+        heap.write_artifact(&path, ValueKind::F64).unwrap();
+        let opened = SimMassIndex::open_artifact(&path).unwrap();
         assert_eq!(opened.num_clusters(), heap.num_clusters());
         assert_eq!(opened, heap);
-        assert_eq!(opened.value_kind(), ValueKind::F64);
-
-        // Compact: opened f32 == quantized heap exactly (the §6e
-        // contract).
-        let compact = SimMassIndex::open_artifact(&p32).unwrap();
-        assert_eq!(compact.value_kind(), ValueKind::F32);
-        assert_eq!(compact, heap.quantized());
-        std::fs::remove_file(&p64).ok();
-        std::fs::remove_file(&p32).ok();
-    }
-
-    #[test]
-    #[should_panic(expected = "use row_vals")]
-    fn f64_row_access_panics_on_compact_artifact() {
-        let s = social_graph_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let idx = SimMassIndex::build(&sim, &Partition::singletons(3));
-        let path = temp_path("row-panic");
-        idx.write_artifact(&path, ValueKind::F32).unwrap();
-        let compact = SimMassIndex::open_artifact(&path).unwrap();
         std::fs::remove_file(&path).ok();
-        let _ = compact.row(UserId(0));
     }
 
     /// The streamed build writes exactly the bytes of the matrix build
-    /// plus `write_artifact`, for every paper measure, both value
-    /// widths and chunk sizes that cross row boundaries (1, 7), cover
-    /// the graph (n) or take the default (0) — and for an empty graph.
+    /// plus `write_artifact`, for every paper measure and chunk sizes
+    /// that cross row boundaries (1, 7), cover the graph (n) or take the
+    /// default (0) — and for an empty graph.
     #[test]
     fn stream_build_matches_matrix_build_byte_for_byte() {
         let mut edges: Vec<(u32, u32)> = (0..50u32).map(|u| (u, (u + 1) % 50)).collect();
@@ -728,26 +635,82 @@ mod tests {
             for measure in Measure::paper_suite() {
                 let heap = SimMassIndex::build(&SimilarityMatrix::build(g, &measure), &partition);
                 assert_eq!(heap.nnz() == 0, n == 0);
-                for value_kind in [ValueKind::F64, ValueKind::F32] {
-                    let reference = temp_path("stream-ref");
-                    heap.write_artifact(&reference, value_kind).unwrap();
-                    let want = std::fs::read(&reference).unwrap();
-                    for chunk_rows in [1, 7, n, 0] {
-                        let p = temp_path(&format!("stream-{chunk_rows}"));
-                        let entries = SimMassIndex::stream_build_artifact(
-                            g, &measure, &partition, &p, value_kind, chunk_rows,
-                        )
-                        .unwrap();
-                        assert_eq!(entries as usize, heap.nnz());
-                        let what =
-                            format!("{} {value_kind:?} chunk_rows={chunk_rows}", measure.name());
-                        assert_eq!(std::fs::read(&p).unwrap(), want, "{what}");
-                        std::fs::remove_file(&p).ok();
-                    }
-                    std::fs::remove_file(&reference).ok();
+                let reference = temp_path("stream-ref");
+                heap.write_artifact(&reference, ValueKind::F64).unwrap();
+                let want = std::fs::read(&reference).unwrap();
+                for chunk_rows in [1, 7, n, 0] {
+                    let p = temp_path(&format!("stream-{chunk_rows}"));
+                    let entries = SimMassIndex::stream_build_artifact(
+                        g, &measure, &partition, &p, chunk_rows,
+                    )
+                    .unwrap();
+                    assert_eq!(entries as usize, heap.nnz());
+                    let what = format!("{} chunk_rows={chunk_rows}", measure.name());
+                    assert_eq!(std::fs::read(&p).unwrap(), want, "{what}");
+                    std::fs::remove_file(&p).ok();
                 }
+                std::fs::remove_file(&reference).ok();
             }
         }
+    }
+
+    /// Every open that fails with `InvalidData` — a corrupt file, a
+    /// truncated one, a retired value width, an out-of-range cluster id
+    /// behind a valid checksum — journals one `artifact_rejected` event
+    /// carrying the file's length; a good open and a missing file
+    /// journal none. No other unit test of this crate arms the journal
+    /// or opens a rejected artifact, so the count is exact.
+    #[test]
+    fn a_rejected_open_is_journalled() {
+        use socialrec_obs::{EventKind, Journal};
+        use socialrec_similarity::artifact::{checksum, HEADER_LEN};
+        let s = social_graph_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
+        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
+        let path = temp_path("journal");
+        let index = SimMassIndex::build(&sim, &Partition::singletons(3));
+        index.write_artifact(&path, ValueKind::F64).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        // A patched copy with its checksum re-stamped, as a crafted file
+        // would carry.
+        let crafted = |at: usize, patch: &[u8]| {
+            let mut bytes = good.clone();
+            bytes[at..at + patch.len()].copy_from_slice(patch);
+            let words: Vec<u64> =
+                bytes.chunks_exact(8).map(|w| u64::from_ne_bytes(w.try_into().unwrap())).collect();
+            bytes[88..96].copy_from_slice(&checksum(&words).to_le_bytes());
+            bytes
+        };
+        let mut corrupt = good.clone();
+        corrupt[HEADER_LEN] ^= 1;
+        let cols_off = u64::from_le_bytes(good[72..80].try_into().unwrap()) as usize;
+        let rejected = [
+            corrupt,
+            good[..good.len() - 8].to_vec(),
+            crafted(24, &[2]),
+            crafted(cols_off, &3u32.to_le_bytes()),
+        ];
+
+        let journal = Journal::global();
+        socialrec_obs::arm_live();
+        let first = journal.emitted();
+        for bad in &rejected {
+            std::fs::write(&path, bad).unwrap();
+            let e = SimMassIndex::open_artifact(&path).unwrap_err();
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+        }
+        std::fs::write(&path, &good).unwrap();
+        assert_eq!(SimMassIndex::open_artifact(&path).unwrap(), index);
+        std::fs::remove_file(&path).ok();
+        assert!(SimMassIndex::open_artifact(&path).is_err(), "a missing file opened");
+        socialrec_obs::disarm_live();
+        let got: Vec<u64> = journal
+            .snapshot(usize::MAX)
+            .events
+            .iter()
+            .filter(|e| e.seq >= first && e.kind == EventKind::ArtifactRejected)
+            .map(|e| e.a)
+            .collect();
+        assert_eq!(got, rejected.map(|bad| bad.len() as u64));
     }
 
     /// Dirty-row index updates across random delta
@@ -867,9 +830,9 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let mut labels: Vec<u32> = (0..40).map(|u| u % 5).collect();
         let idx = SimMassIndex::build(&sim, &Partition::from_assignment(&labels));
-        let ptr = |i: &SimMassIndex, u: usize| i.row(UserId(u as u32)).0.as_ptr();
+        let ptr = |i: &SimMassIndex, u: usize| i.row_vals(UserId(u as u32)).0.as_ptr();
         let non_empty: Vec<usize> =
-            (0..40).filter(|&u| !idx.row(UserId(u as u32)).0.is_empty()).collect();
+            (0..40).filter(|&u| !idx.row_vals(UserId(u as u32)).0.is_empty()).collect();
         assert_eq!(non_empty.len(), 40, "every user of the ring has similar users");
 
         let copy = idx.clone();

@@ -38,7 +38,6 @@
 use crate::SimMassIndex;
 use socialrec_core::private::framework::NoisyClusterAverages;
 use socialrec_graph::UserId;
-use socialrec_similarity::RowVals;
 
 /// Items per tile: 512 f64 = 4 KiB, so the destination tile plus one
 /// streaming release-row tile sit comfortably in a 32 KiB L1d.
@@ -62,21 +61,9 @@ pub fn utilities_into_reference(
     out.clear();
     out.resize(ni, 0.0);
     let (clusters, masses) = index.row_vals(u);
-    match masses {
-        RowVals::F64(ms) => {
-            for (&cl, &mass) in clusters.iter().zip(ms) {
-                for (x, &w) in out.iter_mut().zip(averages.cluster_row(cl)) {
-                    *x += mass * w;
-                }
-            }
-        }
-        RowVals::F32(ms) => {
-            for (&cl, &m) in clusters.iter().zip(ms) {
-                let mass = f64::from(m);
-                for (x, &w) in out.iter_mut().zip(averages.cluster_row(cl)) {
-                    *x += mass * w;
-                }
-            }
+    for (&cl, &mass) in clusters.iter().zip(masses) {
+        for (x, &w) in out.iter_mut().zip(averages.cluster_row(cl)) {
+            *x += mass * w;
         }
     }
 }
@@ -88,10 +75,6 @@ pub fn utilities_into_reference(
 /// `tile` is the item-tile width (clamped to at least 1; callers use
 /// [`ITEM_TILE`], tests sweep it). See the module docs for why every
 /// row is bit-identical to [`utilities_into_reference`].
-///
-/// Each user's `RowVals` width is resolved **once per row** before the
-/// tile loop: f32 rows widen into one scratch buffer exactly once, so
-/// the tile loop only ever reads dense f64 masses.
 pub fn utilities_block_tiled(
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
@@ -101,24 +84,7 @@ pub fn utilities_block_tiled(
 ) {
     out.clear();
     out.resize(users.len() * averages.num_items(), 0.0);
-    let mut widened: Vec<f64> = Vec::new();
-    for &u in users {
-        if let (_, RowVals::F32(ms)) = index.row_vals(u) {
-            widened.extend(ms.iter().map(|&m| f64::from(m)));
-        }
-    }
-    let mut unclaimed = widened.as_slice();
-    let rows: Vec<(&[u32], &[f64])> = users
-        .iter()
-        .map(|&u| match index.row_vals(u) {
-            (clusters, RowVals::F64(ms)) => (clusters, ms),
-            (clusters, RowVals::F32(ms)) => {
-                let (mine, rest) = unclaimed.split_at(ms.len());
-                unclaimed = rest;
-                (clusters, mine)
-            }
-        })
-        .collect();
+    let rows: Vec<(&[u32], &[f64])> = users.iter().map(|&u| index.row_vals(u)).collect();
     fold_tiles(averages.values(), averages.num_items(), &rows, tile.max(1), out);
 }
 
@@ -250,31 +216,27 @@ mod tests {
         let (sim, partition, averages) = fixture();
         let index = SimMassIndex::build(&sim, &partition);
         // User 12 is isolated: no similar users, empty index row.
-        assert!(index.row(UserId(12)).0.is_empty());
+        assert!(index.row_vals(UserId(12)).0.is_empty());
         let mut out = Vec::new();
         utilities_block_tiled(&averages, &index, &[UserId(12)], 16, &mut out);
         assert_eq!(out.len(), averages.num_items());
         assert!(out.iter().all(|&x| x == 0.0));
     }
 
-    /// Serving from an index read from an f64 artifact is bit-identical
-    /// to serving from the heap index, and serving from a compact f32
-    /// artifact is bit-identical to serving the pre-quantized heap
-    /// index — the DESIGN.md §6e contract, with zero tolerance.
+    /// Serving from an index read from an artifact is bit-identical to
+    /// serving from the heap index, through the blocked kernel and the
+    /// reference path alike.
     #[test]
-    fn artifact_and_compact_indexes_serve_identical_bits() {
+    fn artifact_index_serves_identical_bits() {
         use socialrec_similarity::ValueKind;
         let (sim, partition, averages) = fixture();
         let heap = SimMassIndex::build(&sim, &partition);
         let dir = std::env::temp_dir().join("socialrec-kernel-tests");
         std::fs::create_dir_all(&dir).unwrap();
-        let p64 = dir.join(format!("k64-{}.srart", std::process::id()));
-        let p32 = dir.join(format!("k32-{}.srart", std::process::id()));
-        heap.write_artifact(&p64, ValueKind::F64).unwrap();
-        heap.write_artifact(&p32, ValueKind::F32).unwrap();
-        let opened = SimMassIndex::open_artifact(&p64).unwrap();
-        let compact = SimMassIndex::open_artifact(&p32).unwrap();
-        let quantized = heap.quantized();
+        let path = dir.join(format!("k64-{}.srart", std::process::id()));
+        heap.write_artifact(&path, ValueKind::F64).unwrap();
+        let opened = SimMassIndex::open_artifact(&path).unwrap();
+        std::fs::remove_file(&path).ok();
 
         let users: Vec<UserId> = (0..13u32).map(UserId).collect();
         let ni = averages.num_items();
@@ -285,26 +247,18 @@ mod tests {
                 utilities_block_tiled(&averages, &opened, chunk, tile, &mut b);
                 assert_eq!(a.len(), b.len());
                 for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "artifact f64 diverged at tile={tile}");
-                }
-                utilities_block_tiled(&averages, &quantized, chunk, tile, &mut a);
-                utilities_block_tiled(&averages, &compact, chunk, tile, &mut b);
-                for (x, y) in a.iter().zip(&b) {
-                    assert_eq!(x.to_bits(), y.to_bits(), "compact f32 diverged at tile={tile}");
+                    assert_eq!(x.to_bits(), y.to_bits(), "artifact diverged at tile={tile}");
                 }
             }
         }
-        // Reference path too, through row_vals.
         for &u in &users {
-            utilities_into_reference(&averages, &quantized, u, &mut a);
-            utilities_into_reference(&averages, &compact, u, &mut b);
+            utilities_into_reference(&averages, &heap, u, &mut a);
+            utilities_into_reference(&averages, &opened, u, &mut b);
             assert_eq!(a.len(), ni);
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits(), "reference path diverged for {u:?}");
             }
         }
-        std::fs::remove_file(&p64).ok();
-        std::fs::remove_file(&p32).ok();
     }
 
     #[test]

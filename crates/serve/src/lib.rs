@@ -30,8 +30,7 @@
 //! replays the framework's exact floating-point accumulation order (see
 //! [`SimMassIndex`]'s floating-point contract).
 //!
-//! [`ClusterFramework::recommend`]:
-//!     socialrec_core::private::ClusterFramework::recommend
+//! [`ClusterFramework::recommend`]: socialrec_core::TopNRecommender::recommend
 
 #![warn(missing_docs)]
 

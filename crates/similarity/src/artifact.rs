@@ -10,10 +10,9 @@
 //! ```text
 //! [ header  | 96 bytes, fixed                                     ]
 //! [ offsets | (num_rows + 1) × u64    — CSR exclusive prefix sums ]
-//! [ vals    | num_entries × (8 | 4)   — f64 or f32 per value_kind ]
-//! [ pad     | 0..7 zero bytes         — realign to 8              ]
+//! [ vals    | num_entries × f64       — values, row-major         ]
 //! [ cols    | num_entries × u32       — column ids, row-major     ]
-//! [ pad     | 0..7 zero bytes         — file length is × 8        ]
+//! [ pad     | 0 or 4 zero bytes       — file length is × 8        ]
 //! ```
 //!
 //! Header fields, in order:
@@ -24,7 +23,7 @@
 //! | 8..16  | endian tag  | `0x0102030405060708` as a native-endian store |
 //! | 16..20 | version     | `2`                                           |
 //! | 20..24 | kind        | `2` = sim-mass index (the only kind)          |
-//! | 24..28 | value kind  | 1 = f64, 2 = f32                              |
+//! | 24..28 | value kind  | `1` = f64 (the only width)                    |
 //! | 28..32 | (reserved)  | zero                                          |
 //! | 32..40 | num_rows    | u64                                           |
 //! | 40..48 | num_entries | u64                                           |
@@ -37,23 +36,21 @@
 //!
 //! Every section offset is a multiple of 8, so the 8-byte-aligned read
 //! buffer can reinterpret each section as `&[u64]` / `&[f64]` /
-//! `&[u32]` / `&[f32]` in place. The endian tag makes a file written on
-//! a big-endian machine fail loudly on open instead of decoding
-//! garbage. Unknown versions and kinds are rejected with explicit
-//! errors, and so is any file whose checksum does not match: a flipped
-//! mass bit or header field fails the open instead of serving wrong
-//! answers.
+//! `&[u32]` in place. The endian tag makes a file written on a
+//! big-endian machine fail loudly on open instead of decoding garbage.
+//! Unknown versions, kinds and value kinds (the retired f32 width was
+//! value kind `2`) are rejected with explicit errors, and so is any file
+//! whose checksum does not match: a flipped mass bit or header field
+//! fails the open instead of serving wrong answers.
 //!
-//! Writing comes in two shapes: [`write_csr_artifact`] for matrices
-//! already materialized in RAM, and [`StreamingCsrWriter`] for the
-//! bounded-memory build path — rows are appended one at a time, values
-//! stream straight to their final file position (the offsets section
-//! size is known from `num_rows` up front), columns stream to a scratch
-//! file whose final position depends on the still-unknown entry count,
-//! and `finish()` splices everything together, back-patches the header
-//! and then reads the file back once to stamp its checksum. Peak writer
-//! memory is the offsets array (O(rows)) plus two small I/O buffers,
-//! never O(entries).
+//! [`StreamingCsrWriter`] is the one writer, with bounded memory: rows
+//! are appended one at a time, values stream straight to their final
+//! file position (the offsets section size is known from `num_rows` up
+//! front), columns stream to a scratch file whose final position depends
+//! on the still-unknown entry count, and `finish()` splices everything
+//! together, back-patches the header and then reads the file back once
+//! to stamp its checksum. Peak writer memory is the offsets array
+//! (O(rows)) plus two small I/O buffers, never O(entries).
 //!
 //! The writer never touches the target file until the new artifact is
 //! complete: it builds the file under a sibling temp name, fsyncs it,
@@ -84,50 +81,21 @@ const CHECKSUM_OFF: usize = 88;
 /// 8, so the checksum pass reads whole words).
 const WRITE_CHUNK_BYTES: usize = 64 * 1024;
 
-/// Storage width of the value section.
+/// Storage width of the value section: full-precision f64, so serving
+/// an opened artifact is bit-identical to the in-RAM build. It has one
+/// variant; `SimMassIndex::write_artifact` still takes it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ValueKind {
-    /// Full-precision values: serving is bit-identical to the in-RAM
-    /// build.
+    /// Full-precision values, value kind `1` in the header.
     F64,
-    /// Compact values: each f64 is rounded to the nearest f32 at write
-    /// time (IEEE round-to-nearest-even). Reading widens exactly, so
-    /// serving from an f32 artifact is bit-identical to serving the
-    /// in-RAM matrix with every value pre-rounded through f32 — the
-    /// documented DESIGN.md §6e relaxation.
-    F32,
 }
 
-impl ValueKind {
-    /// Bytes per stored value.
-    pub fn value_size(self) -> usize {
-        match self {
-            ValueKind::F64 => 8,
-            ValueKind::F32 => 4,
-        }
-    }
-
-    fn to_u32(self) -> u32 {
-        match self {
-            ValueKind::F64 => 1,
-            ValueKind::F32 => 2,
-        }
-    }
-
-    fn from_u32(v: u32) -> Option<ValueKind> {
-        match v {
-            1 => Some(ValueKind::F64),
-            2 => Some(ValueKind::F32),
-            _ => None,
-        }
-    }
-}
+/// The header's value-kind word for f64 values, the only width.
+const VALUE_KIND_F64: u32 = 1;
 
 /// Parsed container header. See the module docs for the byte layout.
 #[derive(Clone, Copy, Debug)]
 pub struct ArtifactHeader {
-    /// Storage width of the value section.
-    pub value_kind: ValueKind,
     /// Number of CSR rows.
     pub num_rows: u64,
     /// Number of stored entries.
@@ -158,14 +126,14 @@ fn align8(len: u64) -> u64 {
 impl ArtifactHeader {
     /// Compute the section layout for a matrix of the given shape. The
     /// offsets section always starts right after the header; vals and
-    /// cols follow, each 8-byte aligned. The checksum is left zero.
-    fn layout(value_kind: ValueKind, num_rows: u64, num_entries: u64, meta: u64) -> ArtifactHeader {
+    /// cols follow, each 8-byte aligned since every value is 8 bytes.
+    /// The checksum is left zero.
+    fn layout(num_rows: u64, num_entries: u64, meta: u64) -> ArtifactHeader {
         let offsets_off = HEADER_LEN as u64;
         let vals_off = offsets_off + (num_rows + 1) * 8;
-        let cols_off = align8(vals_off + num_entries * value_kind.value_size() as u64);
+        let cols_off = vals_off + num_entries * 8;
         let file_len = align8(cols_off + num_entries * 4);
         ArtifactHeader {
-            value_kind,
             num_rows,
             num_entries,
             meta,
@@ -183,7 +151,7 @@ impl ArtifactHeader {
         h[8..16].copy_from_slice(&ENDIAN_TAG.to_ne_bytes());
         h[16..20].copy_from_slice(&ARTIFACT_VERSION.to_le_bytes());
         h[20..24].copy_from_slice(&KIND_SIM_MASS.to_le_bytes());
-        h[24..28].copy_from_slice(&self.value_kind.to_u32().to_le_bytes());
+        h[24..28].copy_from_slice(&VALUE_KIND_F64.to_le_bytes());
         h[32..40].copy_from_slice(&self.num_rows.to_le_bytes());
         h[40..48].copy_from_slice(&self.num_entries.to_le_bytes());
         h[48..56].copy_from_slice(&self.meta.to_le_bytes());
@@ -221,10 +189,14 @@ impl ArtifactHeader {
         if u32_at(20) != KIND_SIM_MASS {
             return Err(bad(format!("artifact kind {} is not a sim-mass index", u32_at(20))));
         }
-        let value_kind = ValueKind::from_u32(u32_at(24))
-            .ok_or_else(|| bad(format!("unknown artifact value kind {}", u32_at(24))))?;
+        if u32_at(24) != VALUE_KIND_F64 {
+            return Err(bad(format!(
+                "unsupported artifact value kind {} (this reader understands value kind \
+                 {VALUE_KIND_F64}, f64)",
+                u32_at(24)
+            )));
+        }
         Ok(ArtifactHeader {
-            value_kind,
             num_rows: u64_at(32),
             num_entries: u64_at(40),
             meta: u64_at(48),
@@ -303,7 +275,7 @@ impl Checksum {
 /// Reinterpret an 8-byte-aligned byte slice as a slice of `T`.
 ///
 /// Callers guarantee `T` is a plain-old-data type with no invalid bit
-/// patterns (`u64`, `u32`, `f64`, `f32` here), that `bytes.len()` is a
+/// patterns (`u64`, `u32`, `f64` here), that `bytes.len()` is a
 /// multiple of `size_of::<T>()`, and that the base pointer satisfies
 /// `T`'s alignment — all enforced by the section validation in
 /// [`CsrArtifact::open`] plus the `u64` read buffer's alignment, and
@@ -384,11 +356,7 @@ impl CsrArtifact {
             |off: u64, count: Option<u64>, width: u64| count?.checked_mul(width)?.checked_add(off);
         let (Some(offsets_end), Some(vals_end), Some(cols_end)) = (
             section_end(header.offsets_off, header.num_rows.checked_add(1), 8),
-            section_end(
-                header.vals_off,
-                Some(header.num_entries),
-                header.value_kind.value_size() as u64,
-            ),
+            section_end(header.vals_off, Some(header.num_entries), 8),
             section_end(header.cols_off, Some(header.num_entries), 4),
         ) else {
             return Err(bad("artifact section sizes overflow"));
@@ -421,11 +389,6 @@ impl CsrArtifact {
         self.header.num_rows as usize
     }
 
-    /// Number of stored entries.
-    pub fn num_entries(&self) -> usize {
-        self.header.num_entries as usize
-    }
-
     fn section(&self, off: u64, len_bytes: u64) -> &[u8] {
         &as_bytes(&self.words)[off as usize..(off + len_bytes) as usize]
     }
@@ -440,24 +403,9 @@ impl CsrArtifact {
         cast_section(self.section(self.header.cols_off, self.header.num_entries * 4))
     }
 
-    /// The value section as f64, when stored at full precision.
-    pub fn vals_f64(&self) -> Option<&[f64]> {
-        match self.header.value_kind {
-            ValueKind::F64 => {
-                Some(cast_section(self.section(self.header.vals_off, self.header.num_entries * 8)))
-            }
-            ValueKind::F32 => None,
-        }
-    }
-
-    /// The value section as f32, when stored compactly.
-    pub fn vals_f32(&self) -> Option<&[f32]> {
-        match self.header.value_kind {
-            ValueKind::F64 => None,
-            ValueKind::F32 => {
-                Some(cast_section(self.section(self.header.vals_off, self.header.num_entries * 4)))
-            }
-        }
+    /// The value section, row-major.
+    pub fn vals(&self) -> &[f64] {
+        cast_section(self.section(self.header.vals_off, self.header.num_entries * 8))
     }
 
     /// Element range `[lo, hi)` of row `r` (bounds-checked by the
@@ -472,34 +420,10 @@ impl CsrArtifact {
 impl std::fmt::Debug for CsrArtifact {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("CsrArtifact")
-            .field("value_kind", &self.header.value_kind)
             .field("num_rows", &self.header.num_rows)
             .field("num_entries", &self.header.num_entries)
             .finish()
     }
-}
-
-/// Write a fully materialized CSR matrix as an artifact file in one
-/// pass. `vals` are quantized to f32 when `value_kind` is
-/// [`ValueKind::F32`] (see that variant's contract).
-pub fn write_csr_artifact(
-    path: &Path,
-    value_kind: ValueKind,
-    meta: u64,
-    offsets: &[u64],
-    cols: &[u32],
-    vals: &[f64],
-) -> io::Result<()> {
-    assert!(!offsets.is_empty(), "offsets must hold num_rows + 1 entries");
-    assert_eq!(cols.len(), vals.len(), "cols and vals must be parallel");
-    assert_eq!(*offsets.last().expect("non-empty") as usize, vals.len(), "offsets/vals mismatch");
-    let num_rows = offsets.len() - 1;
-    let mut w = StreamingCsrWriter::create(path, value_kind, meta, num_rows)?;
-    for r in 0..num_rows {
-        let (a, b) = (offsets[r] as usize, offsets[r + 1] as usize);
-        w.push_row(&cols[a..b], &vals[a..b])?;
-    }
-    w.finish()
 }
 
 /// Bounded-memory artifact writer: see the module docs for the
@@ -515,7 +439,6 @@ pub struct StreamingCsrWriter {
     file_tmp_path: PathBuf,
     cols_tmp: File,
     cols_tmp_path: PathBuf,
-    value_kind: ValueKind,
     meta: u64,
     num_rows: usize,
     offsets: Vec<u64>,
@@ -526,12 +449,7 @@ pub struct StreamingCsrWriter {
 
 impl StreamingCsrWriter {
     /// Start writing an artifact for a matrix with `num_rows` rows.
-    pub fn create(
-        path: &Path,
-        value_kind: ValueKind,
-        meta: u64,
-        num_rows: usize,
-    ) -> io::Result<StreamingCsrWriter> {
+    pub fn create(path: &Path, meta: u64, num_rows: usize) -> io::Result<StreamingCsrWriter> {
         let file_tmp_path = sibling(path, ".tmp");
         let mut file = OpenOptions::new()
             .read(true)
@@ -553,7 +471,6 @@ impl StreamingCsrWriter {
             file_tmp_path,
             cols_tmp,
             cols_tmp_path,
-            value_kind,
             meta,
             num_rows,
             offsets,
@@ -563,22 +480,12 @@ impl StreamingCsrWriter {
         })
     }
 
-    /// Append the next row. `vals` are quantized per the writer's
-    /// [`ValueKind`].
+    /// Append the next row.
     pub fn push_row(&mut self, cols: &[u32], vals: &[f64]) -> io::Result<()> {
         assert_eq!(cols.len(), vals.len(), "cols and vals must be parallel");
         assert!(self.offsets.len() <= self.num_rows, "more rows pushed than declared");
-        match self.value_kind {
-            ValueKind::F64 => {
-                for &x in vals {
-                    self.vals_buf.extend_from_slice(&x.to_le_bytes());
-                }
-            }
-            ValueKind::F32 => {
-                for &x in vals {
-                    self.vals_buf.extend_from_slice(&(x as f32).to_le_bytes());
-                }
-            }
+        for &x in vals {
+            self.vals_buf.extend_from_slice(&x.to_le_bytes());
         }
         for &c in cols {
             self.cols_buf.extend_from_slice(&c.to_le_bytes());
@@ -612,12 +519,9 @@ impl StreamingCsrWriter {
         self.cols_tmp.write_all(&self.cols_buf)?;
         self.cols_tmp.flush()?;
 
-        let header =
-            ArtifactHeader::layout(self.value_kind, self.num_rows as u64, self.entries, self.meta);
-        // Pad the vals section out to the cols offset, then append the
-        // cols scratch file and the final alignment pad.
-        let vals_end = header.vals_off + self.entries * self.value_kind.value_size() as u64;
-        self.file.write_all(&vec![0u8; (header.cols_off - vals_end) as usize])?;
+        let header = ArtifactHeader::layout(self.num_rows as u64, self.entries, self.meta);
+        // The cols section starts where the vals end: append the cols
+        // scratch file, then the final alignment pad.
         let mut cols_src = File::open(&self.cols_tmp_path)?;
         let mut buf = vec![0u8; WRITE_CHUNK_BYTES];
         loop {
@@ -719,11 +623,21 @@ mod tests {
         (offsets, cols, vals)
     }
 
+    /// Write a CSR held in flat arrays through the streaming writer.
+    fn write_flat(path: &Path, meta: u64, offsets: &[u64], cols: &[u32], vals: &[f64]) {
+        let mut w = StreamingCsrWriter::create(path, meta, offsets.len() - 1).unwrap();
+        for row in offsets.windows(2) {
+            let (a, b) = (row[0] as usize, row[1] as usize);
+            w.push_row(&cols[a..b], &vals[a..b]).unwrap();
+        }
+        w.finish().unwrap();
+    }
+
     /// The bytes of a demo artifact with `rows` rows.
-    fn demo_bytes(rows: usize, value_kind: ValueKind) -> Vec<u8> {
+    fn demo_bytes(rows: usize) -> Vec<u8> {
         let (offsets, cols, vals) = demo_csr(rows);
-        let path = temp_path(&format!("demo-{rows}-{value_kind:?}"));
-        write_csr_artifact(&path, value_kind, 1000, &offsets, &cols, &vals).unwrap();
+        let path = temp_path(&format!("demo-{rows}"));
+        write_flat(&path, 1000, &offsets, &cols, &vals);
         let bytes = std::fs::read(&path).unwrap();
         std::fs::remove_file(&path).ok();
         bytes
@@ -736,70 +650,43 @@ mod tests {
         )
     }
 
+    /// Rows round-trip bit for bit, including a matrix whose values and
+    /// columns each fill more than one write chunk.
     #[test]
-    fn one_shot_roundtrip_f64_bit_identical() {
-        let (offsets, cols, vals) = demo_csr(57);
-        let path = temp_path("roundtrip-f64");
-        write_csr_artifact(&path, ValueKind::F64, 42, &offsets, &cols, &vals).unwrap();
-        let art = CsrArtifact::open(&path).unwrap();
-        assert_eq!(art.header().meta, 42);
-        assert_eq!(art.offsets(), offsets.as_slice());
-        assert_eq!(art.cols(), cols.as_slice());
-        let got = art.vals_f64().unwrap();
-        assert!(art.vals_f32().is_none());
-        assert_eq!(got.len(), vals.len());
-        for (a, b) in got.iter().zip(&vals) {
-            assert_eq!(a.to_bits(), b.to_bits());
+    fn roundtrip_is_bit_identical() {
+        for rows in [57, 10_000] {
+            let (offsets, cols, vals) = demo_csr(rows);
+            if rows > 57 {
+                assert!(vals.len() * 8 > WRITE_CHUNK_BYTES && cols.len() * 4 > WRITE_CHUNK_BYTES);
+            }
+            let path = temp_path(&format!("roundtrip-{rows}"));
+            write_flat(&path, 42, &offsets, &cols, &vals);
+            let art = CsrArtifact::open(&path).unwrap();
+            assert_eq!(art.header().meta, 42);
+            assert_eq!(art.offsets(), offsets.as_slice());
+            assert_eq!(art.cols(), cols.as_slice());
+            let got = art.vals();
+            assert_eq!(got.len(), vals.len());
+            for (a, b) in got.iter().zip(&vals) {
+                assert_eq!(a.to_bits(), b.to_bits());
+            }
+            std::fs::remove_file(&path).ok();
         }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn f32_artifact_quantizes_round_to_nearest() {
-        let (offsets, cols, vals) = demo_csr(40);
-        let path = temp_path("roundtrip-f32");
-        write_csr_artifact(&path, ValueKind::F32, 64, &offsets, &cols, &vals).unwrap();
-        let art = CsrArtifact::open(&path).unwrap();
-        assert_eq!(art.header().meta, 64);
-        let got = art.vals_f32().unwrap();
-        assert!(art.vals_f64().is_none());
-        for (a, b) in got.iter().zip(&vals) {
-            assert_eq!(a.to_bits(), (*b as f32).to_bits(), "quantization must be x as f32");
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn streaming_writer_matches_one_shot_byte_for_byte() {
-        let (offsets, cols, vals) = demo_csr(63);
-        let p1 = temp_path("stream-a");
-        let p2 = temp_path("stream-b");
-        write_csr_artifact(&p1, ValueKind::F32, 7, &offsets, &cols, &vals).unwrap();
-        // Hand-driven streaming with uneven row batches.
-        let mut w = StreamingCsrWriter::create(&p2, ValueKind::F32, 7, 63).unwrap();
-        for r in 0..63 {
-            let (a, b) = (offsets[r] as usize, offsets[r + 1] as usize);
-            w.push_row(&cols[a..b], &vals[a..b]).unwrap();
-        }
-        w.finish().unwrap();
-        assert_eq!(std::fs::read(&p1).unwrap(), std::fs::read(&p2).unwrap());
-        std::fs::remove_file(&p1).ok();
-        std::fs::remove_file(&p2).ok();
     }
 
     #[test]
     fn empty_matrix_and_empty_rows() {
         let path = temp_path("empty");
-        write_csr_artifact(&path, ValueKind::F64, 0, &[0], &[], &[]).unwrap();
+        write_flat(&path, 0, &[0], &[], &[]);
         let art = CsrArtifact::open(&path).unwrap();
         assert_eq!(art.num_rows(), 0);
-        assert_eq!(art.num_entries(), 0);
+        assert_eq!(art.header().num_entries, 0);
         assert_eq!(art.offsets(), &[0]);
         std::fs::remove_file(&path).ok();
 
         // All-empty rows still produce a valid (rows + 1)-offset file.
         let path = temp_path("all-empty-rows");
-        write_csr_artifact(&path, ValueKind::F64, 0, &[0, 0, 0, 0], &[], &[]).unwrap();
+        write_flat(&path, 0, &[0, 0, 0, 0], &[], &[]);
         let art = CsrArtifact::open(&path).unwrap();
         assert_eq!(art.num_rows(), 3);
         assert_eq!(art.row_range(1), (0, 0));
@@ -827,7 +714,7 @@ mod tests {
     /// the end, and corrupt offsets.
     #[test]
     fn rejects_bad_magic_version_and_truncation() {
-        let good = demo_bytes(20, ValueKind::F64);
+        let good = demo_bytes(20);
         let path = temp_path("tamper");
         let check = |mutate: &dyn Fn(&mut Vec<u8>), restamped: bool, want: &str| {
             let mut bytes = good.clone();
@@ -847,7 +734,10 @@ mod tests {
         check_rejected(&|b| b[16] = 1, "version 1");
         // Kind 1 was the similarity matrix.
         check_rejected(&|b| b[20] = 1, "kind 1 is not a sim-mass index");
-        check_rejected(&|b| b[24] = 9, "unknown artifact value kind");
+        check_rejected(&|b| b[24] = 9, "value kind 9");
+        // Value kind 2 was the retired f32 width: a file written with it
+        // fails closed on the header, even with a valid checksum.
+        check_restamped(&|b| b[24] = 2, "value kind 2");
         check_rejected(&|b| b[8] = 0xFF, "byte order");
         check_rejected(&|b| b.truncate(b.len() - 8), "truncated");
         check_rejected(&|b| b.truncate(b.len() - 3), "not a multiple of 8");
@@ -889,16 +779,14 @@ mod tests {
     /// fails the open.
     #[test]
     fn every_flipped_bit_fails_the_open() {
-        for value_kind in [ValueKind::F64, ValueKind::F32] {
-            let good = demo_bytes(9, value_kind);
-            let art = open_bytes(&good).unwrap();
-            assert_eq!(art.header().checksum, checksum(&art.words));
-            for at in 0..good.len() {
-                for bit in 0..8 {
-                    let mut bytes = good.clone();
-                    bytes[at] ^= 1 << bit;
-                    assert!(open_bytes(&bytes).is_err(), "byte {at} bit {bit} opened");
-                }
+        let good = demo_bytes(9);
+        let art = open_bytes(&good).unwrap();
+        assert_eq!(art.header().checksum, checksum(&art.words));
+        for at in 0..good.len() {
+            for bit in 0..8 {
+                let mut bytes = good.clone();
+                bytes[at] ^= 1 << bit;
+                assert!(open_bytes(&bytes).is_err(), "byte {at} bit {bit} opened");
             }
         }
     }
@@ -910,17 +798,15 @@ mod tests {
     fn rewrite_leaves_an_open_artifact_on_the_old_file() {
         let (offsets, cols, vals) = demo_csr(40);
         let path = temp_path("rewrite");
-        let write = |vals: &[f64]| {
-            write_csr_artifact(&path, ValueKind::F64, 0, &offsets, &cols, vals).unwrap()
-        };
+        let write = |vals: &[f64]| write_flat(&path, 0, &offsets, &cols, vals);
         write(&vals);
         let old = CsrArtifact::open(&path).unwrap();
         let new_vals: Vec<f64> = vals.iter().map(|x| x + 1.0).collect();
         write(&new_vals);
-        assert_eq!(old.vals_f64().unwrap(), vals.as_slice(), "old artifact changed");
+        assert_eq!(old.vals(), vals.as_slice(), "old artifact changed");
         let fresh = CsrArtifact::open(&path).unwrap();
         assert_eq!(fresh.offsets(), offsets.as_slice());
-        assert_eq!(fresh.vals_f64().unwrap(), new_vals.as_slice());
+        assert_eq!(fresh.vals(), new_vals.as_slice());
         assert!(!sibling(&path, ".tmp").exists());
         assert!(!sibling(&path, ".cols.tmp").exists());
         std::fs::remove_file(&path).ok();
@@ -928,18 +814,20 @@ mod tests {
 
     #[test]
     fn sections_are_eight_byte_aligned_for_odd_entry_counts() {
-        // 3 entries of f32 = 12 bytes: cols must be pushed to the next
-        // 8-byte boundary.
+        // 3 entries: 24 bytes of values end 8-aligned, so the cols follow
+        // them directly; 12 bytes of cols need 4 bytes of end padding.
         let offsets = vec![0u64, 1, 3];
         let cols = vec![5u32, 1, 9];
         let vals = vec![0.5f64, 0.25, 0.125];
         let path = temp_path("align-odd");
-        write_csr_artifact(&path, ValueKind::F32, 16, &offsets, &cols, &vals).unwrap();
+        write_flat(&path, 16, &offsets, &cols, &vals);
         let art = CsrArtifact::open(&path).unwrap();
-        assert_eq!(art.header().cols_off % 8, 0);
-        assert_eq!(art.header().file_len % 8, 0);
+        let header = art.header();
+        assert_eq!(header.cols_off, header.vals_off + 24);
+        assert_eq!(header.file_len, header.cols_off + 16);
+        assert_eq!(header.file_len, std::fs::metadata(&path).unwrap().len());
         assert_eq!(art.cols(), cols.as_slice());
-        assert_eq!(art.vals_f32().unwrap(), &[0.5f32, 0.25, 0.125]);
+        assert_eq!(art.vals(), vals.as_slice());
         std::fs::remove_file(&path).ok();
     }
 }

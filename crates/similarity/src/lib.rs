@@ -39,7 +39,6 @@ pub mod katz;
 pub mod measure;
 pub mod rows;
 pub mod scratch;
-pub mod store;
 
 pub use adamic_adar::AdamicAdar;
 pub use artifact::{CsrArtifact, StreamingCsrWriter, ValueKind};
@@ -51,7 +50,6 @@ pub use katz::Katz;
 pub use measure::{parse_measure, Measure};
 pub use rows::SharedRows;
 pub use scratch::SimScratch;
-pub use store::RowVals;
 
 use socialrec_graph::{SocialGraph, UserId};
 
