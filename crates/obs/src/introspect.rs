@@ -21,15 +21,14 @@
 //!   release count. There is no other record of ε.
 //! * `/events` — the journal tail as JSON lines.
 //!
-//! The accept loop hands each connection to a thread of its own, at
-//! most four at once — this is an operator scrape port, not a data
-//! path — and reads from the shared metrics never block recorders. A connection accepted while every handler is busy is
-//! answered `503` by the accept loop at once. A client gets two seconds
-//! from accept to send its request head or is answered `408`, so a slow
-//! or stalled client holds one handler (and the endpoint's shutdown,
-//! which joins the handlers) for at most that long, and delays no other
-//! scrape. Every answer other than `200` is journalled as a
-//! `request_rejected` event carrying its status.
+//! Requests are served one at a time from a single thread — this is an
+//! operator scrape port, not a data path — and reads from the shared
+//! metrics never block recorders. A client gets half a second from
+//! accept to send its request head (a loopback GET head arrives in one
+//! segment), so a slow or stalled client holds the endpoint (and its
+//! shutdown), and delays each scrape queued behind it, for at most that
+//! long before it is answered `408`. Every answer other than `200` is
+//! journalled as a `request_rejected` event carrying its status.
 
 use crate::journal::{self, EventKind, Journal, CAPACITY};
 use crate::metrics::MetricsRegistry;
@@ -41,11 +40,7 @@ use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How long a client has, from accept, to send its whole request head.
-const HEAD_DEADLINE: Duration = Duration::from_secs(2);
-
-/// Connections served at once; one accepted beyond them is answered
-/// `503`.
-const MAX_IN_FLIGHT: usize = 4;
+const HEAD_DEADLINE: Duration = Duration::from_millis(500);
 
 /// What the endpoint exposes (the process-global journal is picked up
 /// automatically).
@@ -95,8 +90,7 @@ impl IntrospectionServer {
         self.addr
     }
 
-    /// Stop accepting and join the accept loop and every request
-    /// handler; the head deadline bounds each handler.
+    /// Stop the accept loop and join the thread.
     pub fn shutdown(mut self) {
         self.stop_and_join();
     }
@@ -116,49 +110,37 @@ impl Drop for IntrospectionServer {
 }
 
 fn accept_loop(listener: TcpListener, cfg: IntrospectConfig, stop: Arc<AtomicBool>) {
-    let mut handlers: Vec<std::thread::JoinHandle<()>> = Vec::new();
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((stream, _)) => {
                 // Scrape errors (client hangup, timeout) only affect
                 // that scrape; the endpoint keeps serving.
-                handlers.extract_if(.., |h| h.is_finished()).for_each(|h| drop(h.join()));
-                if handlers.len() >= MAX_IN_FLIGHT {
-                    // Answered at once: no wait for the request, no drain.
-                    let _ = serve(stream, Instant::now(), |stream| {
-                        respond(stream, 503, "text/plain", "too many requests in flight\n")
-                    });
-                    continue;
-                }
-                let (cfg, deadline) = (cfg.clone(), Instant::now() + HEAD_DEADLINE);
-                let spawned = std::thread::Builder::new()
-                    .name("socialrec-introspect-conn".into())
-                    .spawn(move || {
-                        let _ = serve(stream, deadline, |s| answer(s, &cfg, deadline));
-                    });
-                handlers.extend(spawned.ok());
+                let _ = handle_connection(stream, &cfg);
+            }
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(5));
             }
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
-    for h in handlers {
-        let _ = h.join();
-    }
 }
 
-/// Answer one connection with `answer`, then half-close it and read
-/// what the client still sends until it closes or `deadline` passes. A
-/// socket closed with unread input sends a reset, which the client reads
-/// as an error where the response should end, or as a failed send while
-/// it is still sending.
-fn serve(
-    mut stream: TcpStream,
-    deadline: Instant,
-    answer: impl FnOnce(&mut TcpStream) -> io::Result<()>,
-) -> io::Result<()> {
+fn handle_connection(mut stream: TcpStream, cfg: &IntrospectConfig) -> io::Result<()> {
+    let deadline = Instant::now() + HEAD_DEADLINE;
     stream.set_nonblocking(false)?;
     stream.set_write_timeout(Some(HEAD_DEADLINE))?;
-    let answered = answer(&mut stream);
+    let answered = match read_request_line(&mut stream, deadline) {
+        Ok(line) => answer(&mut stream, &line, cfg),
+        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
+            respond(&mut stream, 408, "text/plain", "request head not received in time\n")
+        }
+        Err(e) => Err(e),
+    };
+    // A socket closed with unread input sends a reset, which the client
+    // reads as an error where the response should end, or as a failed
+    // send while it is still sending; half-closing, then reading what
+    // the client still sends until it closes or the deadline passes,
+    // ends the response cleanly.
     if stream.shutdown(Shutdown::Write).is_ok() {
         let mut sink = [0u8; 4096];
         while read_by(&mut stream, &mut sink, deadline).is_ok_and(|n| n > 0) {}
@@ -192,15 +174,7 @@ fn read_request_line(stream: &mut TcpStream, deadline: Instant) -> io::Result<St
     }
 }
 
-/// Read the request head by `deadline` and answer it, or answer `408`.
-fn answer(stream: &mut TcpStream, cfg: &IntrospectConfig, deadline: Instant) -> io::Result<()> {
-    let request_line = match read_request_line(stream, deadline) {
-        Ok(line) => line,
-        Err(e) if matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut) => {
-            return respond(stream, 408, "text/plain", "request head not received in time\n");
-        }
-        Err(e) => return Err(e),
-    };
+fn answer(stream: &mut TcpStream, request_line: &str, cfg: &IntrospectConfig) -> io::Result<()> {
     let mut parts = request_line.split_whitespace();
     if parts.next() != Some("GET") {
         return respond(stream, 405, "text/plain", "method not allowed\n");
@@ -232,7 +206,6 @@ fn respond(stream: &mut TcpStream, status: u16, content_type: &str, body: &str) 
         404 => "Not Found",
         405 => "Method Not Allowed",
         408 => "Request Timeout",
-        503 => "Service Unavailable",
         _ => "Error",
     };
     let head = format!(
@@ -511,7 +484,7 @@ mod tests {
     }
 
     /// Deadline slack for a loaded test machine.
-    const SLACK: Duration = Duration::from_millis(1500);
+    const SLACK: Duration = Duration::from_secs(1);
 
     /// Connect (on the calling thread, so the endpoint takes this
     /// connection before any made after the call), then send a request
@@ -543,61 +516,34 @@ mod tests {
         assert!(reply.is_empty() || reply.starts_with("HTTP/1.0 408 "), "{reply}");
     }
 
+    /// A scrape queued behind a trickler waits at most the head
+    /// deadline, and the trickler's `408` is journalled once.
     #[test]
     fn a_trickling_client_cannot_hold_the_endpoint() {
         let (_serial, server) = start();
-        let trickler = trickle(server.addr());
-        // Accepted behind the trickler, served beside it.
-        let t = Instant::now();
-        let (status, _) = http_get(server.addr(), "/health").expect("scrape during a trickle");
-        assert_eq!(status, 200);
-        assert!(t.elapsed() < Duration::from_secs(1), "/health took {:?}", t.elapsed());
-        timed_out(trickler);
-    }
-
-    /// With every handler held by a trickler, a scrape is answered `503`
-    /// at once, and `/health` answers 200 once the tricklers have timed
-    /// out. Each `408` and `503` is journalled once.
-    #[test]
-    fn a_full_endpoint_answers_503_at_once() {
-        let (_serial, server) = start();
-        let addr = server.addr();
-        let mut seen = Vec::new();
         let rejected = rejections_during(|| {
-            let tricklers: Vec<_> = (0..MAX_IN_FLIGHT).map(|_| trickle(addr)).collect();
+            let trickler = trickle(server.addr());
             let t = Instant::now();
-            let (status, _) = http_get(addr, "/health").expect("scrape a full endpoint");
-            assert_eq!(status, 503);
-            assert!(t.elapsed() < Duration::from_secs(1), "the 503 took {:?}", t.elapsed());
-            seen.push(u64::from(status));
-            tricklers.into_iter().for_each(timed_out);
-            seen.extend([408; MAX_IN_FLIGHT]);
-            // A handler that has answered may not have exited yet.
-            let t = Instant::now();
-            let health = || http_get(addr, "/health").expect("scrape after the trickle").0;
-            let mut status = health();
-            while status == 503 && t.elapsed() < SLACK {
-                seen.push(503);
-                status = health();
-            }
+            let (status, _) = http_get(server.addr(), "/health").expect("scrape during a trickle");
             assert_eq!(status, 200);
+            assert!(t.elapsed() < HEAD_DEADLINE + SLACK, "/health took {:?}", t.elapsed());
+            timed_out(trickler);
         });
-        seen.sort_unstable();
-        assert_eq!(rejected, seen);
+        assert_eq!(rejected, [408]);
     }
 
     #[test]
-    fn shutdown_with_tricklers_connected_returns_within_the_deadline() {
+    fn shutdown_with_a_trickler_connected_returns_within_the_deadline() {
         let (_serial, server) = start();
-        let tricklers: Vec<_> = (0..MAX_IN_FLIGHT).map(|_| trickle(server.addr())).collect();
+        let trickler = trickle(server.addr());
         // Let the accept loop (which polls every 5 ms) take the
-        // connections; if it has not, shutdown is quick anyway and the
+        // connection; if it has not, shutdown is quick anyway and the
         // test checks less, never wrongly.
         std::thread::sleep(Duration::from_millis(200));
         let t = Instant::now();
         server.shutdown();
         assert!(t.elapsed() < HEAD_DEADLINE + SLACK, "shutdown took {:?}", t.elapsed());
-        tricklers.into_iter().for_each(timed_out);
+        timed_out(trickler);
     }
 
     /// The status of a well-formed `HTTP/1.0 <code>` response whose body

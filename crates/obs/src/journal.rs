@@ -60,7 +60,7 @@ pub enum EventKind {
     /// (`a` = the file's length in bytes).
     ArtifactRejected,
     /// The introspection endpoint answered a request with a status other
-    /// than 200: 404, 405, 408 or 503 (`a` = the status).
+    /// than 200: 404, 405 or 408 (`a` = the status).
     RequestRejected,
 }
 
