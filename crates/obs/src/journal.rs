@@ -7,10 +7,10 @@
 //!
 //! The ring holds [`CAPACITY`] cells of plain-old-data events (kind
 //! code + two `u64` payload words + timestamp), so a write is a ticket
-//! `fetch_add` followed by four relaxed stores and one release store
-//! of the cell's sequence tag — no allocation, no locking, and the
-//! hot path never blocks. When the ring is full the oldest cell is
-//! overwritten and the drop counter increments, so `emitted =
+//! `fetch_add` followed by four relaxed stores and one release
+//! `fetch_max` of the cell's sequence tag — no allocation, no locking,
+//! and the hot path never blocks. When the ring is full the oldest
+//! cell is overwritten and the drop counter increments, so `emitted =
 //! retained + dropped` always holds once writers are quiescent
 //! (guarded by `tests/concurrency.rs`).
 //!
@@ -19,7 +19,9 @@
 //! therefore detected, never returned. Two writers racing on the same
 //! cell requires the ring to wrap ([`CAPACITY`] emissions) within one
 //! write — events are operator-rate (swaps, refusals, restarts), so
-//! this is unreachable in practice and at worst garbles one row.
+//! this is unreachable in practice and at worst garbles one row: the
+//! payload words may mix two events, but the tag never goes backwards,
+//! so a late writer cannot put an older ticket over a newer one.
 //!
 //! Emission sites go through [`emit`], which gates on [`live_armed`]
 //! (one relaxed load), so a daemon with the journal disarmed pays the
@@ -162,8 +164,9 @@ impl Event {
 }
 
 /// One ring cell. `seq` holds `ticket + 1` (0 = never written) and is
-/// written last with release ordering, so a reader that sees a stable
-/// `seq` across the double read saw consistent payload words.
+/// raised last by a release `fetch_max`, so it never goes backwards and
+/// a reader that sees a stable `seq` across the double read saw
+/// consistent payload words.
 struct Cell {
     seq: AtomicU64,
     at: AtomicU64,
@@ -244,7 +247,7 @@ impl Journal {
         cell.kind.store(kind.code(), Ordering::Relaxed);
         cell.a.store(a, Ordering::Relaxed);
         cell.b.store(b, Ordering::Relaxed);
-        cell.seq.store(ticket + 1, Ordering::Release);
+        cell.seq.fetch_max(ticket + 1, Ordering::Release);
     }
 
     /// Total events ever emitted.

@@ -4,12 +4,15 @@
 //! geometric damping `α` per hop, truncated at `k` — paper defaults:
 //! `k = 3`, `α = 0.05`.
 //!
-//! Computed as a scatter walk: the walk front maps each node `y` to
-//! the number of length-`l` walks `c(y)` from `u` to `y`, and every
-//! front node scatters `c(y)` into the next front and `α^l · c(y)` into
-//! the score of each of its neighbors. Walk counts are whole numbers,
-//! so the fronts are exact; a score adds one rounded term
-//! `α^l · c(y)` per contributing step `y → v`.
+//! Computed as a scatter walk. Step `l` reads the walk front, which
+//! maps each node `y` to the number `c_{l-1}(y)` of length-`(l-1)`
+//! walks from `u` to `y` (`c_0` is `u` alone), and every front node
+//! scatters `c_{l-1}(y)` into the next front and `α^l · c_{l-1}(y)`
+//! into the score of each of its neighbors. Walk counts are whole
+//! numbers, so the fronts are exact. Each front is drained in
+//! ascending id order, so a score is a fold from `0.0` of one rounded
+//! term per step `y → v`, over `l` ascending and then `y` ascending,
+//! with `α^l` the left-to-right product of `l` factors `α`.
 
 use crate::scratch::SimScratch;
 use crate::Similarity;
@@ -53,8 +56,6 @@ impl Similarity for Katz {
         assert!(self.alpha > 0.0, "alpha must be positive");
 
         let SimScratch { acc, front, next, .. } = scratch;
-        front.clear();
-        next.clear();
 
         // Length-1 walks.
         let mut alpha_l = self.alpha;
@@ -63,22 +64,18 @@ impl Similarity for Katz {
             acc.add(v.0, alpha_l);
         }
 
-        // Extend the walk front one hop at a time. Walks may revisit
-        // nodes (including u itself) — that is the Katz definition.
+        // Extend the walk front one hop at a time, draining it in
+        // ascending id order. Walks may revisit nodes (including u
+        // itself) — that is the Katz definition.
         for _l in 2..=self.max_length {
             alpha_l *= self.alpha;
-            for &y in front.touched() {
-                let count = front.get(y);
-                if count <= 0.0 {
-                    continue;
-                }
+            front.drain(|y, count| {
                 for &v in g.neighbors(UserId(y)) {
                     next.add(v.0, count);
                     acc.add(v.0, alpha_l * count);
                 }
-            }
+            });
             std::mem::swap(front, next);
-            next.clear();
         }
         front.clear();
         acc.drain_sorted_into(u, out);
