@@ -229,13 +229,12 @@ pub fn release_noisy_cluster_averages(
 
 /// [`release_noisy_cluster_averages`] with an explicit noise model.
 ///
-/// The raw count accumulation is a **parallel sharded kernel**: counts
-/// are first accumulated item-major (each item's preference list
-/// scatters into that item's private shard of cluster counters — rows
-/// are disjoint, so item shards never race), then transposed into the
-/// cluster-major release layout. Counts are integer adds, so no
-/// accumulation order can change them, and the per-cluster-row seeded
-/// noise streams are untouched — the output is byte-identical to
+/// Cluster-major and parallel by cluster row: each work item walks its
+/// cluster's members, adds 1.0 per member preference into its own row,
+/// scales the row by `1/|c|`, then draws the row's noise from its own
+/// seeded stream. Counts are whole numbers, so no accumulation order can
+/// change them, and `count · (1/|c|)` is the product the reference
+/// forms — the output is byte-identical to
 /// [`release_noisy_cluster_averages_reference`] for every noise model,
 /// seed, and thread count.
 ///
@@ -260,36 +259,22 @@ pub fn release_noisy_cluster_averages_with(
     if ni == 0 {
         return NoisyClusterAverages { values: Vec::new(), num_clusters: c, num_items: 0 };
     }
-    let sizes = partition.cluster_sizes();
-
-    // Shard 1 — raw counts, item-major (`ni × c`): each parallel work
-    // item owns one item row, so the integer scatters are race-free.
-    let mut counts = vec![0u32; ni * c];
-    {
-        let _span = span!("release.counts", items = ni);
-        counts.par_chunks_mut(c).enumerate().for_each(|(i, item_row)| {
-            for &v in prefs.users_of(socialrec_graph::ItemId(i as u32)) {
-                item_row[partition.cluster_of(v) as usize] += 1;
-            }
-        });
-    }
-
-    // Shard 2 — transpose to the cluster-major release layout, average,
-    // and perturb, cluster row by cluster row (independent seeded RNG
-    // per row so the result is reproducible regardless of scheduling).
+    let members = partition.members();
     let mut values = vec![0.0f64; c * ni];
-    {
-        let _span = span!("release.noise", clusters = c);
-        values.par_chunks_mut(ni).enumerate().for_each(|(cl, row)| {
-            let size = sizes[cl];
-            debug_assert!(size >= 1, "partitions have no empty clusters");
-            let inv = 1.0 / size as f64;
-            for (i, x) in row.iter_mut().enumerate() {
-                *x = counts[i * c + cl] as f64 * inv;
+    values.par_chunks_mut(ni).enumerate().for_each(|(cl, row)| {
+        let users = &members[cl];
+        debug_assert!(!users.is_empty(), "partitions have no empty clusters");
+        for &v in users {
+            for &i in prefs.items_of(v) {
+                row[i.index()] += 1.0;
             }
-            add_row_noise(row, noise, epsilon, inv, mix_seed(seed, cl as u64));
-        });
-    }
+        }
+        let inv = 1.0 / users.len() as f64;
+        for x in row.iter_mut() {
+            *x *= inv;
+        }
+        add_row_noise(row, noise, epsilon, inv, mix_seed(seed, cl as u64));
+    });
 
     NoisyClusterAverages { values, num_clusters: c, num_items: ni }
 }

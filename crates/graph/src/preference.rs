@@ -137,6 +137,16 @@ impl PreferenceGraph {
         b.build()
     }
 
+    /// The user→items CSR arrays: row offsets and concatenated rows.
+    pub(crate) fn user_csr(&self) -> (&[u32], &[ItemId]) {
+        (&self.user_offsets, &self.user_items)
+    }
+
+    /// The item→users CSR arrays: row offsets and concatenated rows.
+    pub(crate) fn item_csr(&self) -> (&[u32], &[UserId]) {
+        (&self.item_offsets, &self.item_users)
+    }
+
     /// Construct directly from validated CSR arrays (both orientations).
     ///
     /// Internal use (builder, delta application); callers must uphold

@@ -84,6 +84,11 @@ impl SocialGraph {
         }
     }
 
+    /// The CSR arrays: row offsets and the concatenated neighbor rows.
+    pub(crate) fn csr(&self) -> (&[u32], &[UserId]) {
+        (&self.offsets, &self.neighbors)
+    }
+
     /// Construct directly from validated CSR arrays.
     ///
     /// Internal use (builder, subgraph extraction); callers must uphold
