@@ -13,7 +13,11 @@ use socialrec_graph::SocialGraph;
 
 /// Modularity of `partition` on the (unweighted) social graph.
 ///
-/// Returns 0 for an edgeless graph.
+/// Each cluster's internal edge count and degree sum is a whole number,
+/// summed as an integer and converted once, so the result has the bits
+/// of the weighted formulation on the level-0 graph (`2|E_c| / 2|E_s|`
+/// is `|E_c| / |E_s|` in IEEE division). Returns 0 for an edgeless
+/// graph.
 pub fn modularity(g: &SocialGraph, partition: &Partition) -> f64 {
     assert_eq!(
         g.num_users(),
@@ -24,19 +28,18 @@ pub fn modularity(g: &SocialGraph, partition: &Partition) -> f64 {
     if m == 0.0 {
         return 0.0;
     }
+    let labels = partition.assignment();
     let k = partition.num_clusters();
-    let mut internal = vec![0.0f64; k];
-    let mut degree_sum = vec![0.0f64; k];
+    let mut internal = vec![0u64; k];
+    let mut degree_sum = vec![0u64; k];
     for u in g.users() {
-        let cu = partition.cluster_of(u) as usize;
-        degree_sum[cu] += g.degree(u) as f64;
-        for &v in g.neighbors(u) {
-            if u < v && partition.cluster_of(v) as usize == cu {
-                internal[cu] += 1.0;
-            }
-        }
+        let cu = labels[u.index()];
+        let ns = g.neighbors(u);
+        degree_sum[cu as usize] += ns.len() as u64;
+        internal[cu as usize] +=
+            ns.iter().filter(|&&v| (u < v) & (labels[v.index()] == cu)).count() as u64;
     }
-    (0..k).map(|c| internal[c] / m - (degree_sum[c] / (2.0 * m)).powi(2)).sum()
+    (0..k).map(|c| internal[c] as f64 / m - (degree_sum[c] as f64 / (2.0 * m)).powi(2)).sum()
 }
 
 #[cfg(test)]
@@ -96,6 +99,6 @@ mod tests {
         let p = Partition::from_assignment(&[0, 0, 0, 1, 1, 1, 1]);
         let w = crate::weighted::WeightedGraph::from_social(&g);
         let qw = w.modularity(p.assignment(), p.num_clusters());
-        assert!((modularity(&g, &p) - qw).abs() < 1e-12);
+        assert_eq!(modularity(&g, &p).to_bits(), qw.to_bits());
     }
 }
