@@ -15,7 +15,7 @@ pub fn run(args: &Args) -> Result<(), String> {
     let min_size = args.get_usize("min-size", 0)?;
     let trace = TraceSink::init(args);
 
-    let res = Louvain { seed, refine, ..Default::default() }.run_best_of(&social, restarts.max(1));
+    let res = Louvain { seed, refine }.run_best_of(&social, restarts.max(1));
     let mut partition = res.partition;
     if min_size > 1 {
         partition = merge_small_clusters(&social, &partition, min_size);

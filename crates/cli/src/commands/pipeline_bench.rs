@@ -222,7 +222,8 @@ pub fn run(args: &Args) -> Result<(), String> {
     let users: Vec<UserId> = (0..num_users as u32).map(UserId).collect();
     eprintln!("recommend: published daemon batch for all {num_users} users x{reps}...");
     let ((lists, serve_metrics), recommend_ms) = timed_min(reps, || {
-        let daemon = ShardedServer::new(&partition, &sim, epsilon, 1);
+        let index = SimMassIndex::build(&sim, &partition);
+        let daemon = ShardedServer::from_index(&partition, index, epsilon, 1);
         daemon.publish_release(seed, fw.noisy_cluster_averages(&inputs, seed));
         let lists = daemon.recommend_batch(&inputs, &users, n, seed);
         (lists, daemon.registry().snapshot())

@@ -52,17 +52,19 @@ pub struct Louvain {
     pub seed: u64,
     /// Run the multi-level refinement pass (paper §5.1.2 uses it).
     pub refine: bool,
-    /// Minimum modularity gain for a move to be accepted.
-    pub min_gain: f64,
-    /// Safety cap on hierarchy depth.
-    pub max_levels: usize,
 }
 
 impl Default for Louvain {
     fn default() -> Self {
-        Louvain { seed: 0, refine: true, min_gain: 1e-12, max_levels: 32 }
+        Louvain { seed: 0, refine: true }
     }
 }
+
+/// Minimum modularity gain for a move to be accepted.
+const MIN_GAIN: f64 = 1e-12;
+
+/// Safety cap on hierarchy depth.
+const MAX_LEVELS: usize = 32;
 
 /// Outcome of a Louvain run.
 #[derive(Clone, Debug)]
@@ -94,7 +96,7 @@ fn compact_labels(comm: &mut [u32]) -> usize {
 /// One local-moving phase starting from the assignment in `comm`
 /// (which may be singletons or a projected coarse partition).
 /// Returns whether any node moved.
-fn local_moving(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng, min_gain: f64) -> bool {
+fn local_moving(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng) -> bool {
     let n = wg.num_nodes();
     if n == 0 || wg.two_m == 0.0 {
         return false;
@@ -146,7 +148,7 @@ fn local_moving(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng, min_ga
                     continue;
                 }
                 let gain = link_to[c] - comm_total[c] * ku / m2;
-                if gain > best_gain + min_gain {
+                if gain > best_gain + MIN_GAIN {
                     best_gain = gain;
                     best_c = c;
                 }
@@ -208,9 +210,9 @@ impl Louvain {
             let _span = span!("louvain.level", level = merges.len());
             let wg = contracted.last().unwrap_or(base);
             let mut comm: Vec<u32> = (0..wg.num_nodes() as u32).collect();
-            let moved = local_moving(wg, &mut comm, &mut rng, self.min_gain);
+            let moved = local_moving(wg, &mut comm, &mut rng);
             let ncomm = compact_labels(&mut comm);
-            let done = !moved || ncomm == wg.num_nodes() || merges.len() + 1 >= self.max_levels;
+            let done = !moved || ncomm == wg.num_nodes() || merges.len() + 1 >= MAX_LEVELS;
             merges.push(comm);
             if done {
                 break;
@@ -240,7 +242,7 @@ impl Louvain {
                 let level_graph = if l == 0 { base } else { &contracted[l - 1] };
                 let mut comm = proj.clone();
                 compact_labels(&mut comm);
-                local_moving(level_graph, &mut comm, &mut rng, self.min_gain);
+                local_moving(level_graph, &mut comm, &mut rng);
                 compact_labels(&mut comm);
                 proj = comm;
             }
@@ -306,13 +308,8 @@ impl Louvain {
 /// `WeightedGraph` of `g`.
 ///
 /// Terminates because every accepted move raises modularity by more
-/// than `min_gain` and `Q ≤ 1`. Returns whether any node moved.
-fn local_moving_worklist(
-    g: &SocialGraph,
-    comm: &mut [u32],
-    seeds: &[UserId],
-    min_gain: f64,
-) -> bool {
+/// than `MIN_GAIN` and `Q ≤ 1`. Returns whether any node moved.
+fn local_moving_worklist(g: &SocialGraph, comm: &mut [u32], seeds: &[UserId]) -> bool {
     let n = g.num_users();
     if n == 0 || g.num_edges() == 0 || seeds.is_empty() {
         return false;
@@ -364,7 +361,7 @@ fn local_moving_worklist(
                 continue;
             }
             let gain = gain(c);
-            if gain > best_gain + min_gain {
+            if gain > best_gain + MIN_GAIN {
                 best_gain = gain;
                 best_c = c;
             }
@@ -542,7 +539,7 @@ impl IncrementalLouvain {
         }
 
         let mut comm: Vec<u32> = self.partition.assignment().to_vec();
-        local_moving_worklist(g, &mut comm, touched, self.base.min_gain);
+        local_moving_worklist(g, &mut comm, touched);
         let k = repair_labels(&mut comm, self.partition.num_clusters());
         let p = Partition::from_dense_assignment(comm, k);
         let q = modularity(g, &p);
@@ -612,12 +609,7 @@ mod tests {
     /// The worklist in the weighted formulation, on the level-0
     /// `WeightedGraph`: the reference the property below holds
     /// `local_moving_worklist` to, move for move.
-    fn worklist_on_weighted(
-        wg: &WeightedGraph,
-        comm: &mut [u32],
-        seeds: &[UserId],
-        min_gain: f64,
-    ) -> bool {
+    fn worklist_on_weighted(wg: &WeightedGraph, comm: &mut [u32], seeds: &[UserId]) -> bool {
         let n = wg.num_nodes();
         if n == 0 || wg.two_m == 0.0 || seeds.is_empty() {
             return false;
@@ -667,7 +659,7 @@ mod tests {
                     continue;
                 }
                 let gain = link_to[c] - comm_total[c] * ku / m2;
-                if gain > best_gain + min_gain {
+                if gain > best_gain + MIN_GAIN {
                     best_gain = gain;
                     best_c = c;
                 }
@@ -700,7 +692,7 @@ mod tests {
     ) -> RefreshOutcome {
         let wg = WeightedGraph::from_social(g);
         let mut comm: Vec<u32> = inc.partition.assignment().to_vec();
-        worklist_on_weighted(&wg, &mut comm, touched, inc.base.min_gain);
+        worklist_on_weighted(&wg, &mut comm, touched);
         let k = repair_labels(&mut comm, inc.partition.num_clusters());
         let q = wg.modularity(&comm, k);
         if inc.reference_modularity - q > inc.drift_threshold {
@@ -796,8 +788,8 @@ mod tests {
         let cfg = CommunityGraphConfig { num_users: 400, seed: 11, ..Default::default() };
         let g = planted_communities(&cfg).graph;
         for seed in 0..4 {
-            let plain = Louvain { refine: false, seed, ..Default::default() }.run(&g);
-            let refined = Louvain { refine: true, seed, ..Default::default() }.run(&g);
+            let plain = Louvain { refine: false, seed }.run(&g);
+            let refined = Louvain { refine: true, seed }.run(&g);
             assert!(
                 refined.modularity >= plain.modularity - 1e-9,
                 "refinement regressed: {} -> {}",
@@ -903,7 +895,7 @@ mod tests {
         let g = two_triangles_bridge();
         let mut comm: Vec<u32> = (0..6).collect();
         let seeds: Vec<UserId> = (0..6).map(UserId).collect();
-        assert!(local_moving_worklist(&g, &mut comm, &seeds, 1e-12));
+        assert!(local_moving_worklist(&g, &mut comm, &seeds));
         let k = repair_labels(&mut comm, 6);
         let q = modularity(&g, &Partition::from_dense_assignment(comm, k));
         let expected = 2.0 * (3.0 / 7.0 - 0.25);

@@ -56,9 +56,7 @@ impl ClusteringStrategy for LouvainStrategy {
     }
 
     fn cluster(&self, g: &SocialGraph) -> Partition {
-        Louvain { seed: self.seed, refine: self.refine, ..Default::default() }
-            .run_best_of(g, self.restarts)
-            .partition
+        Louvain { seed: self.seed, refine: self.refine }.run_best_of(g, self.restarts).partition
     }
 }
 

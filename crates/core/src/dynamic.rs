@@ -24,8 +24,8 @@
 //! record of ε: a serving daemon's introspection endpoint reads it
 //! through [`DynamicRecommender::accountant_handle`].
 
-use crate::private::framework::release_noisy_cluster_averages_with;
-use crate::private::{ClusterFramework, NoiseModel, NoisyClusterAverages};
+use crate::private::framework::release_noisy_cluster_averages;
+use crate::private::{ClusterFramework, NoisyClusterAverages};
 use crate::{RecommenderInputs, TopN, TopNRecommender};
 use socialrec_community::Partition;
 use socialrec_dp::{Epsilon, PrivacyAccountant};
@@ -132,7 +132,6 @@ pub struct Snapshot<'a> {
 pub struct DynamicRecommender {
     total: Epsilon,
     schedule: BudgetSchedule,
-    noise: NoiseModel,
     accountant: Arc<Mutex<PrivacyAccountant>>,
     releases_done: usize,
 }
@@ -151,19 +150,7 @@ pub struct Release {
 impl DynamicRecommender {
     /// A recommender with a total budget and a schedule.
     pub fn new(total: Epsilon, schedule: BudgetSchedule) -> Self {
-        DynamicRecommender {
-            total,
-            schedule,
-            noise: NoiseModel::Laplace,
-            accountant: Arc::default(),
-            releases_done: 0,
-        }
-    }
-
-    /// Select the noise distribution (default Laplace).
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
+        DynamicRecommender { total, schedule, accountant: Arc::default(), releases_done: 0 }
     }
 
     /// Number of releases made so far.
@@ -243,7 +230,7 @@ impl DynamicRecommender {
         seed: u64,
     ) -> Result<Release, String> {
         let eps = self.debit_next()?;
-        let fw = ClusterFramework::new(snapshot.partition, eps).with_noise(self.noise);
+        let fw = ClusterFramework::new(snapshot.partition, eps);
         let lists = fw.recommend(&snapshot.inputs, users, n, seed);
         Ok(Release {
             lists,
@@ -257,7 +244,7 @@ impl DynamicRecommender {
     /// hot-swaps — under the schedule's next ε.
     ///
     /// The accountant is the enforcement point: the spend is debited
-    /// *before* [`release_noisy_cluster_averages_with`] runs, so a
+    /// *before* [`release_noisy_cluster_averages`] runs, so a
     /// refusal (exhausted schedule, over-budget spend) happens before
     /// any noisy output exists. Everything derived from the returned
     /// averages is post-processing and spends nothing further.
@@ -269,7 +256,7 @@ impl DynamicRecommender {
     ) -> Result<(Epsilon, NoisyClusterAverages), String> {
         let eps = self.debit_next()?;
         let _span = span!("update.release", release = self.releases_done);
-        let averages = release_noisy_cluster_averages_with(partition, prefs, eps, self.noise, seed);
+        let averages = release_noisy_cluster_averages(partition, prefs, eps, seed);
         Ok((eps, averages))
     }
 
@@ -290,7 +277,7 @@ impl DynamicRecommender {
             format!("release refused: {e}")
         })?;
         let _span = span!("update.release", release = self.releases_done);
-        let averages = release_noisy_cluster_averages_with(partition, prefs, eps, self.noise, seed);
+        let averages = release_noisy_cluster_averages(partition, prefs, eps, seed);
         Ok((eps, averages))
     }
 }
@@ -298,6 +285,8 @@ impl DynamicRecommender {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::private::framework::release_noisy_cluster_averages_with;
+    use crate::private::NoiseModel;
     use socialrec_community::{ClusteringStrategy, LouvainStrategy};
     use socialrec_graph::preference::preference_graph_from_edges;
     use socialrec_graph::social::social_graph_from_edges;

@@ -71,15 +71,6 @@ impl LaplaceMechanism {
             None => value,
         }
     }
-
-    /// Perturb every element of `values` in place with independent noise.
-    pub fn privatize_slice<R: Rng + ?Sized>(&self, rng: &mut R, values: &mut [f64]) {
-        if let Some(b) = self.scale() {
-            for v in values {
-                *v += sample_laplace(rng, b);
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,9 +113,6 @@ mod tests {
         let m = LaplaceMechanism::new(Epsilon::Infinite, 10.0);
         let mut rng = SmallRng::seed_from_u64(0);
         assert_eq!(m.privatize(&mut rng, 3.25), 3.25);
-        let mut v = vec![1.0, 2.0];
-        m.privatize_slice(&mut rng, &mut v);
-        assert_eq!(v, vec![1.0, 2.0]);
     }
 
     #[test]

@@ -6,10 +6,8 @@
 //! distributions and strong community structure — with every knob
 //! (degrees, mixing, community sizes) explicit and seeded.
 //!
-//! [`planted_communities`] is the workhorse: a degree-corrected planted
-//! partition model (Chung–Lu edge sampling within and across planted
-//! communities). Classic reference models (Erdős–Rényi, Barabási–Albert,
-//! Watts–Strogatz) are included for tests, examples and ablations.
+//! [`planted_communities`] is a degree-corrected planted partition model
+//! (Chung–Lu edge sampling within and across planted communities).
 
 use crate::ids::UserId;
 use crate::social::{SocialGraph, SocialGraphBuilder};
@@ -313,105 +311,6 @@ pub fn planted_communities(config: &CommunityGraphConfig) -> PlantedGraph {
     PlantedGraph { graph: builder.build(), community }
 }
 
-/// Erdős–Rényi `G(n, m)`: exactly `m` distinct uniform random edges
-/// (capped at the number of possible pairs).
-pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> SocialGraph {
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let max_m = n.saturating_mul(n.saturating_sub(1)) / 2;
-    let m = m.min(max_m);
-    let mut builder = SocialGraphBuilder::new(n);
-    let mut seen: FxHashSet<(u32, u32)> = FxHashSet::default();
-    while seen.len() < m {
-        let a = rng.gen_range(0..n as u32);
-        let b = rng.gen_range(0..n as u32);
-        if a == b {
-            continue;
-        }
-        let key = if a < b { (a, b) } else { (b, a) };
-        if seen.insert(key) {
-            builder.add_edge(UserId(a), UserId(b)).expect("in range");
-        }
-    }
-    builder.build()
-}
-
-/// Barabási–Albert preferential attachment: start from an `m`-clique and
-/// attach each new node to `m` existing nodes chosen ∝ degree.
-pub fn barabasi_albert(n: usize, m: usize, seed: u64) -> SocialGraph {
-    assert!(m >= 1, "attachment count must be >= 1");
-    assert!(n > m, "need more nodes than the attachment count");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut builder = SocialGraphBuilder::new(n);
-    // Repeated-endpoint list: sampling uniformly from it is sampling
-    // proportional to degree.
-    let mut endpoints: Vec<u32> = Vec::with_capacity(2 * n * m);
-    for a in 0..m as u32 {
-        for b in (a + 1)..m as u32 {
-            builder.add_edge(UserId(a), UserId(b)).expect("in range");
-            endpoints.push(a);
-            endpoints.push(b);
-        }
-    }
-    for v in m as u32..n as u32 {
-        let mut chosen: FxHashSet<u32> = FxHashSet::default();
-        let mut guard = 0;
-        while chosen.len() < m && guard < 50 * m {
-            guard += 1;
-            let t = endpoints[rng.gen_range(0..endpoints.len())];
-            if t != v {
-                chosen.insert(t);
-            }
-        }
-        for &t in &chosen {
-            builder.add_edge(UserId(v), UserId(t)).expect("in range");
-            endpoints.push(v);
-            endpoints.push(t);
-        }
-    }
-    builder.build()
-}
-
-/// Watts–Strogatz small world: ring lattice with `k` nearest neighbors
-/// (k even), each edge rewired with probability `beta`.
-pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> SocialGraph {
-    assert!(k.is_multiple_of(2), "k must be even");
-    assert!(n > k, "need n > k");
-    let mut rng = SmallRng::seed_from_u64(seed);
-    let mut edges: FxHashSet<(u32, u32)> = FxHashSet::default();
-    let canon = |a: u32, b: u32| if a < b { (a, b) } else { (b, a) };
-    for u in 0..n as u32 {
-        for j in 1..=(k / 2) as u32 {
-            let v = (u + j) % n as u32;
-            edges.insert(canon(u, v));
-        }
-    }
-    let lattice: Vec<(u32, u32)> = edges.iter().copied().collect();
-    for (u, v) in lattice {
-        if rng.gen::<f64>() < beta {
-            // Rewire the far endpoint.
-            let mut guard = 0;
-            loop {
-                guard += 1;
-                if guard > 100 {
-                    break;
-                }
-                let w = rng.gen_range(0..n as u32);
-                if w == u || edges.contains(&canon(u, w)) {
-                    continue;
-                }
-                edges.remove(&canon(u, v));
-                edges.insert(canon(u, w));
-                break;
-            }
-        }
-    }
-    let mut builder = SocialGraphBuilder::new(n);
-    for (u, v) in edges {
-        builder.add_edge(UserId(u), UserId(v)).expect("in range");
-    }
-    builder.build()
-}
-
 /// A tiny connected component: a random spanning tree over `size` nodes
 /// with optional extra edges, appended to `builder` starting at id
 /// `first_id`. Used to replicate Last.fm's 19 small disconnected
@@ -552,41 +451,6 @@ mod tests {
         // Degree compensation keeps the mean near the target.
         let mean = closed.graph.mean_degree();
         assert!((8.0..16.0).contains(&mean), "mean degree {mean} drifted from 12");
-    }
-
-    #[test]
-    fn erdos_renyi_edge_count() {
-        let g = erdos_renyi(50, 100, 3);
-        assert_eq!(g.num_users(), 50);
-        assert_eq!(g.num_edges(), 100);
-        // Cap at complete graph.
-        let g2 = erdos_renyi(5, 1000, 3);
-        assert_eq!(g2.num_edges(), 10);
-    }
-
-    #[test]
-    fn barabasi_albert_properties() {
-        let g = barabasi_albert(500, 3, 11);
-        assert_eq!(g.num_users(), 500);
-        // Every non-seed node attaches to m=3 others, so min degree >= 3
-        // among attached nodes; edges ~= 3 + 497*3.
-        assert!(g.num_edges() >= 3 + 400 * 3);
-        let cc = connected_components(&g);
-        assert_eq!(cc.count(), 1, "BA graphs are connected");
-        // Heavy tail: max degree should be much larger than the mean.
-        assert!(g.max_degree() as f64 > 3.0 * g.mean_degree());
-    }
-
-    #[test]
-    fn watts_strogatz_degree_regularity() {
-        let g = watts_strogatz(100, 4, 0.0, 5);
-        assert_eq!(g.num_edges(), 200);
-        for u in g.users() {
-            assert_eq!(g.degree(u), 4);
-        }
-        // With rewiring, edge count is preserved.
-        let g2 = watts_strogatz(100, 4, 0.3, 5);
-        assert_eq!(g2.num_edges(), 200);
     }
 
     #[test]

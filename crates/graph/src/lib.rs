@@ -16,9 +16,9 @@
 //!
 //! The crate also provides:
 //!
-//! * [`generate`] — synthetic generators (planted-community graphs with
-//!   heavy-tailed degrees, Erdős–Rényi, Barabási–Albert, Watts–Strogatz)
-//!   used to stand in for the paper's crawled datasets,
+//! * [`generate`] — synthetic planted-community graphs with
+//!   heavy-tailed degrees, used to stand in for the paper's crawled
+//!   datasets,
 //! * [`io`] — edge-list readers/writers plus HetRec-Last.fm and
 //!   Flixster-format loaders,
 //! * [`traversal`] — BFS utilities and connected components,

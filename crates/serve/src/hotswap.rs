@@ -69,9 +69,12 @@ impl ReleaseExchange {
         }
         state.entries.push((generation, averages));
         state.epoch += 1;
-        let excess = state.entries.len().saturating_sub(RETAIN_GENERATIONS);
-        state.entries.drain(..excess);
+        // At most one entry is over the window: each publish adds one.
+        let evicted = (state.entries.len() > RETAIN_GENERATIONS).then(|| state.entries.remove(0));
         drop(state);
+        // Free the evicted release after unlocking, so shards fetching
+        // the new one in `get` never wait on the free.
+        drop(evicted);
         journal::emit(EventKind::ReleasePublished, generation, 0);
         true
     }
@@ -117,7 +120,10 @@ impl EpochCell {
 
     /// Flip the cell to `generation`.
     pub fn store(&self, generation: u64, averages: Arc<NoisyClusterAverages>) {
-        *lock_recovering(&self.slot) = Some((generation, averages));
+        let previous = lock_recovering(&self.slot).replace((generation, averages));
+        // The guard is gone: the previous release, if this cell held its
+        // last reference, is freed outside the lock.
+        drop(previous);
     }
 
     /// The generation the cell last served, if any.

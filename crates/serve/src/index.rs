@@ -19,17 +19,15 @@
 //!
 //! * **Heap** — rows built in RAM as [`SharedRows`], one `Arc`
 //!   allocation per row;
-//! * **Artifact** — a window onto a [`CsrArtifact`] read whole from
-//!   disk (see `socialrec_similarity::artifact`), shared via `Arc` so
-//!   sharding never duplicates its bytes.
+//! * **Artifact** — a [`CsrArtifact`] read whole from disk (see
+//!   `socialrec_similarity::artifact`), shared via `Arc` so a clone
+//!   never duplicates its bytes.
 //!
-//! Neither backing copies row bytes to derive a new index: heap
-//! [`slice_rows`](SimMassIndex::slice_rows), `clone` and
-//! [`update_rows`](SimMassIndex::update_rows) share every row they do
-//! not recompute and copy only the row-pointer table, and artifact
-//! `slice_rows` just narrows the window. Serving code cannot tell the
-//! backings apart — the equivalence tests pin that both return
-//! identical row bits.
+//! Neither backing copies row bytes to derive a new index: a heap
+//! `clone` or [`update_rows`](SimMassIndex::update_rows) shares every
+//! row it does not recompute and copies only the row-pointer table.
+//! Serving code cannot tell the backings apart — the equivalence tests
+//! pin that both return identical row bits.
 
 use rayon::prelude::*;
 use socialrec_community::Partition;
@@ -70,9 +68,8 @@ enum Repr {
     /// Rows owned in RAM, each shared between the indexes derived
     /// from one another.
     Heap { rows: SharedRows<u32, f64> },
-    /// A window of `rows` rows starting at artifact row `base`. The
-    /// artifact is shared, so slicing is O(1) and allocation-free.
-    Artifact { art: Arc<CsrArtifact>, base: usize, rows: usize },
+    /// An opened artifact, shared so a clone is O(1).
+    Artifact { art: Arc<CsrArtifact> },
 }
 
 impl SimMassIndex {
@@ -116,9 +113,8 @@ impl SimMassIndex {
     pub fn row_vals(&self, u: UserId) -> (&[u32], &[f64]) {
         match &self.repr {
             Repr::Heap { rows } => rows.row(u),
-            Repr::Artifact { art, base, rows } => {
-                assert!(u.index() < *rows, "user {u:?} outside this index window");
-                let (lo, hi) = art.row_range(base + u.index());
+            Repr::Artifact { art } => {
+                let (lo, hi) = art.row_range(u.index());
                 (&art.cols()[lo..hi], &art.vals()[lo..hi])
             }
         }
@@ -128,7 +124,7 @@ impl SimMassIndex {
     pub fn num_users(&self) -> usize {
         match &self.repr {
             Repr::Heap { rows } => rows.num_rows(),
-            Repr::Artifact { rows, .. } => *rows,
+            Repr::Artifact { art } => art.num_rows(),
         }
     }
 
@@ -141,35 +137,7 @@ impl SimMassIndex {
     pub fn nnz(&self) -> usize {
         match &self.repr {
             Repr::Heap { rows } => rows.nnz(),
-            Repr::Artifact { art, base, rows } => {
-                let offsets = art.offsets();
-                (offsets[base + rows] - offsets[*base]) as usize
-            }
-        }
-    }
-
-    /// Rows `[lo, hi)` rebased so the result's user `0` is this index's
-    /// user `lo` — the per-shard index of the sharded server.
-    ///
-    /// Heap backing: the same shared rows behind a new pointer table —
-    /// no row bytes copied or re-accumulated, so the floating-point
-    /// contract is preserved verbatim. Artifact backing: the same
-    /// shared artifact with a narrowed window — O(1), no bytes
-    /// duplicated, which is what lets a million-user daemon shard
-    /// without re-materializing the index.
-    ///
-    /// Panics if `lo > hi` or `hi` exceeds the user count.
-    pub fn slice_rows(&self, lo: usize, hi: usize) -> SimMassIndex {
-        assert!(lo <= hi && hi <= self.num_users(), "slice out of bounds");
-        match &self.repr {
-            Repr::Heap { rows } => SimMassIndex {
-                repr: Repr::Heap { rows: rows.slice(lo, hi) },
-                num_clusters: self.num_clusters,
-            },
-            Repr::Artifact { art, base, .. } => SimMassIndex {
-                repr: Repr::Artifact { art: Arc::clone(art), base: base + lo, rows: hi - lo },
-                num_clusters: self.num_clusters,
-            },
+            Repr::Artifact { art } => art.cols().len(),
         }
     }
 
@@ -344,9 +312,8 @@ impl SimMassIndex {
                     format!("corrupt sim-mass index: cluster id {max} >= {clusters} clusters"),
                 ));
             }
-            let rows = art.num_rows();
             Ok(SimMassIndex {
-                repr: Repr::Artifact { art: Arc::new(art), base: 0, rows },
+                repr: Repr::Artifact { art: Arc::new(art) },
                 num_clusters: clusters as usize,
             })
         });
@@ -522,81 +489,6 @@ mod tests {
                 assert_eq!(par, refr, "parallel build differs from reference");
             }
         }
-    }
-
-    #[test]
-    fn slice_rows_rebases_and_preserves_bits() {
-        let s =
-            social_graph_from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
-                .unwrap();
-        let sim = SimilarityMatrix::build(&s, &Measure::AdamicAdar);
-        let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
-        let full = SimMassIndex::build(&sim, &partition);
-        // Shard-style cover: [0,2), [2,4), [4,6).
-        for lo in [0usize, 2, 4] {
-            let slice = full.slice_rows(lo, lo + 2);
-            assert_eq!(slice.num_users(), 2);
-            assert_eq!(slice.num_clusters(), full.num_clusters());
-            for local in 0..2u32 {
-                let (gc, gm) = full.row_vals(UserId(lo as u32 + local));
-                let (sc, sm) = slice.row_vals(UserId(local));
-                assert_eq!(gc, sc);
-                for (a, b) in gm.iter().zip(sm) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "sliced mass differs bitwise");
-                }
-            }
-        }
-        // Degenerate slices are fine; out-of-bounds is not.
-        assert_eq!(full.slice_rows(3, 3).num_users(), 0);
-        assert_eq!(full.slice_rows(0, 6).nnz(), full.nnz());
-    }
-
-    /// The shard-shaped boundary cases — an empty shard, a single-user
-    /// shard, and a final ragged shard — on both backings.
-    #[test]
-    fn slice_rows_boundary_cases_on_both_backings() {
-        let s = social_graph_from_edges(
-            7,
-            &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (0, 3), (2, 5)],
-        )
-        .unwrap();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let partition = Partition::from_assignment(&[0, 1, 2, 0, 1, 2, 0]);
-        let heap = SimMassIndex::build(&sim, &partition);
-        let path = temp_path("slice-bounds");
-        heap.write_artifact(&path, ValueKind::F64).unwrap();
-        let opened = SimMassIndex::open_artifact(&path).unwrap();
-
-        for full in [&heap, &opened] {
-            // Empty shard: zero users anywhere in the range, nnz 0.
-            for at in [0usize, 3, 7] {
-                let empty = full.slice_rows(at, at);
-                assert_eq!(empty.num_users(), 0);
-                assert_eq!(empty.nnz(), 0);
-            }
-            // Single-user shard: one row, bits preserved, local id 0.
-            for at in [0usize, 4, 6] {
-                let one = full.slice_rows(at, at + 1);
-                assert_eq!(one.num_users(), 1);
-                let (gc, gv) = full.row_vals(UserId(at as u32));
-                let (sc, sv) = one.row_vals(UserId(0));
-                assert_eq!(gc, sc);
-                assert!(gv.iter().zip(sv).all(|(a, b)| a.to_bits() == b.to_bits()));
-            }
-            // Final ragged shard: chunk 3 over 7 users → [6, 7).
-            let ragged = full.slice_rows(6, 7);
-            assert_eq!(ragged.num_users(), 1);
-            let (gc, _) = full.row_vals(UserId(6));
-            let (sc, _) = ragged.row_vals(UserId(0));
-            assert_eq!(gc, sc);
-        }
-        // Artifact slices share the backing and stay O(1): a sub-slice
-        // of a slice still answers correctly.
-        let nested = opened.slice_rows(2, 7).slice_rows(3, 5);
-        let (gc, _) = opened.row_vals(UserId(5));
-        let (nc2, _) = nested.row_vals(UserId(0));
-        assert_eq!(gc, nc2);
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -819,11 +711,11 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    /// A clone, a heap slice and a dirty-row update share every row they
-    /// do not recompute with the index they came from. Empty rows are
-    /// skipped: every empty boxed slice has the same dangling pointer.
+    /// A clone and a dirty-row update share every row they do not
+    /// recompute with the index they came from. Empty rows are skipped:
+    /// every empty boxed slice has the same dangling pointer.
     #[test]
-    fn clone_slice_and_update_rows_share_clean_rows() {
+    fn clone_and_update_rows_share_clean_rows() {
         let mut edges: Vec<(u32, u32)> = (0..40u32).map(|u| (u, (u + 1) % 40)).collect();
         edges.extend((0..20u32).map(|u| (u, u + 20)));
         let s = social_graph_from_edges(40, &edges).unwrap();
@@ -837,12 +729,6 @@ mod tests {
 
         let copy = idx.clone();
         assert!(non_empty.iter().all(|&u| ptr(&idx, u) == ptr(&copy, u)), "clone copied a row");
-        for (lo, hi) in [(0, 13), (13, 40)] {
-            let shard = idx.slice_rows(lo, hi);
-            for &u in non_empty.iter().filter(|&&u| (lo..hi).contains(&u)) {
-                assert_eq!(ptr(&idx, u), ptr(&shard, u - lo), "slice copied row {u}");
-            }
-        }
 
         // Moving user 7 dirties its own row and the rows that hold it.
         labels[7] = 1;
@@ -856,15 +742,6 @@ mod tests {
                 assert_eq!(ptr(&idx, u), ptr(&next, u), "clean row {u} was copied");
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "slice out of bounds")]
-    fn slice_rows_rejects_out_of_bounds() {
-        let s = social_graph_from_edges(3, &[(0, 1), (1, 2)]).unwrap();
-        let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
-        let idx = SimMassIndex::build(&sim, &Partition::singletons(3));
-        let _ = idx.slice_rows(1, 4);
     }
 
     #[test]

@@ -17,12 +17,12 @@
 //!   precomputed once, in parallel, collapsing per-query work from
 //!   `O(|sim(u)|)` to one sparse axpy per touched cluster.
 //! * [`ShardedServer`] — the concurrent serving daemon:
-//!   user-partitioned shards (each owning a rebased slice of the
-//!   index), flat-combining admission that coalesces concurrent single
-//!   queries into kernel batches ([`coalesce`]), and epoch-based
-//!   hot-swap of published releases under live traffic ([`hotswap`]),
-//!   with per-shard counters in its own metrics registry. [`loadgen`]
-//!   holds the Zipf/Poisson samplers `serve-bench` drives it with.
+//!   user-partitioned shards that share one index, flat-combining
+//!   admission that coalesces concurrent single queries into kernel
+//!   batches ([`coalesce`]), and epoch-based hot-swap of published
+//!   releases under live traffic ([`hotswap`]), with per-shard counters
+//!   in its own metrics registry. [`loadgen`] holds the Zipf/Poisson
+//!   samplers `serve-bench` drives it with.
 //!
 //! Served bits equal the framework's `A_R` on the published release:
 //! for a release `ClusterFramework::recommend` would draw with the same

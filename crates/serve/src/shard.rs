@@ -1,11 +1,10 @@
 //! The sharded, coalescing serving daemon.
 //!
 //! [`ShardedServer`] splits the user space into contiguous ranges —
-//! **shards** — and each shard owns a rebased slice of the
-//! [`SimMassIndex`], its own [`EpochCell`] onto the current release,
-//! and its own [`AdmissionQueue`]. Queries touch only their shard's
-//! state, so shards scale without sharing anything but the release
-//! itself:
+//! **shards** — each with its own [`EpochCell`] onto the current
+//! release and its own [`AdmissionQueue`]. Every shard reads the
+//! daemon's one immutable [`SimMassIndex`] by global user id; apart
+//! from it and the release, a query touches only its shard's state:
 //!
 //! * **Admission** — [`recommend_one`](ShardedServer::recommend_one)
 //!   enqueues on the user's shard; concurrent singles coalesce into one
@@ -38,13 +37,12 @@
 //!
 //! # Floating-point contract
 //!
-//! Sharding and coalescing are both invisible to the output bits. The
-//! per-shard index slices are copied bytes of the full index
-//! ([`SimMassIndex::slice_rows`]), each user's utilities are accumulated
-//! independently by the kernel regardless of batch composition, and
-//! top-N selection is the shared [`top_n_items`]. Every answer equals
-//! the framework's `A_R` on the *published* release — what
-//! `ClusterFramework::recommend` returns when it draws that same
+//! Sharding and coalescing are both invisible to the output bits. Every
+//! shard reads the same index rows, each user's utilities are
+//! accumulated independently by the kernel regardless of batch
+//! composition, and top-N selection is the shared [`top_n_items`].
+//! Every answer equals the framework's `A_R` on the *published* release
+//! — what `ClusterFramework::recommend` returns when it draws that same
 //! release — so the serving layer adds zero accuracy loss on top of DP
 //! noise.
 
@@ -63,7 +61,6 @@ use socialrec_obs::journal::{
     self, EventKind, REFUSED_UNPUBLISHED_GENERATION, REFUSED_USER_OUTSIDE_PARTITION,
 };
 use socialrec_obs::{span, Counter, Gauge, LatencyHistogram, MetricsRegistry};
-use socialrec_similarity::SimilarityMatrix;
 use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
@@ -96,14 +93,10 @@ fn release_generation(partition_fingerprint: u64, epsilon: Epsilon, seed: u64) -
     h.finish()
 }
 
-/// One user-range shard: a rebased index slice plus all serving state
-/// for its users.
+/// One user-range shard: the serving state for its users.
 struct Shard {
-    /// First (global) user id this shard owns.
-    first_user: u32,
-    /// Rows `[first_user, first_user + index.num_users())` of the full
-    /// index, rebased to local user `0`.
-    index: SimMassIndex,
+    /// This shard's position in the daemon's shard table.
+    position: u64,
     /// The release epoch this shard is currently serving.
     epoch: EpochCell,
     /// Flat-combining admission for single queries.
@@ -139,6 +132,8 @@ pub struct ShardedServer<'p> {
     epsilon: Epsilon,
     fingerprint: u64,
     exchange: ReleaseExchange,
+    /// The one index every shard reads, by global user id.
+    index: SimMassIndex,
     shards: Vec<Shard>,
     /// Users per shard (last shard may be ragged).
     chunk: usize,
@@ -149,55 +144,41 @@ pub struct ShardedServer<'p> {
 
 impl<'p> ShardedServer<'p> {
     /// Build a daemon over `num_shards` contiguous user ranges, serving
-    /// releases of `partition` at `epsilon`. `num_shards` is clamped to
+    /// releases of `partition` at `epsilon` from `index` — built in RAM
+    /// ([`SimMassIndex::build`]) or read from an artifact
+    /// ([`SimMassIndex::open_artifact`]). Every shard reads this one
+    /// index. It must cover exactly `partition`'s users and have been
+    /// built against that partition. `num_shards` is clamped to
     /// `[1, num_users]` (a 0-user partition gets 0 shards). The daemon
     /// answers nothing until a release is published.
-    pub fn new(
-        partition: &'p Partition,
-        sim: &SimilarityMatrix,
-        epsilon: Epsilon,
-        num_shards: usize,
-    ) -> ShardedServer<'p> {
-        Self::from_index(partition, SimMassIndex::build(sim, partition), epsilon, num_shards)
-    }
-
-    /// Build a daemon from a prebuilt [`SimMassIndex`] — typically one
-    /// read from an artifact ([`SimMassIndex::open_artifact`]), in which
-    /// case the per-shard `slice_rows` calls are O(1) windows over the
-    /// one shared buffer and no index bytes are duplicated. The index must cover exactly
-    /// `partition`'s users and have been built against that partition.
     pub fn from_index(
         partition: &'p Partition,
-        full: SimMassIndex,
+        index: SimMassIndex,
         epsilon: Epsilon,
         num_shards: usize,
     ) -> ShardedServer<'p> {
         let n = partition.num_users();
-        assert_eq!(full.num_users(), n, "index must cover the partition's users");
+        assert_eq!(index.num_users(), n, "index must cover the partition's users");
         assert_eq!(
-            full.num_clusters(),
+            index.num_clusters(),
             partition.num_clusters(),
             "index was built against a different partition"
         );
         let chunk = n.div_ceil(num_shards.clamp(1, n.max(1))).max(1);
         let registry = Arc::new(MetricsRegistry::new());
         let shards = (0..n.div_ceil(chunk))
-            .map(|s| {
-                let (lo, hi) = (s * chunk, ((s + 1) * chunk).min(n));
-                Shard {
-                    first_user: lo as u32,
-                    index: full.slice_rows(lo, hi),
-                    epoch: EpochCell::new(),
-                    queue: AdmissionQueue::new(),
-                    queries: registry.counter(format!("serve.shard{s}.queries")),
-                    admissions: registry.counter(format!("serve.shard{s}.admissions")),
-                    coalesced: registry.counter(format!("serve.shard{s}.coalesced")),
-                    kernel_blocks: registry.counter(format!("serve.shard{s}.kernel_blocks")),
-                    release_swaps: registry.counter(format!("serve.shard{s}.release_swaps")),
-                    generation: registry.gauge(format!("serve.shard{s}.generation")),
-                    queue_depth: registry.gauge(format!("serve.shard{s}.queue_depth")),
-                    latency: registry.histogram(format!("serve.shard{s}.query_ns")),
-                }
+            .map(|s| Shard {
+                position: s as u64,
+                epoch: EpochCell::new(),
+                queue: AdmissionQueue::new(),
+                queries: registry.counter(format!("serve.shard{s}.queries")),
+                admissions: registry.counter(format!("serve.shard{s}.admissions")),
+                coalesced: registry.counter(format!("serve.shard{s}.coalesced")),
+                kernel_blocks: registry.counter(format!("serve.shard{s}.kernel_blocks")),
+                release_swaps: registry.counter(format!("serve.shard{s}.release_swaps")),
+                generation: registry.gauge(format!("serve.shard{s}.generation")),
+                queue_depth: registry.gauge(format!("serve.shard{s}.queue_depth")),
+                latency: registry.histogram(format!("serve.shard{s}.query_ns")),
             })
             .collect();
         ShardedServer {
@@ -205,6 +186,7 @@ impl<'p> ShardedServer<'p> {
             epsilon,
             fingerprint: partition_fingerprint(partition),
             exchange: ReleaseExchange::new(),
+            index,
             shards,
             chunk,
             refused: registry.counter("serve.refused"),
@@ -295,11 +277,7 @@ impl<'p> ShardedServer<'p> {
         shard.epoch.store(generation, Arc::clone(&averages));
         shard.release_swaps.inc();
         shard.generation.set(generation as i64);
-        journal::emit(
-            EventKind::HotSwapCompleted,
-            (shard.first_user as usize / self.chunk) as u64,
-            generation,
-        );
+        journal::emit(EventKind::HotSwapCompleted, shard.position, generation);
         Some(averages)
     }
 
@@ -331,7 +309,7 @@ impl<'p> ShardedServer<'p> {
             }
         }
         let mut buf = Vec::new();
-        let mut locals = Vec::with_capacity(kernel::USER_BLOCK);
+        let mut users = Vec::with_capacity(kernel::USER_BLOCK);
         for (seed, group) in groups {
             let Some(averages) = self.release_for(shard, seed) else {
                 for q in group {
@@ -341,12 +319,12 @@ impl<'p> ShardedServer<'p> {
             };
             let ni = averages.num_items();
             for block in group.chunks(kernel::USER_BLOCK) {
-                locals.clear();
-                locals.extend(block.iter().map(|q| UserId(q.user().0 - shard.first_user)));
+                users.clear();
+                users.extend(block.iter().map(|q| q.user()));
                 kernel::utilities_block_tiled(
                     &averages,
-                    &shard.index,
-                    &locals,
+                    &self.index,
+                    &users,
                     kernel::ITEM_TILE,
                     &mut buf,
                 );
@@ -431,12 +409,11 @@ impl<'p> ShardedServer<'p> {
             .map_init(Vec::new, |buf, t| {
                 let (shard, averages, block) = &tasks[t];
                 let ni = averages.num_items();
-                let locals: Vec<UserId> =
-                    block.iter().map(|&(_, u)| UserId(u.0 - shard.first_user)).collect();
+                let block_users: Vec<UserId> = block.iter().map(|&(_, u)| u).collect();
                 kernel::utilities_block_tiled(
                     averages,
-                    &shard.index,
-                    &locals,
+                    &self.index,
+                    &block_users,
                     kernel::ITEM_TILE,
                     buf,
                 );
@@ -464,7 +441,7 @@ mod tests {
     use socialrec_core::TopNRecommender;
     use socialrec_graph::preference::preference_graph_from_edges;
     use socialrec_graph::social::social_graph_from_edges;
-    use socialrec_similarity::Measure;
+    use socialrec_similarity::{Measure, SimilarityMatrix, ValueKind};
 
     fn fixture() -> (socialrec_graph::SocialGraph, socialrec_graph::PreferenceGraph) {
         let s =
@@ -499,6 +476,17 @@ mod tests {
         daemon.registry().counter(name).get()
     }
 
+    /// `index` written to an artifact named after `test` and read back.
+    fn reopened(index: &SimMassIndex, test: &str) -> SimMassIndex {
+        let dir = std::env::temp_dir().join("socialrec-shard-tests");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join(format!("{test}-{}.srart", std::process::id()));
+        index.write_artifact(&path, ValueKind::F64).unwrap();
+        let opened = SimMassIndex::open_artifact(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        opened
+    }
+
     #[test]
     fn generation_separates_every_input() {
         let p1 = partition_fingerprint(&Partition::singletons(4));
@@ -525,12 +513,21 @@ mod tests {
         let users: Vec<UserId> = (0..6).map(UserId).collect();
         let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.5));
         let want = fw.recommend(&inputs, &users, 3, 42);
-        for num_shards in [1, 2, 3, 6, 100] {
-            let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), num_shards);
-            assert!(daemon.num_shards() <= 6);
-            publish(&daemon, &inputs, 42);
-            let got = daemon.recommend_batch(&inputs, &users, 3, 42);
-            assert_bits(&got, &want);
+        let heap = SimMassIndex::build(&sim, &partition);
+        let opened = reopened(&heap, "every-shard-count");
+        for index in [&heap, &opened] {
+            for num_shards in [1, 2, 3, 6, 100] {
+                let daemon = ShardedServer::from_index(
+                    &partition,
+                    index.clone(),
+                    Epsilon::Finite(0.5),
+                    num_shards,
+                );
+                assert!(daemon.num_shards() <= 6);
+                publish(&daemon, &inputs, 42);
+                let got = daemon.recommend_batch(&inputs, &users, 3, 42);
+                assert_bits(&got, &want);
+            }
         }
     }
 
@@ -543,7 +540,8 @@ mod tests {
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
         let users: Vec<UserId> = (0..6).map(UserId).collect();
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.3), 1);
+        let index = SimMassIndex::build(&sim, &partition);
+        let daemon = ShardedServer::from_index(&partition, index, Epsilon::Finite(0.3), 1);
         publish(&daemon, &inputs, 7);
         let got = daemon.recommend_batch(&inputs, &users, 100, 7);
         let want = ClusterFramework::new(&partition, Epsilon::Finite(0.3))
@@ -552,12 +550,11 @@ mod tests {
         assert!(got.iter().all(|t| t.items.len() == 4), "n > num_items clamps to the item count");
     }
 
-    /// A daemon sharding an index read from an artifact (O(1) window
-    /// slices over one shared buffer) answers bit-identically to the
-    /// heap-built daemon, for single queries and batches alike.
+    /// A daemon serving an index read from an artifact answers
+    /// bit-identically to the heap-built daemon, for single queries and
+    /// batches alike.
     #[test]
     fn artifact_backed_daemon_matches_heap_daemon_bitwise() {
-        use socialrec_similarity::ValueKind;
         let (s, p) = fixture();
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
@@ -565,17 +562,18 @@ mod tests {
         let users: Vec<UserId> = (0..6).map(UserId).collect();
 
         let full = SimMassIndex::build(&sim, &partition);
-        let dir = std::env::temp_dir().join("socialrec-shard-tests");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("daemon-{}.srart", std::process::id()));
-        full.write_artifact(&path, ValueKind::F64).unwrap();
+        let opened_index = reopened(&full, "daemon");
 
         for num_shards in [1, 3, 6] {
-            let heap = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), num_shards);
-            let opened_index = SimMassIndex::open_artifact(&path).unwrap();
+            let heap = ShardedServer::from_index(
+                &partition,
+                full.clone(),
+                Epsilon::Finite(0.5),
+                num_shards,
+            );
             let opened = ShardedServer::from_index(
                 &partition,
-                opened_index,
+                opened_index.clone(),
                 Epsilon::Finite(0.5),
                 num_shards,
             );
@@ -590,7 +588,6 @@ mod tests {
                 assert_bits(std::slice::from_ref(&one), std::slice::from_ref(row));
             }
         }
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -599,7 +596,8 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::AdamicAdar);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::one_cluster(6);
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Infinite, 3);
+        let index = SimMassIndex::build(&sim, &partition);
+        let daemon = ShardedServer::from_index(&partition, index, Epsilon::Infinite, 3);
         publish(&daemon, &inputs, 0);
         let users: Vec<UserId> = (0..6).map(UserId).collect();
         let batch = daemon.recommend_batch(&inputs, &users, 2, 0);
@@ -615,7 +613,8 @@ mod tests {
         let (s, _) = fixture();
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let partition = Partition::singletons(6);
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(1.0), 4);
+        let index = SimMassIndex::build(&sim, &partition);
+        let daemon = ShardedServer::from_index(&partition, index, Epsilon::Finite(1.0), 4);
         // 6 users over ≤4 shards: chunk = 2 → 3 shards of 2.
         assert_eq!(daemon.num_shards(), 3);
         let mut per_shard = vec![0usize; daemon.num_shards()];
@@ -635,7 +634,8 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::from_assignment(&[0, 0, 1, 1, 0, 1]);
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), 3);
+        let index = SimMassIndex::build(&sim, &partition);
+        let daemon = ShardedServer::from_index(&partition, index, Epsilon::Finite(0.5), 3);
         let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.5));
         let users: Vec<UserId> = (0..6).map(UserId).collect();
 
@@ -675,8 +675,9 @@ mod tests {
     }
 
     /// An id at or past the partition's user count used to index past
-    /// the shard table, or past the ragged last shard's index slice, and
-    /// panic the serving thread. It is refused like an unpublished seed.
+    /// the shard table, or past the ragged last shard's rows, and panic
+    /// the serving thread. It is refused like an unpublished seed, on
+    /// both index backings.
     #[test]
     fn out_of_range_users_are_refused_not_a_panic() {
         let s = social_graph_from_edges(5, &[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4)]).unwrap();
@@ -685,10 +686,17 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::from_assignment(&[0, 0, 1, 1, 1]);
+        let heap = SimMassIndex::build(&sim, &partition);
+        let opened = reopened(&heap, "out-of-range");
         // 2 shards: chunk 3, so UserId(5) falls in the ragged last
         // shard's range. 5 shards: it falls past the shard table.
-        for num_shards in [2, 5] {
-            let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.5), num_shards);
+        for (index, num_shards) in [(&heap, 2), (&heap, 5), (&opened, 2), (&opened, 5)] {
+            let daemon = ShardedServer::from_index(
+                &partition,
+                index.clone(),
+                Epsilon::Finite(0.5),
+                num_shards,
+            );
             publish(&daemon, &inputs, 9);
             let bad = [UserId(5), UserId(u32::MAX)];
             for &u in &bad {
@@ -712,7 +720,8 @@ mod tests {
         let sim = SimilarityMatrix::build(&s, &Measure::CommonNeighbors);
         let inputs = RecommenderInputs { prefs: &p, sim: &sim };
         let partition = Partition::from_assignment(&[0, 1, 0, 1, 0, 1]);
-        let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.7), 2);
+        let index = SimMassIndex::build(&sim, &partition);
+        let daemon = ShardedServer::from_index(&partition, index, Epsilon::Finite(0.7), 2);
         publish(&daemon, &inputs, 5);
         let users: Vec<UserId> = (0..6).map(UserId).collect();
         daemon.recommend_batch(&inputs, &users, 2, 5);

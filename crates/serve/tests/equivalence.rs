@@ -4,9 +4,9 @@
 //! `ClusterFramework::recommend` would draw with the same seed, the
 //! answer is **bit-identical** to it: same items, same order, same
 //! utility bits, across seeds, noise models, ε values, and degenerate
-//! partitions. The index, shard slices, epoch cells, and admission
-//! batching are pure post-processing rearrangements, so any divergence
-//! is a bug.
+//! partitions. The index that every shard shares, the epoch cells, and
+//! admission batching are pure post-processing rearrangements, so any
+//! divergence is a bug.
 
 use socialrec_community::{ClusteringStrategy, LouvainStrategy, Partition};
 use socialrec_core::private::framework::{
@@ -95,7 +95,8 @@ fn partial_and_reordered_batches_still_match() {
     let inputs = RecommenderInputs { prefs: &ds.prefs, sim: &sim };
     let partition = LouvainStrategy::default().cluster(&ds.social);
     let fw = ClusterFramework::new(&partition, Epsilon::Finite(0.2));
-    let daemon = ShardedServer::new(&partition, &sim, Epsilon::Finite(0.2), 4);
+    let index = SimMassIndex::build(&sim, &partition);
+    let daemon = ShardedServer::from_index(&partition, index, Epsilon::Finite(0.2), 4);
     daemon.publish_release(5, fw.noisy_cluster_averages(&inputs, 5));
 
     // A scattered, unsorted, repeating subset of users.
@@ -117,7 +118,8 @@ fn coalescing_admission_is_bit_identical_to_framework() {
     let partition = LouvainStrategy::default().cluster(&ds.social);
     let epsilon = Epsilon::Finite(0.2);
     let fw = ClusterFramework::new(&partition, epsilon);
-    let daemon = ShardedServer::new(&partition, &sim, epsilon, 4);
+    let daemon =
+        ShardedServer::from_index(&partition, SimMassIndex::build(&sim, &partition), epsilon, 4);
     let n_users = ds.social.num_users() as u32;
     let seed = 11u64;
     daemon.publish_release(seed, fw.noisy_cluster_averages(&inputs, seed));

@@ -10,7 +10,7 @@ use socialrec_core::{BudgetSchedule, DynamicRecommender};
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_obs::{http_get, IntrospectConfig, IntrospectionServer};
-use socialrec_serve::ShardedServer;
+use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_similarity::{Measure, SimilarityMatrix};
 
 #[test]
@@ -23,7 +23,8 @@ fn ledger_reports_the_accountant_with_tracing_off() {
     let mut accountant =
         DynamicRecommender::new(Epsilon::Finite(0.6), BudgetSchedule::Uniform { releases: 2 });
     let (epsilon, release) = accountant.release_averages(&partition, &ds.prefs, 1).unwrap();
-    let daemon = ShardedServer::new(&partition, &sim, epsilon, 2);
+    let daemon =
+        ShardedServer::from_index(&partition, SimMassIndex::build(&sim, &partition), epsilon, 2);
     let server = IntrospectionServer::start(
         0,
         IntrospectConfig {

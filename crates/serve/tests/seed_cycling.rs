@@ -15,7 +15,7 @@ use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_obs::journal::{REFUSED_UNPUBLISHED_GENERATION, REFUSED_USER_OUTSIDE_PARTITION};
 use socialrec_obs::{EventKind, Journal};
-use socialrec_serve::ShardedServer;
+use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_similarity::{Measure, SimilarityMatrix};
 
 #[test]
@@ -29,7 +29,8 @@ fn cycling_unpublished_seeds_mints_no_release() {
     let mut accountant =
         DynamicRecommender::new(Epsilon::Finite(0.5), BudgetSchedule::Uniform { releases: 1 });
     let (epsilon, release) = accountant.release_averages(&partition, &ds.prefs, 1).unwrap();
-    let daemon = ShardedServer::new(&partition, &sim, epsilon, 4);
+    let daemon =
+        ShardedServer::from_index(&partition, SimMassIndex::build(&sim, &partition), epsilon, 4);
     daemon.publish_release(1, release);
     assert_eq!(daemon.exchange().epoch(), 1);
     assert!(!daemon.recommend_one(&inputs, UserId(0), 10, 1).items.is_empty());

@@ -23,7 +23,7 @@ use socialrec_core::{
 use socialrec_datasets::lastfm_like_scaled;
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
-use socialrec_serve::ShardedServer;
+use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_similarity::{Measure, SimilarityMatrix};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -65,7 +65,8 @@ fn run_stress() {
     let want_a = fw.recommend(&inputs, &all, TOP_N, SEED_A);
     let want_b = fw.recommend(&inputs, &all, TOP_N, SEED_B);
 
-    let daemon = ShardedServer::new(&partition, &sim, epsilon, 4);
+    let daemon =
+        ShardedServer::from_index(&partition, SimMassIndex::build(&sim, &partition), epsilon, 4);
     let gen_a = daemon.generation_for(SEED_A);
     let gen_b = daemon.generation_for(SEED_B);
 

@@ -168,15 +168,6 @@ impl SimilarityMatrix {
     pub fn max_in_row(&self, u: UserId) -> f64 {
         self.row(u).1.iter().copied().fold(0.0, f64::max)
     }
-
-    /// Mean similarity-set size across users.
-    pub fn mean_set_size(&self) -> f64 {
-        if self.num_users() == 0 {
-            0.0
-        } else {
-            self.num_entries() as f64 / self.num_users() as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -390,7 +381,6 @@ mod tests {
         let matrix = SimilarityMatrix::build(&g, &CommonNeighbors);
         // Square: each user similar only to the opposite corner.
         assert_eq!(matrix.num_entries(), 4);
-        assert_eq!(matrix.mean_set_size(), 1.0);
         assert_eq!(matrix.max_in_row(UserId(0)), 2.0);
         assert_eq!(matrix.pair(UserId(0), UserId(2)), 2.0);
         assert_eq!(matrix.pair(UserId(0), UserId(1)), 0.0);

@@ -4,12 +4,12 @@
 //! [`SimilarityMatrix`] and the heap arm of `SimMassIndex`. Each row is
 //! its own immutable allocation behind an `Arc`: a column array and a
 //! value array, each allocated once at its exact length. The store
-//! itself is an n-entry table of row pointers, so `clone`,
-//! [`slice`](SharedRows::slice) and [`update`](SharedRows::update)
-//! share every row they do not recompute and copy only the table. A
-//! dirty-row refresh therefore costs O(dirty rows + n pointers), not
-//! O(entries), and a generation holds the very same allocation as its
-//! predecessor for every clean row.
+//! itself is an n-entry table of row pointers, so `clone` and
+//! [`update`](SharedRows::update) share every row they do not
+//! recompute and copy only the table. A dirty-row refresh therefore
+//! costs O(dirty rows + n pointers), not O(entries), and a generation
+//! holds the very same allocation as its predecessor for every clean
+//! row.
 //!
 //! Rows are shared one at a time, never in blocks: the dirty rows of a
 //! churn delta scatter over the id space, so a multi-row block would be
@@ -82,12 +82,6 @@ impl<C: Send + Sync, V: Send + Sync> SharedRows<C, V> {
             *slot = new;
         }
         SharedRows { rows, nnz }
-    }
-
-    /// Rows `[lo, hi)`, rebased so row `lo` becomes row 0, sharing
-    /// every row with this store.
-    pub fn slice(&self, lo: usize, hi: usize) -> SharedRows<C, V> {
-        Self::from_table(self.rows[lo..hi].to_vec())
     }
 
     fn from_table(rows: Vec<Arc<Row<C, V>>>) -> SharedRows<C, V> {
@@ -173,15 +167,5 @@ mod tests {
             .collect();
         assert!(same(&next, &want));
         assert!(same(&base.update(&[], || (), shifted), &base));
-    }
-
-    #[test]
-    fn slice_rebases_and_counts() {
-        let base = SharedRows::build(12, || (), demo_row);
-        let s = base.slice(5, 9);
-        assert_eq!(s.num_rows(), 4);
-        assert_eq!(s.row(UserId(0)), base.row(UserId(5)));
-        assert_eq!(s.nnz(), (5..9).map(|u| u % 5).sum::<usize>());
-        assert_eq!(base.slice(3, 3).nnz(), 0);
     }
 }
