@@ -18,10 +18,16 @@
 //! [`Louvain::run_best_of`] replicates the paper's protocol: R restarts
 //! with different random node orders, keep the clustering with the
 //! highest modularity.
+//!
+//! Level 0 of every run, and the refinement's level 0, run on the
+//! `SocialGraph` itself with integer link counts and community totals;
+//! contracted levels are `WeightedGraph`s. All local moving, shuffled or
+//! worklist-driven, decides each node's move in one branch-free
+//! kernel, `Mover::best_move`.
 
 use crate::modularity::modularity;
 use crate::partition::Partition;
-use crate::weighted::WeightedGraph;
+use crate::weighted::{Level, Weight, WeightedGraph};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -93,90 +99,131 @@ fn compact_labels(comm: &mut [u32]) -> usize {
     next as usize
 }
 
+/// Louvain's per-node move on one level: the community totals and the
+/// scratch rows of [`best_move`](Self::best_move), the one definition
+/// of the move every local-moving driver calls.
+struct Mover<L, T> {
+    two_m: f64,
+    /// Total weighted degree per community.
+    total: Vec<T>,
+    /// Link weight from the node being moved to each community; all
+    /// zero between calls.
+    link_to: Vec<L>,
+    /// The node's neighbour communities in first-appearance order. One
+    /// slot longer than the node count, so a store past the last
+    /// distinct community stays in bounds.
+    seen: Vec<u32>,
+}
+
+impl<L: Weight, T: Weight> Mover<L, T> {
+    fn new<G: Level<Link = L, Total = T>>(g: &G, comm: &[u32]) -> Self {
+        let n = g.num_nodes();
+        let mut total = vec![T::ZERO; n];
+        for (u, &c) in comm.iter().enumerate() {
+            total[c as usize] += g.degree_of(u);
+        }
+        Mover { two_m: g.two_m(), total, link_to: vec![L::ZERO; n], seen: vec![0; n + 1] }
+    }
+
+    /// The community a node joins: the node sits in `cu`, has weighted
+    /// degree `ku` and the neighbours and arc weights of `arcs`.
+    ///
+    /// The gain of joining `c` (up to constants shared by every
+    /// candidate) is `link_to[c] − total[c]·k_u / 2m`, with `u` taken out
+    /// of `cu` first. Candidates are scanned in the order their
+    /// communities first appear among the arcs, and one replaces the
+    /// best only if its gain exceeds the best's by more than `MIN_GAIN`,
+    /// so the earliest of equal candidates wins. `cu` itself never
+    /// passes that test: the best starts at `cu`'s gain and only grows,
+    /// so the scan needs no `c != cu` term. Neither loop branches on the
+    /// data: every label is stored and the length grows on first sight,
+    /// and the best is kept with selects. Updates the totals for the
+    /// move and leaves `link_to` zeroed.
+    #[inline(always)]
+    fn best_move(
+        &mut self,
+        arcs: impl Iterator<Item = (u32, L)>,
+        cu: usize,
+        ku: T,
+        comm: &[u32],
+    ) -> usize {
+        let Mover { two_m, total, link_to, seen } = self;
+        let mut len = 0;
+        for (v, w) in arcs {
+            let c = comm[v as usize];
+            seen[len] = c;
+            len += (link_to[c as usize] == L::ZERO) as usize;
+            link_to[c as usize] += w;
+        }
+        total[cu] -= ku;
+        let k = ku.to_f64();
+        let mut best_c = cu;
+        let mut best = link_to[cu].to_f64() - total[cu].to_f64() * k / *two_m;
+        for &c in &seen[..len] {
+            let c = c as usize;
+            let gain = link_to[c].to_f64() - total[c].to_f64() * k / *two_m;
+            link_to[c] = L::ZERO;
+            let better = gain > best + MIN_GAIN;
+            best = if better { gain } else { best };
+            best_c = if better { c } else { best_c };
+        }
+        total[best_c] += ku;
+        best_c
+    }
+}
+
 /// One local-moving phase starting from the assignment in `comm`
-/// (which may be singletons or a projected coarse partition).
-/// Returns whether any node moved.
-fn local_moving(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng) -> bool {
-    let n = wg.num_nodes();
-    if n == 0 || wg.two_m == 0.0 {
+/// (which may be singletons or a projected coarse partition): shuffled
+/// passes until one moves no node. Returns whether any node moved.
+fn local_moving<G: Level>(g: &G, comm: &mut [u32], rng: &mut SmallRng) -> bool {
+    let n = g.num_nodes();
+    if n == 0 || g.two_m() == 0.0 {
         return false;
     }
-    let m2 = wg.two_m;
-
-    // Total weighted degree per community.
-    let mut comm_total = vec![0.0f64; n];
-    for u in 0..n {
-        comm_total[comm[u] as usize] += wg.degree[u];
-    }
-
+    let mut mover = Mover::new(g, comm);
     let mut order: Vec<u32> = (0..n as u32).collect();
     let mut any_move = false;
-
-    // Dense scratch: weight from the current node to each community.
-    let mut link_to = vec![0.0f64; n];
-    let mut touched: Vec<u32> = Vec::new();
-
     loop {
-        let mut moved_this_pass = false;
+        let mut moved = false;
         order.shuffle(rng);
-        for &u32u in &order {
-            let u = u32u as usize;
+        for &u in &order {
+            let u = u as usize;
             let cu = comm[u] as usize;
-            let ku = wg.degree[u];
-
-            // Accumulate links from u to neighboring communities, in
-            // neighbor order.
-            let (ns, ws) = wg.neighbors_of(u);
-            for (&v, &w) in ns.iter().zip(ws) {
-                let cv = comm[v as usize] as usize;
-                if link_to[cv] == 0.0 {
-                    touched.push(cv as u32);
-                }
-                link_to[cv] += w;
-            }
-
-            // Remove u from its community for the comparison.
-            comm_total[cu] -= ku;
-
-            // Gain of joining community c (up to constants shared by all
-            // candidates): link_to[c] - tot_c·k_u / 2m.
-            let mut best_c = cu;
-            let mut best_gain = link_to[cu] - comm_total[cu] * ku / m2;
-            for &tc in &touched {
-                let c = tc as usize;
-                if c == cu {
-                    continue;
-                }
-                let gain = link_to[c] - comm_total[c] * ku / m2;
-                if gain > best_gain + MIN_GAIN {
-                    best_gain = gain;
-                    best_c = c;
-                }
-            }
-
-            comm_total[best_c] += ku;
-            if best_c != cu {
-                comm[u] = best_c as u32;
-                moved_this_pass = true;
-                any_move = true;
-            }
-
-            for &tc in &touched {
-                link_to[tc as usize] = 0.0;
-            }
-            touched.clear();
+            let best = mover.best_move(g.arcs(u), cu, g.degree_of(u), comm);
+            comm[u] = best as u32;
+            moved |= best != cu;
         }
-        if !moved_this_pass {
-            break;
+        if !moved {
+            return any_move;
         }
+        any_move = true;
     }
-    any_move
+}
+
+/// Local moving on one hierarchy level from singletons; pushes the
+/// level's dense labels onto `merges` and returns the contracted next
+/// level, or `None` if this level is the last.
+fn build_level<G: Level>(
+    g: &G,
+    merges: &mut Vec<Vec<u32>>,
+    rng: &mut SmallRng,
+) -> Option<WeightedGraph> {
+    let _span = span!("louvain.level", level = merges.len());
+    let mut comm: Vec<u32> = (0..g.num_nodes() as u32).collect();
+    let moved = local_moving(g, &mut comm, rng);
+    let ncomm = compact_labels(&mut comm);
+    let done = !moved || ncomm == g.num_nodes() || merges.len() + 1 >= MAX_LEVELS;
+    let next = (!done).then(|| WeightedGraph::contract(g, &comm, ncomm));
+    merges.push(comm);
+    next
 }
 
 impl Louvain {
     /// Run Louvain once on the social graph.
     pub fn run(&self, g: &SocialGraph) -> LouvainResult {
-        self.run_core(&WeightedGraph::from_social(g))
+        let (partition, levels) = self.cluster(g);
+        let q = modularity(g, &partition);
+        LouvainResult { partition, modularity: q, levels }
     }
 
     /// Run Louvain on an arbitrary *weighted* undirected graph given as
@@ -186,50 +233,31 @@ impl Louvain {
     ///
     /// Duplicate edges accumulate; self loops are ignored.
     pub fn run_weighted_edges(&self, num_nodes: usize, edges: &[(u32, u32, f64)]) -> LouvainResult {
-        self.run_core(&WeightedGraph::from_weighted_edges(num_nodes, edges))
+        let wg = WeightedGraph::from_weighted_edges(num_nodes, edges);
+        let (partition, levels) = self.cluster(&wg);
+        let q = wg.modularity(partition.assignment(), partition.num_clusters());
+        LouvainResult { partition, modularity: q, levels }
     }
 
-    fn run_core(&self, base: &WeightedGraph) -> LouvainResult {
+    /// The partition and hierarchy depth of one run on `base`.
+    fn cluster<G: Level>(&self, base: &G) -> (Partition, usize) {
         let mut rng = SmallRng::seed_from_u64(self.seed);
-
         if base.num_nodes() == 0 {
-            return LouvainResult {
-                partition: Partition::from_assignment(&[]),
-                modularity: 0.0,
-                levels: 0,
-            };
+            return (Partition::from_assignment(&[]), 0);
         }
 
         // Build the hierarchy. Level l's graph is `base` for l = 0 and
         // `contracted[l - 1]` above; merges[l] maps level-l nodes to
-        // level-(l+1) nodes. The base graph is borrowed, so restarts
-        // share one copy instead of rebuilding it per run.
+        // level-(l+1) nodes.
         let mut contracted: Vec<WeightedGraph> = Vec::new();
         let mut merges: Vec<Vec<u32>> = Vec::new();
-        loop {
-            let _span = span!("louvain.level", level = merges.len());
-            let wg = contracted.last().unwrap_or(base);
-            let mut comm: Vec<u32> = (0..wg.num_nodes() as u32).collect();
-            let moved = local_moving(wg, &mut comm, &mut rng);
-            let ncomm = compact_labels(&mut comm);
-            let done = !moved || ncomm == wg.num_nodes() || merges.len() + 1 >= MAX_LEVELS;
-            merges.push(comm);
-            if done {
-                break;
-            }
-            let next = contracted.last().unwrap_or(base).contract(merges.last().unwrap(), ncomm);
-            contracted.push(next);
+        let mut next = build_level(base, &mut merges, &mut rng);
+        while let Some(wg) = next {
+            next = build_level(&wg, &mut merges, &mut rng);
+            contracted.push(wg);
         }
 
-        // Compose merges into an assignment for the original users.
-        let mut assign: Vec<u32> = merges[0].clone();
-        for level in merges.iter().skip(1) {
-            for a in assign.iter_mut() {
-                *a = level[*a as usize];
-            }
-        }
-
-        if self.refine {
+        let assign = if self.refine {
             // Project the final labels back down and re-run local moving
             // at every level (Rotta & Noack multi-level refinement).
             let lcount = merges.len();
@@ -239,19 +267,26 @@ impl Louvain {
                 if l < lcount - 1 {
                     proj = merges[l].iter().map(|&c| proj[c as usize]).collect();
                 }
-                let level_graph = if l == 0 { base } else { &contracted[l - 1] };
-                let mut comm = proj.clone();
-                compact_labels(&mut comm);
-                local_moving(level_graph, &mut comm, &mut rng);
-                compact_labels(&mut comm);
-                proj = comm;
+                compact_labels(&mut proj);
+                if l == 0 {
+                    local_moving(base, &mut proj, &mut rng);
+                } else {
+                    local_moving(&contracted[l - 1], &mut proj, &mut rng);
+                }
+                compact_labels(&mut proj);
             }
-            assign = proj;
-        }
-
-        let partition = Partition::from_assignment(&assign);
-        let q = base.modularity(partition.assignment(), partition.num_clusters());
-        LouvainResult { partition, modularity: q, levels: merges.len() }
+            proj
+        } else {
+            // Compose merges into an assignment for the original users.
+            let mut assign = merges[0].clone();
+            for level in &merges[1..] {
+                for a in assign.iter_mut() {
+                    *a = level[*a as usize];
+                }
+            }
+            assign
+        };
+        (Partition::from_assignment(&assign), merges.len())
     }
 
     /// Run `restarts` times with different node orders (seeds
@@ -265,12 +300,11 @@ impl Louvain {
     /// including the first-best tie-break.
     pub fn run_best_of(&self, g: &SocialGraph, restarts: usize) -> LouvainResult {
         assert!(restarts >= 1, "need at least one restart");
-        let base = WeightedGraph::from_social(g);
         let results: Vec<LouvainResult> = (0..restarts)
             .into_par_iter()
             .map(|r| {
                 let _span = span!("louvain.restart", restart = r);
-                Louvain { seed: self.seed.wrapping_add(r as u64), ..*self }.run_core(&base)
+                Louvain { seed: self.seed.wrapping_add(r as u64), ..*self }.run(g)
             })
             .collect();
         pick_first_best(results)
@@ -282,11 +316,10 @@ impl Louvain {
     /// serve crate's thread matrix at 1, 2 and 8 threads).
     pub fn run_best_of_sequential(&self, g: &SocialGraph, restarts: usize) -> LouvainResult {
         assert!(restarts >= 1, "need at least one restart");
-        let base = WeightedGraph::from_social(g);
         let results: Vec<LouvainResult> = (0..restarts)
             .map(|r| {
                 let _span = span!("louvain.restart", restart = r);
-                Louvain { seed: self.seed.wrapping_add(r as u64), ..*self }.run_core(&base)
+                Louvain { seed: self.seed.wrapping_add(r as u64), ..*self }.run(g)
             })
             .collect();
         pick_first_best(results)
@@ -296,16 +329,10 @@ impl Louvain {
 /// Worklist-driven local moving restricted to the region a graph delta
 /// can influence: the queue starts with `seeds` (the delta's touched
 /// endpoints) plus their neighbors, and whenever a node moves, its
-/// neighborhood is re-enqueued. Uses the exact gain formula and
-/// acceptance rule of [`local_moving`], but is fully deterministic — no
-/// RNG, FIFO order seeded by the ascending `seeds` slice.
-///
-/// It runs on the social graph itself: every edge weighs 1, so `k_u` is
-/// `u`'s degree, `2m` is twice the edge count, and every link count and
-/// community total is a whole number. The weighted formulation's f64
-/// sums hold those numbers exactly, so each gain — and so each move —
-/// is the one `local_moving`'s formula computes on the level-0
-/// `WeightedGraph` of `g`.
+/// neighborhood is re-enqueued. It decides each move with the kernel
+/// the shuffled passes use, on the social graph itself, but is fully
+/// deterministic — no RNG, FIFO order seeded by the ascending `seeds`
+/// slice.
 ///
 /// Terminates because every accepted move raises modularity by more
 /// than `MIN_GAIN` and `Q ≤ 1`. Returns whether any node moved.
@@ -314,12 +341,7 @@ fn local_moving_worklist(g: &SocialGraph, comm: &mut [u32], seeds: &[UserId]) ->
     if n == 0 || g.num_edges() == 0 || seeds.is_empty() {
         return false;
     }
-    let m2 = 2.0 * g.num_edges() as f64;
-
-    let mut comm_total = vec![0u64; n];
-    for u in g.users() {
-        comm_total[comm[u.index()] as usize] += g.degree(u) as u64;
-    }
+    let mut mover = Mover::new(g, comm);
 
     let mut queue: VecDeque<UserId> = VecDeque::new();
     let mut in_queue = vec![false; n];
@@ -333,57 +355,23 @@ fn local_moving_worklist(g: &SocialGraph, comm: &mut [u32], seeds: &[UserId]) ->
         }
     }
 
-    let mut link_to = vec![0u32; n];
-    let mut touched: Vec<u32> = Vec::new();
     let mut any_move = false;
-
     while let Some(u) = queue.pop_front() {
         in_queue[u.index()] = false;
         let cu = comm[u.index()] as usize;
-        let ns = g.neighbors(u);
-        let ku = ns.len() as u64;
-
-        for &v in ns {
-            let cv = comm[v.index()] as usize;
-            if link_to[cv] == 0 {
-                touched.push(cv as u32);
-            }
-            link_to[cv] += 1;
-        }
-
-        comm_total[cu] -= ku;
-        let gain = |c: usize| link_to[c] as f64 - comm_total[c] as f64 * ku as f64 / m2;
-        let mut best_c = cu;
-        let mut best_gain = gain(cu);
-        for &tc in &touched {
-            let c = tc as usize;
-            if c == cu {
-                continue;
-            }
-            let gain = gain(c);
-            if gain > best_gain + MIN_GAIN {
-                best_gain = gain;
-                best_c = c;
-            }
-        }
-        comm_total[best_c] += ku;
-        if best_c != cu {
-            comm[u.index()] = best_c as u32;
+        let best = mover.best_move(g.arcs(u.index()), cu, g.degree_of(u.index()), comm);
+        if best != cu {
+            comm[u.index()] = best as u32;
             any_move = true;
             // The move changes the best community of the neighborhood:
             // re-examine it.
-            for &v in ns {
+            for &v in g.neighbors(u) {
                 if !in_queue[v.index()] {
                     in_queue[v.index()] = true;
                     queue.push_back(v);
                 }
             }
         }
-
-        for &tc in &touched {
-            link_to[tc as usize] = 0;
-        }
-        touched.clear();
     }
     any_move
 }
@@ -527,9 +515,9 @@ impl IncrementalLouvain {
     /// set.
     ///
     /// The repair and its modularity run on `g` itself, with no weighted
-    /// copy (a restart builds one for the full run): O(touched
-    /// neighborhoods) for the moves plus one O(|E_s|) pass of
-    /// [`modularity`], whose `Q` has the weighted formulation's bits.
+    /// copy: O(touched neighborhoods) for the moves plus one O(|E_s|)
+    /// pass of [`modularity`], whose `Q` has the weighted formulation's
+    /// bits.
     pub fn refresh(&mut self, g: &SocialGraph, touched: &[UserId]) -> RefreshOutcome {
         let _span = span!("update.louvain", touched = touched.len());
         let n = g.num_users();
@@ -597,6 +585,8 @@ fn pick_first_best(results: Vec<LouvainResult>) -> LouvainResult {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::weighted::unit_edges;
+    use rand::{Rng, RngCore};
     use socialrec_graph::generate::{planted_communities, CommunityGraphConfig};
     use socialrec_graph::social::social_graph_from_edges;
     use socialrec_graph::UserId;
@@ -604,6 +594,70 @@ mod tests {
     fn two_triangles_bridge() -> SocialGraph {
         social_graph_from_edges(6, &[(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5), (2, 3)])
             .unwrap()
+    }
+
+    /// Shuffled local moving in the weighted formulation, with a branch
+    /// per candidate: the reference `level_passes_match_weighted_reference`
+    /// holds the shared kernel's passes to.
+    fn local_moving_on_weighted(wg: &WeightedGraph, comm: &mut [u32], rng: &mut SmallRng) -> bool {
+        let n = wg.num_nodes();
+        if n == 0 || wg.two_m == 0.0 {
+            return false;
+        }
+        let m2 = wg.two_m;
+        let mut comm_total = vec![0.0f64; n];
+        for u in 0..n {
+            comm_total[comm[u] as usize] += wg.degree[u];
+        }
+        let mut order: Vec<u32> = (0..n as u32).collect();
+        let mut any_move = false;
+        let mut link_to = vec![0.0f64; n];
+        let mut touched: Vec<u32> = Vec::new();
+        loop {
+            let mut moved_this_pass = false;
+            order.shuffle(rng);
+            for &u32u in &order {
+                let u = u32u as usize;
+                let cu = comm[u] as usize;
+                let ku = wg.degree[u];
+                let (ns, ws) = wg.neighbors_of(u);
+                for (&v, &w) in ns.iter().zip(ws) {
+                    let cv = comm[v as usize] as usize;
+                    if link_to[cv] == 0.0 {
+                        touched.push(cv as u32);
+                    }
+                    link_to[cv] += w;
+                }
+                comm_total[cu] -= ku;
+                let mut best_c = cu;
+                let mut best_gain = link_to[cu] - comm_total[cu] * ku / m2;
+                for &tc in &touched {
+                    let c = tc as usize;
+                    if c == cu {
+                        continue;
+                    }
+                    let gain = link_to[c] - comm_total[c] * ku / m2;
+                    if gain > best_gain + MIN_GAIN {
+                        best_gain = gain;
+                        best_c = c;
+                    }
+                }
+                comm_total[best_c] += ku;
+                if best_c != cu {
+                    comm[u] = best_c as u32;
+                    moved_this_pass = true;
+                    any_move = true;
+                }
+                for &tc in &touched {
+                    link_to[tc as usize] = 0.0;
+                }
+                touched.clear();
+            }
+            if !moved_this_pass {
+                break;
+            }
+        }
+        any_move
     }
 
     /// The worklist in the weighted formulation, on the level-0
@@ -690,7 +744,7 @@ mod tests {
         g: &SocialGraph,
         touched: &[UserId],
     ) -> RefreshOutcome {
-        let wg = WeightedGraph::from_social(g);
+        let wg = WeightedGraph::from_weighted_edges(g.num_users(), &unit_edges(g));
         let mut comm: Vec<u32> = inc.partition.assignment().to_vec();
         worklist_on_weighted(&wg, &mut comm, touched);
         let k = repair_labels(&mut comm, inc.partition.num_clusters());
@@ -1086,6 +1140,66 @@ mod tests {
                 assert!(incremental > 0, "case {case}: no incremental round");
             } else {
                 assert!(restarts > 0, "case {case}: no restart at threshold 0");
+            }
+        }
+    }
+
+    /// Property: from one RNG seed, the shared kernel's shuffled passes
+    /// end where the weighted reference's do — the same assignment,
+    /// `any_move` and next RNG draw — on the social graph and on its
+    /// edges at weight 2^20, where a gain's ulp exceeds `MIN_GAIN` and
+    /// equal gains stay tied; from singletons (level 0) and from a
+    /// coarse labelling (the refinement's level 0). A whole run on the
+    /// social graph equals `run_weighted_edges` on its unit-weight edges:
+    /// partition, level count and modularity bits.
+    #[test]
+    fn level_passes_match_weighted_reference() {
+        let mut rng = SmallRng::seed_from_u64(28);
+        let mut graphs = vec![
+            social_graph_from_edges(9, &[]).unwrap(),
+            // Two triangles joined by a bridge, and three isolated users.
+            social_graph_from_edges(9, &[(0, 1), (1, 2), (0, 2), (4, 5), (5, 7), (4, 7), (2, 4)])
+                .unwrap(),
+        ];
+        for case in 0..14 {
+            let cfg = CommunityGraphConfig {
+                num_users: rng.gen_range(20..400),
+                num_communities: rng.gen_range(2..9),
+                mixing: rng.gen_range(0.05..0.4),
+                seed: 500 + case,
+                ..Default::default()
+            };
+            graphs.push(planted_communities(&cfg).graph);
+        }
+        for (case, g) in graphs.iter().enumerate() {
+            let n = g.num_users();
+            let edges = unit_edges(g);
+            let unit = WeightedGraph::from_weighted_edges(n, &edges);
+            let heavy_edges: Vec<_> = edges.iter().map(|&(a, b, _)| (a, b, 1048576.0)).collect();
+            let heavy = WeightedGraph::from_weighted_edges(n, &heavy_edges);
+            let coarse = rng.gen_range(1..n as u32 + 1);
+            let starts: [Vec<u32>; 2] =
+                [(0..n as u32).collect(), (0..n).map(|_| rng.gen_range(0..coarse)).collect()];
+            for (s, start) in starts.iter().enumerate() {
+                let seed = rng.gen();
+                let pass = |f: &dyn Fn(&mut [u32], &mut SmallRng) -> bool| {
+                    let mut comm: Vec<u32> = start.clone();
+                    let mut r = SmallRng::seed_from_u64(seed);
+                    let moved = f(&mut comm, &mut r);
+                    (comm, moved, r.next_u64())
+                };
+                let at = format!("graph {case}, start {s}");
+                let got = pass(&|c, r| local_moving(g, c, r));
+                assert_eq!(got, pass(&|c, r| local_moving_on_weighted(&unit, c, r)), "{at}");
+                let got = pass(&|c, r| local_moving(&heavy, c, r));
+                assert_eq!(got, pass(&|c, r| local_moving_on_weighted(&heavy, c, r)), "{at}");
+            }
+            for refine in [false, true] {
+                let lv = Louvain { seed: rng.gen(), refine };
+                let (a, b) = (lv.run(g), lv.run_weighted_edges(n, &edges));
+                assert_eq!(a.partition, b.partition, "graph {case}, refine {refine}");
+                assert_eq!(a.levels, b.levels, "graph {case}, refine {refine}");
+                assert_eq!(a.modularity.to_bits(), b.modularity.to_bits(), "graph {case}");
             }
         }
     }

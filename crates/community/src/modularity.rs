@@ -97,7 +97,10 @@ mod tests {
         )
         .unwrap();
         let p = Partition::from_assignment(&[0, 0, 0, 1, 1, 1, 1]);
-        let w = crate::weighted::WeightedGraph::from_social(&g);
+        let w = crate::weighted::WeightedGraph::from_weighted_edges(
+            g.num_users(),
+            &crate::weighted::unit_edges(&g),
+        );
         let qw = w.modularity(p.assignment(), p.num_clusters());
         assert_eq!(modularity(&g, &p).to_bits(), qw.to_bits());
     }

@@ -1,11 +1,83 @@
-//! Internal weighted-graph representation used across Louvain levels.
+//! The graphs Louvain's levels run on.
 //!
-//! Level 0 is the plain social graph (all edge weights 1, no loops);
-//! contraction produces super-node graphs whose self-loop weights carry
-//! the internal edge mass of each community.
+//! Level 0 is the social graph itself: every edge weighs 1, so local
+//! moving counts links as `u32` and sums degrees and community totals
+//! as `u64`, and the level-0 contraction reads it at weight 1.
+//! Contraction produces [`WeightedGraph`] super-node graphs whose
+//! self-loop weights carry the internal edge mass of each community;
+//! `run_weighted_edges` inputs start as one.
 
 use rayon::prelude::*;
 use socialrec_graph::{SocialGraph, UserId};
+use std::ops::{AddAssign, SubAssign};
+
+/// A weight Louvain's move kernel sums: whole numbers on the social
+/// graph (`u32` link counts, `u64` degrees and community totals), `f64`
+/// on weighted levels. `to_f64` is exact for the whole numbers, so every
+/// gain is the f64 expression the weighted formulation computes.
+pub(crate) trait Weight: Copy + PartialEq + AddAssign + SubAssign {
+    const ZERO: Self;
+    fn to_f64(self) -> f64;
+}
+
+impl Weight for u32 {
+    const ZERO: u32 = 0;
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Weight for u64 {
+    const ZERO: u64 = 0;
+    fn to_f64(self) -> f64 {
+        self as f64
+    }
+}
+
+impl Weight for f64 {
+    const ZERO: f64 = 0.0;
+    fn to_f64(self) -> f64 {
+        self
+    }
+}
+
+/// One level of the Louvain hierarchy, as local moving and contraction
+/// read it.
+pub(crate) trait Level: Sync {
+    /// The weight of one arc.
+    type Link: Weight;
+    /// A weighted degree or community total.
+    type Total: Weight;
+    fn num_nodes(&self) -> usize;
+    /// `2m`: total weighted degree.
+    fn two_m(&self) -> f64;
+    /// Weighted degree `k_u`, self loop included.
+    fn degree_of(&self, u: usize) -> Self::Total;
+    /// `A_uu`: the doubled internal weight of a super node.
+    fn self_loop_of(&self, u: usize) -> f64;
+    /// `u`'s neighbours and arc weights, in row order.
+    fn arcs(&self, u: usize) -> impl Iterator<Item = (u32, Self::Link)> + '_;
+}
+
+impl Level for SocialGraph {
+    type Link = u32;
+    type Total = u64;
+    fn num_nodes(&self) -> usize {
+        self.num_users()
+    }
+    fn two_m(&self) -> f64 {
+        2.0 * self.num_edges() as f64
+    }
+    fn degree_of(&self, u: usize) -> u64 {
+        self.degree(UserId(u as u32)) as u64
+    }
+    fn self_loop_of(&self, _: usize) -> f64 {
+        0.0
+    }
+    fn arcs(&self, u: usize) -> impl Iterator<Item = (u32, u32)> + '_ {
+        self.neighbors(UserId(u as u32)).iter().map(|v| (v.0, 1))
+    }
+}
 
 /// Symmetric weighted graph in CSR form, with explicit self-loop values.
 ///
@@ -26,11 +98,28 @@ pub(crate) struct WeightedGraph {
     pub two_m: f64,
 }
 
-impl WeightedGraph {
-    pub fn num_nodes(&self) -> usize {
+impl Level for WeightedGraph {
+    type Link = f64;
+    type Total = f64;
+    fn num_nodes(&self) -> usize {
         self.self_loop.len()
     }
+    fn two_m(&self) -> f64 {
+        self.two_m
+    }
+    fn degree_of(&self, u: usize) -> f64 {
+        self.degree[u]
+    }
+    fn self_loop_of(&self, u: usize) -> f64 {
+        self.self_loop[u]
+    }
+    fn arcs(&self, u: usize) -> impl Iterator<Item = (u32, f64)> + '_ {
+        let (ns, ws) = self.neighbors_of(u);
+        ns.iter().copied().zip(ws.iter().copied())
+    }
+}
 
+impl WeightedGraph {
     #[inline]
     pub fn neighbors_of(&self, u: usize) -> (&[u32], &[f64]) {
         let a = self.offsets[u] as usize;
@@ -94,45 +183,18 @@ impl WeightedGraph {
         WeightedGraph { offsets, neighbors, weights, self_loop, degree, two_m }
     }
 
-    /// Level-0 graph from the unweighted social graph.
-    ///
-    /// The CSR layout is fixed by the source graph's adjacency order, so
-    /// the rows can be filled in parallel into disjoint ranges — the
-    /// result is identical to the sequential append loop.
-    pub fn from_social(g: &SocialGraph) -> WeightedGraph {
-        let n = g.num_users();
-        let mut bounds = Vec::with_capacity(n + 1);
-        bounds.push(0usize);
-        let mut acc = 0usize;
-        for u in g.users() {
-            acc += g.neighbors(u).len();
-            bounds.push(acc);
-        }
-        let mut neighbors = vec![0u32; acc];
-        neighbors.par_uneven_chunks_mut(&bounds).enumerate().for_each(|(u, row)| {
-            for (slot, v) in row.iter_mut().zip(g.neighbors(UserId(u as u32))) {
-                *slot = v.0;
-            }
-        });
-        let offsets: Vec<u32> = bounds.iter().map(|&b| b as u32).collect();
-        let weights = vec![1.0; neighbors.len()];
-        let self_loop = vec![0.0; n];
-        let degree: Vec<f64> =
-            (0..n).into_par_iter().map(|u| (bounds[u + 1] - bounds[u]) as f64).collect();
-        let two_m: f64 = degree.iter().sum();
-        WeightedGraph { offsets, neighbors, weights, self_loop, degree, two_m }
-    }
-
-    /// Contract the graph: nodes with the same (dense) community label
-    /// become one super node. `num_comms` is the number of labels.
+    /// Contract `g`: nodes with the same (dense) community label become
+    /// one super node. `num_comms` is the number of labels.
     ///
     /// Super-node rows are independent of one another, so they are
     /// accumulated in parallel (one dense scratch row per worker).
     /// Within each community the accumulation order is the member order
     /// of `comm_nodes` — the same order the sequential loop used — so
     /// every weight, self loop, and degree is bit-identical regardless
-    /// of how rows are scheduled across threads.
-    pub fn contract(&self, community: &[u32], num_comms: usize) -> WeightedGraph {
+    /// of how rows are scheduled across threads. A social graph is read
+    /// at weight 1, so its contraction sums the same f64 values a
+    /// unit-weight `WeightedGraph` of it would.
+    pub fn contract<G: Level>(g: &G, community: &[u32], num_comms: usize) -> WeightedGraph {
         // Group original nodes per community.
         let mut comm_nodes: Vec<Vec<u32>> = vec![Vec::new(); num_comms];
         for (u, &c) in community.iter().enumerate() {
@@ -149,9 +211,9 @@ impl WeightedGraph {
                     let c = c32 as usize;
                     let mut loop_w = 0.0f64;
                     for &u in &comm_nodes[c] {
-                        loop_w += self.self_loop[u as usize];
-                        let (ns, ws) = self.neighbors_of(u as usize);
-                        for (&v, &w) in ns.iter().zip(ws) {
+                        loop_w += g.self_loop_of(u as usize);
+                        for (v, w) in g.arcs(u as usize) {
+                            let w = w.to_f64();
                             let cv = community[v as usize] as usize;
                             if cv == c {
                                 // Each internal directed arc adds w; both
@@ -223,6 +285,14 @@ impl WeightedGraph {
     }
 }
 
+/// `g`'s edges at weight 1, in `edges()` order: the unit-weight input
+/// whose `WeightedGraph` is the weighted formulation of `g`, row order
+/// included.
+#[cfg(test)]
+pub(crate) fn unit_edges(g: &SocialGraph) -> Vec<(u32, u32, f64)> {
+    g.edges().map(|(a, b)| (a.0, b.0, 1.0)).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -234,22 +304,16 @@ mod tests {
             .unwrap()
     }
 
-    #[test]
-    fn level0_degrees() {
-        let g = two_triangles_bridge();
-        let w = WeightedGraph::from_social(&g);
-        assert_eq!(w.num_nodes(), 6);
-        assert_eq!(w.two_m, 14.0); // 7 edges * 2
-        assert_eq!(w.degree[2], 3.0);
-        assert_eq!(w.degree[0], 2.0);
+    fn unit_weight(g: &SocialGraph) -> WeightedGraph {
+        WeightedGraph::from_weighted_edges(g.num_users(), &unit_edges(g))
     }
 
     #[test]
     fn contraction_conserves_weight() {
         let g = two_triangles_bridge();
-        let w = WeightedGraph::from_social(&g);
+        let w = unit_weight(&g);
         let comm = [0u32, 0, 0, 1, 1, 1];
-        let c = w.contract(&comm, 2);
+        let c = WeightedGraph::contract(&w, &comm, 2);
         assert_eq!(c.num_nodes(), 2);
         // Each triangle: 3 internal edges -> self loop 6; bridge weight 1.
         assert_eq!(c.self_loop, vec![6.0, 6.0]);
@@ -323,7 +387,7 @@ mod tests {
             ..Default::default()
         })
         .graph;
-        let w = WeightedGraph::from_social(&g);
+        let w = unit_weight(&g);
         // Several community assignments, including skewed row sizes.
         for k in [2usize, 7, 40] {
             let comm: Vec<u32> = (0..w.num_nodes())
@@ -344,25 +408,29 @@ mod tests {
                 }
                 next as usize
             };
-            let par = w.contract(&dense, nc);
             let seq = contract_sequential(&w, &dense, nc);
-            assert_eq!(par.offsets, seq.offsets);
-            assert_eq!(par.neighbors, seq.neighbors);
-            let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&par.weights), bits(&seq.weights));
-            assert_eq!(bits(&par.self_loop), bits(&seq.self_loop));
-            assert_eq!(bits(&par.degree), bits(&seq.degree));
-            assert_eq!(par.two_m.to_bits(), seq.two_m.to_bits());
+            // The level-0 contraction reads the social graph at weight 1.
+            for par in
+                [WeightedGraph::contract(&w, &dense, nc), WeightedGraph::contract(&g, &dense, nc)]
+            {
+                assert_eq!(par.offsets, seq.offsets);
+                assert_eq!(par.neighbors, seq.neighbors);
+                let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&par.weights), bits(&seq.weights));
+                assert_eq!(bits(&par.self_loop), bits(&seq.self_loop));
+                assert_eq!(bits(&par.degree), bits(&seq.degree));
+                assert_eq!(par.two_m.to_bits(), seq.two_m.to_bits());
+            }
         }
     }
 
     #[test]
     fn modularity_invariant_under_contraction() {
         let g = two_triangles_bridge();
-        let w = WeightedGraph::from_social(&g);
+        let w = unit_weight(&g);
         let comm = [0u32, 0, 0, 1, 1, 1];
         let q_fine = w.modularity(&comm, 2);
-        let c = w.contract(&comm, 2);
+        let c = WeightedGraph::contract(&w, &comm, 2);
         let q_coarse = c.modularity(&[0, 1], 2);
         assert!((q_fine - q_coarse).abs() < 1e-12);
         // Hand value: in_0 = 2*3+1*0... internal(c)=6 (loop0) + 0? loop is 0 at level0;
