@@ -18,12 +18,12 @@ use crate::commands::trace::TraceSink;
 use socialrec_community::Louvain;
 use socialrec_core::private::NoisyClusterAverages;
 use socialrec_core::private::{release_noisy_cluster_averages_with, ClusterFramework, NoiseModel};
-use socialrec_core::{RecommenderInputs, TopNRecommender};
+use socialrec_core::{AlignedRows, RecommenderInputs, TopNRecommender};
 use socialrec_datasets::flixster_like;
 use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::UserId;
-use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE, USER_BLOCK};
+use socialrec_serve::kernel::{utilities_block_aligned, ITEM_TILE, USER_BLOCK};
 use socialrec_serve::{ShardedServer, SimMassIndex};
 use socialrec_simd::Isa;
 use socialrec_similarity::{CommonNeighbors, Similarity, SimilarityMatrix};
@@ -355,17 +355,17 @@ fn simd_attribution(
     // recommend-axpy: the blocked serving kernel over every user at the
     // compiled-in tile/block geometry.
     eprintln!("simd: recommend-axpy baseline build vs {} x{reps}...", prior.name());
-    let mut out = Vec::new();
+    let mut out = AlignedRows::default();
     socialrec_simd::force(Isa::Scalar);
     let ((), axpy_scalar_ms) = timed_min(reps, || {
         for chunk in users.chunks(USER_BLOCK) {
-            utilities_block_tiled(averages, index, chunk, ITEM_TILE, &mut out);
+            utilities_block_aligned(averages, index, chunk, ITEM_TILE, &mut out);
         }
     });
     socialrec_simd::force(prior);
     let ((), axpy_simd_ms) = timed_min(reps, || {
         for chunk in users.chunks(USER_BLOCK) {
-            utilities_block_tiled(averages, index, chunk, ITEM_TILE, &mut out);
+            utilities_block_aligned(averages, index, chunk, ITEM_TILE, &mut out);
         }
     });
     eprintln!("  {axpy_scalar_ms:.0} ms baseline, {axpy_simd_ms:.0} ms {}", prior.name());

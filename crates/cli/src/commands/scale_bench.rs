@@ -24,12 +24,12 @@
 use crate::commands::bench::{elapsed_ns, ms, percentile_ns, write_artifact, SimdInfo};
 use socialrec_community::Partition;
 use socialrec_core::private::{release_noisy_cluster_averages_with, NoiseModel};
-use socialrec_core::top_n_items;
+use socialrec_core::{top_n_items, AlignedRows};
 use socialrec_datasets::{scale_dataset, ScaleConfig};
 use socialrec_dp::Epsilon;
 use socialrec_experiments::{impl_to_json, Args};
 use socialrec_graph::{SocialGraph, UserId};
-use socialrec_serve::kernel::{utilities_block_tiled, ITEM_TILE};
+use socialrec_serve::kernel::{utilities_block_aligned, ITEM_TILE};
 use socialrec_serve::SimMassIndex;
 use socialrec_similarity::{CommonNeighbors, SimScratch, Similarity};
 use std::path::{Path, PathBuf};
@@ -229,13 +229,13 @@ fn run_point(
 
     // Query phase: per-user utilities + top-N off the opened index.
     let query_users = sample_users(users, queries.max(1), seed ^ 0x9E);
-    let mut utilities = Vec::new();
+    let mut utilities = AlignedRows::default();
     let mut latencies_ns: Vec<u64> = Vec::with_capacity(query_users.len());
     let mut lists = 0usize;
     for &u in &query_users {
         let t = Instant::now();
-        utilities_block_tiled(&averages, &index, &[u], ITEM_TILE, &mut utilities);
-        let list = top_n_items(&utilities, TOP_N);
+        utilities_block_aligned(&averages, &index, &[u], ITEM_TILE, &mut utilities);
+        let list = top_n_items(utilities.row(0), TOP_N);
         latencies_ns.push(elapsed_ns(t));
         lists += usize::from(!list.is_empty());
     }

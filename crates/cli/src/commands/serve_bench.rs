@@ -44,7 +44,8 @@ use rand::SeedableRng;
 use socialrec_community::{ClusteringStrategy, LouvainStrategy};
 use socialrec_core::private::ClusterFramework;
 use socialrec_core::{
-    top_n_items, BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN, TopNRecommender,
+    top_n_items, AlignedRows, BudgetSchedule, DynamicRecommender, RecommenderInputs, TopN,
+    TopNRecommender,
 };
 use socialrec_datasets::flixster_like;
 use socialrec_dp::Epsilon;
@@ -296,15 +297,15 @@ fn serve_uncoalesced(
         .exchange()
         .get(daemon.generation_for(seed))
         .expect("the uncoalesced loop only asks for published seeds");
-    let mut out = Vec::new();
-    kernel::utilities_block_tiled(
+    let mut out = AlignedRows::default();
+    kernel::utilities_block_aligned(
         &release,
         index,
         std::slice::from_ref(&user),
         kernel::ITEM_TILE,
         &mut out,
     );
-    TopN { user, items: top_n_items(&out, n) }
+    TopN { user, items: top_n_items(out.row(0), n) }
 }
 
 /// Bit-identity spot-check of every serving path — sharded batch,

@@ -29,8 +29,12 @@ impl Weight for u32 {
 
 impl Weight for u64 {
     const ZERO: u64 = 0;
+    /// Through `i64`: one signed conversion instead of x86-64's
+    /// multi-instruction unsigned sequence, with the same bits for any
+    /// value below 2^63. A degree or community total is at most 2|E_s|.
     fn to_f64(self) -> f64 {
-        self as f64
+        debug_assert!(self <= i64::MAX as u64, "a total of {self} exceeds 2^63");
+        self as i64 as f64
     }
 }
 

@@ -61,6 +61,7 @@
 
 #![warn(missing_docs)]
 
+pub mod aligned;
 pub mod attack;
 pub mod clustering;
 pub mod dynamic;
@@ -71,6 +72,7 @@ pub mod private;
 pub mod topn;
 pub mod weighted;
 
+pub use aligned::AlignedRows;
 pub use attack::{estimate_leakage, LeakageEstimate, SybilAttack};
 pub use clustering::cluster_by_similarity;
 pub use dynamic::{BudgetSchedule, DecayRatio, DynamicRecommender, Release, Snapshot};

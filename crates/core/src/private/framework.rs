@@ -15,6 +15,7 @@
 //!    `μ̂_u^i = Σ_c (Σ_{v∈sim(u)∩c} sim(u,v)) · ŵ_c^i` and emit each
 //!    user's top-N.
 
+use crate::aligned::AlignedRows;
 use crate::private::mix_seed;
 use crate::topn::top_n_items;
 use crate::{RecommenderInputs, TopN, TopNRecommender};
@@ -55,43 +56,55 @@ pub enum NoiseModel {
 }
 
 /// The sanitized output of module `A_w`: all noisy per-(cluster, item)
-/// averages, row-major `num_clusters × num_items`. Everything derived
-/// from this is post-processing and spends no further privacy budget.
+/// averages, one row per cluster. Everything derived from this is
+/// post-processing and spends no further privacy budget.
+///
+/// Rows are stored as [`AlignedRows`]: each starts on a 64-byte
+/// boundary, `num_items` values followed by zero padding up to the next
+/// multiple of eight, so the serving fold's vector loads never split a
+/// cache line. The padding is layout only: it draws no noise and no
+/// accessor but [`values`](Self::values) shows it.
 #[derive(Clone, Debug)]
 pub struct NoisyClusterAverages {
-    values: Vec<f64>,
-    num_clusters: usize,
-    num_items: usize,
+    values: AlignedRows,
 }
 
 impl NoisyClusterAverages {
     /// The noisy average for `(cluster, item)`.
     #[inline]
     pub fn get(&self, cluster: u32, item: u32) -> f64 {
-        self.values[cluster as usize * self.num_items + item as usize]
+        self.cluster_row(cluster)[item as usize]
     }
 
-    /// Row (all items) for one cluster.
+    /// Row (all items) for one cluster: `num_items` values, starting on
+    /// a 64-byte boundary.
     #[inline]
     pub fn cluster_row(&self, cluster: u32) -> &[f64] {
-        let i = cluster as usize * self.num_items;
-        &self.values[i..i + self.num_items]
+        self.values.row(cluster as usize)
     }
 
     /// Number of clusters.
     pub fn num_clusters(&self) -> usize {
-        self.num_clusters
+        self.values.rows()
     }
 
     /// Number of items.
     pub fn num_items(&self) -> usize {
-        self.num_items
+        self.values.width()
     }
 
-    /// The full release, row-major `num_clusters × num_items` (used by
-    /// equivalence checks that compare releases bit-for-bit).
-    pub fn values(&self) -> &[f64] {
+    /// The rows as stored.
+    pub fn rows(&self) -> &AlignedRows {
         &self.values
+    }
+
+    /// The full release as stored, padding included: row `c` occupies
+    /// `[c·stride, c·stride + num_items)`, with `stride` the item count
+    /// rounded up to a multiple of eight and 0.0 in the slots between
+    /// rows. Two releases of one shape hold equal padding, so equivalence
+    /// checks may compare this slice bit for bit.
+    pub fn values(&self) -> &[f64] {
+        self.values.as_slice()
     }
 }
 
@@ -256,12 +269,9 @@ pub fn release_noisy_cluster_averages_with(
         "partition must cover the preference graph's users"
     );
     let _span = span!("release", clusters = c);
-    if ni == 0 {
-        return NoisyClusterAverages { values: Vec::new(), num_clusters: c, num_items: 0 };
-    }
+    let mut values = AlignedRows::zeroed(c, ni);
     let members = partition.members();
-    let mut values = vec![0.0f64; c * ni];
-    values.par_chunks_mut(ni).enumerate().for_each(|(cl, row)| {
+    values.par_for_each_row(|cl, row| {
         let users = &members[cl];
         debug_assert!(!users.is_empty(), "partitions have no empty clusters");
         for &v in users {
@@ -276,7 +286,7 @@ pub fn release_noisy_cluster_averages_with(
         add_row_noise(row, noise, epsilon, inv, mix_seed(seed, cl as u64));
     });
 
-    NoisyClusterAverages { values, num_clusters: c, num_items: ni }
+    NoisyClusterAverages { values }
 }
 
 /// The historical sequential-scan release: one pass over every
@@ -296,22 +306,19 @@ pub fn release_noisy_cluster_averages_reference(
         prefs.num_users(),
         "partition must cover the preference graph's users"
     );
-    if ni == 0 {
-        return NoisyClusterAverages { values: Vec::new(), num_clusters: c, num_items: 0 };
-    }
+    let mut values = AlignedRows::zeroed(c, ni);
     let sizes = partition.cluster_sizes();
-    let mut values = vec![0.0f64; c * ni];
 
     // Raw per-cluster edge counts, item by item.
     for i in prefs.items() {
         for &v in prefs.users_of(i) {
             let cl = partition.cluster_of(v) as usize;
-            values[cl * ni + i.index()] += 1.0;
+            values.row_mut(cl)[i.index()] += 1.0;
         }
     }
 
-    for (cl, row) in values.chunks_mut(ni).enumerate() {
-        let size = sizes[cl];
+    for (cl, &size) in sizes.iter().enumerate() {
+        let row = values.row_mut(cl);
         debug_assert!(size >= 1, "partitions have no empty clusters");
         let inv = 1.0 / size as f64;
         for x in row.iter_mut() {
@@ -320,7 +327,7 @@ pub fn release_noisy_cluster_averages_reference(
         add_row_noise(row, noise, epsilon, inv, mix_seed(seed, cl as u64));
     }
 
-    NoisyClusterAverages { values, num_clusters: c, num_items: ni }
+    NoisyClusterAverages { values }
 }
 
 /// Perturb one cluster row in place with its own seeded noise stream.
@@ -424,7 +431,7 @@ mod tests {
         assert_eq!(a, b);
         let avg1 = fw.noisy_cluster_averages(&inputs, 7);
         let avg2 = fw.noisy_cluster_averages(&inputs, 8);
-        assert_ne!(avg1.values, avg2.values);
+        assert_ne!(avg1.values(), avg2.values());
     }
 
     #[test]
@@ -456,22 +463,28 @@ mod tests {
     fn sharded_release_is_byte_identical_to_reference() {
         // The tentpole contract for A_w: the parallel sharded kernel's
         // values are byte-identical to the sequential scan across both
-        // noise models, several partitions, seeds, and epsilons.
-        let (s, p) = fixture();
+        // noise models, several partitions, seeds, and epsilons, and
+        // an item count of 4 and an odd one of 13 (rows padded to 8 and
+        // 16 slots).
+        let (s, p4) = fixture();
+        let odd: Vec<(u32, u32)> = (0..6u32).flat_map(|u| [(u, u * 2), (u, 12 - u)]).collect();
+        let p13 = preference_graph_from_edges(6, 13, &odd).unwrap();
         let partitions = [
             LouvainStrategy::default().cluster(&s),
             SingletonStrategy.cluster(&s),
             socialrec_community::Partition::one_cluster(6),
         ];
         let epsilons = [Epsilon::Infinite, Epsilon::Finite(1.0), Epsilon::Finite(0.05)];
-        for partition in &partitions {
+        for (p, partition) in
+            [&p4, &p13].into_iter().flat_map(|p| partitions.iter().map(move |q| (p, q)))
+        {
             for &eps in &epsilons {
                 for noise in [NoiseModel::Laplace, NoiseModel::Geometric] {
                     for seed in [0u64, 7, 99] {
                         let par =
-                            release_noisy_cluster_averages_with(partition, &p, eps, noise, seed);
+                            release_noisy_cluster_averages_with(partition, p, eps, noise, seed);
                         let refr = release_noisy_cluster_averages_reference(
-                            partition, &p, eps, noise, seed,
+                            partition, p, eps, noise, seed,
                         );
                         assert_eq!(par.num_clusters(), refr.num_clusters());
                         assert_eq!(par.num_items(), refr.num_items());
@@ -552,7 +565,7 @@ mod tests {
         assert_eq!(geo.noise_model(), NoiseModel::Geometric);
         let a = lap.noisy_cluster_averages(&inputs, 3);
         let b = geo.noisy_cluster_averages(&inputs, 3);
-        assert_ne!(a.values, b.values, "different noise models must differ");
+        assert_ne!(a.values(), b.values(), "different noise models must differ");
         // Geometric outputs are integer multiples of 1/|c| per row.
         let sizes = partition.cluster_sizes();
         for c in 0..partition.num_clusters() as u32 {
@@ -567,8 +580,8 @@ mod tests {
             ClusterFramework::new(&partition, Epsilon::Infinite).with_noise(NoiseModel::Geometric);
         let lap_inf = ClusterFramework::new(&partition, Epsilon::Infinite);
         assert_eq!(
-            geo_inf.noisy_cluster_averages(&inputs, 0).values,
-            lap_inf.noisy_cluster_averages(&inputs, 0).values
+            geo_inf.noisy_cluster_averages(&inputs, 0).values(),
+            lap_inf.noisy_cluster_averages(&inputs, 0).values()
         );
     }
 

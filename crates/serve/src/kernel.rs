@@ -18,6 +18,12 @@
 //! compiled for the baseline target and for AVX2
 //! ([`socialrec_simd::multiversion!`]).
 //!
+//! Release rows start on 64-byte boundaries (`NoisyClusterAverages`
+//! stores them as [`AlignedRows`]), and so do the destination rows of
+//! [`utilities_block_aligned`], the entry point the daemon uses. With
+//! [`ITEM_TILE`] a multiple of eight, every tile of both starts on a
+//! cache line, so no vector load or store of the fold splits one.
+//!
 //! # Floating-point contract (why tiling is exact, not approximate)
 //!
 //! For a fixed `(user, item)` pair, the value accumulated is
@@ -37,6 +43,7 @@
 
 use crate::SimMassIndex;
 use socialrec_core::private::framework::NoisyClusterAverages;
+use socialrec_core::AlignedRows;
 use socialrec_graph::UserId;
 
 /// Items per tile: 512 f64 = 4 KiB, so the destination tile plus one
@@ -68,9 +75,12 @@ pub fn utilities_into_reference(
     }
 }
 
-/// Utility estimates for a block of users, item-tiled: `out` is resized
-/// to `users.len() * num_items` and row `k` (user `users[k]`) occupies
-/// `out[k * num_items..(k + 1) * num_items]`.
+/// Utility estimates for a block of users, item-tiled, into a plain
+/// contiguous buffer: `out` is resized to `users.len() * num_items` and
+/// row `k` (user `users[k]`) occupies `out[k * num_items..(k + 1) *
+/// num_items]`. Where `out` starts is the allocator's choice, so its
+/// rows may split cache lines; the daemon folds into
+/// [`utilities_block_aligned`] instead.
 ///
 /// `tile` is the item-tile width (clamped to at least 1; callers use
 /// [`ITEM_TILE`], tests sweep it). See the module docs for why every
@@ -82,32 +92,67 @@ pub fn utilities_block_tiled(
     tile: usize,
     out: &mut Vec<f64>,
 ) {
+    let ni = averages.num_items();
     out.clear();
-    out.resize(users.len() * averages.num_items(), 0.0);
+    out.resize(users.len() * ni, 0.0);
+    fold_block(averages, index, users, tile, out, ni);
+}
+
+/// [`utilities_block_tiled`] into [`AlignedRows`]: `out` is reset to
+/// `users.len()` zeroed rows of `num_items` (reusing its allocation
+/// when it is large enough), and row `k` gets user `users[k]`'s
+/// utilities. Every row, like every release row, starts on a 64-byte
+/// boundary, so with a tile that is a multiple of eight no load or store
+/// of the fold splits a cache line. The serving daemon and the benches
+/// that time it call this.
+pub fn utilities_block_aligned(
+    averages: &NoisyClusterAverages,
+    index: &SimMassIndex,
+    users: &[UserId],
+    tile: usize,
+    out: &mut AlignedRows,
+) {
+    out.reset(users.len(), averages.num_items());
+    let stride = out.stride();
+    fold_block(averages, index, users, tile, out.as_mut_slice(), stride);
+}
+
+/// Fold `users`' index rows over `averages` into `out`, row `k` at
+/// `out[k * out_stride..]`.
+fn fold_block(
+    averages: &NoisyClusterAverages,
+    index: &SimMassIndex,
+    users: &[UserId],
+    tile: usize,
+    out: &mut [f64],
+    out_stride: usize,
+) {
     let rows: Vec<(&[u32], &[f64])> = users.iter().map(|&u| index.row_vals(u)).collect();
-    fold_tiles(averages.values(), averages.num_items(), &rows, tile.max(1), out);
+    let release = averages.rows();
+    let ni = averages.num_items();
+    fold_tiles(release.as_slice(), release.stride(), ni, &rows, tile.max(1), out, out_stride);
 }
 
 socialrec_simd::multiversion! {
-    /// The loop nest of [`utilities_block_tiled`] over a row-major
-    /// `clusters × ni` release: per item tile, per user, that user's
-    /// clusters in ascending order, four per pass over the destination
-    /// tile, then the 0–3 leftovers one at a time.
+    /// The loop nest of [`utilities_block_tiled`]: release row `c` at
+    /// `release[c * release_stride..][..ni]`, destination row `k` at
+    /// `out[k * out_stride..][..ni]`. Per item tile, per user, that
+    /// user's clusters in ascending order, four per pass over the
+    /// destination tile, then the 0–3 leftovers one at a time.
     fn fold_tiles(
         release: &[f64],
+        release_stride: usize,
         ni: usize,
         rows: &[(&[u32], &[f64])],
         tile: usize,
         out: &mut [f64],
+        out_stride: usize,
     ) {
         let mut t0 = 0;
         while t0 < ni {
             let t1 = (t0 + tile).min(ni);
-            let row = |cl: u32| {
-                let base = cl as usize * ni;
-                &release[base + t0..base + t1]
-            };
-            for (&(clusters, masses), dst) in rows.iter().zip(out.chunks_exact_mut(ni)) {
+            let row = |cl: u32| &release[cl as usize * release_stride..][t0..t1];
+            for (&(clusters, masses), dst) in rows.iter().zip(out.chunks_exact_mut(out_stride)) {
                 let dst = &mut dst[t0..t1];
                 let (groups, leftover) = clusters.as_chunks::<4>();
                 let (mass_groups, leftover_masses) = masses.as_chunks::<4>();
@@ -150,7 +195,8 @@ mod tests {
     use proptest::prelude::*;
     use socialrec_community::Partition;
     use socialrec_core::private::framework::{
-        release_noisy_cluster_averages, NoisyClusterAverages,
+        release_noisy_cluster_averages, release_noisy_cluster_averages_with, NoiseModel,
+        NoisyClusterAverages,
     };
     use socialrec_dp::Epsilon;
     use socialrec_graph::preference::preference_graph_from_edges;
@@ -187,6 +233,7 @@ mod tests {
         }
         let ni = averages.num_items();
         let mut out = Vec::new();
+        let mut aligned = AlignedRows::default();
         // Tile sweep includes 1 (degenerate), sizes that do not divide
         // 37, the exact width, and far beyond it; block sweep includes
         // singleton blocks, ragged final blocks, and one giant block.
@@ -194,16 +241,19 @@ mod tests {
             for block in [1, 3, 8, 13] {
                 for chunk in users.chunks(block) {
                     utilities_block_tiled(&averages, &index, chunk, tile, &mut out);
+                    utilities_block_aligned(&averages, &index, chunk, tile, &mut aligned);
                     assert_eq!(out.len(), chunk.len() * ni);
+                    assert_eq!((aligned.rows(), aligned.width()), (chunk.len(), ni));
                     for (k, &u) in chunk.iter().enumerate() {
-                        let got = &out[k * ni..(k + 1) * ni];
                         let want = &refs[u.index()];
-                        for (i, (a, b)) in got.iter().zip(want).enumerate() {
-                            assert_eq!(
-                                a.to_bits(),
-                                b.to_bits(),
-                                "tile={tile} block={block} user={u:?} item={i}: {a} vs {b}"
-                            );
+                        for got in [&out[k * ni..(k + 1) * ni], aligned.row(k)] {
+                            for (i, (a, b)) in got.iter().zip(want).enumerate() {
+                                assert_eq!(
+                                    a.to_bits(),
+                                    b.to_bits(),
+                                    "tile={tile} block={block} user={u:?} item={i}: {a} vs {b}"
+                                );
+                            }
                         }
                     }
                 }
@@ -327,7 +377,7 @@ mod tests {
                 for chunk in rows.chunks(block) {
                     got.clear();
                     got.resize(chunk.len() * ni, 0.0);
-                    fold_tiles(&release, ni, chunk, tile, &mut got);
+                    fold_tiles(&release, ni, ni, chunk, tile, &mut got, ni);
                     for (k, &(clusters, masses)) in chunk.iter().enumerate() {
                         want.fill(0.0);
                         for (&cl, &mass) in clusters.iter().zip(masses) {
@@ -342,6 +392,72 @@ mod tests {
                                 same_value(g, w),
                                 "tile={} block row={} item={}: {:e} vs {:e}", tile, k, i, g, w
                             );
+                        }
+                    }
+                }
+            }
+        }
+
+        /// For every item count 1–70 (every residue mod 8) and 1–5
+        /// clusters, under both noise models: every row of a release, of
+        /// its clone and of the fold's destination starts on a 64-byte
+        /// line, holds `num_items` values and is followed by zero
+        /// padding, and the aligned fold over the release and over the
+        /// clone equals the reference bit for bit at every tile.
+        #[test]
+        fn aligned_release_clone_and_destination_for_every_item_count(
+            ni in 1u32..=70,
+            clusters in 1u32..=5,
+            noise in 0u8..2,
+            seed in 0u64..1 << 48,
+        ) {
+            let n = 13u32;
+            let mut edges: Vec<(u32, u32)> = (0..12u32).map(|u| (u, (u + 1) % 12)).collect();
+            edges.extend([(0, 6), (2, 8), (4, 10)]);
+            let social = social_graph_from_edges(n as usize, &edges).unwrap();
+            let sim = SimilarityMatrix::build(&social, &Measure::CommonNeighbors);
+            let prefs_edges: Vec<(u32, u32)> =
+                (0..n).flat_map(|u| (0..5u32).map(move |k| (u, (u * 7 + k * 11) % ni))).collect();
+            let prefs = preference_graph_from_edges(n as usize, ni as usize, &prefs_edges).unwrap();
+            let assignment: Vec<u32> = (0..n).map(|u| u % clusters).collect();
+            let partition = Partition::from_assignment(&assignment);
+            let noise = [NoiseModel::Laplace, NoiseModel::Geometric][noise as usize];
+            let release = release_noisy_cluster_averages_with(
+                &partition, &prefs, Epsilon::Finite(0.5), noise, seed,
+            );
+            let clone = release.clone();
+            let ni = ni as usize;
+            let on_a_line = |row: &[f64]| (row.as_ptr() as usize).is_multiple_of(64);
+            let padding_is_zero = |rows: &AlignedRows| {
+                rows.as_slice().chunks(rows.stride()).all(|r| r[ni..].iter().all(|&x| x == 0.0))
+            };
+            for side in [&release, &clone] {
+                prop_assert_eq!(side.num_clusters(), clusters as usize);
+                for c in 0..clusters {
+                    prop_assert!(on_a_line(side.cluster_row(c)), "release row {} off a line", c);
+                    prop_assert_eq!(side.cluster_row(c).len(), ni);
+                }
+                prop_assert!(padding_is_zero(side.rows()));
+            }
+            let index = SimMassIndex::build(&sim, &partition);
+            let users: Vec<UserId> = (0..n).map(UserId).collect();
+            let mut want = Vec::new();
+            let mut dest = AlignedRows::default();
+            for side in [&release, &clone] {
+                for tile in [1, 5, 64, ITEM_TILE] {
+                    for block in users.chunks(USER_BLOCK) {
+                        utilities_block_aligned(side, &index, block, tile, &mut dest);
+                        prop_assert!(padding_is_zero(&dest));
+                        for (k, &u) in block.iter().enumerate() {
+                            utilities_into_reference(side, &index, u, &mut want);
+                            let got = dest.row(k);
+                            prop_assert!(on_a_line(got), "destination row {} off a line", k);
+                            prop_assert_eq!(got.len(), ni);
+                            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                                prop_assert_eq!(
+                                    g.to_bits(), w.to_bits(), "tile={} user={:?} item={}", tile, u, i
+                                );
+                            }
                         }
                     }
                 }

@@ -54,13 +54,14 @@ use rayon::prelude::*;
 use rustc_hash::FxHasher;
 use socialrec_community::Partition;
 use socialrec_core::private::framework::NoisyClusterAverages;
-use socialrec_core::{top_n_items, RecommenderInputs, TopN};
+use socialrec_core::{top_n_items, AlignedRows, RecommenderInputs, TopN};
 use socialrec_dp::Epsilon;
 use socialrec_graph::UserId;
 use socialrec_obs::journal::{
     self, EventKind, REFUSED_UNPUBLISHED_GENERATION, REFUSED_USER_OUTSIDE_PARTITION,
 };
 use socialrec_obs::{span, Counter, Gauge, LatencyHistogram, MetricsRegistry};
+use std::cell::RefCell;
 use std::hash::Hasher;
 use std::sync::Arc;
 use std::time::Instant;
@@ -120,6 +121,15 @@ struct Shard {
     queue_depth: Arc<Gauge>,
     /// End-to-end single-query latency (admission to answer).
     latency: Arc<LatencyHistogram>,
+}
+
+thread_local! {
+    /// The fold's destination for the admission batches this thread
+    /// leads, kept across admissions instead of allocated per batch.
+    /// One per thread rather than per shard: successive leaders of one
+    /// shard run on different cores, and a shared buffer's lines would
+    /// move between their caches on every admission.
+    static FOLD: RefCell<AlignedRows> = RefCell::new(AlignedRows::default());
 }
 
 /// One user block of a batch: its shard, the shard's release, and the
@@ -308,33 +318,33 @@ impl<'p> ShardedServer<'p> {
                 None => groups.push((q.seed(), vec![q])),
             }
         }
-        let mut buf = Vec::new();
         let mut users = Vec::with_capacity(kernel::USER_BLOCK);
-        for (seed, group) in groups {
-            let Some(averages) = self.release_for(shard, seed) else {
-                for q in group {
-                    q.fulfill(self.refuse(q.user(), REFUSED_UNPUBLISHED_GENERATION));
-                }
-                continue;
-            };
-            let ni = averages.num_items();
-            for block in group.chunks(kernel::USER_BLOCK) {
-                users.clear();
-                users.extend(block.iter().map(|q| q.user()));
-                kernel::utilities_block_tiled(
-                    &averages,
-                    &self.index,
-                    &users,
-                    kernel::ITEM_TILE,
-                    &mut buf,
-                );
-                shard.kernel_blocks.inc();
-                for (k, q) in block.iter().enumerate() {
-                    let items = top_n_items(&buf[k * ni..(k + 1) * ni], q.n());
-                    q.fulfill(TopN { user: q.user(), items });
+        FOLD.with_borrow_mut(|buf| {
+            for (seed, group) in groups {
+                let Some(averages) = self.release_for(shard, seed) else {
+                    for q in group {
+                        q.fulfill(self.refuse(q.user(), REFUSED_UNPUBLISHED_GENERATION));
+                    }
+                    continue;
+                };
+                for block in group.chunks(kernel::USER_BLOCK) {
+                    users.clear();
+                    users.extend(block.iter().map(|q| q.user()));
+                    kernel::utilities_block_aligned(
+                        &averages,
+                        &self.index,
+                        &users,
+                        kernel::ITEM_TILE,
+                        buf,
+                    );
+                    shard.kernel_blocks.inc();
+                    for (k, q) in block.iter().enumerate() {
+                        let items = top_n_items(buf.row(k), q.n());
+                        q.fulfill(TopN { user: q.user(), items });
+                    }
                 }
             }
-        }
+        });
     }
 
     /// A single-user query through the coalescing admission path.
@@ -406,11 +416,10 @@ impl<'p> ShardedServer<'p> {
         }
         let computed: Vec<Vec<(usize, TopN)>> = (0..tasks.len())
             .into_par_iter()
-            .map_init(Vec::new, |buf, t| {
+            .map_init(AlignedRows::default, |buf, t| {
                 let (shard, averages, block) = &tasks[t];
-                let ni = averages.num_items();
                 let block_users: Vec<UserId> = block.iter().map(|&(_, u)| u).collect();
-                kernel::utilities_block_tiled(
+                kernel::utilities_block_aligned(
                     averages,
                     &self.index,
                     &block_users,
@@ -422,7 +431,7 @@ impl<'p> ShardedServer<'p> {
                     .iter()
                     .enumerate()
                     .map(|(k, &(pos, u))| {
-                        (pos, TopN { user: u, items: top_n_items(&buf[k * ni..(k + 1) * ni], n) })
+                        (pos, TopN { user: u, items: top_n_items(buf.row(k), n) })
                     })
                     .collect()
             })

@@ -5,8 +5,9 @@
 //! under `#[target_feature(enable = "avx2")]`, where LLVM vectorizes the
 //! same loop to 256-bit registers. Each call runs the build that
 //! matches [`active()`]. The one multiversioned kernel is the serving
-//! fold inside `socialrec_serve::kernel::utilities_block_tiled`; a loop
-//! gets a second build only when a measurement shows it winning.
+//! fold behind `socialrec_serve::kernel`'s `utilities_block_aligned` and
+//! `utilities_block_tiled`; a loop gets a second build only when a
+//! measurement shows it winning.
 //!
 //! # Dispatch
 //!
