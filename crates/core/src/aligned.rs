@@ -68,18 +68,25 @@ impl AlignedRows {
         AlignedRows { buf, offset, rows, width, stride }
     }
 
-    /// Reshape to `rows × width` and zero every slot, reusing the
-    /// allocation when it is large enough (its row 0 stays on the same
-    /// boundary) and allocating afresh when it is not.
-    pub fn reset(&mut self, rows: usize, width: usize) {
+    /// Reshape to `rows × width` for a caller that writes every row in
+    /// full before it reads one. The allocation is reused when it is
+    /// large enough (row 0 stays on the same boundary) and replaced by a
+    /// zeroed one when it is not. Row values are left as the buffer held
+    /// them, and only the padding is zeroed, so a reused destination
+    /// costs no pass over its rows.
+    pub fn reshape(&mut self, rows: usize, width: usize) {
         let stride = stride_for(width);
         if self.buf.capacity() < self.offset + rows * stride {
             *self = AlignedRows::zeroed(rows, width);
             return;
         }
-        self.buf.truncate(self.offset);
         self.buf.resize(self.offset + rows * stride, 0.0);
         (self.rows, self.width, self.stride) = (rows, width, stride);
+        if stride > width {
+            for row in self.as_mut_slice().chunks_exact_mut(stride) {
+                row[width..].fill(0.0);
+            }
+        }
     }
 
     /// Number of rows.
@@ -180,20 +187,23 @@ mod tests {
     }
 
     #[test]
-    fn reset_reuses_a_large_enough_allocation_and_zeroes_it() {
-        let mut m = AlignedRows::zeroed(4, 37);
-        m.row_mut(3).fill(2.5);
+    fn reshape_reuses_a_large_enough_allocation_and_zeroes_the_padding() {
+        let mut m = AlignedRows::zeroed(4, 40);
+        m.as_mut_slice().fill(2.5);
         let base = m.as_slice().as_ptr();
-        m.reset(2, 40);
+        m.reshape(3, 37);
         assert_eq!(m.as_slice().as_ptr(), base, "a smaller shape keeps the allocation");
-        assert_eq!((m.rows(), m.width(), m.stride()), (2, 40, 40));
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
-        m.reset(9, 100);
+        assert_eq!((m.rows(), m.width(), m.stride()), (3, 37, 40));
+        for r in 0..3 {
+            assert!(m.row(r).iter().all(|&x| x == 2.5), "row values are kept");
+            assert!(m.as_slice()[r * 40..][37..40].iter().all(|&x| x == 0.0));
+        }
+        m.reshape(9, 100);
         assert!(starts_on_a_line(m.row(8)));
         assert_eq!(m.as_slice().len(), 9 * 104);
-        assert!(m.as_slice().iter().all(|&x| x == 0.0));
+        assert!(m.as_slice().iter().all(|&x| x == 0.0), "a new allocation comes zeroed");
         let mut empty = AlignedRows::default();
-        empty.reset(1, 3);
+        empty.reshape(1, 3);
         assert!(starts_on_a_line(empty.row(0)));
     }
 }

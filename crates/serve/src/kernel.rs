@@ -34,12 +34,17 @@
 //! four-cluster fold computes `x += a0·r0[i]; x += a1·r1[i]; …` in
 //! cluster order: each `(user, item)` accumulator still receives
 //! exactly the same additions in exactly the same order, whatever the
-//! tile size, tile alignment, user block or build. Rust never fuses a
-//! multiply and an add, so the kernel is **bit-identical** to
-//! [`utilities_into_reference`] — proven across tile sizes, ragged
-//! final tiles, every leftover count after the groups of four, empty
-//! sim rows, thread counts and both builds by the tests in this module,
-//! `tests/simd_matrix.rs` and `tests/thread_matrix.rs`.
+//! tile size, tile alignment, user block or build. The reference starts
+//! every sum from a zeroed slot; the fold's first pass over a tile
+//! starts it from the constant `0.0` instead of reading the destination,
+//! which is the same first addition (`0.0 + m·w`, never simplified to
+//! `m·w`: the two differ when the product is `-0.0`), so the destination
+//! needs no zeroing first and its previous contents never show. Rust
+//! never fuses a multiply and an add, so the kernel is
+//! **bit-identical** to [`utilities_into_reference`] — proven across
+//! tile sizes, ragged final tiles, every leftover count after the groups
+//! of four, empty sim rows, thread counts and both builds by the tests
+//! in this module, `tests/simd_matrix.rs` and `tests/thread_matrix.rs`.
 
 use crate::SimMassIndex;
 use socialrec_core::private::framework::NoisyClusterAverages;
@@ -76,8 +81,8 @@ pub fn utilities_into_reference(
 }
 
 /// Utility estimates for a block of users, item-tiled, into a plain
-/// contiguous buffer: `out` is resized to `users.len() * num_items` and
-/// row `k` (user `users[k]`) occupies `out[k * num_items..(k + 1) *
+/// contiguous buffer: `out` is resized to `users.len() * num_items`, and
+/// row `k` (user `users[k]`) overwrites `out[k * num_items..(k + 1) *
 /// num_items]`. Where `out` starts is the allocator's choice, so its
 /// rows may split cache lines; the daemon folds into
 /// [`utilities_block_aligned`] instead.
@@ -93,18 +98,17 @@ pub fn utilities_block_tiled(
     out: &mut Vec<f64>,
 ) {
     let ni = averages.num_items();
-    out.clear();
     out.resize(users.len() * ni, 0.0);
     fold_block(averages, index, users, tile, out, ni);
 }
 
-/// [`utilities_block_tiled`] into [`AlignedRows`]: `out` is reset to
-/// `users.len()` zeroed rows of `num_items` (reusing its allocation
-/// when it is large enough), and row `k` gets user `users[k]`'s
-/// utilities. Every row, like every release row, starts on a 64-byte
-/// boundary, so with a tile that is a multiple of eight no load or store
-/// of the fold splits a cache line. The serving daemon and the benches
-/// that time it call this.
+/// [`utilities_block_tiled`] into [`AlignedRows`]: `out` is reshaped to
+/// `users.len()` rows of `num_items` (reusing its allocation when it is
+/// large enough, with no zero-fill), and row `k` is overwritten with
+/// user `users[k]`'s utilities. Every row, like every release row,
+/// starts on a 64-byte boundary, so with a tile that is a multiple of
+/// eight no load or store of the fold splits a cache line. The serving
+/// daemon and the benches that time it call this.
 pub fn utilities_block_aligned(
     averages: &NoisyClusterAverages,
     index: &SimMassIndex,
@@ -112,7 +116,7 @@ pub fn utilities_block_aligned(
     tile: usize,
     out: &mut AlignedRows,
 ) {
-    out.reset(users.len(), averages.num_items());
+    out.reshape(users.len(), averages.num_items());
     let stride = out.stride();
     fold_block(averages, index, users, tile, out.as_mut_slice(), stride);
 }
@@ -138,7 +142,10 @@ socialrec_simd::multiversion! {
     /// `release[c * release_stride..][..ni]`, destination row `k` at
     /// `out[k * out_stride..][..ni]`. Per item tile, per user, that
     /// user's clusters in ascending order, four per pass over the
-    /// destination tile, then the 0–3 leftovers one at a time.
+    /// destination tile, then the 0–3 leftovers one at a time. The first
+    /// pass over a tile writes it, starting each sum at `0.0`, and a user
+    /// with no clusters gets zeros, so every slot of `..ni` is written
+    /// whatever `out` held.
     fn fold_tiles(
         release: &[f64],
         release_stride: usize,
@@ -156,13 +163,20 @@ socialrec_simd::multiversion! {
                 let dst = &mut dst[t0..t1];
                 let (groups, leftover) = clusters.as_chunks::<4>();
                 let (mass_groups, leftover_masses) = masses.as_chunks::<4>();
+                let mut fresh = true;
                 for (cls, &ms) in groups.iter().zip(mass_groups) {
-                    fold4(dst, ms, cls.map(row));
+                    fold4(dst, fresh, ms, cls.map(row));
+                    fresh = false;
                 }
                 for (&cl, &mass) in leftover.iter().zip(leftover_masses) {
                     for (x, &w) in dst.iter_mut().zip(row(cl)) {
-                        *x += mass * w;
+                        let sum = if fresh { 0.0 } else { *x };
+                        *x = sum + mass * w;
                     }
+                    fresh = false;
+                }
+                if fresh {
+                    dst.fill(0.0);
                 }
             }
             t0 = t1;
@@ -174,13 +188,14 @@ socialrec_simd::multiversion! {
 /// `+= m[0]·r[0][i]`, then `m[1]·r[1][i]`, `m[2]·r[2][i]` and
 /// `m[3]·r[3][i]` — the additions four one-cluster passes would make,
 /// in their order, so the bits are theirs — with one load and one store
-/// of `dst[i]` instead of four.
+/// of `dst[i]` instead of four. When `fresh`, each sum starts at `0.0`
+/// and `dst[i]` is not read (LLVM hoists the test out of the loop).
 #[inline(always)]
-fn fold4(dst: &mut [f64], m: [f64; 4], r: [&[f64]; 4]) {
+fn fold4(dst: &mut [f64], fresh: bool, m: [f64; 4], r: [&[f64]; 4]) {
     let n = dst.len();
     let [r0, r1, r2, r3] = r.map(|row| &row[..n]);
     for i in 0..n {
-        let mut x = dst[i];
+        let mut x = if fresh { 0.0 } else { dst[i] };
         x += m[0] * r0[i];
         x += m[1] * r1[i];
         x += m[2] * r2[i];
@@ -265,12 +280,16 @@ mod tests {
     fn empty_sim_row_yields_all_zero_utilities() {
         let (sim, partition, averages) = fixture();
         let index = SimMassIndex::build(&sim, &partition);
-        // User 12 is isolated: no similar users, empty index row.
+        // User 12 is isolated: no similar users, empty index row. The
+        // buffers first hold user 0's utilities, which must not show.
         assert!(index.row_vals(UserId(12)).0.is_empty());
-        let mut out = Vec::new();
-        utilities_block_tiled(&averages, &index, &[UserId(12)], 16, &mut out);
+        let (mut out, mut aligned) = (Vec::new(), AlignedRows::default());
+        for users in [[UserId(0)], [UserId(12)]] {
+            utilities_block_tiled(&averages, &index, &users, 16, &mut out);
+            utilities_block_aligned(&averages, &index, &users, 16, &mut aligned);
+        }
         assert_eq!(out.len(), averages.num_items());
-        assert!(out.iter().all(|&x| x == 0.0));
+        assert!(out.iter().chain(aligned.row(0)).all(|&x| x.to_bits() == 0));
     }
 
     /// Serving from an index read from an artifact is bit-identical to
@@ -308,6 +327,22 @@ mod tests {
             for (x, y) in a.iter().zip(&b) {
                 assert_eq!(x.to_bits(), y.to_bits(), "reference path diverged for {u:?}");
             }
+        }
+    }
+
+    /// Products of `-0.0` sum to `+0.0` from a zeroed slot (`0.0 + -0.0`),
+    /// but to `-0.0` from the first product: the fold's first pass must
+    /// start at `0.0`, in a group of four and in the leftovers alike.
+    #[test]
+    fn sums_of_negative_zeros_start_from_positive_zero() {
+        let ni = 3;
+        let release = vec![-0.0; 5 * ni];
+        for k in 1..=5u32 {
+            let clusters: Vec<u32> = (0..k).collect();
+            let masses = vec![1.0; k as usize];
+            let mut got = vec![f64::NAN; ni];
+            fold_tiles(&release, ni, ni, &[(&clusters, &masses)], ITEM_TILE, &mut got, ni);
+            assert!(got.iter().all(|x| x.to_bits() == 0), "{k} clusters: {got:?}");
         }
     }
 
@@ -358,6 +393,7 @@ mod tests {
         /// clusters one full-width pass at a time, in row order: rows of
         /// 0–9 clusters reach every leftover count after the groups of
         /// four, tiles straddle every group, and user blocks come ragged.
+        /// The destination starts as NaN, so a slot left unwritten shows.
         #[test]
         fn fold_matches_one_cluster_per_pass_on_adversarial_values(
             (ni, release) in release(),
@@ -376,7 +412,7 @@ mod tests {
             for tile in [1, 3, 4, 5, ITEM_TILE, ni + 1] {
                 for chunk in rows.chunks(block) {
                     got.clear();
-                    got.resize(chunk.len() * ni, 0.0);
+                    got.resize(chunk.len() * ni, f64::NAN);
                     fold_tiles(&release, ni, ni, chunk, tile, &mut got, ni);
                     for (k, &(clusters, masses)) in chunk.iter().enumerate() {
                         want.fill(0.0);
